@@ -11,9 +11,11 @@ supported on a uniform grid over [a-L, b+L]:
 The grid is uniform, so every cell-pair integral depends only on the
 separation d; local pair tensors are precomputed per d (closed forms for
 P0 and the same-cell/adjacent P1 cases, certified tensor Gauss otherwise)
-and scattered into the dense matrix along diagonal stripes.  Couplings with
-the exterior beyond the collar are dropped on the Neumann side and replaced
-by closed-form tail integrals on the Dirichlet side.
+and scattered along diagonal stripes into an arrow matrix: exterior pairs
+carry no energy, so only the Omega rows are dense and the exterior block
+is a band, in O(n_int * m) memory.  Couplings with the exterior beyond the
+collar are dropped on the Neumann side and replaced by closed-form tail
+integrals on the Dirichlet side.
 """
 
 from __future__ import annotations
@@ -72,10 +74,6 @@ class Discretization:
     @property
     def span(self) -> tuple[float, float]:
         return (self.omega.a - self.L, self.omega.b + self.L)
-
-    @property
-    def cell_mids(self) -> np.ndarray:
-        return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
     @property
     def interior_cells(self) -> tuple[int, int]:
@@ -250,15 +248,30 @@ def _p0_pair_values(n_sep: int, s: float, h: float) -> np.ndarray:
     return F[2:] - 2.0 * F[1:-1] + F[:-2]
 
 
-def _stripe_add(K: np.ndarray, lo: int, hi: int, row_off: int, col_off: int,
-                value: float) -> None:
-    """K[i + row_off, i + col_off] += value for i in [lo, hi)."""
-    if hi <= lo:
+def _stripe_add(R: np.ndarray, ext: np.ndarray, w_lo: int, lo: int, hi: int,
+                row_off: int, col_off: int, value: float) -> None:
+    """K[i + row_off, i + col_off] += value for i in [lo, hi), in arrow storage.
+
+    Only the upper triangle is kept (the caller mirrors the Omega block):
+    rows inside Omega go to R, rows left of Omega with the column inside go
+    to the mirrored R entry, and exterior pairs go to the band ``ext``
+    (``ext[1, j]`` diagonal, ``ext[0, j]`` the (j-1, j) coupling).
+    """
+    if col_off < row_off:
         return
-    m = K.shape[0]
-    start = (lo + row_off) * m + (lo + col_off)
-    stop = (hi - 1 + row_off) * m + (hi - 1 + col_off) + 1
-    K.ravel()[start:stop:m + 1] += value
+    n_w, m = R.shape
+    w_hi = w_lo + n_w
+    for a, b, first in ((max(lo, w_lo - row_off), min(hi, w_hi - row_off),
+                         (row_off - w_lo) * m + col_off),
+                        (max(lo, w_lo - col_off), min(hi, w_lo - row_off, w_hi - col_off),
+                         (col_off - w_lo) * m + row_off)):
+        if a < b:
+            R.reshape(-1)[first + a * (m + 1):first + b * (m + 1):m + 1] += value
+    k = 1 + row_off - col_off
+    if k < 0:      # wider stripes always meet an Omega DOF
+        return
+    ext[k, lo + col_off:min(hi + col_off, w_lo)] += value
+    ext[k, max(lo, w_hi - row_off) + col_off:hi + col_off] += value
 
 
 def _ranges(d: int, c_lo: int, c_hi: int, n: int):
@@ -274,14 +287,24 @@ def _ranges(d: int, c_lo: int, c_hi: int, n: int):
     return [(a1, b1), (a2, b2)]
 
 
-@lru_cache(maxsize=2)
-def _base_matrix(a: float, b: float, h: float, L: float, scheme: str, s: float,
-                 a_ns: float, entry_tol: float) -> np.ndarray:
-    """Label-independent stiffness over all grid DOFs (pairs meeting Q_Omega).
+def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Symmetric band (cholesky_banded upper layout, one superdiagonal) times x."""
+    y = ab[1] * x
+    y[1:] += ab[0, 1:] * x[:-1]
+    y[:-1] += ab[0, 1:] * x[1:]
+    return y
 
-    P1 tensors are certified by one refinement level (Gauss order g and
-    g + 8); P0 values are exact closed forms.  The result is cached and
-    returned read-only.
+
+@lru_cache(maxsize=2)
+def _base_arrow(a: float, b: float, h: float, L: float, scheme: str, s: float,
+                a_ns: float, entry_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Label-independent stiffness over all grid DOFs as an arrow pair (R, ext).
+
+    R holds the rows of the Omega DOFs against all m grid DOFs; ``ext`` the
+    exterior block (only the Omega-weighted Gram term) as a cholesky_banded
+    upper band over the grid DOFs, zero on Omega.  P1 tensors are certified
+    by one refinement level (Gauss order g and g + 8); P0 values are exact
+    closed forms.  The pair is cached and returned read-only.
     """
     n_collar = round(L / h)
     n_int = round((b - a) / h)
@@ -289,16 +312,15 @@ def _base_matrix(a: float, b: float, h: float, L: float, scheme: str, s: float,
     c_lo, c_hi = n_collar, n_collar + n_int - 1
 
     if scheme == "P0":
-        f = _p0_pair_values(n - 1, s, h)
-        K = np.zeros((n, n))
-        for d in range(1, n):
-            v = -a_ns * f[d - 1]
-            for (lo, hi) in _ranges(d, c_lo, c_hi, n):
-                _stripe_add(K, lo, hi + 1, 0, d, v)
-                _stripe_add(K, lo, hi + 1, d, 0, v)
-        K[np.diag_indices(n)] = -K.sum(axis=1)
-        K.setflags(write=False)
-        return K
+        v = np.concatenate(([0.0], -a_ns * _p0_pair_values(n - 1, s, h)))
+        cells = np.arange(n)
+        R = v[np.abs(cells[c_lo:c_hi + 1, None] - cells)]
+        R[np.arange(n_int), cells[c_lo:c_hi + 1]] = -R.sum(axis=1)
+        ext = np.stack([np.zeros(n), -R.sum(axis=0)])
+        ext[1, c_lo:c_hi + 1] = 0.0
+        R.setflags(write=False)
+        ext.setflags(write=False)
+        return R, ext
 
     g = 20
     Af, Bf, Df = _p1_far_tensors(n - 1, s, h, g)
@@ -318,32 +340,31 @@ def _base_matrix(a: float, b: float, h: float, L: float, scheme: str, s: float,
             f"pair-tensor refinement check failed: {worst:.2e} > {entry_tol:.1e}")
     Af[:nd], Bf[:nd], Df[:nd] = A2, B2, D2
 
-    m = n + 1
-    K = np.zeros((m, m))
+    R = np.zeros((n_int + 1, n + 1))
+    ext = np.zeros((2, n + 1))
     v0 = 0.5 * a_ns * _p1_same_cell_coeff(s, h)
     for (ro, co, sg) in ((0, 0, 1.0), (1, 1, 1.0), (0, 1, -1.0), (1, 0, -1.0)):
-        _stripe_add(K, c_lo, c_hi + 1, ro, co, sg * v0)
+        _stripe_add(R, ext, c_lo, c_lo, c_hi + 1, ro, co, sg * v0)
     L1a = a_ns * L1_ref
     for (lo, hi) in _ranges(1, c_lo, c_hi, n):
         for r in range(3):
             for c in range(3):
-                _stripe_add(K, lo, hi + 1, r, c, L1a[r, c])
+                _stripe_add(R, ext, c_lo, lo, hi + 1, r, c, L1a[r, c])
     for d in range(2, n):
-        Ad = a_ns * Af[d - 2]
-        Bd = a_ns * Bf[d - 2]
-        Dd = a_ns * Df[d - 2]
+        Ad, Bd, Dd = a_ns * Af[d - 2], a_ns * Bf[d - 2], a_ns * Df[d - 2]
         for (lo, hi) in _ranges(d, c_lo, c_hi, n):
             for r in range(2):
                 for c in range(2):
-                    _stripe_add(K, lo, hi + 1, r, c, Ad[r, c])
-                    _stripe_add(K, lo, hi + 1, d + r, d + c, Dd[r, c])
-                    _stripe_add(K, lo, hi + 1, r, d + c, -Bd[r, c])
-                    _stripe_add(K, lo, hi + 1, d + r, c, -Bd[c, r])
-    # transposed entries accumulate the same addends but in swapped order;
-    # mirror the upper triangle so K is symmetric bitwise, not just to 1 ulp
-    K = np.triu(K) + np.triu(K, 1).T
-    K.setflags(write=False)
-    return K
+                    _stripe_add(R, ext, c_lo, lo, hi + 1, r, c, Ad[r, c])
+                    _stripe_add(R, ext, c_lo, lo, hi + 1, d + r, d + c, Dd[r, c])
+                    _stripe_add(R, ext, c_lo, lo, hi + 1, r, d + c, -Bd[r, c])
+    # mirror the upper triangle of the Omega block so K is symmetric bitwise;
+    # transposed entries would accumulate the same addends in swapped order
+    W = R[:, c_lo:c_hi + 2]
+    R[:, c_lo:c_hi + 2] = np.triu(W) + np.triu(W, 1).T
+    R.setflags(write=False)
+    ext.setflags(write=False)
+    return R, ext
 
 
 # ---------------------------------------------------------------------------
@@ -361,33 +382,29 @@ def _far_tau(x: np.ndarray, disc: Discretization, s: float) -> np.ndarray:
     return tau
 
 
-def mass_matrix(disc: Discretization) -> np.ndarray:
-    """M_ij = int_Omega phi_i phi_j over all DOFs (exterior rows zero); exact."""
-    n = disc.n_cells
-    i0, i1 = disc.interior_cells
-    h = disc.h
+def omega_mass(disc: Discretization) -> np.ndarray:
+    """M_ij = int_Omega phi_i phi_j over the Omega DOFs (tridiagonal for P1); exact."""
+    n = disc.n_interior
     if disc.scheme == "P0":
-        M = np.zeros((n, n))
-        idx = np.arange(i0, i1 + 1)
-        M[idx, idx] = h
-        return M
-    M = np.zeros((n + 1, n + 1))
-    for e in range(i0, i1 + 1):
-        M[e, e] += h / 3.0
-        M[e + 1, e + 1] += h / 3.0
-        M[e, e + 1] += h / 6.0
-        M[e + 1, e] += h / 6.0
-    return M
+        return disc.h * np.eye(n)
+    T = 4.0 * np.eye(n + 1) + np.eye(n + 1, k=1) + np.eye(n + 1, k=-1)
+    T[0, 0] = T[n, n] = 2.0
+    return disc.h / 6.0 * T
 
 
 @dataclass(frozen=True)
 class StiffnessSystem:
-    """Symmetric nonlocal stiffness over free DOFs plus the Omega mass matrix."""
+    """Symmetric nonlocal stiffness over free DOFs in arrow blocks plus the Omega mass.
+
+    K_EE is diagonal (P0) or tridiagonal (P1), so it is stored as a band.
+    """
 
     disc: Discretization
     order: FractionalOrder
-    K: np.ndarray                 # free x free, scaled by a_{N,s}/2 convention
-    M: np.ndarray                 # free x free, supported on interior DOFs
+    K_II: np.ndarray              # interior x interior, far-field D tails included
+    K_IE: np.ndarray              # interior x exterior Neumann
+    K_EE: np.ndarray              # (2, n_E) cholesky_banded upper layout
+    M_II: np.ndarray              # interior x interior Omega mass
     free_dofs: np.ndarray         # global DOF indices of the free unknowns
     interior_mask: np.ndarray     # within-free boolean
     exterior_mask: np.ndarray     # within-free boolean (exterior Neumann)
@@ -399,67 +416,70 @@ class StiffnessSystem:
     def n_free(self) -> int:
         return len(self.free_dofs)
 
-    def dof_positions(self) -> np.ndarray:
-        """Coordinate of each free DOF (node position or cell midpoint)."""
-        if self.disc.scheme == "P1":
-            return self.disc.nodes[self.free_dofs]
-        return self.disc.cell_mids[self.free_dofs]
+    def matvec(self, u_free: np.ndarray) -> np.ndarray:
+        """K u over the free DOFs."""
+        u_I, u_E = u_free[self.interior_mask], u_free[self.exterior_mask]
+        out = np.empty(self.n_free)
+        out[self.interior_mask] = self.K_II @ u_I + self.K_IE @ u_E
+        out[self.exterior_mask] = self.K_IE.T @ u_I + band_matvec(self.K_EE, u_E)
+        return out
 
 
 def assemble(disc: Discretization, order: FractionalOrder,
              entry_tol: float = 1e-8) -> StiffnessSystem:
-    """Assemble K (pairs meeting Q_Omega + Dirichlet tails) and M over free DOFs."""
+    """Arrow blocks of K (pairs meeting Q_Omega + Dirichlet tails) and M over free DOFs."""
     if order.dimension != 1:
         raise BadParameters("assembly is 1D")
     if disc.scheme == "P0" and order.s >= 0.5:
         raise IncompatibleScheme("P0 jumps carry infinite energy for s >= 1/2")
     om = disc.omega
-    base = _base_matrix(om.a, om.b, disc.h, disc.L, disc.scheme, order.s,
-                        order.a_ns, entry_tol)
+    R, ext = _base_arrow(om.a, om.b, disc.h, disc.L, disc.scheme, order.s,
+                         order.a_ns, entry_tol)
+    omega_dofs = slice(disc.n_collar, disc.n_collar + R.shape[0])
     free = np.where(disc.dof_label < DOF_DIRICHLET)[0]
-    constrained = np.where(disc.dof_label == DOF_DIRICHLET)[0]
-    K = base[np.ix_(free, free)].copy()
-    M = mass_matrix(disc)[np.ix_(free, free)]
-    # exact column sums of the Dirichlet-row block: the discrete N_s mass on
-    # the constrained DOFs, needed by the Gauss-identity diagnostics
-    row_sums = np.zeros(len(free))
-    for lo in range(0, len(constrained), 256):
-        block = base[constrained[lo:lo + 256]][:, free]
-        row_sums += block.sum(axis=0)
+    interior = disc.dof_label[free] == DOF_INTERIOR
+    exterior = disc.dof_label[free] == DOF_NEUMANN
+    rows = free[interior] - disc.n_collar
+    cols_E = free[exterior]
 
-    # far-field Dirichlet tails: a * int_Omega phi_i phi_j tau(x) dx
-    tails = np.zeros(len(free))
+    # far-field Dirichlet tails a * int_Omega phi_i phi_j tau(x) dx touch
+    # Omega DOFs only: add them to the Omega block before the free DOFs are cut
+    K_om = R[:, omega_dofs].copy()
+    tails_om = np.zeros(R.shape[0])
     if "D" in disc.far_label:
-        pos_of = {int(g): i for i, g in enumerate(free)}
         i0, i1 = disc.interior_cells
         Xg, Wg = quad.gauss_rule(8)
-        lam = np.stack([1.0 - Xg, Xg])
-        for e in range(i0, i1 + 1):
-            xq = disc.nodes[e] + disc.h * Xg
-            tau = _far_tau(xq, disc, order.s)
-            if disc.scheme == "P0":
-                val = order.a_ns * disc.h * float(Wg @ tau)
-                i = pos_of.get(e)
-                if i is not None:
-                    K[i, i] += val
-                    tails[i] += val
-                continue
-            local = order.a_ns * disc.h * np.einsum("p,ap,bp->ab", Wg * tau, lam, lam)
-            local[1, 0] = local[0, 1]   # exact symmetry regardless of einsum order
-            for r in range(2):
-                for c in range(2):
-                    ir, ic = pos_of.get(e + r), pos_of.get(e + c)
-                    if ir is not None and ic is not None:
-                        K[ir, ic] += local[r, c]
-                        if ir == ic and r == c:
-                            tails[ir] += local[r, c]
+        wtau = Wg * _far_tau(disc.nodes[i0:i1 + 1, None] + disc.h * Xg, disc, order.s)
+        e = np.arange(disc.n_interior)
+        if disc.scheme == "P0":
+            tails_om += order.a_ns * disc.h * wtau.sum(axis=1)
+            K_om[e, e] += tails_om
+        else:
+            lam = np.stack([1.0 - Xg, Xg])
+            local = order.a_ns * disc.h * np.einsum("ep,ap,bp->eab", wtau, lam, lam)
+            # as cells ascend, a node gets the term of the cell on its left first
+            for r, c in ((1, 1), (0, 0), (0, 1)):
+                K_om[e + r, e + c] += local[:, r, c]
+                if r == c:
+                    tails_om[e + r] += local[:, r, r]
+                else:
+                    K_om[e + c, e + r] += local[:, r, c]
+    K_EE = ext[:, cols_E]
+    K_EE[0] = np.where(np.diff(cols_E, prepend=-2) == 1, K_EE[0], 0.0)
+    # column sums of the Dirichlet-row block, K 1_D by symmetry: the discrete
+    # N_s mass on the constrained DOFs, needed by the Gauss-identity diagnostics
+    x = (disc.dof_label == DOF_DIRICHLET).astype(float)
+    Kx = band_matvec(ext, x) + x[omega_dofs] @ R
+    Kx[omega_dofs] = R @ x
+    tails = np.zeros(len(free))
+    tails[interior] = tails_om[rows]
 
+    block = np.ix_(rows, rows)
     return StiffnessSystem(
-        disc=disc, order=order, K=K, M=M, free_dofs=free,
-        interior_mask=disc.dof_label[free] == DOF_INTERIOR,
-        exterior_mask=disc.dof_label[free] == DOF_NEUMANN,
-        tail_corrections=tails, dirichlet_row_sums=row_sums,
-        snap_report=disc.snap_report)
+        disc=disc, order=order, K_II=K_om[block], K_IE=R[np.ix_(rows, cols_E)],
+        K_EE=K_EE, M_II=omega_mass(disc)[block], free_dofs=free,
+        interior_mask=interior, exterior_mask=exterior, tail_corrections=tails,
+        dirichlet_row_sums=Kx[free], snap_report=disc.snap_report)
 
 
 # ---------------------------------------------------------------------------

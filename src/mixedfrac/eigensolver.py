@@ -1,17 +1,19 @@
 """Schur elimination of exterior Neumann DOFs and the principal eigenpair.
 
-The exterior block K_EE couples exterior DOFs only through the
-Omega-weighted Gram term, so it is diagonal (P0) or tridiagonal (P1) in
-grid order and is eliminated with a banded Cholesky solve.  The reduced
-symmetric-definite pencil (K_eff, M) is solved by inverse iteration with a
-tiny fixed shift and a deterministic all-ones start (the ground state is
-positive, so the overlap is guaranteed).
+The stiffness arrives in arrow form: K_EE couples exterior DOFs only through
+the Omega-weighted Gram term, so it is a diagonal (P0) or tridiagonal (P1)
+band, eliminated by a banded Cholesky solve, and only K_II, K_IE and K_eff
+are dense (O(n_int * m) memory).  The reduced symmetric-definite pencil
+(K_eff, M) is solved by inverse iteration with a tiny fixed shift and a
+deterministic all-ones start (the ground state is positive, so the overlap
+is guaranteed).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg import (
@@ -51,8 +53,6 @@ class SchurReduction:
 
     def back_map(self, u_interior: np.ndarray) -> np.ndarray:
         """Exterior Neumann values -K_EE^{-1} K_EI u_I (discrete reconstruction)."""
-        if len(self.exterior_idx) == 0:
-            return np.zeros(0)
         return -self._solve_EE(self.K_IE.T @ u_interior)
 
     def full_vector(self, u_interior: np.ndarray) -> np.ndarray:
@@ -62,47 +62,21 @@ class SchurReduction:
         return out
 
 
-def _banded_solver(K_EE: np.ndarray):
-    """Cholesky solve of the exterior block, exploiting its banded structure."""
-    n = K_EE.shape[0]
-    if n == 0:
-        return lambda rhs: rhs
-    off = np.abs(K_EE).copy()
-    off[np.diag_indices(n)] = 0.0
-    np.fill_diagonal(off[1:], 0.0)
-    np.fill_diagonal(off[:, 1:], 0.0)
-    try:
-        if not np.any(off):
-            ab = np.zeros((2, n))
-            ab[0, 1:] = np.diag(K_EE, 1)
-            ab[1] = np.diag(K_EE)
-            cb = cholesky_banded(ab)
-            return lambda rhs, _cb=cb: cho_solve_banded((_cb, False), rhs)
-        c = cho_factor(K_EE)
-        return lambda rhs, _c=c: cho_solve(_c, rhs)
-    except (LinAlgError, ValueError) as exc:
-        raise SingularExteriorBlock(
-            f"exterior Neumann block not positive definite: {exc}") from exc
-
-
 def schur_reduce(system: StiffnessSystem) -> SchurReduction:
     """K_eff = K_II - K_IE K_EE^{-1} K_EI over interior DOFs, symmetric PSD."""
     iI = np.where(system.interior_mask)[0]
     iE = np.where(system.exterior_mask)[0]
-    K_II = system.K[np.ix_(iI, iI)]
-    M_int = system.M[np.ix_(iI, iI)]
-    if len(iE) == 0:
-        return SchurReduction(K_eff=K_II.copy(), M_int=M_int, interior_idx=iI,
-                              exterior_idx=iE, _solve_EE=lambda r: r,
-                              K_IE=np.zeros((len(iI), 0)))
-    K_IE = system.K[np.ix_(iI, iE)]
-    K_EE = system.K[np.ix_(iE, iE)]
-    if np.any(np.diag(K_EE) <= 0.0):
+    K_IE, K_EE = system.K_IE, system.K_EE
+    if np.any(K_EE[1] <= 0.0):
         raise SingularExteriorBlock("exterior DOF with no interaction with Omega")
-    solve_EE = _banded_solver(K_EE)
-    K_eff = K_II - K_IE @ solve_EE(K_IE.T)
+    try:
+        solve_EE = partial(cho_solve_banded, (cholesky_banded(K_EE), False))
+    except (LinAlgError, ValueError) as exc:
+        raise SingularExteriorBlock(
+            f"exterior Neumann block not positive definite: {exc}") from exc
+    K_eff = system.K_II - K_IE @ solve_EE(K_IE.T)
     K_eff = 0.5 * (K_eff + K_eff.T)
-    return SchurReduction(K_eff=K_eff, M_int=M_int, interior_idx=iI,
+    return SchurReduction(K_eff=K_eff, M_int=system.M_II, interior_idx=iI,
                           exterior_idx=iE, _solve_EE=solve_EE, K_IE=K_IE)
 
 
@@ -120,9 +94,11 @@ def smallest_eigenpair(K_eff: np.ndarray, M_int: np.ndarray, tol: float = 1e-12,
                        max_iter: int = 500) -> EigenPair:
     """Minimizer of the Rayleigh quotient u'Ku / u'Mu by shifted inverse iteration.
 
-    Deterministic all-ones start; convergence requires successive Rayleigh
-    quotients to agree within tol * max(lambda, 1e-30) and the residual
-    |K u - lambda M u| to fall below sqrt(tol) * max(1, lambda).  Eigenvalues
+    Deterministic all-ones start; convergence requires the residual
+    |K u - lambda M u| to fall below sqrt(tol) * max(1, lambda) and successive
+    Rayleigh quotients to agree within tol * max(lambda, 1e-30), or their
+    change to stop shrinking below the roundoff bound eps |u|'|K||u| of u'Ku
+    (small lambda, where the first test is out of reach).  Eigenvalues
     below 1e-9 are reported as 0 with a flag (singular D = empty limit).
     """
     n = K_eff.shape[0]
@@ -137,9 +113,7 @@ def smallest_eigenpair(K_eff: np.ndarray, M_int: np.ndarray, tol: float = 1e-12,
 
     u = np.ones(n)
     u /= math.sqrt(u @ (M_int @ u))
-    lam_prev = math.inf
-    lam = math.inf
-    residual = math.inf
+    lam_prev = step_prev = lam = residual = math.inf
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -151,11 +125,13 @@ def smallest_eigenpair(K_eff: np.ndarray, M_int: np.ndarray, tol: float = 1e-12,
         Ku = K_eff @ u
         lam = float(u @ Ku)
         residual = float(np.linalg.norm(Ku - lam * (M_int @ u)))
-        if (abs(lam - lam_prev) <= tol * max(abs(lam), 1e-30)
-                and residual <= math.sqrt(tol) * max(1.0, abs(lam))):
+        step = abs(lam - lam_prev)
+        noise = np.finfo(float).eps * float(np.abs(u) @ np.abs(K_eff) @ np.abs(u))
+        if residual <= math.sqrt(tol) * max(1.0, abs(lam)) and (
+                step <= tol * max(abs(lam), 1e-30) or step_prev <= step <= noise):
             converged = True
             break
-        lam_prev = lam
+        lam_prev, step_prev = lam, step
     if lam < -math.sqrt(np.finfo(float).eps):
         raise IndefinitePencil(f"negative Rayleigh quotient {lam}")
     flagged_zero = lam < ZERO_EIGENVALUE_FLOOR

@@ -148,6 +148,8 @@ class ExperimentRecord:
     h: float
     L: float
     ms: float
+    converged: bool           # JSON only, like flagged_zero
+    flagged_zero: bool
     error: str | None = None
 
 
@@ -181,7 +183,8 @@ def _record_from_result(cfg: ExperimentConfig, k: int, res: EigenResult,
         condC=diag.get("condition_C", nan) if want.get("conditionC", True) else nan,
         sep=diag.get("separation_D", nan),
         gauss_res=gauss, iters=res.iterations,
-        h=cfg.disc.h, L=cfg.disc.L, ms=ms)
+        h=cfg.disc.h, L=cfg.disc.L, ms=ms, converged=res.converged,
+        flagged_zero=res.flagged_zero)
 
 
 def _failed_record(cfg: ExperimentConfig, k: int, ms: float, err: str) -> ExperimentRecord:
@@ -190,7 +193,7 @@ def _failed_record(cfg: ExperimentConfig, k: int, ms: float, err: str) -> Experi
                             baseline=nan, gap=nan, measN_R=nan, measD_R=nan,
                             measN_R8=nan, measD_R8=nan, condC=nan, sep=nan,
                             gauss_res=nan, iters=0, h=cfg.disc.h, L=cfg.disc.L,
-                            ms=ms, error=err)
+                            ms=ms, converged=False, flagged_zero=False, error=err)
 
 
 def run(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
@@ -227,12 +230,13 @@ def run(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
     records.sort(key=lambda r: r.k)
 
     fits = {}
-    good = [r for r in records if r.error is None]
+    # errored records and those stopped at max_iter carry no trustworthy lambda
+    good = [r for r in records if r.error is None and r.converged]
     try:
         fits["gap_vs_param"] = fit_rate(good, "param", "gap")
     except DegenerateData:
         pass
-    n_failed = sum(1 for r in records if r.error is not None)
+    n_failed = len(records) - len(good)
     return RunResult(records=tuple(records), baseline=baseline, fits=fits,
                      n_failed=n_failed,
                      farfield_slopes=dict(sorted(farfield_slopes.items())))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dense
 from mixedfrac import (
     DiscParams,
     Domain1D,
@@ -40,18 +41,17 @@ class TestSchurReduce:
         rng = np.random.default_rng(3)
         A = rng.standard_normal((4, 4))
         K_II = A @ A.T + 4 * np.eye(4)
-        K_EE = np.diag(rng.uniform(1.0, 2.0, 3))
-        K = np.zeros((7, 7))
-        K[:4, :4] = K_II
-        K[4:, 4:] = K_EE
+        K_EE = np.stack([np.zeros(3), rng.uniform(1.0, 2.0, 3)])   # diagonal band
 
         class Dummy:
             pass
 
         sys = Dummy()
-        sys.K = K
+        sys.K_II = K_II
+        sys.K_IE = np.zeros((4, 3))
+        sys.K_EE = K_EE
         sys.dirichlet_row_sums = np.zeros(7)
-        sys.M = np.pad(np.eye(4), ((0, 3), (0, 3)))
+        sys.M_II = np.eye(4)
         sys.interior_mask = np.array([True] * 4 + [False] * 3)
         sys.exterior_mask = ~sys.interior_mask
         red = schur_reduce(sys)
@@ -91,7 +91,7 @@ class TestSchurReduce:
     def test_rayleigh_consistency(self, mixed_result):
         res = mixed_result
         full = res.u_free
-        K, M = res.system.K, res.system.M
+        K, M = dense(res.system)
         rq = float(full @ (K @ full)) / float(full @ (M @ full))
         assert abs(rq - res.lambda1) <= 1e-10 * max(res.lambda1, 1.0)
 

@@ -235,6 +235,17 @@ class TestCli:
         monkeypatch.setattr(experiments, "run", lambda *a, **k: bad)
         assert cli_main(["sweep", "--config", cfg]) == 2
 
+    def test_non_converged_records_fail(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, solver={"tol": 1e-12, "max_iter": 2},
+                              outputs={"csv": "nc.csv", "json": "nc.json"})
+        assert cli_main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "NOT CONVERGED" in capsys.readouterr().out
+        payload = json.load(open(tmp_path / "nc.json"))
+        assert payload["n_failed"] == len(base_config()["family"]["k_list"])
+        assert all(r["converged"] is False for r in payload["records"])
+        header = open(tmp_path / "nc.csv").read().splitlines()[0]
+        assert header == experiments.CSV_HEADER
+
     def test_seed_accepted_and_ignored(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
         assert cli_main(["solve", "--config", cfg, "--seed", "123"]) == 0

@@ -42,14 +42,14 @@ def test_dini_inconclusive_near_critical_exponent():
 
 
 def test_entry_tolerance_failure():
-    from mixedfrac.assembly import _base_matrix
-    _base_matrix.cache_clear()
+    from mixedfrac.assembly import _base_arrow
+    _base_arrow.cache_clear()
     order = make_order(1, 0.5)
     mesh = build_mesh(OM, full_dirichlet_partition(OM), 0.25, 8.0, "P1",
                       order=order)
     with pytest.raises(EntryToleranceFailure):
         assemble(mesh, order, entry_tol=0.0)
-    _base_matrix.cache_clear()
+    _base_arrow.cache_clear()
 
 
 def test_singular_exterior_block():
@@ -57,8 +57,10 @@ def test_singular_exterior_block():
         pass
 
     sys = Dummy()
-    sys.K = np.diag([1.0, 1.0, 0.0])
-    sys.M = np.diag([1.0, 1.0, 0.0])
+    sys.K_II = np.eye(2)
+    sys.K_IE = np.zeros((2, 1))
+    sys.K_EE = np.zeros((2, 1))           # band with a zero diagonal
+    sys.M_II = np.eye(2)
     sys.dirichlet_row_sums = np.zeros(3)
     sys.interior_mask = np.array([True, True, False])
     sys.exterior_mask = np.array([False, False, True])
