@@ -13,7 +13,6 @@ from .errors import (
     DegenerateData,
     DivergentIntegral,
     EmptySet,
-    EntryToleranceFailure,
     IncompatibleScheme,
     InconclusiveClassification,
     IndefinitePencil,

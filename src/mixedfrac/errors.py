@@ -41,10 +41,6 @@ class IncompatibleScheme(MixedFracError):
     """P0 cells carry infinite jump energy across cell interfaces for s >= 1/2."""
 
 
-class EntryToleranceFailure(MixedFracError):
-    """A stiffness entry failed its refinement certification."""
-
-
 class SingularExteriorBlock(MixedFracError):
     """Exterior Neumann block not positive definite; assembly corruption."""
 

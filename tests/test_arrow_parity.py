@@ -4,7 +4,8 @@ The reference below is the former dense path, kept as a test oracle: the
 label-independent stiffness over all m grid DOFs built by stripe adds, the
 free x free extraction with ``np.ix_``, the per-cell mass and far-field
 tail loops, and a dense Schur complement.  It is only run on meshes of at
-most 400 DOFs.
+most 400 DOFs, except for the bitwise check of the P1 arrow pair, which also
+covers the 2761-DOF mesh of the criterion-7 sweep.
 """
 
 import math
@@ -28,6 +29,7 @@ from mixedfrac import (
 from mixedfrac import quadrature as quad
 from mixedfrac.assembly import (
     DOF_DIRICHLET,
+    _base_arrow,
     _far_tau,
     _p0_pair_values,
     _p1_adjacent_local,
@@ -192,3 +194,18 @@ def test_arrow_matches_dense_reference(scheme, s, part):
     lam = smallest_eigenpair(schur_reduce(system).K_eff, system.M_II).value
     lam_ref = reference_lambda(K_ref, M_ref, system.interior_mask, system.exterior_mask)
     assert abs(lam - lam_ref) <= 1e-12 * abs(lam_ref)
+
+
+@pytest.mark.parametrize("a,b,h,L,s", [(0.0, 1.0, H, L, s) for s in (0.25, 0.5, 0.75)]
+                         + [(-1.0, 1.0, 0.05, 68.0, 0.75)])
+def test_p1_arrow_bitwise_equals_dense_reference(a, b, h, L, s):
+    om, order = Domain1D(a, b), make_order(1, s)
+    disc = build_mesh(om, full_dirichlet_partition(om), h, L, "P1", order=order)
+    K = reference_base(disc, order)
+    c_lo, c_hi = disc.interior_cells
+    ext = np.stack([np.concatenate(([0.0], np.diag(K, 1))), np.diag(K)])
+    ext[1, c_lo:c_hi + 2] = 0.0
+    ext[0, c_lo:c_hi + 3] = 0.0
+    R_got, ext_got = _base_arrow(a, b, h, L, "P1", s, order.a_ns)
+    assert np.array_equal(R_got, K[c_lo:c_hi + 2])
+    assert np.array_equal(ext_got, ext)

@@ -1,0 +1,84 @@
+"""Pair tensors on the uniform grid against mpmath at 30 digits.
+
+A cell pair (E, F) at separation d, unit h, is integrated line by line
+along t = eta - xi: the integrand restricted to a line is a polynomial of
+degree <= 2 in xi, which 3-point Gauss integrates exactly, and the outer
+integral over the kernel (d + t)^(-1-2s) is mpmath's tanh-sinh rule.  Each
+half t < 0, t > 0 is written in the line length w, so the endpoint
+singularity of the touching pair (d = 1) sits at w = 0 with no cancellation,
+and w = v^10 on t < 0 makes it integrable in v for every s < 1/2 (P0) and
+smooth for P1, where the integrand vanishes like w^(2-2s).
+"""
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from mixedfrac.assembly import _p0_pair_values, _p1_adjacent_local, _p1_far_tensors
+
+mp.mp.dps = 30
+SEPARATIONS = (1, 2, 10, 1000, 10000)
+RTOL = 1e-13
+HATS = (lambda x: 1 - x, lambda x: x)
+GAUSS3 = [(mp.mpf(1) / 2 - mp.sqrt(15) / 10, mp.mpf(5) / 18), (mp.mpf(1) / 2, mp.mpf(8) / 18),
+          (mp.mpf(1) / 2 + mp.sqrt(15) / 10, mp.mpf(5) / 18)]
+
+
+def pair_integral(d, s, F):
+    """int_0^1 int_0^1 F(xi, eta) (d + eta - xi)^(-1-2s) dxi deta."""
+    alpha = -1 - 2 * mp.mpf(s)
+
+    def line(w, t, xi0):
+        """int of F(xi, xi + t) over xi in [xi0, xi0 + w]."""
+        return w * sum(c * F(xi0 + w * x, xi0 + w * x + t) for x, c in GAUSS3)
+
+    def left(v):
+        w = v ** 10
+        return line(w, w - 1, 1 - w) * (d - 1 + w) ** alpha * 10 * v ** 9
+
+    right = mp.quad(lambda w: line(w, 1 - w, 0) * (d + 1 - w) ** alpha, [0, 1])
+    return mp.quad(left, [0, 1]) + right
+
+
+def _assert_close(got, ref):
+    ref = np.array(ref, dtype=float)
+    assert np.all(np.abs(got - ref) <= RTOL * np.abs(ref)), (got, ref)
+
+
+@pytest.mark.parametrize("s", (0.01, 0.25, 0.5, 0.75, 0.99))
+def test_p1_far_tensors_match_mpmath(s):
+    # assembly uses Gauss order 20 at every separation and 28 up to d = 41
+    far = [d for d in SEPARATIONS if d >= 2]
+    rules = [(_p1_far_tensors(max(far), s, 1.0, 20), max(far)),
+             (_p1_far_tensors(41, s, 1.0, 28), 41)]
+    for d in far:
+        ref_A = np.array([[pair_integral(d, s, lambda x, y: HATS[a](x) * HATS[c](x))
+                           for c in range(2)] for a in range(2)], dtype=float)
+        ref_B = [[pair_integral(d, s, lambda x, y: HATS[a](x) * HATS[b](y))
+                  for b in range(2)] for a in range(2)]
+        for (A, B, D), d_max in rules:
+            if d <= d_max:
+                # reflecting both cells swaps the hats: D(d)[b, e] = A(d)[1-b, 1-e]
+                _assert_close(A[d - 2], ref_A)
+                _assert_close(D[d - 2], ref_A[::-1, ::-1])
+                _assert_close(B[d - 2], ref_B)
+
+
+@pytest.mark.parametrize("s", (0.01, 0.25, 0.5, 0.75, 0.99))
+def test_p1_adjacent_local_matches_mpmath(s):
+    # touching cells E = [0, 1] and F = [1, 2] (y = 1 + eta) carry the hats
+    # of nodes 0, 1, 2
+    on_E = (lambda x: 1 - x, lambda x: x, lambda x: 0)
+    on_F = (lambda y: 0, lambda y: 1 - y, lambda y: y)
+    ref = [[pair_integral(1, s, lambda x, y: (on_E[i](x) - on_F[i](y)) * (on_E[j](x) - on_F[j](y)))
+            for j in range(3)] for i in range(3)]
+    _assert_close(_p1_adjacent_local(s, 1.0, g=64), ref)
+
+
+@pytest.mark.parametrize("s", (0.01, 0.25, 0.45))
+def test_p0_pair_values_match_mpmath(s):
+    h = 2.0 ** -9
+    f = _p0_pair_values(max(SEPARATIONS), s, h)
+    scale = mp.mpf(h) ** (1 - 2 * mp.mpf(s))
+    _assert_close(f[np.array(SEPARATIONS) - 1],
+                  [scale * pair_integral(d, s, lambda x, y: 1) for d in SEPARATIONS])

@@ -6,7 +6,6 @@ import pytest
 from mixedfrac import (
     DiscParams,
     Domain1D,
-    EntryToleranceFailure,
     ExperimentConfig,
     IndefinitePencil,
     InconclusiveClassification,
@@ -15,14 +14,11 @@ from mixedfrac import (
     PartitionFamily,
     SingularExteriorBlock,
     SolverParams,
-    assemble,
-    build_mesh,
     dini_check,
     dirichlet_baseline,
     e_of_r,
     experiments,
     fit_rate,
-    full_dirichlet_partition,
     generate,
     make_order,
     schur_reduce,
@@ -39,17 +35,6 @@ def test_dini_inconclusive_near_critical_exponent():
     ker = KernelOrder.from_table(1.0 / ts[::-1], (1.0 / ts[::-1]) ** 0.5)
     with pytest.raises(InconclusiveClassification):
         dini_check(om, ker, tol=1e-3)
-
-
-def test_entry_tolerance_failure():
-    from mixedfrac.assembly import _base_arrow
-    _base_arrow.cache_clear()
-    order = make_order(1, 0.5)
-    mesh = build_mesh(OM, full_dirichlet_partition(OM), 0.25, 8.0, "P1",
-                      order=order)
-    with pytest.raises(EntryToleranceFailure):
-        assemble(mesh, order, entry_tol=0.0)
-    _base_arrow.cache_clear()
 
 
 def test_singular_exterior_block():
