@@ -11,7 +11,6 @@ import math
 
 from mixedfrac import (
     exterior_mass,
-    kernel_cell_integral,
     make_order,
     normalization_constant,
     pair_integral,
@@ -26,12 +25,12 @@ for dim in (1, 2):
               f"gamma-form = {res.gamma_form:.10f}   ratio = {res.ratio:.6f}")
 print("  (N=1, s=1/2 reference: 1/pi =", f"{1/math.pi:.10f})")
 
-print("\n=== exact cell-pair integrals of |x-y|^-(1+2s) ===")
+print("\n=== cell-pair integrals of |x-y|^-(1+2s) ===")
 order = make_order(1, 0.25)
 print("  separated ([0,1] x [2,3], s=1/4):",
-      f"{kernel_cell_integral((0, 1), (2, 3), order):.7f}")
+      f"{pair_integral((0, 1), (2, 3), order.s):.7f}")
 print("  touching  ([-1,0] x [0,1], s=1/4):",
-      f"{kernel_cell_integral((-1, 0), (0, 1), order):.7f}",
+      f"{pair_integral((-1, 0), (0, 1), order.s):.7f}",
       "(= 8 - 4 sqrt 2)")
 print("  semi-infinite tail ([0,1] x [2,inf)):",
       f"{pair_integral((0, 1), (2, math.inf), 0.25):.7f}")

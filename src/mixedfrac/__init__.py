@@ -32,7 +32,6 @@ from .fracops import (
     exterior_mass,
     exterior_mass_disk,
     indicator_seminorm_identity,
-    kernel_cell_integral,
     make_order,
     normalization_constant,
     pair_integral,
@@ -45,6 +44,7 @@ from .geometry import (
     PartitionFamily,
     condition_C,
     diffusion_report,
+    family_param,
     generate,
     measure_in_ball,
     separation,
@@ -86,7 +86,6 @@ from .experiments import (
     ExperimentRecord,
     RunResult,
     emit,
-    family_param,
     fit_rate,
     run,
 )

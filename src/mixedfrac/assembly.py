@@ -10,8 +10,9 @@ supported on a uniform grid over [a-L, b+L]:
 
 The grid is uniform and the kernel translation-invariant, so every
 cell-pair integral depends only on the separation d; local pair tensors are
-computed once per d (closed forms for the same-cell pair and P0 at d = 1,
-Gauss of orders checked against mpmath in the tests otherwise).  Exterior
+computed once per d (closed form for the same-cell pair, P0 values from
+``fracops.pair_integral``, Gauss of orders checked against mpmath in the
+tests otherwise).  Exterior
 pairs carry no energy, so K is an arrow matrix in O(n_int * m) memory: the
 Omega rows, Toeplitz off the band and gathered from one sequence, and an
 exterior band summed separation by separation.  Couplings with the exterior
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .errors import BadParameters, IncompatibleScheme, MixedFarField
-from .fracops import FractionalOrder, pair_integral
+from .fracops import FractionalOrder, interval_mass, pair_integral
 from .geometry import Domain1D, ExteriorPartition
 
 INF = math.inf
@@ -70,6 +71,12 @@ class Discretization:
     @property
     def span(self) -> tuple[float, float]:
         return (self.omega.a - self.L, self.omega.b + self.L)
+
+    @property
+    def far_dirichlet(self) -> list[tuple[float, float]]:
+        """The Dirichlet half-lines beyond the grid span."""
+        lo, hi = self.span
+        return [iv for iv, lab in zip(((-INF, lo), (hi, INF)), self.far_label) if lab == "D"]
 
     @property
     def interior_cells(self) -> tuple[int, int]:
@@ -235,17 +242,9 @@ def _p1_same_cell_coeff(s: float, h: float) -> float:
 
 
 def _p0_pair_values(n_sep: int, s: float, h: float) -> np.ndarray:
-    """Cell-pair integrals f(d), d = 1..n_sep, to a few ulps.
-
-    f(1) is the closed form, with expm1; for d >= 2, where that second
-    difference would lose log10(d^2) digits, f(d) = h^(1-2s) int_0^1 (1-t)
-    [(d+t)^(-1-2s) + (d-t)^(-1-2s)] dt by Gauss, analytic on [0, 1].
-    """
-    T, W = quad.gauss_rule(20)
-    d = np.arange(2, n_sep + 1, dtype=float)[:, None]
-    far = ((d + T) ** (-1.0 - 2 * s) + (d - T) ** (-1.0 - 2 * s)) @ (W * (1.0 - T))
-    near = 2.0 * math.expm1(-2 * s * math.log(2.0)) / (2 * s * (2 * s - 1.0))
-    return h ** (1.0 - 2 * s) * np.concatenate(([near], far))
+    """Cell-pair integrals f(d), d = 1..n_sep: unit cells scaled by h^(1-2s)."""
+    d = np.arange(1, n_sep + 1, dtype=float)
+    return h ** (1.0 - 2 * s) * pair_integral((0.0, 1.0), (d, d + 1.0), s)
 
 
 def _ranges(d: int, c_lo: int, c_hi: int, n: int):
@@ -375,17 +374,6 @@ def _p1_arrow(n: int, c_lo: int, c_hi: int, s: float, h: float, a_ns: float):
 # far-field Dirichlet tails and mass matrix
 # ---------------------------------------------------------------------------
 
-def _far_tau(x: np.ndarray, disc: Discretization, s: float) -> np.ndarray:
-    """tau(x) = int over far-field Dirichlet sides of the kernel, closed form."""
-    span_lo, span_hi = disc.span
-    tau = np.zeros_like(x)
-    if disc.far_label[0] == "D":
-        tau += (x - span_lo) ** (-2.0 * s) / (2.0 * s)
-    if disc.far_label[1] == "D":
-        tau += (span_hi - x) ** (-2.0 * s) / (2.0 * s)
-    return tau
-
-
 def omega_mass(disc: Discretization) -> np.ndarray:
     """M_ij = int_Omega phi_i phi_j over the Omega DOFs (tridiagonal for P1); exact."""
     n = disc.n_interior
@@ -445,14 +433,16 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     rows = free[interior] - disc.n_collar
     cols_E = free[exterior]
 
-    # far-field Dirichlet tails a * int_Omega phi_i phi_j tau(x) dx touch
-    # Omega DOFs only: add them to the Omega block before the free DOFs are cut
+    # far-field Dirichlet tails a * int_Omega phi_i phi_j tau(x) dx, tau the
+    # kernel mass of the far Dirichlet half-lines, touch Omega DOFs only: add
+    # them to the Omega block before the free DOFs are cut
     K_om = R[:, omega_dofs].copy()
     tails_om = np.zeros(R.shape[0])
-    if "D" in disc.far_label:
+    if disc.far_dirichlet:
         i0, i1 = disc.interior_cells
         Xg, Wg = quad.gauss_rule(8)
-        wtau = Wg * _far_tau(disc.nodes[i0:i1 + 1, None] + disc.h * Xg, disc, order.s)
+        wtau = Wg * interval_mass(disc.nodes[i0:i1 + 1, None] + disc.h * Xg,
+                                  disc.far_dirichlet, 2.0 * order.s)
         e = np.arange(disc.n_interior)
         if disc.scheme == "P0":
             tails_om += order.a_ns * disc.h * wtau.sum(axis=1)
@@ -575,7 +565,7 @@ def brute_force_energy(system: StiffnessSystem, u: np.ndarray,
                                         disc.nodes[j], disc.nodes[j + 1],
                                         ue, uf, ve, vf, s)
             total += a * e
-    if "D" in disc.far_label:
+    if disc.far_dirichlet:
         for e in range(i0, i1 + 1):
             def f(x):
                 lam1 = (x - disc.nodes[e]) / disc.h
@@ -585,7 +575,7 @@ def brute_force_energy(system: StiffnessSystem, u: np.ndarray,
                 else:
                     ux = full_u[e] * (1 - lam1) + full_u[e + 1] * lam1
                     vx = full_v[e] * (1 - lam1) + full_v[e + 1] * lam1
-                return ux * vx * _far_tau(x, disc, s)
+                return ux * vx * interval_mass(x, disc.far_dirichlet, 2.0 * s)
             total += a * quad.adaptive(f, disc.nodes[e], disc.nodes[e + 1],
                                        rel_tol=1e-11)
     return total

@@ -12,6 +12,7 @@ solver pipeline is deterministic (the verify suite uses a fixed seed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -53,10 +54,7 @@ def _ensure_out(args) -> str | None:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    cfg1 = experiments.ExperimentConfig(
-        dimension=cfg.dimension, s=cfg.s, omega=cfg.omega, family=cfg.family,
-        k_list=cfg.k_list[:1], disc=cfg.disc, solver=cfg.solver,
-        outputs=cfg.outputs, verify=cfg.verify, raw=cfg.raw)
+    cfg1 = dataclasses.replace(cfg, k_list=cfg.k_list[:1])
     result = experiments.run(cfg1, jobs=1)
     r = result.records[0]
     if r.error:

@@ -111,6 +111,7 @@ def smallest_eigenpair(K_eff: np.ndarray, M_int: np.ndarray, tol: float = 1e-12,
     except LinAlgError as exc:
         raise IndefinitePencil(f"K + sigma M not positive definite: {exc}") from exc
 
+    abs_K = np.abs(K_eff)
     u = np.ones(n)
     u /= math.sqrt(u @ (M_int @ u))
     lam_prev = step_prev = lam = residual = math.inf
@@ -126,7 +127,7 @@ def smallest_eigenpair(K_eff: np.ndarray, M_int: np.ndarray, tol: float = 1e-12,
         lam = float(u @ Ku)
         residual = float(np.linalg.norm(Ku - lam * (M_int @ u)))
         step = abs(lam - lam_prev)
-        noise = np.finfo(float).eps * float(np.abs(u) @ np.abs(K_eff) @ np.abs(u))
+        noise = np.finfo(float).eps * float(np.abs(u) @ abs_K @ np.abs(u))
         if residual <= math.sqrt(tol) * max(1.0, abs(lam)) and (
                 step <= tol * max(abs(lam), 1e-30) or step_prev <= step <= noise):
             converged = True

@@ -29,7 +29,7 @@ from .eigensolver import (
 )
 from .errors import ConfigError, DegenerateData, MixedFracError
 from .fracops import make_order
-from .geometry import Domain1D, PartitionFamily, generate
+from .geometry import Domain1D, PartitionFamily, family_param, generate
 from .nonlocal_ops import DiscreteFunction, farfield_rate, gauss_residual
 
 CSV_HEADER = "k,param,lambda1,baseline,gap,measN_R,measD_R,condC,sep,gauss_res,iters,h,L,ms"
@@ -113,21 +113,6 @@ class ExperimentConfig:
                            self.disc.scheme, order=order)
             except MixedFracError as exc:
                 raise ConfigError(f"k = {k}: {exc}") from exc
-
-
-def family_param(family: PartitionFamily, k: int) -> float:
-    """Scalar parameter of the k-th family member (offset, radius, or length)."""
-    p = family.params
-    kind = family.kind
-    if kind in ("traveling_ball", "traveling_dirichlet"):
-        return p["offset0"] * p["ratio"] ** k
-    if kind in ("traveling_ring", "traveling_strip", "infinite_sector"):
-        return p["R0"] * p["ratio"] ** k
-    if kind in ("shrinking_neumann", "nested_neumann"):
-        return p["length0"] * p["ratio"] ** -k
-    if kind in ("shrinking_dirichlet_touching", "shrinking_dirichlet_interior"):
-        return p["r0"] * p["ratio"] ** -k
-    return float(k)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Kernel-level fractional calculus.
 
 Closed forms and certified quadrature for the singular kernel
-|x - y|^(-(N + 2s)): the normalization constant of the operator, exact
-cell-pair integrals in 1D, pointwise/integrated mass of a domain seen from
-outside, far-field tail mass, a Dini-type integrability classifier, and the
-indicator-seminorm identity.
+|x - y|^(-(N + 2s)): the normalization constant of the operator, cell-pair
+integrals in 1D to a few ulps at any separation (the only implementation;
+assembly's P0 values and geometry's condition C use it), pointwise/integrated
+mass of a domain seen from outside (also the far-field Dirichlet kernel mass
+of assembly), far-field tail mass, a Dini-type integrability classifier, and
+the indicator-seminorm identity.
 
 Everything here is a pure function of immutable inputs; divergence is always
 decided by exponent tests, never by watching quadrature blow up.
@@ -45,19 +47,31 @@ def gamma_form_constant(dimension: int, s: float) -> float:
             * _gamma((dimension + 2 * s) / 2.0) / abs(_gamma(-s)))
 
 
+def _head_integral(factor, s: float, rel_tol: float) -> float:
+    """int_0^1 factor(x) x^(1-2s) dx for a smooth bounded factor, via x = t^m."""
+    if s <= 0.99:
+        return quad.adaptive_power(lambda x: factor(x) * x ** (1.0 - 2 * s), 0.0, 1.0,
+                                   rel_tol=rel_tol, p_left=1.0 - 2 * s)
+    # the same substitution by hand: with m = ceil(1/(1-s)) > 100, t^m
+    # underflows at Gauss nodes and x^(1-2s) overflows, so the power goes into
+    # the Jacobian, m t^(m-1) x^(1-2s) = m t^(m(2-2s)-1)
+    m = math.ceil(1.0 / (1.0 - s))
+    return quad.adaptive(lambda t: factor(t ** m) * m * t ** (m * (2 - 2 * s) - 1.0),
+                         0.0, 1.0, rel_tol=rel_tol)
+
+
 def _defining_integral_1d(s: float, tol: float, refine: int) -> float:
     """int_R (1 - cos xi) |xi|^(-1-2s) dxi, split at 1 with oscillatory tail.
 
     The head integrand is written as 0.5 (sin(x/2)/(x/2))^2 x^(1-2s): free of
     the 1 - cos cancellation and of x^(-p) overflow at tiny nodes.
     """
-    def head_f(x):
+    def half_sinc2(x):
         half = 0.5 * x
         sinc = np.where(half > 0, np.sin(half) / np.where(half > 0, half, 1.0), 1.0)
-        return 0.5 * sinc ** 2 * x ** (1.0 - 2 * s)
+        return 0.5 * sinc ** 2
 
-    head = quad.adaptive_power(head_f, 0.0, 1.0, rel_tol=tol * 1e-2 / refine,
-                               p_left=1.0 - 2 * s)
+    head = _head_integral(half_sinc2, s, rel_tol=tol * 1e-2 / refine)
     tail_monotone = 1.0 / (2 * s)
     tail_osc = quad.cos_tail(1.0 + 2 * s, 1.0, tol=tol * 1e-2)
     return 2.0 * (head + tail_monotone - tail_osc)
@@ -67,18 +81,16 @@ def _defining_integral_2d(s: float, tol: float, refine: int) -> float:
     """int_R2 (1 - cos xi_1) |xi|^(-2-2s) dxi = 2 pi int_0^inf (1 - J0(r)) r^(-1-2s) dr."""
     p = 1.0 + 2 * s
 
-    def head_f(r):
+    def quarter_ratio(r):
         r = np.asarray(r, dtype=float)
         z = (0.5 * r) ** 2
         # (1 - J0)/z, cancellation-free below r = 1/4
         poly = 1.0 - z / 4.0 * (1.0 - z / 9.0 * (1.0 - z / 16.0 * (1.0 - z / 25.0)))
         with np.errstate(invalid="ignore", divide="ignore"):
             direct = np.where(z > 0, (1.0 - _j0(r)) / np.where(z > 0, z, 1.0), 1.0)
-        ratio = np.where(r < 0.25, poly, direct)
-        return 0.25 * ratio * r ** (1.0 - 2 * s)
+        return 0.25 * np.where(r < 0.25, poly, direct)
 
-    head = quad.adaptive_power(head_f, 0.0, 1.0, rel_tol=tol * 1e-2 / refine,
-                               p_left=1.0 - 2 * s)
+    head = _head_integral(quarter_ratio, s, rel_tol=tol * 1e-2 / refine)
     tail = 1.0 / (2 * s) - quad.j0_tail(p, 1.0, tol=tol * 1e-2)
     return 2.0 * math.pi * (head + tail)
 
@@ -149,73 +161,76 @@ def make_order(dimension: int, s: float, tol: float = 1e-10) -> FractionalOrder:
 
 
 # ---------------------------------------------------------------------------
-# exact interval-pair integrals of the 1D kernel
+# interval-pair integrals of the 1D kernel
 # ---------------------------------------------------------------------------
 
-def _second_antiderivative(t: float, s: float) -> float:
-    """F with F''(t) = t^(-1-2s); F(0) = 0 for s < 1/2, -log t at s = 1/2."""
-    if s == 0.5:
-        if t == 0.0:
-            raise DivergentIntegral("log antiderivative at t = 0")
-        return -math.log(t)
-    if t == 0.0:
-        if s > 0.5:
-            raise DivergentIntegral("F(0) infinite for s > 1/2")
-        return 0.0
-    return t ** (1.0 - 2 * s) / (2 * s * (2 * s - 1.0))
+def _far_pair(a, b, g, s: float):
+    """int_0^(a+b) phi(t) (g+t)^(-1-2s) dt for g >= b >= a > 0, by Gauss.
 
-
-def _norm_interval(c) -> tuple[float, float]:
-    lo, hi = float(c[0]), float(c[1])
-    if not lo < hi:
-        raise InvalidCells(f"empty or reversed interval {c}")
-    return lo, hi
-
-
-def pair_integral(cell_a, cell_b, s: float) -> float:
-    """Exact int_{cell_a} int_{cell_b} |x-y|^(-(1+2s)) dy dx for disjoint 1D cells.
-
-    Cells are (lo, hi) with lo < hi; endpoints may be +-inf.  Interiors must
-    be disjoint; touching closures require s < 1/2 (corner exponent test),
-    otherwise DivergentIntegral is raised.
+    phi(t), the length of {(x, y) : y - x = g + t} in two cells of widths
+    a <= b, is a trapezoid: t, a, a + b - t on [0, a], [a, b], [b, a + b].
+    Each piece gets one 20-point rule in units of a, at machine precision
+    because the kernel's singularity t = -g lies at least one piece length
+    beyond each piece; the two sloped pieces share one sum.
     """
-    (p, q), (r, u) = _norm_interval(cell_a), _norm_interval(cell_b)
-    if r < p or (r == p and u > q):  # put cell_a on the left
-        (p, q), (r, u) = (r, u), (p, q)
-    if q > r:
+    T, W = quad.gauss_rule(20)
+    x, c = (g / a)[:, None], (b / a)[:, None]
+    k = -1.0 - 2 * s
+    ends = ((x + c + T) ** k + (x + 1.0 - T) ** k) @ (W * (1.0 - T))
+    flat = (x + 1.0 + (c - 1.0) * T) ** k @ W
+    return a ** (1.0 - 2 * s) * (ends + (c[:, 0] - 1.0) * flat)
+
+
+def _rise(x, w, beta: float):
+    """((x + w)^beta - x^beta)/beta, log1p(w/x) at beta = 0, free of cancellation."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lg = np.log1p(w / x)
+        if beta == 0.0:
+            return lg
+        return np.where(x > 0, x ** beta * np.expm1(beta * lg), w ** beta) / beta
+
+
+def pair_integral(cell_a, cell_b, s: float):
+    """int_{cell_a} int_{cell_b} |x-y|^(-(1+2s)) dy dx for 1D cells, to a few ulps.
+
+    Cells are (lo, hi) with lo < hi; endpoints may be +-inf or arrays, which
+    broadcast (an array in, an array out).  Interiors must be disjoint;
+    touching closures require s < 1/2 and two half-lines s > 1/2 (exponent
+    tests), otherwise DivergentIntegral is raised.  The value depends only on
+    the gap g and the widths a <= b.  Pairs with g >= b are Gauss of the
+    reduced 1D integral (``_far_pair``), where the closed form would lose
+    log10((g/b)^2) digits; equal touching cells use expm1; half-lines and the
+    other near pairs are first differences of the closed form in
+    expm1/log1p form (``_rise``).
+    """
+    ends = [np.asarray(e, dtype=float) for e in (*cell_a, *cell_b)]
+    p, q, r, u = np.broadcast_arrays(*map(np.atleast_1d, ends))
+    if not (np.all(p < q) and np.all(r < u)):
+        raise InvalidCells(f"empty or reversed interval in {cell_a}, {cell_b}")
+    g = np.maximum(r - q, p - u)
+    if np.any(g < 0):
         raise InvalidCells(f"cells {cell_a} and {cell_b} have overlapping interiors")
-    if q == r and s >= 0.5:
+    a, b = np.minimum(q - p, u - r), np.maximum(q - p, u - r)
+    if s >= 0.5 and np.any(g == 0):
         raise DivergentIntegral(
             f"touching cells with s = {s}: corner exponent 1 - 2s <= 0")
-    left_inf = math.isinf(p)
-    right_inf = math.isinf(u)
-    if left_inf and right_inf:
-        if s <= 0.5:
-            raise DivergentIntegral("two half-lines couple divergently for s <= 1/2")
-        return (r - q) ** (1.0 - 2 * s) / (2 * s * (2 * s - 1.0))
-    if left_inf or right_inf:
-        # reflect so the unbounded cell is [r, inf)
-        if left_inf:
-            p, q, r, u = -u, -r, -q, -p
-        if s == 0.5:
-            return math.log((r - p) / (r - q)) if q < r else INF
-        val = (r - p) ** (1.0 - 2 * s)
-        if q < r:
-            val -= (r - q) ** (1.0 - 2 * s)
-        return val / (2 * s * (1.0 - 2 * s))
-    if s == 0.5:
-        # touching was rejected above, so all four arguments are positive;
-        # the 1/sigma poles of the power form cancel in the 4-term combination
-        return -(math.log(u - p) - math.log(u - q) - math.log(r - p) + math.log(r - q))
-    F = _second_antiderivative
-    return F(u - p, s) - F(u - q, s) - F(r - p, s) + F(r - q, s)
-
-
-def kernel_cell_integral(cell_a, cell_b, order: FractionalOrder) -> float:
-    """Exact double integral of the (unnormalized) 1D kernel over a cell pair."""
-    if order.dimension != 1:
-        raise BadParameters("kernel_cell_integral is 1D only")
-    return pair_integral(cell_a, cell_b, order.s)
+    if s <= 0.5 and np.any(np.isinf(a)):
+        raise DivergentIntegral("two half-lines couple divergently for s <= 1/2")
+    beta = 1.0 - 2 * s
+    lines, half = np.isinf(a), np.isinf(b) & np.isfinite(a)
+    far = g >= b
+    touch = (g == 0) & (a == b)
+    near = ~(np.isinf(b) | far | touch)
+    out = np.empty(g.shape)
+    out[lines] = g[lines] ** beta / (2 * s * (2 * s - 1.0))
+    out[half] = _rise(g[half], a[half], beta) / (2 * s)
+    out[far] = _far_pair(a[far], b[far], g[far], s)
+    if np.any(touch):
+        out[touch] = a[touch] ** beta * (
+            2.0 * math.expm1(-2 * s * math.log(2.0)) / (2 * s * (2 * s - 1.0)))
+    g, a, b = g[near], a[near], b[near]
+    out[near] = (_rise(g, a, beta) - _rise(g + b, a, beta)) / (2 * s)
+    return out if any(e.ndim for e in ends) else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +276,9 @@ def exterior_mass(x, omega, order: FractionalOrder):
     if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim <= 1 and x.dtype != object):
         vals = interval_mass(x, intervals, alpha)
         return float(vals) if np.isscalar(x) else vals
-    cell = _norm_interval(x)
     total = 0.0
     for piece in intervals:
-        total += pair_integral(cell, piece, order.s)
+        total += pair_integral(x, piece, order.s)
     return total
 
 
@@ -464,14 +478,15 @@ def dini_check(omega0: ModulusOfContinuity, Psi: KernelOrder, tol: float = 1e-6,
 # ---------------------------------------------------------------------------
 
 def _complement(intervals) -> list[tuple[float, float]]:
-    """Complement of a sorted disjoint interval union, as intervals with +-inf."""
+    """Complement of a disjoint interval union, as sorted intervals with +-inf."""
     out = []
     lo = -INF
-    for (p, q) in intervals:
+    for (p, q) in sorted(intervals):
         if lo < p:
             out.append((lo, p))
-        lo = q
-    out.append((lo, INF))
+        lo = max(lo, q)
+    if lo < INF:
+        out.append((lo, INF))
     return out
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParameters, EmptySet
-from .fracops import FractionalOrder, pair_integral
+from .fracops import FractionalOrder, _complement, pair_integral
 
 INF = math.inf
 
@@ -113,9 +113,10 @@ def separation(exterior_set: ExteriorSet, omega: Domain1D) -> float:
 def condition_C(dirichlet: ExteriorSet, omega: Domain1D, order: FractionalOrder) -> float:
     """int_D int_Omega |x-y|^(-(1+2s)) dy dx; +inf when D touches and s >= 1/2.
 
-    Assembled from exact interval-pair integrals with analytic tails for
-    unbounded Dirichlet pieces.  Divergence is an exponent test: a touching
-    piece integrates (dist)^(-2s) up to the boundary, finite iff s < 1/2.
+    The sum of ``pair_integral`` over the Dirichlet pieces, each to a few ulps
+    at any distance (half-lines included).  Divergence is an exponent test: a
+    touching piece integrates (dist)^(-2s) up to the boundary, finite iff
+    s < 1/2.
     """
     total = 0.0
     for piece in dirichlet.intervals:
@@ -160,16 +161,7 @@ class ExteriorPartition:
 
 def _complement_in_exterior(omega: Domain1D, taken: ExteriorSet) -> ExteriorSet:
     """Omega^c minus the taken set, as an interval union (the remainder label)."""
-    cuts = sorted(taken.intervals + (omega.interval,))
-    out = []
-    lo = -INF
-    for (p, q) in cuts:
-        if lo < p:
-            out.append((lo, p))
-        lo = max(lo, q)
-    if lo < INF:
-        out.append((lo, INF))
-    return ExteriorSet(intervals=tuple(out))
+    return ExteriorSet(intervals=tuple(_complement(taken.intervals + (omega.interval,))))
 
 
 _DEFAULTS = {
@@ -240,41 +232,49 @@ class PartitionFamily:
         return generate(self, k)
 
 
+def family_param(family: PartitionFamily, k: int) -> float:
+    """Scalar parameter of the k-th family member (offset, radius, or length)."""
+    p = family.params
+    kind = family.kind
+    if kind in ("traveling_ball", "traveling_dirichlet"):
+        return p["offset0"] * p["ratio"] ** k
+    if kind in ("traveling_ring", "traveling_strip", "infinite_sector"):
+        return p["R0"] * p["ratio"] ** k
+    if kind in ("shrinking_neumann", "nested_neumann"):
+        return p["length0"] * p["ratio"] ** -k
+    if kind in ("shrinking_dirichlet_touching", "shrinking_dirichlet_interior"):
+        return p["r0"] * p["ratio"] ** -k
+    return float(k)
+
+
 def _moving_intervals(family: PartitionFamily, k: int) -> list[tuple[float, float]]:
+    """The moving set of the k-th member, placed by ``family_param``."""
     p = family.params
     om = family.omega
     kind = family.kind
+    x = family_param(family, k)
     if kind == "shrinking_neumann":
-        ln = p["length0"] * p["ratio"] ** -k
-        c = p["location"]
-        return [(c - ln / 2.0, c + ln / 2.0)]
+        return [(p["location"] - x / 2.0, p["location"] + x / 2.0)]
     if kind == "nested_neumann":
-        ln = p["length0"] * p["ratio"] ** -k
-        return [(p["left"], p["left"] + ln)]
+        return [(p["left"], p["left"] + x)]
     if kind in ("traveling_ball", "traveling_dirichlet"):
-        off = p["offset0"] * p["ratio"] ** k
         if p["side"] == "right":
-            return [(om.b + off, om.b + off + p["length"])]
-        return [(om.a - off - p["length"], om.a - off)]
+            return [(om.b + x, om.b + x + p["length"])]
+        return [(om.a - x - p["length"], om.a - x)]
     if kind == "traveling_ring":
-        R = p["R0"] * p["ratio"] ** k
-        return [(-R - p["length"], -R), (R, R + p["length"])]
+        return [(-x - p["length"], -x), (x, x + p["length"])]
     if kind in ("traveling_strip", "infinite_sector"):
-        R = p["R0"] * p["ratio"] ** k
         if p["side"] == "right":
-            return [(R, INF)]
+            return [(x, INF)]
         if p["side"] == "left":
-            return [(-INF, -R)]
-        return [(-INF, -R), (R, INF)]
+            return [(-INF, -x)]
+        return [(-INF, -x), (x, INF)]
     if kind == "shrinking_dirichlet_touching":
-        r = p["r0"] * p["ratio"] ** -k
         if p["side"] == "left":
-            return [(om.a - r, om.a)]
-        return [(om.b, om.b + r)]
+            return [(om.a - x, om.a)]
+        return [(om.b, om.b + x)]
     if kind == "shrinking_dirichlet_interior":
-        r = p["r0"] * p["ratio"] ** -k
-        c = p["location"]
-        return [(c - r / 2.0, c + r / 2.0)]
+        return [(p["location"] - x / 2.0, p["location"] + x / 2.0)]
     raise BadParameters(f"kind {kind} has no moving set")
 
 

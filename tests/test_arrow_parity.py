@@ -27,10 +27,10 @@ from mixedfrac import (
     smallest_eigenpair,
 )
 from mixedfrac import quadrature as quad
+from mixedfrac.fracops import interval_mass
 from mixedfrac.assembly import (
     DOF_DIRICHLET,
     _base_arrow,
-    _far_tau,
     _p0_pair_values,
     _p1_adjacent_local,
     _p1_far_tensors,
@@ -126,7 +126,7 @@ def reference_assemble(disc, order):
         Xg, Wg = quad.gauss_rule(8)
         lam = np.stack([1.0 - Xg, Xg])
         for e in range(i0, i1 + 1):
-            tau = _far_tau(disc.nodes[e] + disc.h * Xg, disc, order.s)
+            tau = interval_mass(disc.nodes[e] + disc.h * Xg, disc.far_dirichlet, 2.0 * order.s)
             if disc.scheme == "P0":
                 val = order.a_ns * disc.h * float(Wg @ tau)
                 i = pos_of.get(e)

@@ -17,8 +17,8 @@ from mixedfrac import (
     dirichlet_baseline,
     full_dirichlet_partition,
     generate,
-    kernel_cell_integral,
     make_order,
+    pair_integral,
     solve_mixed,
     tail_mass,
 )
@@ -145,7 +145,7 @@ class TestAssembleStructure:
                           order=order)
         system = assemble(mesh, order)
         assert system.n_free == 2
-        expected = -order.a_ns * kernel_cell_integral((0.0, 0.5), (0.5, 1.0), order)
+        expected = -order.a_ns * pair_integral((0.0, 0.5), (0.5, 1.0), order.s)
         assert abs(dense(system)[0][0, 1] - expected) < 1e-12 * abs(expected)
 
     def test_dirichlet_tail_corrections_positive(self, small_mixed_p1):

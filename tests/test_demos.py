@@ -1,0 +1,25 @@
+"""Every script under demos/ runs to completion.
+
+Each demo runs in its own interpreter with the BLAS thread pools pinned to
+one thread, as the benchmark runs the solver.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+           PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                                    os.environ.get("PYTHONPATH")))))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_exits_zero(demo):
+    proc = subprocess.run([sys.executable, str(demo)], env=ENV, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -13,8 +13,8 @@ from mixedfrac import (
     dirichlet_baseline,
     full_dirichlet_partition,
     generate,
-    kernel_cell_integral,
     make_order,
+    pair_integral,
     richardson_extrapolate,
     schur_reduce,
     smallest_eigenpair,
@@ -83,7 +83,7 @@ class TestSchurReduce:
         omega_cells = [(x, x + h) for x in np.arange(0.0, 1.0, h)]
         for j in range(4):
             ecell = (2.0 + j * h, 2.0 + (j + 1) * h)
-            weights = np.array([kernel_cell_integral(c, ecell, order)
+            weights = np.array([pair_integral(c, ecell, order.s)
                                 for c in omega_cells])
             expected = float(weights @ u / weights.sum())
             assert abs(got[j] - expected) < 1e-12

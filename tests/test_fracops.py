@@ -16,7 +16,6 @@ from mixedfrac import (
     exterior_mass,
     exterior_mass_disk,
     indicator_seminorm_identity,
-    kernel_cell_integral,
     make_order,
     normalization_constant,
     pair_integral,
@@ -51,6 +50,13 @@ class TestNormalizationConstant:
             std = 4.0 ** s * gamma(1.0 + s) / (math.pi * abs(gamma(-s)))
             assert abs(res.value - std) < 1e-7 * std
 
+    @pytest.mark.parametrize("dimension", (1, 2))
+    @pytest.mark.parametrize("s", (0.995, 0.999))
+    def test_near_one_is_twice_gamma_form(self, dimension, s):
+        # the head substitution x = t^m underflows here unless taken by hand
+        order = make_order(dimension, s)
+        assert abs(order.a_ns - 2.0 * order.gamma_form) <= 1e-9 * order.a_ns
+
 
 # ---------------------------------------------------------------------------
 # kernel cell integrals
@@ -59,28 +65,28 @@ class TestNormalizationConstant:
 class TestKernelCellIntegral:
     def test_separated_pair_closed_form(self):
         # frozen from the closed form, cross-checked below by 2D quadrature
-        val = kernel_cell_integral((0, 1), (2, 3), make_order(1, 0.25))
+        val = pair_integral((0, 1), (2, 3), 0.25)
         assert abs(val - 0.3855052687092) < 1e-10
 
     def test_separated_pair_vs_quadrature(self):
         for s in (0.25, 0.5, 0.7):
-            val = kernel_cell_integral((0, 1), (2, 3), make_order(1, s))
+            val = pair_integral((0, 1), (2, 3), s)
             ref = dblquad(lambda y, x: (y - x) ** (-1 - 2 * s), 0, 1, 2, 3,
                           epsabs=1e-12)[0]
             assert abs(val - ref) < 1e-9
 
     def test_touching_pair_closed_form(self):
-        val = kernel_cell_integral((-1, 0), (0, 1), make_order(1, 0.25))
+        val = pair_integral((-1, 0), (0, 1), 0.25)
         assert abs(val - 2.3431457505076) < 1e-10
         # = 8 - 4 sqrt(2) from the second antiderivative with F(0) = 0
         assert abs(val - (8.0 - 4.0 * math.sqrt(2.0))) < 1e-12
 
     def test_touching_divergent_for_large_s(self):
         with pytest.raises(DivergentIntegral):
-            kernel_cell_integral((-1, 0), (0, 1), make_order(1, 0.6))
+            pair_integral((-1, 0), (0, 1), 0.6)
 
     def test_log_form_at_half_vs_quadrature(self):
-        val = kernel_cell_integral((0, 1), (2, 3), make_order(1, 0.5))
+        val = pair_integral((0, 1), (2, 3), 0.5)
         assert abs(val - math.log(4.0 / 3.0)) < 1e-12
         ref = dblquad(lambda y, x: (y - x) ** -2.0, 0, 1, 2, 3, epsabs=1e-12)[0]
         assert abs(val - ref) < 1e-9
@@ -93,14 +99,13 @@ class TestKernelCellIntegral:
             assert abs(pair_integral((0, 1), (2, 3), 0.5 - eps) - lim) < 1e-3
 
     def test_symmetric_in_cells(self):
-        order = make_order(1, 0.3)
-        a = kernel_cell_integral((0, 1), (2.5, 4), order)
-        b = kernel_cell_integral((2.5, 4), (0, 1), order)
+        a = pair_integral((0, 1), (2.5, 4), 0.3)
+        b = pair_integral((2.5, 4), (0, 1), 0.3)
         assert a == b
 
     def test_overlap_rejected(self):
         with pytest.raises(InvalidCells):
-            kernel_cell_integral((0, 2), (1, 3), make_order(1, 0.25))
+            pair_integral((0, 2), (1, 3), 0.25)
 
     def test_semi_infinite_tail(self):
         # int_0^1 int_2^inf (y-x)^(-1-2s) dy dx, s=0.25: 4(sqrt2 - 1)

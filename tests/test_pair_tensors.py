@@ -1,6 +1,7 @@
-"""Pair tensors on the uniform grid against mpmath at 30 digits.
+"""Pair tensors and cell-pair integrals against mpmath.
 
-A cell pair (E, F) at separation d, unit h, is integrated line by line
+The grid tensors are checked at 30 digits: a cell pair (E, F) at
+separation d, unit h, is integrated line by line
 along t = eta - xi: the integrand restricted to a line is a polynomial of
 degree <= 2 in xi, which 3-point Gauss integrates exactly, and the outer
 integral over the kernel (d + t)^(-1-2s) is mpmath's tanh-sinh rule.  Each
@@ -8,13 +9,20 @@ half t < 0, t > 0 is written in the line length w, so the endpoint
 singularity of the touching pair (d = 1) sits at w = 0 with no cancellation,
 and w = v^10 on t < 0 makes it integrable in v for every s < 1/2 (P0) and
 smooth for P1, where the integrand vanishes like w^(2-2s).
+
+``fracops.pair_integral`` for general cells is checked against its closed
+form evaluated at 50 digits, where the cancellation that the double
+precision routine avoids costs nothing.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from mixedfrac.assembly import _p0_pair_values, _p1_adjacent_local, _p1_far_tensors
+from mixedfrac.fracops import _complement, pair_integral
 
 mp.mp.dps = 30
 SEPARATIONS = (1, 2, 10, 1000, 10000)
@@ -24,7 +32,7 @@ GAUSS3 = [(mp.mpf(1) / 2 - mp.sqrt(15) / 10, mp.mpf(5) / 18), (mp.mpf(1) / 2, mp
           (mp.mpf(1) / 2 + mp.sqrt(15) / 10, mp.mpf(5) / 18)]
 
 
-def pair_integral(d, s, F):
+def line_integral(d, s, F):
     """int_0^1 int_0^1 F(xi, eta) (d + eta - xi)^(-1-2s) dxi deta."""
     alpha = -1 - 2 * mp.mpf(s)
 
@@ -52,9 +60,9 @@ def test_p1_far_tensors_match_mpmath(s):
     rules = [(_p1_far_tensors(max(far), s, 1.0, 20), max(far)),
              (_p1_far_tensors(41, s, 1.0, 28), 41)]
     for d in far:
-        ref_A = np.array([[pair_integral(d, s, lambda x, y: HATS[a](x) * HATS[c](x))
+        ref_A = np.array([[line_integral(d, s, lambda x, y: HATS[a](x) * HATS[c](x))
                            for c in range(2)] for a in range(2)], dtype=float)
-        ref_B = [[pair_integral(d, s, lambda x, y: HATS[a](x) * HATS[b](y))
+        ref_B = [[line_integral(d, s, lambda x, y: HATS[a](x) * HATS[b](y))
                   for b in range(2)] for a in range(2)]
         for (A, B, D), d_max in rules:
             if d <= d_max:
@@ -70,7 +78,7 @@ def test_p1_adjacent_local_matches_mpmath(s):
     # of nodes 0, 1, 2
     on_E = (lambda x: 1 - x, lambda x: x, lambda x: 0)
     on_F = (lambda y: 0, lambda y: 1 - y, lambda y: y)
-    ref = [[pair_integral(1, s, lambda x, y: (on_E[i](x) - on_F[i](y)) * (on_E[j](x) - on_F[j](y)))
+    ref = [[line_integral(1, s, lambda x, y: (on_E[i](x) - on_F[i](y)) * (on_E[j](x) - on_F[j](y)))
             for j in range(3)] for i in range(3)]
     _assert_close(_p1_adjacent_local(s, 1.0, g=64), ref)
 
@@ -81,4 +89,89 @@ def test_p0_pair_values_match_mpmath(s):
     f = _p0_pair_values(max(SEPARATIONS), s, h)
     scale = mp.mpf(h) ** (1 - 2 * mp.mpf(s))
     _assert_close(f[np.array(SEPARATIONS) - 1],
-                  [scale * pair_integral(d, s, lambda x, y: 1) for d in SEPARATIONS])
+                  [scale * line_integral(d, s, lambda x, y: 1) for d in SEPARATIONS])
+
+
+# ---------------------------------------------------------------------------
+# fracops.pair_integral
+# ---------------------------------------------------------------------------
+
+S_ALL = (0.01, 0.25, 0.5, 0.75, 0.99)
+S_TOUCH = (0.01, 0.25, 0.45)
+INF = math.inf
+
+
+def mp_pair(cell_a, cell_b, s):
+    """Closed form: +-F over the four corner distances, F'' = t^(-1-2s), F(0) = 0.
+
+    Infinite distances come in pairs whose F terms cancel in the limit, so
+    they are dropped.
+    """
+    (p, q), (r, u) = sorted([cell_a, cell_b])
+    with mp.workdps(50):
+        s = mp.mpf(s)
+
+        def F(t):
+            if t == 0:
+                return mp.mpf(0)
+            return -mp.log(t) if s == 0.5 else t ** (1 - 2 * s) / (2 * s * (2 * s - 1))
+
+        corners = [(1, u, p), (-1, u, q), (-1, r, p), (1, r, q)]
+        return sum(sign * F(mp.mpf(hi) - mp.mpf(lo)) for sign, hi, lo in corners
+                    if math.isfinite(hi - lo))
+
+
+def _check(pairs, s):
+    for a, b in pairs:
+        got, ref = pair_integral(a, b, s), mp_pair(a, b, s)
+        assert abs(got - ref) <= 1e-13 * abs(ref), (a, b, s, got, float(ref))
+
+
+@pytest.mark.parametrize("s", S_ALL)
+def test_pair_integral_unit_cells_match_mpmath(s):
+    # the closed form loses log10(d^2) digits: 1.7e-7 at d = 1e4, s = 0.45
+    _check([((0.0, 1.0), (d, d + 1.0)) for d in SEPARATIONS if d > 1 or s < 0.5], s)
+
+
+@pytest.mark.parametrize("s", S_ALL)
+def test_pair_integral_unequal_widths_match_mpmath(s):
+    # gaps from well inside the near (closed form) range to 1e4 widths, the
+    # narrow cell on either side
+    pairs = []
+    for g in (0.1, 0.3, 2.4, 2.5, 10.0, 2.5e3, 2.5e4):
+        pairs += [((0.0, 1.0), (1.0 + g, 3.5 + g)), ((-2.5 - g, -g), (0.0, 1.0))]
+    _check(pairs, s)
+
+
+@pytest.mark.parametrize("s", S_TOUCH)
+def test_pair_integral_touching_match_mpmath(s):
+    _check([((-1.0, 0.0), (0.0, 1.0)), ((0.0, 0.25), (0.25, 3.0)),
+            ((-3.0, 0.0), (0.0, 1e-3))], s)
+
+
+@pytest.mark.parametrize("s", S_ALL)
+def test_pair_integral_half_line_matches_mpmath(s):
+    gaps = (0.5, 1.0, 1e3, 1e4) + ((0.0,) if s < 0.5 else ())
+    _check([((0.0, 1.0), (1.0 + g, INF)) for g in gaps]
+           + [((-INF, -g), (0.0, 1.0)) for g in gaps], s)
+    if s > 0.5:
+        _check([((-INF, 0.0), (g, INF)) for g in (0.5, 1e4)], s)
+
+
+@pytest.mark.parametrize("s", S_TOUCH)
+def test_pair_integral_over_complement_of_unbounded_union(s):
+    union = [(-INF, -1.0), (0.5, 2.0), (3.0, INF)]
+    comp = _complement(union)
+    assert comp == [(-1.0, 0.5), (2.0, 3.0)]
+    assert _complement([(-INF, 0.0), (1.0, INF)]) == [(0.0, 1.0)]
+    got = sum(pair_integral(c, om, s) for c in comp for om in union)
+    with mp.workdps(50):
+        ref = sum(mp_pair(c, om, s) for c in comp for om in union)
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+def test_pair_integral_vectorizes():
+    d = np.array([1.0, 1.5, 2.0, 7.0, 1e4])
+    got = pair_integral((0.0, 1.0), (d, d + 1.0 + 0.5 * (d > 5)), 0.25)
+    ref = [pair_integral((0.0, 1.0), (x, x + 1.0 + 0.5 * (x > 5)), 0.25) for x in d]
+    assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
