@@ -402,7 +402,6 @@ class StiffnessSystem:
     exterior_mask: np.ndarray     # within-free boolean (exterior Neumann)
     tail_corrections: np.ndarray  # per-free-DOF diagonal far-field-D addition
     dirichlet_row_sums: np.ndarray  # column sums of the constrained row block
-    snap_report: tuple
 
     @property
     def n_free(self) -> int:
@@ -472,7 +471,7 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
         disc=disc, order=order, K_II=K_om[block], K_IE=R[np.ix_(rows, cols_E)],
         K_EE=K_EE, M_II=omega_mass(disc)[block], free_dofs=free,
         interior_mask=interior, exterior_mask=exterior, tail_corrections=tails,
-        dirichlet_row_sums=Kx[free], snap_report=disc.snap_report)
+        dirichlet_row_sums=Kx[free])
 
 
 # ---------------------------------------------------------------------------

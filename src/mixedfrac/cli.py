@@ -60,10 +60,11 @@ def cmd_solve(args) -> int:
     if r.error:
         print(f"k={r.k}: FAILED ({r.error})")
         return 2
+    status = "" if r.converged else f" NOT CONVERGED ({r.iters} iterations)"
     print(f"k={r.k} param={r.param:g} lambda1={r.lambda1:.10f} "
-          f"baseline={r.baseline:.10f} gap={r.gap:.3e} iters={r.iters}")
+          f"baseline={r.baseline:.10f} gap={r.gap:.3e} iters={r.iters}{status}")
     experiments.emit(result, cfg1, out_dir=_ensure_out(args))
-    return 0
+    return 2 if result.n_failed else 0
 
 
 def cmd_sweep(args) -> int:

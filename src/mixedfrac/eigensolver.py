@@ -177,17 +177,15 @@ class EigenResult:
 
 def solve_mixed(omega: Domain1D, partition: ExteriorPartition, order: FractionalOrder,
                 disc: DiscParams, solver: SolverParams = SolverParams(),
-                system: StiffnessSystem | None = None,
                 with_diagnostics: bool = True) -> EigenResult:
     """build_mesh -> assemble -> schur_reduce -> smallest_eigenpair -> back_map.
 
-    A pre-assembled ``system`` for the same mesh may be passed to reuse the
-    stiffness across a family sweep.  The eigenfunction is sign-fixed
-    (nonnegative mean) and L^2(Omega)-normalized.
+    Across a family sweep the label-independent stiffness base is cached by
+    ``assemble``.  The eigenfunction is sign-fixed (nonnegative mean) and
+    L^2(Omega)-normalized.
     """
-    if system is None:
-        mesh = build_mesh(omega, partition, disc.h, disc.L, disc.scheme, order=order)
-        system = assemble(mesh, order)
+    mesh = build_mesh(omega, partition, disc.h, disc.L, disc.scheme, order=order)
+    system = assemble(mesh, order)
     red = schur_reduce(system)
     pair = smallest_eigenpair(red.K_eff, red.M_int, tol=solver.tol,
                               max_iter=solver.max_iter)
@@ -225,11 +223,10 @@ def full_dirichlet_partition(omega: Domain1D) -> ExteriorPartition:
 
 
 def dirichlet_baseline(omega: Domain1D, order: FractionalOrder, disc: DiscParams,
-                       solver: SolverParams = SolverParams(),
-                       system: StiffnessSystem | None = None) -> EigenResult:
+                       solver: SolverParams = SolverParams()) -> EigenResult:
     """Principal eigenvalue with Dirichlet data on the whole exterior."""
     return solve_mixed(omega, full_dirichlet_partition(omega), order, disc, solver,
-                       system=system, with_diagnostics=False)
+                       with_diagnostics=False)
 
 
 def richardson_extrapolate(h_values, lam_values) -> tuple[float, float]:

@@ -44,6 +44,14 @@ def _require_keys(d: dict, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
+def _integer(value, where: str) -> int:
+    """int(value), refusing a value that int() would truncate or reinterpret."""
+    n = int(value)
+    if n != value:
+        raise ConfigError(f"{where} must hold integers, got {value!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     dimension: int
@@ -82,20 +90,24 @@ class ExperimentConfig:
             omega = Domain1D(float(d["omega"]["a"]), float(d["omega"]["b"]))
             family = PartitionFamily(kind=d["family"]["kind"], omega=omega,
                                      params=dict(d["family"].get("params", {})))
-        except MixedFracError as exc:
+            k_list = tuple(_integer(k, "family.k_list") for k in d["family"]["k_list"])
+            disc = DiscParams(h=float(d["discretization"]["h"]),
+                              L=float(d["discretization"]["L"]),
+                              scheme=str(d["discretization"]["scheme"]))
+            solver = SolverParams(tol=float(solver_d.get("tol", 1e-12)),
+                                  max_iter=_integer(solver_d.get("max_iter", 500),
+                                                    "solver.max_iter"))
+            dimension = _integer(d["order"]["dimension"], "order.dimension")
+            s = float(d["order"]["s"])
+        except (MixedFracError, TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        k_list = tuple(int(k) for k in d["family"]["k_list"])
         if not k_list:
             raise ConfigError("family.k_list must be nonempty")
-        disc = DiscParams(h=float(d["discretization"]["h"]),
-                          L=float(d["discretization"]["L"]),
-                          scheme=str(d["discretization"]["scheme"]))
-        solver = SolverParams(tol=float(solver_d.get("tol", 1e-12)),
-                              max_iter=int(solver_d.get("max_iter", 500)))
-        return cls(dimension=int(d["order"]["dimension"]), s=float(d["order"]["s"]),
-                   omega=omega, family=family, k_list=k_list, disc=disc,
-                   solver=solver, outputs=dict(outputs), verify=dict(verify),
-                   raw=d)
+        if not (solver.tol > 0 and solver.max_iter >= 1):
+            raise ConfigError(f"solver needs tol > 0 and max_iter >= 1, got {solver}")
+        return cls(dimension=dimension, s=s, omega=omega, family=family,
+                   k_list=k_list, disc=disc, solver=solver, outputs=dict(outputs),
+                   verify=dict(verify), raw=d)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

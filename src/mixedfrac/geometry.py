@@ -21,20 +21,6 @@ from .fracops import FractionalOrder, _complement, pair_integral
 
 INF = math.inf
 
-FAMILY_KINDS = (
-    "shrinking_neumann",
-    "nested_neumann",
-    "traveling_ball",
-    "traveling_ring",
-    "traveling_strip",
-    "infinite_sector",
-    "shrinking_dirichlet_touching",
-    "shrinking_dirichlet_interior",
-    "traveling_dirichlet",
-    "explicit",
-)
-
-
 @dataclass(frozen=True)
 class Domain1D:
     """Omega = (a, b)."""
@@ -164,30 +150,19 @@ def _complement_in_exterior(omega: Domain1D, taken: ExteriorSet) -> ExteriorSet:
     return ExteriorSet(intervals=tuple(_complement(taken.intervals + (omega.interval,))))
 
 
-_DEFAULTS = {
-    "shrinking_neumann": {"location": 1.5, "length0": 1.0, "ratio": 2.0},
-    "nested_neumann": {"left": 1.0, "length0": 1.0, "ratio": 2.0},
-    "traveling_ball": {"offset0": 1.0, "length": 1.0, "ratio": 2.0, "side": "right"},
-    "traveling_ring": {"R0": 2.0, "length": 1.0, "ratio": 2.0},
-    "traveling_strip": {"R0": 2.0, "ratio": 2.0, "side": "right"},
-    "infinite_sector": {"R0": 2.0, "ratio": 2.0, "side": "right"},
-    "shrinking_dirichlet_touching": {"r0": 1.0, "ratio": 2.0, "side": "left"},
-    "shrinking_dirichlet_interior": {"location": 2.0, "r0": 1.0, "ratio": 2.0},
-    "traveling_dirichlet": {"offset0": 1.0, "length": 1.0, "ratio": 2.0, "side": "right"},
-    "explicit": {},
-}
-
-# which exterior condition the generated (moving) set carries
-_MOVING = {
-    "shrinking_neumann": "N",
-    "nested_neumann": "N",
-    "traveling_ball": "N",
-    "traveling_ring": "N",
-    "traveling_strip": "N",
-    "infinite_sector": "N",
-    "shrinking_dirichlet_touching": "D",
-    "shrinking_dirichlet_interior": "D",
-    "traveling_dirichlet": "D",
+# kind -> (label of the set the family moves, default parameters)
+FAMILY_KINDS = {
+    "shrinking_neumann": ("N", {"location": 1.5, "length0": 1.0, "ratio": 2.0}),
+    "nested_neumann": ("N", {"left": 1.0, "length0": 1.0, "ratio": 2.0}),
+    "traveling_ball": ("N", {"offset0": 1.0, "length": 1.0, "ratio": 2.0, "side": "right"}),
+    "traveling_ring": ("N", {"R0": 2.0, "length": 1.0, "ratio": 2.0}),
+    "traveling_strip": ("N", {"R0": 2.0, "ratio": 2.0, "side": "right"}),
+    "infinite_sector": ("N", {"R0": 2.0, "ratio": 2.0, "side": "right"}),
+    "shrinking_dirichlet_touching": ("D", {"r0": 1.0, "ratio": 2.0, "side": "left"}),
+    "shrinking_dirichlet_interior": ("D", {"location": 2.0, "r0": 1.0, "ratio": 2.0}),
+    "traveling_dirichlet": ("D", {"offset0": 1.0, "length": 1.0, "ratio": 2.0,
+                                  "side": "right"}),
+    "explicit": (None, {}),
 }
 
 
@@ -221,7 +196,7 @@ class PartitionFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise BadParameters(f"unknown family kind {self.kind!r}")
-        merged = dict(_DEFAULTS[self.kind])
+        merged = dict(FAMILY_KINDS[self.kind][1])
         unknown = set(self.params) - set(merged) if self.kind != "explicit" else set()
         if unknown:
             raise BadParameters(f"unknown parameters {sorted(unknown)} for {self.kind}")
@@ -305,11 +280,9 @@ def generate(family: PartitionFamily, k: int) -> ExteriorPartition:
             raise BadParameters(
                 f"{family.kind}: set ({lo}, {hi}) overlaps Omega at k={k}")
     rest = _complement_in_exterior(om, moving)
-    if _MOVING[family.kind] == "N":
-        return ExteriorPartition(omega=om, dirichlet=rest, neumann=moving,
-                                 moving_label="N")
-    return ExteriorPartition(omega=om, dirichlet=moving, neumann=rest,
-                             moving_label="D")
+    label = FAMILY_KINDS[family.kind][0]
+    d, n = (rest, moving) if label == "N" else (moving, rest)
+    return ExteriorPartition(omega=om, dirichlet=d, neumann=n, moving_label=label)
 
 
 @dataclass(frozen=True)

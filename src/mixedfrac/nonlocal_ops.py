@@ -1,10 +1,10 @@
 """Verification calculus on discrete solutions.
 
 Pointwise nonlocal normal derivative, exterior reconstruction from interior
-data (with closed per-element potentials, so far-field points need no mesh),
-Gauss / integration-by-parts residuals at the matrix level, the eigenfunction
-potential and its integrability table, far-field asymptotics, and the 2D
-scaling oracle for the ball-near-hyperplane distance integral.
+data (per-element kernel moments from fracops, so far-field points need no
+mesh), Gauss / integration-by-parts residuals at the matrix level, the
+eigenfunction potential and its integrability table, far-field asymptotics,
+and the 2D scaling oracle for the ball-near-hyperplane distance integral.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from scipy.special import gamma as _gamma
 from . import quadrature as quad
 from .assembly import Discretization, StiffnessSystem, band_matvec
 from .errors import BadParameters, DivergentIntegral, OnBoundary
-from .fracops import tail_mass
+from .fracops import cell_moments, interval_mass, tail_mass
 
 
 @dataclass(frozen=True)
@@ -78,46 +78,27 @@ class DiscreteFunction:
         return float((1.0 - w) * full[j] + w * full[j + 1])
 
 
-def _element_moments(disc: Discretization, x, s: float):
-    """Closed-form kernel moments of every Omega element seen from exterior x.
-
-    Returns (mass, m_left, m_right): per-(x, element) integrals of k, of the
-    left hat, and of the right hat over the element.  x may be an array of
-    exterior points (either side of Omega).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    i0, i1 = disc.interior_cells
-    e_lo = disc.nodes[i0:i1 + 1]
-    e_hi = disc.nodes[i0 + 1:i1 + 2]
-    h = disc.h
-    right = x[:, None] >= e_hi[None, :]
-    t0 = np.where(right, x[:, None] - e_hi[None, :], e_lo[None, :] - x[:, None])
-    t1 = t0 + h
-    if np.any(t0 <= 0.0):
-        raise OnBoundary("point inside or on the closure of Omega")
-    A = (t0 ** (-2.0 * s) - t1 ** (-2.0 * s)) / (2.0 * s)
-    if s == 0.5:
-        Bm = np.log(t1 / t0)
-    else:
-        Bm = (t1 ** (1.0 - 2 * s) - t0 ** (1.0 - 2 * s)) / (1.0 - 2 * s)
-    near = (t1 * A - Bm) / h       # hat rising toward the near endpoint
-    far = (Bm - t0 * A) / h        # hat rising toward the far endpoint
-    m_right = np.where(right, near, far)
-    m_left = np.where(right, far, near)
-    return A, m_left, m_right
-
-
 def _potential_and_mass(fn: DiscreteFunction, x, s: float):
-    """(int_Omega u(y) k(x, y) dy, int_Omega k(x, y) dy) from interior data."""
+    """(int_Omega u(y) k(x, y) dy, int_Omega k(x, y) dy) from interior data.
+
+    x may be an array of exterior points on either side of Omega; each
+    element's kernel moments come from ``cell_moments``.
+    """
     disc = fn.disc
     full = fn.full_dofs()
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    mass = interval_mass(x, [disc.omega.interval], 2.0 * s)
     i0, i1 = disc.interior_cells
-    A, mL, mR = _element_moments(disc, x, s)
+    e_lo, e_hi = disc.nodes[i0:i1 + 1], disc.nodes[i0 + 1:i1 + 2]
+    right = x[:, None] >= e_hi
+    cell, near, far = cell_moments(np.where(right, x[:, None] - e_hi, e_lo - x[:, None]),
+                                   disc.h, s)
     if disc.scheme == "P0":
-        pot = A @ full[i0:i1 + 1]
-    else:
-        pot = mL @ full[i0:i1 + 1] + mR @ full[i0 + 1:i1 + 2]
-    return pot, A.sum(axis=1)
+        return cell @ full[i0:i1 + 1], mass
+    # the element's left node is its near end when x lies to its left
+    pot = (np.where(right, far, near) @ full[i0:i1 + 1]
+           + np.where(right, near, far) @ full[i0 + 1:i1 + 2])
+    return pot, mass
 
 
 def neumann_value(fn: DiscreteFunction, x) -> float | np.ndarray:
@@ -241,7 +222,7 @@ def phi_integrability(fn: DiscreteFunction, R_list, tol: float = 1e-8) -> Integr
     """int_{Omega^c cap B_R} Phi for increasing R, with the analytic tail bound.
 
     Phi decays like |x|^(-(1+2s)) far out, so the table must be Cauchy within
-    tail(R) = |phi1|_{L1} * (R - max|boundary|)^(-2s)/s.
+    tail(R) = |phi1|_{L1} * tail_mass(R - max|boundary|).
     """
     disc = fn.disc
     om = disc.omega
@@ -262,7 +243,7 @@ def phi_integrability(fn: DiscreteFunction, R_list, tol: float = 1e-8) -> Integr
                                    p_right=p_edge, abs_floor=1e-14)
         right = quad.adaptive_power(phi_arr, om.b, R, rel_tol=tol,
                                     p_left=p_edge, abs_floor=1e-14)
-        tail = phi_l1 * (R - c) ** (-2.0 * s) / s
+        tail = phi_l1 * tail_mass(R - c, fn.system.order)
         rows.append(IntegrabilityRow(R=R, integral=left + right, tail_bound=tail))
     cauchy = all(
         -1e-12 <= rows[j + 1].integral - rows[j].integral

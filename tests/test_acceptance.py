@@ -271,7 +271,7 @@ def test_criterion_09_farfield_rate():
     from mixedfrac import neumann_value
     c1 = [(neumann_value(fn, float(x)) - mean) * x for x in (3e2, 1e3, 1e4)]
     clean = farfield_rate(fn, np.logspace(math.log10(300.0), 4.0, 9))
-    print(f"\n   dev*x at 3e2..1e4: {[f'{v:+.3e}' for v in c1]} (constant -> 1/x"
+    print(f"\n   dev*x at 3e2..1e4: {[f'{v:+.3e}' for v in c1]} (-> c1 + c2/x, the 1/x"
           f" rate holds); clean-window slope {clean.slope:.3f}; the fitted"
           f" window slope is {rep.slope:.3f} because the deviation changes"
           f" sign near x = 52 inside the mandated window.")

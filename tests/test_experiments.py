@@ -46,6 +46,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(base_config(schema=2))
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("discretization", "h", "abc"), ("order", "s", None), ("solver", "max_iter", 0),
+        ("solver", "tol", 0.0), ("family", "k_list", [1.7])],
+        ids=["h-abc", "s-null", "max_iter-0", "tol-0", "k_list-1.7"])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, section, key, value):
+        bad = base_config()
+        bad[section][key] = value
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert cli_main(["solve", "--config", str(path)]) == 1
+        assert "config error:" in capsys.readouterr().err
+
     def test_validate_catches_mesh_violations(self):
         bad = base_config()
         bad["discretization"]["h"] = 0.3    # does not divide |Omega|
@@ -245,6 +259,11 @@ class TestCli:
         assert all(r["converged"] is False for r in payload["records"])
         header = open(tmp_path / "nc.csv").read().splitlines()[0]
         assert header == experiments.CSV_HEADER
+
+    def test_solve_non_converged_exit_code(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, solver={"tol": 1e-12, "max_iter": 2})
+        assert cli_main(["solve", "--config", cfg]) == 2
+        assert "NOT CONVERGED (2 iterations)" in capsys.readouterr().out
 
     def test_seed_accepted_and_ignored(self, tmp_path):
         cfg = self._write_cfg(tmp_path)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -116,6 +117,29 @@ class TestNeumannValue:
         mean = fn.omega_mean()
         val = neumann_value(fn, 1e3)
         assert abs(val - mean) <= 2e-3 * mean
+
+    def test_far_deviation_matches_mpmath(self, mixed_solution):
+        # criterion 9's deviation u(x) - mean, which is ~1e-6 of u out here:
+        # closed-form hat moments lost 9% of it at x = 1e4
+        fn = DiscreteFunction(mixed_solution.system, mixed_solution.u_free)
+        disc = fn.disc
+        i0, i1 = disc.interior_cells
+        nodes = disc.nodes[i0:i1 + 2]
+        with mp.workdps(30):
+            u = [mp.mpf(v) for v in fn.full_dofs()[i0:i1 + 2]]
+            h = mp.mpf(disc.h)
+            mean = h * (sum(u) - (u[0] + u[-1]) / 2) / mp.mpf(disc.omega.length)
+            for x in (1e3, 1e4):
+                pot = mass = 0
+                for j in range(len(u) - 1):
+                    # s = 1/2, x right of the element: its right node is the near end
+                    t0 = mp.mpf(x) - mp.mpf(nodes[j + 1])
+                    m, first = 1 / t0 - 1 / (t0 + h), mp.log1p(h / t0)
+                    pot += (u[j + 1] * ((t0 + h) * m - first) + u[j] * (first - t0 * m)) / h
+                    mass += m
+                ref = pot / mass - mean
+                dev = neumann_value(fn, x) - fn.omega_mean()
+                assert abs(dev - ref) <= 1e-8 * abs(ref), (x, dev, float(ref))
 
 
 class TestFarfieldRate:

@@ -10,9 +10,10 @@ singularity of the touching pair (d = 1) sits at w = 0 with no cancellation,
 and w = v^10 on t < 0 makes it integrable in v for every s < 1/2 (P0) and
 smooth for P1, where the integrand vanishes like w^(2-2s).
 
-``fracops.pair_integral`` for general cells is checked against its closed
-form evaluated at 50 digits, where the cancellation that the double
-precision routine avoids costs nothing.
+``fracops.pair_integral`` for general cells, and the point-to-cell
+``fracops.cell_moments`` and ``interval_mass``, are checked against their
+closed forms evaluated at 50 digits, where the cancellation that the double
+precision routines avoid costs nothing.
 """
 
 import math
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from mixedfrac.assembly import _p0_pair_values, _p1_adjacent_local, _p1_far_tensors
-from mixedfrac.fracops import _complement, pair_integral
+from mixedfrac.fracops import _complement, cell_moments, interval_mass, pair_integral
 
 mp.mp.dps = 30
 SEPARATIONS = (1, 2, 10, 1000, 10000)
@@ -175,3 +176,44 @@ def test_pair_integral_vectorizes():
     got = pair_integral((0.0, 1.0), (d, d + 1.0 + 0.5 * (d > 5)), 0.25)
     ref = [pair_integral((0.0, 1.0), (x, x + 1.0 + 0.5 * (x > 5)), 0.25) for x in d]
     assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# fracops.cell_moments and interval_mass: a point against a cell
+# ---------------------------------------------------------------------------
+
+def mp_moments(t0, h, s):
+    """(mass, near, far) of t^(-1-2s) over [t0, t0 + h] in closed form at 50 digits."""
+    with mp.workdps(50):
+        t0, h, s = mp.mpf(t0), mp.mpf(h), mp.mpf(s)
+        t1 = t0 + h
+        mass = (t0 ** (-2 * s) - t1 ** (-2 * s)) / (2 * s)
+        first = (mp.log(t1 / t0) if s == 0.5
+                 else (t1 ** (1 - 2 * s) - t0 ** (1 - 2 * s)) / (1 - 2 * s))
+        return mass, (t1 * mass - first) / h, (first - t0 * mass) / h
+
+
+@pytest.mark.parametrize("s", S_ALL)
+def test_cell_moments_match_mpmath(s):
+    h = 0.02
+    t0 = h * np.array([1e-10, 1e-4, 0.3, 1.0, 1.5, 1e3, 1e6])
+    got = np.array(cell_moments(t0, h, s))
+    _assert_close(got, np.transpose([mp_moments(t, h, s) for t in t0]))
+    grid = np.array(cell_moments(t0.reshape(1, -1), np.full((2, 1), h), s))
+    assert grid.shape == (3, 2, len(t0)) and np.array_equal(grid[:, 1], got)
+
+
+@pytest.mark.parametrize("s", S_ALL)
+def test_interval_mass_matches_mpmath(s):
+    # a unit interval 1e4 widths away, seen from either side
+    p, q = 1e4, 1e4 + 1.0
+    x = np.array([0.0, 1e4 - 0.5, 1e4 + 1.5, 2e4 + 1.0])
+    with mp.workdps(50):
+        a = 2 * mp.mpf(s)
+        near = [mp.mpf(p) - mp.mpf(v) if v < p else mp.mpf(v) - mp.mpf(q) for v in x]
+        ref = [(d ** -a - (d + 1) ** -a) / a for d in near]
+    _assert_close(interval_mass(x, [(p, q)], 2 * s), ref)
+    # half-lines stay exactly dist^(-alpha)/alpha, so assembly's tails are unchanged
+    a = 2 * s
+    assert np.array_equal(interval_mass(x[:2], [(p, INF)], a), (p - x[:2]) ** -a / a)
+    assert np.array_equal(interval_mass(x[2:], [(-INF, q)], a), (x[2:] - q) ** -a / a)
