@@ -14,7 +14,6 @@ import numpy as np
 
 from mixedfrac import (
     DiscParams,
-    DiscreteFunction,
     Domain1D,
     PartitionFamily,
     dirichlet_baseline,
@@ -39,10 +38,10 @@ res0 = solve_mixed(om, part, order, DiscParams(h=0.05, L=8.0, scheme="P1"))
 rng = np.random.default_rng(1)
 g = p = 0.0
 for _ in range(5):
-    u = rng.standard_normal(res0.system.n_free)
-    v = rng.standard_normal(res0.system.n_free)
-    g = max(g, gauss_residual_relative(res0.system, u))
-    p = max(p, parts_residual_relative(res0.system, u, v))
+    u = rng.standard_normal(res0.u.system.n_free)
+    v = rng.standard_normal(res0.u.system.n_free)
+    g = max(g, gauss_residual_relative(res0.u.system, u))
+    p = max(p, parts_residual_relative(res0.u.system, u, v))
 print(f"  Gauss defect (relative): {g:.2e}    parts defect: {p:.2e}")
 
 print("\n=== discrete Neumann condition on exterior cells ===")
@@ -50,11 +49,11 @@ part = generate(PartitionFamily(kind="explicit", omega=om,
                                 params={"neumann": [[1.0, math.inf]],
                                         "dirichlet": "rest"}), 0)
 res = solve_mixed(om, part, order, DiscParams(h=0.02, L=8.0, scheme="P1"))
-raw, rel = neumann_cell_residuals(res.system, res.u_free)
+raw, rel = neumann_cell_residuals(res.u.system, res.u.values)
 print(f"  max |cell-averaged residual| (relative): {np.abs(rel).max():.2e}")
 
 print("\n=== far-field asymptotics of the reconstruction ===")
-fn = DiscreteFunction(res.system, res.u_free)
+fn = res.u
 pts = np.logspace(1, 3, 9)
 rep = farfield_rate(fn, pts)
 print(f"  interior mean: {fn.omega_mean():.6f}")
@@ -66,7 +65,7 @@ print("\n=== integrability of the Dirichlet eigenfunction potential ===")
 for s in (0.25, 0.5, 0.75):
     od = make_order(1, s)
     resd = dirichlet_baseline(om, od, DiscParams(h=0.05, L=8.0, scheme="P1"))
-    phi = DiscreteFunction(resd.system, resd.u_free)
+    phi = resd.u
     table = phi_integrability(phi, [2.0, 4.0, 8.0, 16.0])
     vals = ", ".join(f"B_{row.R:g}: {row.integral:.5f}" for row in table.rows)
     print(f"  s={s}: {vals}   (Cauchy within the tail bound: {table.cauchy})")

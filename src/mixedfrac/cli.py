@@ -3,7 +3,8 @@
 Subcommands: solve (single partition), sweep (family), baseline, verify
 (identity suite), efr (scaling oracle for the tangent-ball distance
 integral), dini (integrability checker).  Exit codes: 0 full success, 2
-partial per-record failure, 1 on configuration errors.
+partial per-record failure or a non-converged baseline, 1 on configuration
+errors.
 
 ``--seed`` is accepted everywhere for interface stability and ignored: the
 solver pipeline is deterministic (the verify suite uses a fixed seed).
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import experiments
 from .assembly import assemble, brute_force_energy, build_mesh
-from .eigensolver import DiscParams, dirichlet_baseline, richardson_extrapolate
+from .eigensolver import dirichlet_baseline, richardson_extrapolate
 from .errors import ConfigError, DivergentIntegral, MixedFracError
 from .fracops import KernelOrder, ModulusOfContinuity, dini_check, make_order
 from .geometry import Domain1D
@@ -52,6 +53,10 @@ def _ensure_out(args) -> str | None:
     return args.out
 
 
+def _not_converged(converged: bool, iters: int) -> str:
+    return "" if converged else f" NOT CONVERGED ({iters} iterations)"
+
+
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     cfg1 = dataclasses.replace(cfg, k_list=cfg.k_list[:1])
@@ -60,9 +65,9 @@ def cmd_solve(args) -> int:
     if r.error:
         print(f"k={r.k}: FAILED ({r.error})")
         return 2
-    status = "" if r.converged else f" NOT CONVERGED ({r.iters} iterations)"
     print(f"k={r.k} param={r.param:g} lambda1={r.lambda1:.10f} "
-          f"baseline={r.baseline:.10f} gap={r.gap:.3e} iters={r.iters}{status}")
+          f"baseline={r.baseline:.10f} gap={r.gap:.3e} iters={r.iters}"
+          f"{_not_converged(r.converged, r.iters)}")
     experiments.emit(result, cfg1, out_dir=_ensure_out(args))
     return 2 if result.n_failed else 0
 
@@ -72,10 +77,9 @@ def cmd_sweep(args) -> int:
     result = experiments.run(cfg, jobs=max(1, args.jobs))
     paths = experiments.emit(result, cfg, out_dir=_ensure_out(args))
     for r in result.records:
-        status = f"lambda1={r.lambda1:.10f} gap={r.gap:.3e}" if not r.error \
-            else f"FAILED ({r.error})"
-        if not (r.error or r.converged):
-            status += f" NOT CONVERGED ({r.iters} iterations)"
+        status = f"FAILED ({r.error})" if r.error else (
+            f"lambda1={r.lambda1:.10f} gap={r.gap:.3e}"
+            f"{_not_converged(r.converged, r.iters)}")
         print(f"k={r.k} param={r.param:g} {status}")
     for name, path in paths.items():
         print(f"wrote {name}: {path}")
@@ -88,22 +92,23 @@ def cmd_sweep(args) -> int:
 def cmd_baseline(args) -> int:
     cfg = _load_config(args)
     order = make_order(cfg.dimension, cfg.s)
+    hs = [float(t) for t in args.richardson.split(",")] if args.richardson else [cfg.disc.h]
+    if args.richardson and len(hs) != 3:
+        raise ConfigError("--richardson needs three comma-separated h values")
+    results = []
+    for h in hs:
+        res = dirichlet_baseline(cfg.omega, order, dataclasses.replace(cfg.disc, h=h),
+                                 cfg.solver)
+        results.append(res)
+        detail = "" if args.richardson else \
+            f" (iters {res.iterations}, residual {res.rq_residual:.2e})"
+        print(f"h={h:g}: lambda1 = {res.lambda1:.10f}{detail}"
+              f"{_not_converged(res.converged, res.iterations)}")
+    if not all(res.converged for res in results):
+        return 2
     if args.richardson:
-        hs = [float(t) for t in args.richardson.split(",")]
-        if len(hs) != 3:
-            raise ConfigError("--richardson needs three comma-separated h values")
-        lams = []
-        for h in hs:
-            disc = DiscParams(h=h, L=cfg.disc.L, scheme=cfg.disc.scheme)
-            lam = dirichlet_baseline(cfg.omega, order, disc, cfg.solver).lambda1
-            lams.append(lam)
-            print(f"h={h:g}: lambda1 = {lam:.10f}")
-        limit, rate = richardson_extrapolate(hs, lams)
+        limit, rate = richardson_extrapolate(hs, [res.lambda1 for res in results])
         print(f"extrapolated lambda1 = {limit:.10f} (rate {rate:.3f})")
-    else:
-        res = dirichlet_baseline(cfg.omega, order, cfg.disc, cfg.solver)
-        print(f"h={cfg.disc.h:g}: lambda1 = {res.lambda1:.10f} "
-              f"(iters {res.iterations}, residual {res.rq_residual:.2e})")
     return 0
 
 
@@ -166,6 +171,8 @@ def cmd_verify(args) -> int:
 
 def cmd_efr(args) -> int:
     exps = range(args.rmin_exp, args.rmax_exp + 1)
+    if len(exps) < 2:
+        raise ConfigError("--rmin-exp must be below --rmax-exp: the slope needs two radii")
     try:
         rows = [(2.0 ** -j, e_of_r(2.0 ** -j, args.s, dimension=args.dimension))
                 for j in exps]
@@ -182,30 +189,26 @@ def cmd_efr(args) -> int:
     return 0
 
 
-def _parse_modulus(spec: str) -> ModulusOfContinuity:
-    if spec == "log_spine":
-        return ModulusOfContinuity.log_spine()
-    if spec.startswith("power:"):
-        return ModulusOfContinuity.power(float(spec.split(":", 1)[1]))
-    if spec.startswith("table:"):
-        pairs = [tuple(map(float, p.split(":"))) for p in spec[6:].split(",")]
-        return ModulusOfContinuity.from_table([t for t, _ in pairs],
-                                              [v for _, v in pairs])
-    raise ConfigError(f"cannot parse modulus spec {spec!r}")
-
-
-def _parse_kernel(spec: str) -> KernelOrder:
-    if spec.startswith("power:"):
-        return KernelOrder.power(float(spec.split(":", 1)[1]))
-    if spec.startswith("table:"):
-        pairs = [tuple(map(float, p.split(":"))) for p in spec[6:].split(",")]
-        return KernelOrder.from_table([t for t, _ in pairs], [v for _, v in pairs])
-    raise ConfigError(f"cannot parse kernel spec {spec!r}")
+def _parse_spec(spec: str, cls, *named: str):
+    """cls.power(x) for 'power:x', cls.from_table for 'table:t:v,t:v,...',
+    and cls.<name>() for a bare name listed in named."""
+    kind, _, arg = spec.partition(":")
+    try:
+        if spec in named:
+            return getattr(cls, spec)()
+        if kind == "power":
+            return cls.power(float(arg))
+        if kind == "table":
+            pairs = [tuple(map(float, p.split(":"))) for p in arg.split(",")]
+            return cls.from_table([t for t, _ in pairs], [v for _, v in pairs])
+    except (MixedFracError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {cls.__name__} spec {spec!r}: {exc}") from exc
+    raise ConfigError(f"cannot parse {cls.__name__} spec {spec!r}")
 
 
 def cmd_dini(args) -> int:
-    omega0 = _parse_modulus(args.omega0)
-    kernel = _parse_kernel(args.kernel)
+    omega0 = _parse_spec(args.omega0, ModulusOfContinuity, "log_spine")
+    kernel = _parse_spec(args.kernel, KernelOrder)
     res = dini_check(omega0, kernel)
     if res.converges:
         print(f"Finite({res.value:.10g})  [exponent {res.exponent:.4g}]")

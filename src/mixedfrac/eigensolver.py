@@ -36,18 +36,16 @@ from .geometry import (
     measure_in_ball,
     separation,
 )
+from .nonlocal_ops import DiscreteFunction
 
 ZERO_EIGENVALUE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
 class SchurReduction:
-    """Reduced interior pencil with the exterior back-substitution map."""
+    """Reduced interior stiffness with the exterior back-substitution map."""
 
     K_eff: np.ndarray
-    M_int: np.ndarray
-    interior_idx: np.ndarray      # positions within the free DOF vector
-    exterior_idx: np.ndarray
     _solve_EE: object             # callable rhs -> K_EE^{-1} rhs
     K_IE: np.ndarray
 
@@ -55,17 +53,9 @@ class SchurReduction:
         """Exterior Neumann values -K_EE^{-1} K_EI u_I (discrete reconstruction)."""
         return -self._solve_EE(self.K_IE.T @ u_interior)
 
-    def full_vector(self, u_interior: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(self.interior_idx) + len(self.exterior_idx))
-        out[self.interior_idx] = u_interior
-        out[self.exterior_idx] = self.back_map(u_interior)
-        return out
-
 
 def schur_reduce(system: StiffnessSystem) -> SchurReduction:
     """K_eff = K_II - K_IE K_EE^{-1} K_EI over interior DOFs, symmetric PSD."""
-    iI = np.where(system.interior_mask)[0]
-    iE = np.where(system.exterior_mask)[0]
     K_IE, K_EE = system.K_IE, system.K_EE
     if np.any(K_EE[1] <= 0.0):
         raise SingularExteriorBlock("exterior DOF with no interaction with Omega")
@@ -76,8 +66,7 @@ def schur_reduce(system: StiffnessSystem) -> SchurReduction:
             f"exterior Neumann block not positive definite: {exc}") from exc
     K_eff = system.K_II - K_IE @ solve_EE(K_IE.T)
     K_eff = 0.5 * (K_eff + K_eff.T)
-    return SchurReduction(K_eff=K_eff, M_int=system.M_II, interior_idx=iI,
-                          exterior_idx=iE, _solve_EE=solve_EE, K_IE=K_IE)
+    return SchurReduction(K_eff=K_eff, _solve_EE=solve_EE, K_IE=K_IE)
 
 
 @dataclass(frozen=True)
@@ -156,23 +145,16 @@ class SolverParams:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Principal eigenvalue with interior/exterior eigenfunction values."""
+    """Principal eigenvalue with its eigenfunction over the free DOFs."""
 
     lambda1: float
-    u_interior: np.ndarray
-    u_exterior: np.ndarray        # reconstructed Neumann values
+    u: DiscreteFunction           # interior eigenvector, exterior from back_map
     iterations: int
     rq_residual: float
     normalization: float          # int_Omega u^2 (must be 1)
     converged: bool
     flagged_zero: bool
-    system: StiffnessSystem
-    reduction: SchurReduction
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def u_free(self) -> np.ndarray:
-        return self.reduction.full_vector(self.u_interior)
 
 
 def solve_mixed(omega: Domain1D, partition: ExteriorPartition, order: FractionalOrder,
@@ -182,23 +164,24 @@ def solve_mixed(omega: Domain1D, partition: ExteriorPartition, order: Fractional
 
     Across a family sweep the label-independent stiffness base is cached by
     ``assemble``.  The eigenfunction is sign-fixed (nonnegative mean) and
-    L^2(Omega)-normalized.
+    L^2(Omega)-normalized; its exterior Neumann values are the discrete
+    kernel average of the interior values (one back-substitution).
     """
     mesh = build_mesh(omega, partition, disc.h, disc.L, disc.scheme, order=order)
     system = assemble(mesh, order)
     red = schur_reduce(system)
-    pair = smallest_eigenpair(red.K_eff, red.M_int, tol=solver.tol,
-                              max_iter=solver.max_iter)
-    u = pair.vector
-    mean = float(np.sum(red.M_int @ u))
-    if mean < 0:
-        u = -u
-    u_ext = red.back_map(u)
-    normalization = float(u @ (red.M_int @ u))
+    M = system.M_II
+    pair = smallest_eigenpair(red.K_eff, M, tol=solver.tol, max_iter=solver.max_iter)
+    u_I = pair.vector
+    if float(np.sum(M @ u_I)) < 0:
+        u_I = -u_I
+    values = np.empty(system.n_free)
+    values[system.interior_mask] = u_I
+    values[system.exterior_mask] = red.back_map(u_I)
     diagnostics = {}
     if with_diagnostics:
         from .nonlocal_ops import gauss_residual
-        diagnostics["gauss_residual"] = gauss_residual(system, red.full_vector(u))
+        diagnostics["gauss_residual"] = gauss_residual(system, values)
         diagnostics["separation_D"] = (
             separation(partition.dirichlet, omega)
             if not partition.dirichlet.empty else math.inf)
@@ -209,11 +192,10 @@ def solve_mixed(omega: Domain1D, partition: ExteriorPartition, order: Fractional
             for mult in (2.0, 8.0):
                 R = mult * omega.length
                 diagnostics[f"measure_{label}_R{mult:g}"] = measure_in_ball(eset, R)
-    return EigenResult(lambda1=pair.value, u_interior=u, u_exterior=u_ext,
+    return EigenResult(lambda1=pair.value, u=DiscreteFunction(system, values),
                        iterations=pair.iterations, rq_residual=pair.rq_residual,
-                       normalization=normalization, converged=pair.converged,
-                       flagged_zero=pair.flagged_zero, system=system, reduction=red,
-                       diagnostics=diagnostics)
+                       normalization=float(u_I @ (M @ u_I)), converged=pair.converged,
+                       flagged_zero=pair.flagged_zero, diagnostics=diagnostics)
 
 
 def full_dirichlet_partition(omega: Domain1D) -> ExteriorPartition:

@@ -30,7 +30,7 @@ from .eigensolver import (
 from .errors import ConfigError, DegenerateData, MixedFracError
 from .fracops import make_order
 from .geometry import Domain1D, PartitionFamily, family_param, generate
-from .nonlocal_ops import DiscreteFunction, farfield_rate, gauss_residual
+from .nonlocal_ops import farfield_rate, gauss_residual
 
 CSV_HEADER = "k,param,lambda1,baseline,gap,measN_R,measD_R,condC,sep,gauss_res,iters,h,L,ms"
 
@@ -44,12 +44,20 @@ def _require_keys(d: dict, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
-def _integer(value, where: str) -> int:
+def _integer(value) -> int:
     """int(value), refusing a value that int() would truncate or reinterpret."""
     n = int(value)
     if n != value:
-        raise ConfigError(f"{where} must hold integers, got {value!r}")
+        raise ValueError(f"expected an integer, got {value!r}")
     return n
+
+
+def _at(path: str, convert, *args):
+    """convert(*args); a failure is a ConfigError that names the key path."""
+    try:
+        return convert(*args)
+    except (MixedFracError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -86,25 +94,30 @@ class ExperimentConfig:
         verify = d.get("verify", {})
         _require_keys(verify, {"gauss", "farfield", "conditionC", "measures"},
                       set(), "verify")
-        try:
-            omega = Domain1D(float(d["omega"]["a"]), float(d["omega"]["b"]))
-            family = PartitionFamily(kind=d["family"]["kind"], omega=omega,
-                                     params=dict(d["family"].get("params", {})))
-            k_list = tuple(_integer(k, "family.k_list") for k in d["family"]["k_list"])
-            disc = DiscParams(h=float(d["discretization"]["h"]),
-                              L=float(d["discretization"]["L"]),
-                              scheme=str(d["discretization"]["scheme"]))
-            solver = SolverParams(tol=float(solver_d.get("tol", 1e-12)),
-                                  max_iter=_integer(solver_d.get("max_iter", 500),
-                                                    "solver.max_iter"))
-            dimension = _integer(d["order"]["dimension"], "order.dimension")
-            s = float(d["order"]["s"])
-        except (MixedFracError, TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        if not k_list:
-            raise ConfigError("family.k_list must be nonempty")
-        if not (solver.tol > 0 and solver.max_iter >= 1):
-            raise ConfigError(f"solver needs tol > 0 and max_iter >= 1, got {solver}")
+        order_d, omega_d, family_d, disc_d = (
+            d[key] for key in ("order", "omega", "family", "discretization"))
+        omega = _at("omega", Domain1D, _at("omega.a", float, omega_d["a"]),
+                    _at("omega.b", float, omega_d["b"]))
+        family = _at("family", PartitionFamily, family_d["kind"], omega,
+                     _at("family.params", dict, family_d.get("params", {})))
+        k_list = _at("family.k_list", lambda ks: tuple(map(_integer, ks)),
+                     family_d["k_list"])
+        disc = DiscParams(h=_at("discretization.h", float, disc_d["h"]),
+                          L=_at("discretization.L", float, disc_d["L"]),
+                          scheme=str(disc_d["scheme"]))
+        solver = SolverParams(
+            tol=_at("solver.tol", float, solver_d.get("tol", 1e-12)),
+            max_iter=_at("solver.max_iter", _integer, solver_d.get("max_iter", 500)))
+        dimension = _at("order.dimension", _integer, order_d["dimension"])
+        s = _at("order.s", float, order_d["s"])
+        for ok, path, need, value in (
+                (len(k_list) > 0, "family.k_list", "nonempty", k_list),
+                (solver.tol > 0, "solver.tol", "> 0", solver.tol),
+                (solver.max_iter >= 1, "solver.max_iter", ">= 1", solver.max_iter),
+                (dimension == 1, "order.dimension", "1 (the solver is 1D)", dimension),
+                (0 < s < 1, "order.s", "in (0, 1)", s)):
+            if not ok:
+                raise ConfigError(f"{path} must be {need}, got {value!r}")
         return cls(dimension=dimension, s=s, omega=omega, family=family,
                    k_list=k_list, disc=disc, solver=solver, outputs=dict(outputs),
                    verify=dict(verify), raw=d)
@@ -168,7 +181,7 @@ def _record_from_result(cfg: ExperimentConfig, k: int, res: EigenResult,
     if want.get("gauss", True):
         # absolute Gauss-identity defect; zero up to the far-field Dirichlet
         # tail (bounded by tail_mass(L) |u|_inf)
-        gauss = gauss_residual(res.system, res.u_free)
+        gauss = gauss_residual(res.u.system, res.u.values)
     with_meas = want.get("measures", True)
     return ExperimentRecord(
         k=k, param=family_param(cfg.family, k), lambda1=res.lambda1,
@@ -199,7 +212,8 @@ def run(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
     order = make_order(cfg.dimension, cfg.s)
     # baseline first: warms the cached label-independent base matrix
     base_res = dirichlet_baseline(cfg.omega, order, cfg.disc, cfg.solver)
-    baseline = base_res.lambda1
+    # no gap is measured against an unconverged baseline: every record fails
+    baseline = base_res.lambda1 if base_res.converged else math.nan
 
     want_farfield = cfg.verify.get("farfield", False)
     farfield_slopes = {}
@@ -210,8 +224,7 @@ def run(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
             part = generate(cfg.family, k)
             res = solve_mixed(cfg.omega, part, order, cfg.disc, cfg.solver)
             if want_farfield:
-                fn = DiscreteFunction(res.system, res.u_free)
-                rep = farfield_rate(fn, np.logspace(1.0, 3.0, 9))
+                rep = farfield_rate(res.u, np.logspace(1.0, 3.0, 9))
                 farfield_slopes[k] = rep.slope
             ms = 1e3 * (time.perf_counter() - t0)
             return _record_from_result(cfg, k, res, baseline, ms)
@@ -228,7 +241,7 @@ def run(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
 
     fits = {}
     # errored records and those stopped at max_iter carry no trustworthy lambda
-    good = [r for r in records if r.error is None and r.converged]
+    good = [r for r in records if r.error is None and r.converged and base_res.converged]
     try:
         fits["gap_vs_param"] = fit_rate(good, "param", "gap")
     except DegenerateData:

@@ -18,7 +18,6 @@ import pytest
 from conftest import dense
 from mixedfrac import (
     DiscParams,
-    DiscreteFunction,
     Domain1D,
     ExperimentConfig,
     KernelOrder,
@@ -262,7 +261,7 @@ def test_criterion_09_farfield_rate():
         kind="explicit", omega=OM,
         params={"neumann": [[4.0, math.inf]], "dirichlet": "rest"}), 0)
     res = solve_mixed(OM, part, order, DiscParams(h=0.02, L=8.0, scheme="P1"))
-    fn = DiscreteFunction(res.system, res.u_free)
+    fn = res.u
     rep = farfield_rate(fn, np.logspace(1.0, 3.0, 9))
     slope_err = abs(rep.slope + 1.0)
     ok = (not rep.degenerate) and slope_err <= 0.1

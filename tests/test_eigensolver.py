@@ -65,7 +65,7 @@ class TestSchurReduce:
         mesh = build_mesh(om, part, 0.1, 8.0, "P1", order=order)
         system = assemble(mesh, order)
         red = schur_reduce(system)
-        ones = np.ones(len(red.interior_idx))
+        ones = np.ones(np.count_nonzero(system.interior_mask))
         assert np.allclose(red.back_map(ones), 1.0, atol=1e-10)
 
     def test_p0_back_map_is_kernel_average(self):
@@ -77,8 +77,8 @@ class TestSchurReduce:
         mesh = build_mesh(OM01, part, h, 4.0, "P0", order=order)
         system = assemble(mesh, order)
         red = schur_reduce(system)
-        assert len(red.exterior_idx) == 4
-        u = np.linspace(1.0, 2.0, len(red.interior_idx))
+        assert np.count_nonzero(system.exterior_mask) == 4
+        u = np.linspace(1.0, 2.0, np.count_nonzero(system.interior_mask))
         got = red.back_map(u)
         omega_cells = [(x, x + h) for x in np.arange(0.0, 1.0, h)]
         for j in range(4):
@@ -88,10 +88,23 @@ class TestSchurReduce:
             expected = float(weights @ u / weights.sum())
             assert abs(got[j] - expected) < 1e-12
 
+    def test_solve_back_substitutes_once(self, monkeypatch):
+        # the exterior of the eigenfunction is one back_map of its interior
+        from mixedfrac.eigensolver import SchurReduction
+        calls = []
+        back_map = SchurReduction.back_map
+        monkeypatch.setattr(SchurReduction, "back_map",
+                            lambda red, u: calls.append(u) or back_map(red, u))
+        order = make_order(1, 0.5)
+        part = explicit(OM, neumann=[[1.0, 2.0]], dirichlet="rest")
+        res = solve_mixed(OM, part, order, DiscParams(h=0.1, L=8.0, scheme="P1"))
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], res.u.values[res.u.system.interior_mask])
+
     def test_rayleigh_consistency(self, mixed_result):
         res = mixed_result
-        full = res.u_free
-        K, M = dense(res.system)
+        full = res.u.values
+        K, M = dense(res.u.system)
         rq = float(full @ (K @ full)) / float(full @ (M @ full))
         assert abs(rq - res.lambda1) <= 1e-10 * max(res.lambda1, 1.0)
 
@@ -114,7 +127,8 @@ class TestSmallestEigenpair:
         assert res.lambda1 == 0.0
         assert res.flagged_zero
         # constant eigenfunction
-        u = res.u_interior / res.u_interior[0]
+        u_I = res.u.values[res.u.system.interior_mask]
+        u = u_I / u_I[0]
         assert np.allclose(u, 1.0, atol=1e-8)
 
     def test_full_dirichlet_baseline_value(self):
@@ -127,15 +141,19 @@ class TestSmallestEigenpair:
 
     def test_normalization_and_positivity(self, mixed_result):
         res = mixed_result
+        u_I = res.u.values[res.u.system.interior_mask]
+        u_E = res.u.values[res.u.system.exterior_mask]
         assert abs(res.normalization - 1.0) <= 1e-12
-        assert res.u_interior.min() >= -1e-10 * res.u_interior.max()
-        assert np.all(res.u_exterior > 0.0)
+        assert u_I.min() >= -1e-10 * u_I.max()
+        assert np.all(u_E > 0.0)
 
     def test_exterior_bounded(self, mixed_result):
         # reconstruction is an interior average up to truncation-edge effects
         # on the outermost half-hat; a loose cap suffices here
         res = mixed_result
-        assert res.u_exterior.max() <= 1.5 * res.u_interior.max()
+        u_I = res.u.values[res.u.system.interior_mask]
+        u_E = res.u.values[res.u.system.exterior_mask]
+        assert u_E.max() <= 1.5 * u_I.max()
 
 
 class TestMonotonicity:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -48,17 +49,18 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, key, value", [
         ("discretization", "h", "abc"), ("order", "s", None), ("solver", "max_iter", 0),
-        ("solver", "tol", 0.0), ("family", "k_list", [1.7])],
-        ids=["h-abc", "s-null", "max_iter-0", "tol-0", "k_list-1.7"])
+        ("solver", "tol", 0.0), ("family", "k_list", [1.7]), ("order", "s", 2.0),
+        ("order", "dimension", 2)],
+        ids=["h-abc", "s-null", "max_iter-0", "tol-0", "k_list-1.7", "s-2", "dimension-2"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, key, value):
         bad = base_config()
         bad[section][key] = value
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
             ExperimentConfig.from_dict(bad)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert cli_main(["solve", "--config", str(path)]) == 1
-        assert "config error:" in capsys.readouterr().err
+        assert f"config error: {section}.{key}" in capsys.readouterr().err
 
     def test_validate_catches_mesh_violations(self):
         bad = base_config()
@@ -88,6 +90,13 @@ class TestFitRate:
             fit_rate([{"x": 1.0, "y": 1.0}], "x", "y")
         with pytest.raises(DegenerateData):
             fit_rate([{"x": -1.0, "y": 1.0}] * 6, "x", "y")
+
+
+def unconverged_baseline(monkeypatch):
+    """Report every Dirichlet baseline of experiments.run as not converged."""
+    real = experiments.dirichlet_baseline
+    monkeypatch.setattr(experiments, "dirichlet_baseline", lambda *a, **k: (
+        dataclasses.replace(real(*a, **k), converged=False)))
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +155,17 @@ class TestRun:
         assert len(failed) == 1
         assert "SingularExteriorBlock" in failed[0].error
         assert math.isnan(failed[0].lambda1)
+
+    def test_unconverged_baseline_fails_every_record(self, fixed_interval_run,
+                                                     monkeypatch):
+        _, cfg = fixed_interval_run
+        unconverged_baseline(monkeypatch)
+        result = experiments.run(cfg)
+        assert math.isnan(result.baseline)
+        assert all(r.converged for r in result.records)
+        assert all(math.isnan(r.baseline) and math.isnan(r.gap) for r in result.records)
+        assert result.n_failed == len(result.records)
+        assert result.fits == {}
 
 
 class TestEmit:
@@ -215,6 +235,22 @@ class TestCli:
         assert code == 0
         assert "extrapolated" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("richardson", [[], ["--richardson", "0.2,0.1,0.05"]],
+                             ids=["single", "richardson"])
+    def test_baseline_non_converged_exit_code(self, tmp_path, capsys, richardson):
+        cfg = self._write_cfg(tmp_path, solver={"tol": 1e-12, "max_iter": 2})
+        assert cli_main(["baseline", "--config", cfg, *richardson]) == 2
+        out = capsys.readouterr().out
+        assert "NOT CONVERGED (2 iterations)" in out
+        assert "extrapolated" not in out
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_unconverged_baseline_exit_code(self, tmp_path, capsys, monkeypatch, command):
+        cfg = self._write_cfg(tmp_path)
+        unconverged_baseline(monkeypatch)
+        assert cli_main([command, "--config", cfg]) == 2
+        assert "gap=nan" in capsys.readouterr().out
+
     def test_verify_passes(self, capsys):
         assert cli_main(["verify"]) == 0
         out = capsys.readouterr().out
@@ -224,6 +260,10 @@ class TestCli:
         assert cli_main(["efr", "--s", "0.6", "--rmin-exp", "3",
                          "--rmax-exp", "6"]) == 0
         assert "slope" in capsys.readouterr().out
+
+    def test_efr_empty_range_is_config_error(self, capsys):
+        assert cli_main(["efr", "--s", "0.6", "--rmin-exp", "5", "--rmax-exp", "3"]) == 1
+        assert "config error: --rmin-exp" in capsys.readouterr().err
 
     def test_efr_divergent(self, capsys):
         assert cli_main(["efr", "--s", "0.8"]) == 0
@@ -237,6 +277,11 @@ class TestCli:
         assert cli_main(["dini", "--omega0", "log_spine",
                          "--kernel", "power:0.5"]) == 0
         assert "Divergent" in capsys.readouterr().out
+
+    def test_dini_bad_spec_is_config_error(self, capsys):
+        assert cli_main(["dini", "--omega0", "power:abc", "--kernel", "power:0.3"]) == 1
+        assert "config error: bad ModulusOfContinuity spec 'power:abc'" \
+            in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -61,7 +61,7 @@ def mixed_solution():
 def dirichlet_phi():
     order = make_order(1, 0.5)
     res = dirichlet_baseline(OM, order, DiscParams(h=0.02, L=8.0, scheme="P1"))
-    return DiscreteFunction(res.system, res.u_free)
+    return res.u
 
 
 class TestNonlocalNormal:
@@ -90,7 +90,7 @@ class TestNonlocalNormal:
 
     def test_neumann_cells_satisfy_discrete_condition(self, mixed_solution):
         res = mixed_solution
-        raw, rel = neumann_cell_residuals(res.system, res.u_free)
+        raw, rel = neumann_cell_residuals(res.u.system, res.u.values)
         assert np.max(np.abs(rel)) <= 1e-8
 
 
@@ -121,7 +121,7 @@ class TestNeumannValue:
     def test_far_deviation_matches_mpmath(self, mixed_solution):
         # criterion 9's deviation u(x) - mean, which is ~1e-6 of u out here:
         # closed-form hat moments lost 9% of it at x = 1e4
-        fn = DiscreteFunction(mixed_solution.system, mixed_solution.u_free)
+        fn = mixed_solution.u
         disc = fn.disc
         i0, i1 = disc.interior_cells
         nodes = disc.nodes[i0:i1 + 2]
@@ -149,7 +149,7 @@ class TestFarfieldRate:
         order = make_order(1, 0.5)
         part = explicit(OM, neumann=[[1.0, math.inf]], dirichlet="rest")
         res = solve_mixed(OM, part, order, DiscParams(h=0.02, L=8.0, scheme="P1"))
-        fn = DiscreteFunction(res.system, res.u_free)
+        fn = res.u
         rep = farfield_rate(fn, np.logspace(1, 3, 9))
         assert not rep.degenerate
         assert abs(rep.slope + 1.0) <= 0.1
@@ -158,7 +158,7 @@ class TestFarfieldRate:
         order = make_order(1, 0.5)
         part = explicit(OM, neumann=[[1.0, math.inf]], dirichlet="rest")
         res = solve_mixed(OM, part, order, DiscParams(h=0.02, L=8.0, scheme="P1"))
-        fn = DiscreteFunction(res.system, res.u_free)
+        fn = res.u
         pts = np.array([50.0, 100.0, 200.0, 400.0])
         rep = farfield_rate(fn, pts)
         ratios = rep.values[1:] / rep.values[:-1]
@@ -199,8 +199,8 @@ class TestGaussAndParts:
 
     def test_eigenfunction_bilinear_is_lambda(self, mixed_solution):
         res = mixed_solution
-        u = res.u_free
-        bil = float(u @ (dense(res.system)[0] @ u))
+        u = res.u.values
+        bil = float(u @ (dense(res.u.system)[0] @ u))
         assert abs(bil - res.lambda1) <= 1e-10 * max(1.0, res.lambda1)
 
 
@@ -220,7 +220,7 @@ class TestPhiPotential:
     def test_integrability_table_cauchy(self, s):
         order = make_order(1, s)
         res = dirichlet_baseline(OM, order, DiscParams(h=0.05, L=8.0, scheme="P1"))
-        fn = DiscreteFunction(res.system, res.u_free)
+        fn = res.u
         table = phi_integrability(fn, [2.0, 4.0, 8.0, 16.0], tol=1e-7)
         assert table.cauchy
         vals = [row.integral for row in table.rows]
@@ -232,7 +232,7 @@ class TestPhiPotential:
         vals = []
         for h in (0.05, 0.025):
             res = dirichlet_baseline(OM, order, DiscParams(h=h, L=8.0, scheme="P1"))
-            fn = DiscreteFunction(res.system, res.u_free)
+            fn = res.u
             table = phi_integrability(fn, [16.0], tol=1e-7)
             vals.append(table.rows[0].integral)
         assert np.isfinite(vals).all()
