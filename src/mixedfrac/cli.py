@@ -92,7 +92,10 @@ def cmd_sweep(args) -> int:
 def cmd_baseline(args) -> int:
     cfg = _load_config(args)
     order = make_order(cfg.dimension, cfg.s)
-    hs = [float(t) for t in args.richardson.split(",")] if args.richardson else [cfg.disc.h]
+    try:
+        hs = [float(t) for t in args.richardson.split(",")] if args.richardson else [cfg.disc.h]
+    except ValueError as exc:
+        raise ConfigError(f"--richardson: {exc}") from exc
     if args.richardson and len(hs) != 3:
         raise ConfigError("--richardson needs three comma-separated h values")
     results = []

@@ -2,8 +2,10 @@
 
 The stiffness arrives in arrow form: K_EE couples exterior DOFs only through
 the Omega-weighted Gram term, so it is a diagonal (P0) or tridiagonal (P1)
-band, eliminated by a banded Cholesky solve, and only K_II, K_IE and K_eff
-are dense (O(n_int * m) memory).  The reduced symmetric-definite pencil
+band.  With K_EE = U'U (banded Cholesky on the band's true width), the
+Schur complement K_II - K_IE K_EE^{-1} K_EI is one banded triangular solve
+X = U^{-T} K_EI and one SYRK K_II - X'X, symmetric by construction; only
+K_II, K_IE and K_eff are dense (O(n_int * m) memory).  The reduced pencil
 (K_eff, M) is solved by inverse iteration with a tiny fixed shift and a
 deterministic all-ones start (the ground state is positive, so the overlap
 is guaranteed).
@@ -16,13 +18,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.linalg import (
-    LinAlgError,
-    cho_factor,
-    cho_solve,
-    cho_solve_banded,
-    cholesky_banded,
-)
+from scipy.linalg import (LinAlgError, blas, cho_factor, cho_solve, cho_solve_banded,
+                          cholesky_banded, lapack)
 
 from .assembly import StiffnessSystem, assemble, build_mesh
 from .errors import BadParameters, IndefinitePencil, SingularExteriorBlock
@@ -55,18 +52,22 @@ class SchurReduction:
 
 
 def schur_reduce(system: StiffnessSystem) -> SchurReduction:
-    """K_eff = K_II - K_IE K_EE^{-1} K_EI over interior DOFs, symmetric PSD."""
+    """K_eff = K_II - X'X over interior DOFs, X = U^{-T} K_EI, K_EE = U'U banded."""
     K_IE, K_EE = system.K_IE, system.K_EE
     if np.any(K_EE[1] <= 0.0):
         raise SingularExteriorBlock("exterior DOF with no interaction with Omega")
-    try:
-        solve_EE = partial(cho_solve_banded, (cholesky_banded(K_EE), False))
+    try:                          # on the band's true width: kd = 0 for P0
+        U = cholesky_banded(K_EE if np.any(K_EE[0]) else K_EE[1:])
     except (LinAlgError, ValueError) as exc:
         raise SingularExteriorBlock(
             f"exterior Neumann block not positive definite: {exc}") from exc
-    K_eff = system.K_II - K_IE @ solve_EE(K_IE.T)
-    K_eff = 0.5 * (K_eff + K_eff.T)
-    return SchurReduction(K_eff=K_eff, _solve_EE=solve_EE, K_IE=K_IE)
+    K_eff = system.K_II
+    if K_IE.shape[1]:             # BLAS/LAPACK with a zero dimension corrupt the heap
+        X = lapack.dtbtrs(U, K_IE.T, trans="T")[0]
+        K_eff = blas.dsyrk(-1.0, X, beta=1.0, c=K_eff, trans=1)
+        np.copyto(K_eff, K_eff.T, where=np.tri(len(K_eff), k=-1, dtype=bool))
+    return SchurReduction(K_eff=K_eff, _solve_EE=partial(cho_solve_banded, (U, False)),
+                          K_IE=K_IE)
 
 
 @dataclass(frozen=True)

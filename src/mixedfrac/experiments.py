@@ -36,6 +36,8 @@ CSV_HEADER = "k,param,lambda1,baseline,gap,measN_R,measD_R,condC,sep,gauss_res,i
 
 
 def _require_keys(d: dict, allowed: set, required: set, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
@@ -124,8 +126,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                d = json.load(f)
+        except (OSError, ValueError) as exc:      # JSONDecodeError is a ValueError
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        return cls.from_dict(d)
 
     def validate(self) -> None:
         """Check every referenced parameter combination before any solve."""

@@ -191,7 +191,16 @@ def test_arrow_matches_dense_reference(scheme, s, part):
     scale = np.abs(K_ref).sum()
     assert np.all(np.abs(system.dirichlet_row_sums - rows_ref) <= 1e-14 * scale)
 
-    lam = smallest_eigenpair(schur_reduce(system).K_eff, system.M_II).value
+    K_eff = schur_reduce(system).K_eff
+    assert np.array_equal(K_eff, K_eff.T)
+    iI, iE = np.where(system.interior_mask)[0], np.where(system.exterior_mask)[0]
+    if part == "dirichlet":
+        assert len(iE) == 0 and np.array_equal(K_eff, system.K_II)
+    else:
+        K_schur = K[np.ix_(iI, iI)] - K[np.ix_(iI, iE)] @ np.linalg.solve(
+            K[np.ix_(iE, iE)], K[np.ix_(iE, iI)])
+        assert np.abs(K_eff - K_schur).max() <= 1e-13 * np.abs(K_schur).max()
+    lam = smallest_eigenpair(K_eff, system.M_II).value
     lam_ref = reference_lambda(K_ref, M_ref, system.interior_mask, system.exterior_mask)
     assert abs(lam - lam_ref) <= 1e-12 * abs(lam_ref)
 

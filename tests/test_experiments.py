@@ -62,6 +62,13 @@ class TestConfig:
         assert cli_main(["solve", "--config", str(path)]) == 1
         assert f"config error: {section}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad, where", [
+        (1, "config"), ([], "config"), (base_config(order=5), "order"),
+        (base_config(solver=[1]), "solver")], ids=["int", "list", "order-int", "solver-list"])
+    def test_non_object_is_config_error(self, bad, where):
+        with pytest.raises(ConfigError, match=f"{where} must be a JSON object"):
+            ExperimentConfig.from_dict(bad)
+
     def test_validate_catches_mesh_violations(self):
         bad = base_config()
         bad["discretization"]["h"] = 0.3    # does not divide |Omega|
@@ -235,6 +242,12 @@ class TestCli:
         assert code == 0
         assert "extrapolated" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["abc", "0.1,0.05,abc"])
+    def test_baseline_bad_richardson_is_config_error(self, tmp_path, capsys, value):
+        cfg = self._write_cfg(tmp_path)
+        assert cli_main(["baseline", "--config", cfg, "--richardson", value]) == 1
+        assert "config error: --richardson" in capsys.readouterr().err
+
     @pytest.mark.parametrize("richardson", [[], ["--richardson", "0.2,0.1,0.05"]],
                              ids=["single", "richardson"])
     def test_baseline_non_converged_exit_code(self, tmp_path, capsys, richardson):
@@ -287,6 +300,14 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(base_config(schema=9)))
         assert cli_main(["sweep", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("content", [None, "{"], ids=["missing", "malformed"])
+    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_text(content)
+        assert cli_main(["solve", "--config", str(path)]) == 1
+        assert f"config error: cannot read {path}" in capsys.readouterr().err
 
     def test_partial_failure_exit_code(self, tmp_path, monkeypatch):
         cfg = self._write_cfg(tmp_path)
