@@ -268,6 +268,11 @@ def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _base_key(disc: Discretization, order: FractionalOrder) -> tuple:
+    """The arguments of ``_base_arrow`` for a mesh: its label-independent key."""
+    return (disc.omega.a, disc.omega.b, disc.h, disc.L, disc.scheme, order.s, order.a_ns)
+
+
 @lru_cache(maxsize=2)
 def _base_arrow(a: float, b: float, h: float, L: float, scheme: str, s: float,
                 a_ns: float) -> tuple[np.ndarray, np.ndarray]:
@@ -422,9 +427,7 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
         raise BadParameters("assembly is 1D")
     if disc.scheme == "P0" and order.s >= 0.5:
         raise IncompatibleScheme("P0 jumps carry infinite energy for s >= 1/2")
-    om = disc.omega
-    R, ext = _base_arrow(om.a, om.b, disc.h, disc.L, disc.scheme, order.s,
-                         order.a_ns)
+    R, ext = _base_arrow(*_base_key(disc, order))
     omega_dofs = slice(disc.n_collar, disc.n_collar + R.shape[0])
     free = np.where(disc.dof_label < DOF_DIRICHLET)[0]
     interior = disc.dof_label[free] == DOF_INTERIOR

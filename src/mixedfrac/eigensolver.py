@@ -2,26 +2,40 @@
 
 The stiffness arrives in arrow form: K_EE couples exterior DOFs only through
 the Omega-weighted Gram term, so it is a diagonal (P0) or tridiagonal (P1)
-band.  With K_EE = U'U (banded Cholesky on the band's true width), the
-Schur complement K_II - K_IE K_EE^{-1} K_EI is one banded triangular solve
-X = U^{-T} K_EI and one SYRK K_II - X'X, symmetric by construction; only
-K_II, K_IE and K_eff are dense (O(n_int * m) memory).  The reduced pencil
-(K_eff, M) is solved by inverse iteration with a tiny fixed shift and a
-deterministic all-ones start (the ground state is positive, so the overlap
-is guaranteed).
+band.  The Schur complement K_eff = K_II - K_IE K_EE^{-1} K_EI is one SYRK
+K_eff = base + alpha X'X, symmetric by construction, from one of two sets
+of operands:
+
+- direct: base = K_II, alpha = -1 and X = U^{-T} K_EI, one banded
+  triangular solve with K_EE = U'U (banded Cholesky on the band's true
+  width), eliminating the Neumann DOFs N;
+- Gram update, when the label-independent base band is diagonal (every P0
+  mesh) and the grid has fewer Dirichlet cells D than Neumann ones:
+  base = K_II - G_E and alpha = +1 with X = X_D.  G_E = X_E'X_E,
+  X_E = diag(ext_E)^{-1/2} R[:, E]', eliminates every exterior grid cell
+  E = N + D; it is cached once per mesh, and a record only puts its
+  Dirichlet cells back by a rank-|D| SYRK.  The two cost the same near
+  |D| = |N|, so a Dirichlet-heavy P0 record keeps the direct form.
+
+Only K_II, K_IE, G_E and K_eff are dense (O(n_int * m) memory).  The
+reduced pencil (K_eff, M) is solved by inverse iteration with a tiny fixed
+shift and a deterministic all-ones start (the ground state is positive, so
+the overlap is guaranteed).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.linalg import (LinAlgError, blas, cho_factor, cho_solve, cho_solve_banded,
                           cholesky_banded, lapack)
 
-from .assembly import StiffnessSystem, assemble, build_mesh
+from .assembly import (DOF_DIRICHLET, StiffnessSystem, _base_arrow, _base_key, assemble,
+                       build_mesh)
 from .errors import BadParameters, IndefinitePencil, SingularExteriorBlock
 from .fracops import FractionalOrder
 from .geometry import (
@@ -52,7 +66,7 @@ class SchurReduction:
 
 
 def schur_reduce(system: StiffnessSystem) -> SchurReduction:
-    """K_eff = K_II - X'X over interior DOFs, X = U^{-T} K_EI, K_EE = U'U banded."""
+    """K_eff = base + alpha X'X over interior DOFs by one SYRK (see the module doc)."""
     K_IE, K_EE = system.K_IE, system.K_EE
     if np.any(K_EE[1] <= 0.0):
         raise SingularExteriorBlock("exterior DOF with no interaction with Omega")
@@ -63,11 +77,50 @@ def schur_reduce(system: StiffnessSystem) -> SchurReduction:
             f"exterior Neumann block not positive definite: {exc}") from exc
     K_eff = system.K_II
     if K_IE.shape[1]:             # BLAS/LAPACK with a zero dimension corrupt the heap
-        X = lapack.dtbtrs(U, K_IE.T, trans="T")[0]
-        K_eff = blas.dsyrk(-1.0, X, beta=1.0, c=K_eff, trans=1)
-        np.copyto(K_eff, K_eff.T, where=np.tri(len(K_eff), k=-1, dtype=bool))
+        alpha, X, K_eff = _schur_operands(system, U)
+        if len(X):            # an all-Neumann P0 grid has no Dirichlet cell to put back
+            K_eff = blas.dsyrk(alpha, X, beta=1.0, c=K_eff, trans=1)
+            np.copyto(K_eff, K_eff.T, where=np.tri(len(K_eff), k=-1, dtype=bool))
     return SchurReduction(K_eff=K_eff, _solve_EE=partial(cho_solve_banded, (U, False)),
                           K_IE=K_IE)
+
+
+_GRAM_LOCK = threading.Lock()     # one G_E build per mesh, also under experiments.run(jobs=2)
+
+
+def _schur_operands(system: StiffnessSystem, U: np.ndarray):
+    """(alpha, X, base) of K_eff = base + alpha X'X: the Gram update or the direct form."""
+    disc = system.disc
+    key = _base_key(disc, system.order)
+    R, ext = _base_arrow(*key)
+    D = np.flatnonzero(disc.dof_label == DOF_DIRICHLET)
+    if np.any(ext[0]) or len(D) >= system.K_IE.shape[1]:
+        return -1.0, lapack.dtbtrs(U, system.K_IE.T, trans="T")[0], system.K_II
+    with _GRAM_LOCK:
+        G_E = _exterior_gram(*key)
+    # a diagonal base band is P0's, whose Omega cells are all interior DOFs
+    return 1.0, _scaled_columns(R, ext, D).T, system.K_II - G_E
+
+
+@lru_cache(maxsize=2)
+def _exterior_gram(*key) -> np.ndarray:
+    """G_E = X_E'X_E over every exterior grid cell E of a diagonal base band; read-only."""
+    R, ext = _base_arrow(*key)
+    G_E = blas.dsyrk(1.0, _scaled_columns(R, ext, np.flatnonzero(ext[1])).T, trans=1)
+    np.copyto(G_E, G_E.T, where=np.tri(len(G_E), k=-1, dtype=bool))
+    G_E.setflags(write=False)
+    return G_E
+
+
+def _scaled_columns(R: np.ndarray, ext: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """X' = R[:, cells] diag(ext)^{-1/2} in C order, so dsyrk reads X in place.
+
+    ``np.take`` keeps C order; ``R[:, cells]`` comes back in Fortran order,
+    and f2py would copy its transpose (15 ms of a 40 ms G_E build on c6).
+    """
+    XT = np.take(R, cells, axis=1)
+    XT /= np.sqrt(ext[1, cells])
+    return XT
 
 
 @dataclass(frozen=True)
@@ -101,25 +154,25 @@ def smallest_eigenpair(K_eff: np.ndarray, M_int: np.ndarray, tol: float = 1e-12,
     except LinAlgError as exc:
         raise IndefinitePencil(f"K + sigma M not positive definite: {exc}") from exc
 
-    abs_K = np.abs(K_eff)
     u = np.ones(n)
     u /= math.sqrt(u @ (M_int @ u))
+    Mu = M_int @ u
     lam_prev = step_prev = lam = residual = math.inf
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        w = cho_solve(factor, M_int @ u)
+        w = cho_solve(factor, Mu, check_finite=False)
         mn = math.sqrt(max(w @ (M_int @ w), 0.0))
         if mn == 0.0 or not math.isfinite(mn):
             raise IndefinitePencil("inverse iteration collapsed")
         u = w / mn
         Ku = K_eff @ u
+        Mu = M_int @ u
         lam = float(u @ Ku)
-        residual = float(np.linalg.norm(Ku - lam * (M_int @ u)))
+        residual = float(np.linalg.norm(Ku - lam * Mu))
         step = abs(lam - lam_prev)
-        noise = np.finfo(float).eps * float(np.abs(u) @ abs_K @ np.abs(u))
         if residual <= math.sqrt(tol) * max(1.0, abs(lam)) and (
-                step <= tol * max(abs(lam), 1e-30) or step_prev <= step <= noise):
+                step <= tol * max(abs(lam), 1e-30) or step_prev <= step <= _roundoff(K_eff, u)):
             converged = True
             break
         lam_prev, step_prev = lam, step
@@ -129,6 +182,12 @@ def smallest_eigenpair(K_eff: np.ndarray, M_int: np.ndarray, tol: float = 1e-12,
     return EigenPair(value=0.0 if flagged_zero else lam, vector=u,
                      iterations=iterations, rq_residual=residual,
                      converged=converged, flagged_zero=flagged_zero)
+
+
+def _roundoff(K: np.ndarray, u: np.ndarray) -> float:
+    """eps |u|'|K||u|: the rounding bound of the float u'Ku."""
+    a = np.abs(u)
+    return np.finfo(float).eps * float(a @ np.abs(K) @ a)
 
 
 @dataclass(frozen=True)

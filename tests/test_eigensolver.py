@@ -1,4 +1,7 @@
+import dataclasses
+import functools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +10,9 @@ from conftest import dense
 from mixedfrac import (
     DiscParams,
     Domain1D,
+    ExperimentConfig,
     PartitionFamily,
+    SolverParams,
     assemble,
     build_mesh,
     dirichlet_baseline,
@@ -20,6 +25,8 @@ from mixedfrac import (
     smallest_eigenpair,
     solve_mixed,
 )
+from mixedfrac import eigensolver, experiments
+from mixedfrac.assembly import DOF_DIRICHLET, DOF_INTERIOR, DOF_NEUMANN
 OM = Domain1D(-1.0, 1.0)
 OM01 = Domain1D(0.0, 1.0)
 
@@ -46,7 +53,12 @@ class TestSchurReduce:
         class Dummy:
             pass
 
+        # the mesh key of a P1 grid: its base band is not diagonal, so the
+        # direct elimination runs on the synthetic blocks
+        order = make_order(1, 0.5)
         sys = Dummy()
+        sys.disc = build_mesh(OM, full_dirichlet_partition(OM), 0.5, 8.0, "P1", order=order)
+        sys.order = order
         sys.K_II = K_II
         sys.K_IE = np.zeros((4, 3))
         sys.K_EE = K_EE
@@ -109,6 +121,94 @@ class TestSchurReduce:
         assert abs(rq - res.lambda1) <= 1e-10 * max(res.lambda1, 1.0)
 
 
+def _touching(k):
+    """The criterion-6 record k: D = (-2^-k, 0) touching Omega = (0, 1), P0."""
+    order = make_order(1, 0.25)
+    part = generate(PartitionFamily(kind="shrinking_dirichlet_touching", omega=OM01,
+                                    params={"r0": 1.0, "ratio": 2.0, "side": "left"}), k)
+    return assemble(build_mesh(OM01, part, 2.0 ** -9, 4.0, "P0", order=order), order)
+
+
+def _assert_direct_form(system, monkeypatch):
+    """schur_reduce eliminates N directly, without the cached Gram."""
+    def forbidden(*key):
+        raise AssertionError("took the Gram update")
+
+    monkeypatch.setattr(eigensolver, "_exterior_gram", forbidden)
+    K_eff = schur_reduce(system).K_eff
+    X = system.K_IE.T / np.sqrt(system.K_EE[1])[:, None]
+    K_direct = system.K_II - X.T @ X
+    assert np.abs(K_eff - K_direct).max() <= 1e-13 * np.abs(K_direct).max()
+
+
+class TestGramUpdate:
+    """The cached all-exterior elimination G_E with the Dirichlet cells put back."""
+
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_matches_direct_syrk_on_criterion_6(self, k):
+        system = _touching(k)
+        n_D = np.count_nonzero(system.disc.dof_label == DOF_DIRICHLET)
+        assert n_D < system.K_IE.shape[1]
+        calls = sum(eigensolver._exterior_gram.cache_info()[:2])
+        K_eff = schur_reduce(system).K_eff
+        assert sum(eigensolver._exterior_gram.cache_info()[:2]) == calls + 1
+        X = system.K_IE.T / np.sqrt(system.K_EE[1])[:, None]
+        K_direct = system.K_II - X.T @ X
+        assert np.array_equal(K_eff, K_eff.T)
+        assert np.abs(K_eff - K_direct).max() <= 1e-13 * np.abs(K_direct).max()
+
+    def test_p1_never_takes_the_update(self, monkeypatch):
+        # isolated Neumann nodes: the trimmed K_EE is diagonal and |D| < |N|,
+        # yet the P1 base band couples the exterior, so the direct path runs
+        order = make_order(1, 0.5)
+        disc = build_mesh(OM01, explicit(OM01, neumann="rest", dirichlet=[]), 0.2, 5.0,
+                          "P1", order=order)
+        j = np.arange(disc.n_dofs)
+        label = np.where(np.minimum(j, j[::-1]) % 2 == 0, DOF_NEUMANN, DOF_DIRICHLET)
+        label[disc.n_collar:disc.n_collar + disc.n_interior + 1] = DOF_INTERIOR
+        label = label.astype(np.int8)
+        system = assemble(dataclasses.replace(disc, dof_label=label), order)
+        assert not np.any(system.K_EE[0])
+        assert np.count_nonzero(label == DOF_DIRICHLET) < system.K_IE.shape[1]
+        _assert_direct_form(system, monkeypatch)
+
+    def test_dirichlet_heavy_p0_keeps_the_direct_form(self, monkeypatch):
+        # |D| >= |N|: putting D back would cost more than eliminating N
+        order = make_order(1, 0.25)
+        part = explicit(OM01, neumann=[[2.0, 2.5]], dirichlet="rest")
+        system = assemble(build_mesh(OM01, part, 2.0 ** -5, 4.0, "P0", order=order), order)
+        assert np.count_nonzero(system.disc.dof_label == DOF_DIRICHLET) >= system.K_IE.shape[1]
+        _assert_direct_form(system, monkeypatch)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_built_once_per_mesh(self, jobs, monkeypatch):
+        cfg = ExperimentConfig.from_dict({
+            "schema": 1,
+            "order": {"dimension": 1, "s": 0.25},
+            "omega": {"a": 0.0, "b": 1.0},
+            "family": {"kind": "shrinking_dirichlet_touching",
+                       "params": {"r0": 1.0, "ratio": 2.0, "side": "left"},
+                       "k_list": [1, 2, 3, 4]},
+            "discretization": {"h": 2.0 ** -6, "L": 4.0, "scheme": "P0"},
+            "solver": {"tol": 1e-13, "max_iter": 800},
+            "outputs": {},
+            "verify": {"gauss": True, "conditionC": False, "measures": True},
+        })
+        builds = []
+        build = eigensolver._exterior_gram.__wrapped__
+
+        @functools.lru_cache(maxsize=2)
+        def slow_build(*key):
+            builds.append(key)
+            time.sleep(0.05)      # two concurrent records both arrive while it builds
+            return build(*key)
+
+        monkeypatch.setattr(eigensolver, "_exterior_gram", slow_build)
+        result = experiments.run(cfg, jobs=jobs)
+        assert result.n_failed == 0
+        assert len(builds) == 1
+
+
 class TestSmallestEigenpair:
     def test_reference_pencil(self):
         # 1D Laplacian pencil with known smallest eigenvalue
@@ -119,6 +219,20 @@ class TestSmallestEigenpair:
         exact = 2 * (1 - math.cos(math.pi / (n + 1)))
         assert abs(pair.value - exact) < 1e-12
         assert pair.converged
+
+    def test_stall_exit_stays_reachable(self):
+        # criterion 7 at h = 0.05 (41 DOFs): k = 6 meets the tol test only
+        # through the stall rule (it runs past 800 iterations without it)
+        order = make_order(1, 0.75)
+        family = PartitionFamily(kind="traveling_dirichlet", omega=OM, params={
+            "offset0": 1.0, "length": 1.0, "ratio": 2.0, "side": "right"})
+        disc = DiscParams(h=0.05, L=68.0, scheme="P1")
+        solver = SolverParams(tol=1e-13, max_iter=800)
+        for k, iterations in ((4, 4), (5, 4), (6, 5)):
+            res = solve_mixed(OM, generate(family, k), order, disc, solver,
+                              with_diagnostics=False)
+            assert res.converged
+            assert res.iterations == iterations
 
     def test_empty_dirichlet_gives_zero_with_flag(self):
         order = make_order(1, 0.5)
