@@ -118,10 +118,10 @@ def build_mesh(omega: Domain1D, partition: ExteriorPartition, h: float, L: float
     """
     if scheme not in ("P0", "P1"):
         raise BadParameters(f"unknown scheme {scheme!r}")
-    if h <= 0:
-        raise BadParameters("h must be positive")
-    if L < 4.0 * omega.length - 1e-12:
-        raise BadParameters(f"L = {L} violates L >= 4 |Omega| = {4 * omega.length}")
+    if not 0 < h < INF:
+        raise BadParameters(f"h = {h} must be positive and finite")
+    if not 4.0 * omega.length - 1e-12 <= L < INF:
+        raise BadParameters(f"L = {L} must be finite and >= 4 |Omega| = {4 * omega.length}")
     if order is not None and scheme == "P0" and order.s >= 0.5:
         raise IncompatibleScheme("P0 jumps carry infinite energy for s >= 1/2")
 

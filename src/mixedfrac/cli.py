@@ -252,12 +252,16 @@ def main(argv=None) -> int:
     p.add_argument("--rmax-exp", type=int, default=8)
     p.set_defaults(func=cmd_efr)
 
-    p = sub.add_parser("dini", help="integrability classifier for modulus/kernel pairs")
+    p = sub.add_parser(
+        "dini", help="integrability classifier for modulus/kernel pairs",
+        description="Classify int_0^1 omega0(t)/t Psi(1/t) dt as finite or divergent. "
+                    "Both inputs take table:t:v,t:v,... with >= 3 samples at distinct "
+                    "t, every t and v positive and finite, v nondecreasing in t.")
     _add_common(p)
     p.add_argument("--omega0", type=str, required=True,
-                   help="power:BETA | log_spine | table:t:v,t:v,...")
+                   help="power:BETA (BETA > 0) | log_spine | table:t:v,t:v,...")
     p.add_argument("--kernel", type=str, required=True,
-                   help="power:ALPHA | table:t:v,t:v,...")
+                   help="power:ALPHA (ALPHA > 0) | table:t:v,t:v,...")
     p.set_defaults(func=cmd_dini)
 
     args = parser.parse_args(argv)

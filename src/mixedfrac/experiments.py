@@ -48,17 +48,25 @@ def _require_keys(d: dict, allowed: set, required: set, where: str) -> None:
 
 def _integer(value) -> int:
     """int(value), refusing a value that int() would truncate or reinterpret."""
-    n = int(value)
+    n = int(value)          # OverflowError on +-inf, ValueError on nan
     if n != value:
         raise ValueError(f"expected an integer, got {value!r}")
     return n
+
+
+def _finite(value) -> float:
+    """float(value), refusing nan and +-inf (JSON's NaN and Infinity)."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return x
 
 
 def _at(path: str, convert, *args):
     """convert(*args); a failure is a ConfigError that names the key path."""
     try:
         return convert(*args)
-    except (MixedFracError, TypeError, ValueError) as exc:
+    except (MixedFracError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -98,20 +106,20 @@ class ExperimentConfig:
                       set(), "verify")
         order_d, omega_d, family_d, disc_d = (
             d[key] for key in ("order", "omega", "family", "discretization"))
-        omega = _at("omega", Domain1D, _at("omega.a", float, omega_d["a"]),
-                    _at("omega.b", float, omega_d["b"]))
+        omega = _at("omega", Domain1D, _at("omega.a", _finite, omega_d["a"]),
+                    _at("omega.b", _finite, omega_d["b"]))
         family = _at("family", PartitionFamily, family_d["kind"], omega,
                      _at("family.params", dict, family_d.get("params", {})))
         k_list = _at("family.k_list", lambda ks: tuple(map(_integer, ks)),
                      family_d["k_list"])
-        disc = DiscParams(h=_at("discretization.h", float, disc_d["h"]),
-                          L=_at("discretization.L", float, disc_d["L"]),
+        disc = DiscParams(h=_at("discretization.h", _finite, disc_d["h"]),
+                          L=_at("discretization.L", _finite, disc_d["L"]),
                           scheme=str(disc_d["scheme"]))
         solver = SolverParams(
-            tol=_at("solver.tol", float, solver_d.get("tol", 1e-12)),
+            tol=_at("solver.tol", _finite, solver_d.get("tol", 1e-12)),
             max_iter=_at("solver.max_iter", _integer, solver_d.get("max_iter", 500)))
         dimension = _at("order.dimension", _integer, order_d["dimension"])
-        s = _at("order.s", float, order_d["s"])
+        s = _at("order.s", _finite, order_d["s"])
         for ok, path, need, value in (
                 (len(k_list) > 0, "family.k_list", "nonempty", k_list),
                 (solver.tol > 0, "solver.tol", "> 0", solver.tol),

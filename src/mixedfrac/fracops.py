@@ -357,83 +357,61 @@ def _loglog_interp(t, table):
 
 
 @dataclass(frozen=True)
-class ModulusOfContinuity:
-    """Boundary modulus omega0: [0, inf) -> [0, inf), omega0(0) = 0, increasing."""
+class Profile:
+    """A positive nondecreasing profile on (0, inf): t^exponent or a sampled table.
 
-    kind: str                       # 'power' | 'log_spine' | 'table'
-    beta: float = 0.0
+    Tables take >= 3 samples (t, value) at distinct t, every t and value
+    positive and finite, values nondecreasing in t; they are read log-log
+    linearly between samples, extended by the end slopes beyond them, and
+    are 0 at t = 0.
+    """
+
+    kind: str                       # 'power' | 'table' | 'log_spine'
+    exponent: float = 0.0           # t^exponent for kind='power'
     table: tuple = ()               # ((t, value), ...) for kind='table'
 
     @classmethod
-    def power(cls, beta: float) -> "ModulusOfContinuity":
-        if beta <= 0:
-            raise BadParameters("power modulus needs beta > 0")
-        return cls(kind="power", beta=beta)
+    def power(cls, exponent: float):
+        if not 0 < exponent < INF:
+            raise BadParameters(f"power {cls.__name__} needs a finite exponent > 0")
+        return cls(kind="power", exponent=exponent)
+
+    @classmethod
+    def from_table(cls, ts, values):
+        ts = tuple(float(t) for t in ts)
+        values = tuple(float(v) for v in values)
+        if len(ts) < 3 or len(ts) != len(values):
+            raise BadParameters("table needs >= 3 (t, value) samples")
+        if not all(0 < x < INF for x in ts + values):
+            raise BadParameters("table samples must be positive and finite")
+        pairs = tuple(sorted(zip(ts, values)))
+        if any(p[0] == q[0] or q[1] < p[1] for p, q in zip(pairs, pairs[1:])):
+            raise BadParameters(
+                f"{cls.__name__} samples need distinct t and nondecreasing values")
+        return cls(kind="table", table=pairs)
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        if self.kind == "power":
+            out = t ** self.exponent
+        elif self.kind == "log_spine":
+            out = np.where(t > 0, 1.0 / np.log(1.0 / np.where(t > 0, t, 0.5)), 0.0)
+        else:
+            out = np.where(t == 0, 0.0, _loglog_interp(t, self.table))
+        return out if out.ndim else float(out)
+
+
+class ModulusOfContinuity(Profile):
+    """Boundary modulus omega0: [0, inf) -> [0, inf), omega0(0) = 0, increasing."""
 
     @classmethod
     def log_spine(cls) -> "ModulusOfContinuity":
         """omega0(t) = 1/log(1/t), the Lebesgue-spine modulus."""
         return cls(kind="log_spine")
 
-    @classmethod
-    def from_table(cls, ts, values) -> "ModulusOfContinuity":
-        ts = tuple(float(t) for t in ts)
-        values = tuple(float(v) for v in values)
-        if len(ts) < 3 or len(ts) != len(values):
-            raise BadParameters("table needs >= 3 (t, value) samples")
-        if any(t <= 0 for t in ts) or any(v <= 0 for v in values):
-            raise BadParameters("table samples must be positive")
-        pairs = tuple(sorted(zip(ts, values)))
-        if any(pairs[i + 1][1] < pairs[i][1] for i in range(len(pairs) - 1)):
-            raise BadParameters("modulus must be nondecreasing on sampled points")
-        return cls(kind="table", table=pairs)
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "power":
-            out = t ** self.beta
-        elif self.kind == "log_spine":
-            out = np.where(t > 0, 1.0 / np.log(1.0 / np.where(t > 0, t, 0.5)), 0.0)
-        else:
-            out = _loglog_interp(t, self.table)
-            out = np.where(t == 0, 0.0, out)
-        return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class KernelOrder:
+class KernelOrder(Profile):
     """Kernel order Psi: (0, inf) -> (0, inf), positive and increasing."""
-
-    kind: str                       # 'power' | 'table'
-    alpha: float = 0.0
-    table: tuple = ()
-
-    @classmethod
-    def power(cls, alpha: float) -> "KernelOrder":
-        if alpha <= 0:
-            raise BadParameters("power kernel order needs alpha > 0")
-        return cls(kind="power", alpha=alpha)
-
-    @classmethod
-    def from_table(cls, ts, values) -> "KernelOrder":
-        ts = tuple(float(t) for t in ts)
-        values = tuple(float(v) for v in values)
-        if len(ts) < 3 or len(ts) != len(values):
-            raise BadParameters("table needs >= 3 (t, value) samples")
-        pairs = tuple(sorted(zip(ts, values)))
-        if any(v <= 0 for _, v in pairs):
-            raise BadParameters("Psi must be positive")
-        if any(pairs[i + 1][1] < pairs[i][1] for i in range(len(pairs) - 1)):
-            raise BadParameters("Psi must be nondecreasing on sampled points")
-        return cls(kind="table", table=pairs)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "power":
-            out = t ** self.alpha
-        else:
-            out = _loglog_interp(t, self.table)
-        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -468,16 +446,12 @@ def dini_check(omega0: ModulusOfContinuity, Psi: KernelOrder, tol: float = 1e-6,
         t = np.asarray(t, dtype=float)
         return omega0(t) / t * Psi(1.0 / t)
 
-    symbolic = omega0.kind in ("power", "log_spine") and Psi.kind == "power"
-    if symbolic:
-        if omega0.kind == "power":
-            exponent = omega0.beta - Psi.alpha - 1.0
-            converges = omega0.beta > Psi.alpha
-        else:
-            # 1/(t log(1/t)) * t^-alpha: exponent -1-alpha, and the log factor
-            # still diverges at the critical alpha = 0
-            exponent = -1.0 - Psi.alpha
-            converges = False
+    if omega0.kind != "table" and Psi.kind == "power":
+        # the log spine counts as t^0: 1/(t log(1/t)) t^-alpha has exponent
+        # -1 - alpha and diverges for every alpha > 0 (its log factor even at
+        # the critical alpha = 0, which power() excludes)
+        exponent = omega0.exponent - Psi.exponent - 1.0
+        converges = omega0.exponent > Psi.exponent
     else:
         exponent = _table_exponent(integrand, t_hi=2.0 ** -4)
         if abs(exponent + 1.0) < tol:

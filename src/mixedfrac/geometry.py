@@ -62,9 +62,6 @@ class ExteriorSet:
     def empty(self) -> bool:
         return not self.intervals
 
-    def measure(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
-
     def contains_set(self, other: "ExteriorSet", tol: float = 0.0) -> bool:
         """Every interval of ``other`` inside some interval of self."""
         return all(any(lo >= l0 - tol and hi <= h0 + tol for l0, h0 in self.intervals)
@@ -201,6 +198,9 @@ class PartitionFamily:
         if unknown:
             raise BadParameters(f"unknown parameters {sorted(unknown)} for {self.kind}")
         merged.update(self.params)
+        if "ratio" in merged and not 0 < merged["ratio"] < INF:
+            raise BadParameters(
+                f"params.ratio must be finite and > 0, got {merged['ratio']!r}")
         object.__setattr__(self, "params", merged)
 
     def generate(self, k: int) -> ExteriorPartition:

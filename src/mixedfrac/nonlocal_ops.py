@@ -52,7 +52,7 @@ class DiscreteFunction:
         full = self.full_dofs()
         i0, i1 = disc.interior_cells
         if disc.scheme == "P0":
-            total = disc.h * full[i0:i1 + 2 - 1].sum()
+            total = disc.h * full[i0:i1 + 1].sum()
         else:
             vals = full[i0:i1 + 2]
             total = disc.h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))

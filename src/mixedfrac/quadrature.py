@@ -70,8 +70,9 @@ def adaptive_power(f, a: float, b: float, rel_tol: float = 1e-8,
     """Adaptive quadrature with known algebraic endpoint behavior removed.
 
     p_left / p_right give the local exponent of f near the endpoint
-    (f ~ (x-a)^p with p > -1); the substitution x = a + t^m with
-    m(1+p) >= 2 makes the transformed integrand vanish at the endpoint.
+    (f ~ (x-a)^p with p > -1); the substitution x = x0 + sign t^m from that
+    endpoint, (x0, sign) = (a, +1) or (b, -1), with m(1+p) >= 2 makes the
+    transformed integrand vanish there.
     """
     if b <= a:
         return 0.0
@@ -79,27 +80,18 @@ def adaptive_power(f, a: float, b: float, rel_tol: float = 1e-8,
         mid = 0.5 * (a + b)
         return (adaptive_power(f, a, mid, rel_tol, p_left=p_left, abs_floor=abs_floor)
                 + adaptive_power(f, mid, b, rel_tol, p_right=p_right, abs_floor=abs_floor))
-    if p_left is not None:
-        if p_left <= -1.0:
-            raise NonConvergedQuadrature(f"endpoint exponent {p_left} not integrable")
-        m = max(1.0, np.ceil(2.0 / (1.0 + p_left)))
-        span = (b - a) ** (1.0 / m)
+    if p_left is None and p_right is None:
+        return adaptive(f, a, b, rel_tol, abs_floor=abs_floor)
+    p, x0, sign = (p_left, a, 1.0) if p_left is not None else (p_right, b, -1.0)
+    if p <= -1.0:
+        raise NonConvergedQuadrature(f"endpoint exponent {p} not integrable")
+    m = max(1.0, np.ceil(2.0 / (1.0 + p)))
+    span = (b - a) ** (1.0 / m)
 
-        def g(t):
-            return f(a + t ** m) * m * t ** (m - 1.0)
+    def g(t):
+        return f(x0 + sign * t ** m) * m * t ** (m - 1.0)
 
-        return adaptive(g, 0.0, span, rel_tol, abs_floor=abs_floor)
-    if p_right is not None:
-        if p_right <= -1.0:
-            raise NonConvergedQuadrature(f"endpoint exponent {p_right} not integrable")
-        m = max(1.0, np.ceil(2.0 / (1.0 + p_right)))
-        span = (b - a) ** (1.0 / m)
-
-        def g(t):
-            return f(b - t ** m) * m * t ** (m - 1.0)
-
-        return adaptive(g, 0.0, span, rel_tol, abs_floor=abs_floor)
-    return adaptive(f, a, b, rel_tol, abs_floor=abs_floor)
+    return adaptive(g, 0.0, span, rel_tol, abs_floor=abs_floor)
 
 
 def cos_tail(p: float, x0: float, tol: float = 1e-10) -> float:

@@ -85,6 +85,12 @@ class TestBuildMesh:
         with pytest.raises(BadParameters):
             build_mesh(OM01, full_dirichlet_partition(OM01), 0.1, 3.0, "P1")
 
+    @pytest.mark.parametrize("h, L", [(math.nan, 4.0), (0.1, math.nan), (0.1, math.inf)],
+                             ids=["h-nan", "L-nan", "L-inf"])
+    def test_nonfinite_h_or_L_rejected(self, h, L):
+        with pytest.raises(BadParameters, match="finite"):
+            build_mesh(OM01, full_dirichlet_partition(OM01), h, L, "P1")
+
 
 @pytest.fixture(scope="module")
 def small_mixed_p1():

@@ -3,6 +3,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from mixedfrac import ConfigError, DegenerateData, ExperimentConfig, fit_rate
@@ -50,8 +51,11 @@ class TestConfig:
     @pytest.mark.parametrize("section, key, value", [
         ("discretization", "h", "abc"), ("order", "s", None), ("solver", "max_iter", 0),
         ("solver", "tol", 0.0), ("family", "k_list", [1.7]), ("order", "s", 2.0),
-        ("order", "dimension", 2)],
-        ids=["h-abc", "s-null", "max_iter-0", "tol-0", "k_list-1.7", "s-2", "dimension-2"])
+        ("order", "dimension", 2), ("discretization", "h", math.nan),
+        ("discretization", "L", math.nan), ("discretization", "L", math.inf),
+        ("family", "k_list", [math.inf]), ("solver", "max_iter", math.inf)],
+        ids=["h-abc", "s-null", "max_iter-0", "tol-0", "k_list-1.7", "s-2", "dimension-2",
+             "h-nan", "L-nan", "L-inf", "k_list-inf", "max_iter-inf"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, key, value):
         bad = base_config()
         bad[section][key] = value
@@ -61,6 +65,17 @@ class TestConfig:
         path.write_text(json.dumps(bad))
         assert cli_main(["solve", "--config", str(path)]) == 1
         assert f"config error: {section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["shrinking_neumann", "shrinking_dirichlet_touching"])
+    def test_zero_ratio_is_config_error(self, tmp_path, capsys, kind):
+        # ratio^-k of the shrinking kinds divides by zero
+        bad = base_config(family={"kind": kind, "params": {"ratio": 0.0}, "k_list": [1]})
+        with pytest.raises(ConfigError, match="family: params.ratio must be"):
+            ExperimentConfig.from_dict(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert cli_main(["solve", "--config", str(path)]) == 1
+        assert "config error: family: params.ratio" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad, where", [
         (1, "config"), ([], "config"), (base_config(order=5), "order"),
@@ -192,6 +207,17 @@ class TestEmit:
         dat = open(paths["plotdata"]).read().splitlines()
         assert dat[0].startswith("#")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_farfield_slopes_for_every_k(self, tmp_path, jobs):
+        cfg = ExperimentConfig.from_dict(base_config(verify={"farfield": True},
+                                                     outputs={"json": "f.json"}))
+        result = experiments.run(cfg, jobs=jobs)
+        assert sorted(result.farfield_slopes) == list(cfg.k_list)
+        assert all(math.isfinite(v) for v in result.farfield_slopes.values())
+        paths = experiments.emit(result, cfg, out_dir=str(tmp_path))
+        assert json.load(open(paths["json"]))["farfield_slopes"] == {
+            str(k): v for k, v in result.farfield_slopes.items()}
+
     def test_empty_records_header_only(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(outputs={"csv": "e.csv",
                                                               "json": "e.json"}))
@@ -290,6 +316,22 @@ class TestCli:
         assert cli_main(["dini", "--omega0", "log_spine",
                          "--kernel", "power:0.5"]) == 0
         assert "Divergent" in capsys.readouterr().out
+
+    def test_dini_tables(self, capsys):
+        # the tabulated t^0.7 modulus and t^0.2 kernel of TestDini, as CLI specs
+        ts = [float(t) for t in np.logspace(-9, -0.1, 60)]
+        omega0 = "table:" + ",".join(f"{t!r}:{t ** 0.7!r}" for t in ts)
+        kernel = "table:" + ",".join(f"{t * 1e6!r}:{(t * 1e6) ** 0.2!r}" for t in ts)
+        assert cli_main(["dini", "--omega0", omega0, "--kernel", kernel]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Finite(")
+        assert abs(float(out[len("Finite("):out.index(")")]) - 2.0) < 2e-2
+
+    @pytest.mark.parametrize("t0", ["0", "-1"])
+    def test_dini_nonpositive_table_t_is_config_error(self, capsys, t0):
+        spec = f"table:{t0}:1,1:2,2:3"
+        assert cli_main(["dini", "--omega0", "power:0.6", "--kernel", spec]) == 1
+        assert f"config error: bad KernelOrder spec {spec!r}" in capsys.readouterr().err
 
     def test_dini_bad_spec_is_config_error(self, capsys):
         assert cli_main(["dini", "--omega0", "power:abc", "--kernel", "power:0.3"]) == 1

@@ -251,6 +251,25 @@ class TestDini:
         with pytest.raises(BadParameters):
             ModulusOfContinuity.from_table([0.1, 0.2, 0.3], [0.3, 0.2, 0.1])
 
+    @pytest.mark.parametrize("cls", [ModulusOfContinuity, KernelOrder])
+    @pytest.mark.parametrize("ts, vs", [
+        ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]), ([-1.0, 1.0, 2.0], [1.0, 2.0, 3.0]),
+        ([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, math.inf], [1.0, 2.0, 3.0]),
+        ([1.0, 1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, 0.0, 3.0]),
+        ([1.0, 2.0], [1.0, 2.0])],
+        ids=["t-zero", "t-negative", "t-nan", "t-inf", "t-repeated", "v-zero", "two-samples"])
+    def test_table_checks_shared(self, cls, ts, vs):
+        from mixedfrac import BadParameters
+        with pytest.raises(BadParameters):
+            cls.from_table(ts, vs)
+
+    @pytest.mark.parametrize("cls", [ModulusOfContinuity, KernelOrder])
+    @pytest.mark.parametrize("p", [0.0, -0.5, math.nan, math.inf])
+    def test_power_needs_finite_positive_exponent(self, cls, p):
+        from mixedfrac import BadParameters
+        with pytest.raises(BadParameters):
+            cls.power(p)
+
 
 # ---------------------------------------------------------------------------
 # indicator-seminorm identity

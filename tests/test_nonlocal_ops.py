@@ -31,6 +31,7 @@ from mixedfrac import (
     phi_potential,
     solve_mixed,
 )
+from mixedfrac.fracops import interval_mass
 from mixedfrac.nonlocal_ops import gauss_tail_bound
 
 OM = Domain1D(-1.0, 1.0)
@@ -55,6 +56,14 @@ def mixed_solution():
     part = explicit(OM, neumann=[[4.0, math.inf]], dirichlet="rest")
     res = solve_mixed(OM, part, order, DiscParams(h=0.02, L=8.0, scheme="P1"))
     return res
+
+
+@pytest.fixture(scope="module")
+def mixed_solution_p0():
+    # mixed_solution on P0 cells (s < 1/2): far field D on the left, N on the right
+    order = make_order(1, 0.3)
+    part = explicit(OM, neumann=[[4.0, math.inf]], dirichlet="rest")
+    return solve_mixed(OM, part, order, DiscParams(h=0.05, L=8.0, scheme="P0"))
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +149,41 @@ class TestNeumannValue:
                 ref = pot / mass - mean
                 dev = neumann_value(fn, x) - fn.omega_mean()
                 assert abs(dev - ref) <= 1e-8 * abs(ref), (x, dev, float(ref))
+
+
+class TestP0Function:
+    def test_beyond_span_far_dirichlet_is_zero(self, mixed_solution_p0):
+        u = mixed_solution_p0.u
+        assert u.disc.far_label[0] == "D"
+        lo, _ = u.disc.span
+        for x in (lo - 0.5, -40.0, -1e3):
+            assert u(x) == 0.0
+
+    def test_beyond_span_far_neumann_is_cell_weighted_mean(self, mixed_solution_p0):
+        # P0 reconstruction: sum_c u_c m_c(x) / sum_c m_c(x), m_c the kernel
+        # mass of Omega cell c seen from x
+        u = mixed_solution_p0.u
+        disc = u.disc
+        assert disc.far_label[1] == "N"
+        i0, i1 = disc.interior_cells
+        u_c = u.full_dofs()[i0:i1 + 1]
+        cells = list(zip(disc.nodes[i0:i1 + 1], disc.nodes[i0 + 1:i1 + 2]))
+        _, hi = disc.span
+        for x in (hi + 0.5, 40.0, 1e3):
+            m = np.array([float(interval_mass(x, [cell], 2 * 0.3)) for cell in cells])
+            expect = (u_c @ m) / m.sum()
+            assert abs(u(x) - expect) <= 1e-12 * abs(expect)
+
+    def test_inside_span_is_the_cell_value(self, mixed_solution_p0):
+        u = mixed_solution_p0.u
+        mids = 0.5 * (u.disc.nodes[:-1] + u.disc.nodes[1:])
+        assert [u(x) for x in mids] == list(u.full_dofs())
+
+    def test_omega_mean_is_mass_weighted(self, mixed_solution_p0):
+        u = mixed_solution_p0.u
+        system = u.system
+        expect = np.sum(system.M_II @ u.values[system.interior_mask]) / OM.length
+        assert abs(u.omega_mean() - expect) <= 1e-12 * abs(expect)
 
 
 class TestFarfieldRate:
