@@ -254,9 +254,11 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "dini", help="integrability classifier for modulus/kernel pairs",
-        description="Classify int_0^1 omega0(t)/t Psi(1/t) dt as finite or divergent. "
-                    "Both inputs take table:t:v,t:v,... with >= 3 samples at distinct "
-                    "t, every t and v positive and finite, v nondecreasing in t.")
+        description="Classify int_0^1 omega0(t)/t Psi(1/t) dt as finite or divergent, "
+                    "exactly: the verdict compares end slopes, a finite value is a "
+                    "closed-form sum. Both inputs take table:t:v,t:v,... with >= 3 "
+                    "samples at distinct t, every t and v positive and finite, v "
+                    "nondecreasing in t.")
     _add_common(p)
     p.add_argument("--omega0", type=str, required=True,
                    help="power:BETA (BETA > 0) | log_spine | table:t:v,t:v,...")

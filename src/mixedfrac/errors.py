@@ -22,7 +22,7 @@ class OnBoundary(MixedFracError):
 
 
 class InconclusiveClassification(MixedFracError):
-    """Estimated local exponent too close to the critical value to classify."""
+    """Table end slopes within tol of each other, or a finite value beyond float64."""
 
 
 class EmptySet(MixedFracError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as _gamma, j0 as _j0
+from scipy.special import gamma as _gamma, j0 as _j0, logsumexp as _logsumexp
 
 from . import quadrature as quad
 from .errors import (
@@ -28,7 +28,6 @@ from .errors import (
     DivergentIntegral,
     InconclusiveClassification,
     InvalidCells,
-    NonConvergedQuadrature,
     OnBoundary,
 )
 
@@ -343,19 +342,6 @@ def tail_mass(R: float, order: FractionalOrder) -> float:
 # Dini-type integrability classifier
 # ---------------------------------------------------------------------------
 
-def _loglog_interp(t, table):
-    """Log-log piecewise-linear interpolation with linear (slope) extrapolation."""
-    ts = np.log(np.array([p[0] for p in table]))
-    vs = np.log(np.array([p[1] for p in table]))
-    x = np.log(np.maximum(np.asarray(t, dtype=float), 1e-300))
-    y = np.interp(x, ts, vs)
-    lo_slope = (vs[1] - vs[0]) / (ts[1] - ts[0])
-    hi_slope = (vs[-1] - vs[-2]) / (ts[-1] - ts[-2])
-    y = np.where(x < ts[0], vs[0] + lo_slope * (x - ts[0]), y)
-    y = np.where(x > ts[-1], vs[-1] + hi_slope * (x - ts[-1]), y)
-    return np.exp(y)
-
-
 @dataclass(frozen=True)
 class Profile:
     """A positive nondecreasing profile on (0, inf): t^exponent or a sampled table.
@@ -363,7 +349,8 @@ class Profile:
     Tables take >= 3 samples (t, value) at distinct t, every t and value
     positive and finite, values nondecreasing in t; they are read log-log
     linearly between samples, extended by the end slopes beyond them, and
-    are 0 at t = 0.
+    are 0 at t = 0.  Either kind is a power of t between consecutive knots
+    (a power has one knot, at t = 1), so ``log`` is exact on every piece.
     """
 
     kind: str                       # 'power' | 'table' | 'log_spine'
@@ -390,14 +377,37 @@ class Profile:
                 f"{cls.__name__} samples need distinct t and nondecreasing values")
         return cls(kind="table", table=pairs)
 
+    @property
+    def _knots(self):
+        """(t's, values) of the knots, sorted in t."""
+        return np.array(self.table).T if self.kind == "table" else np.ones((2, 1))
+
+    @property
+    def end_slopes(self) -> tuple[float, float]:
+        """Log-log slopes below the first knot and beyond the last (a power's
+        exponent; 0 at t = 0 for the log spine, up to its log factor)."""
+        if self.kind != "table":
+            return self.exponent, self.exponent
+        dt, dv = np.diff(np.log(self._knots), axis=1)
+        return float(dv[0] / dt[0]), float(dv[-1] / dt[-1])
+
+    def log(self, t):
+        """log of the profile at t > 0, exact on every piece."""
+        x = np.log(np.asarray(t, dtype=float))
+        if self.kind == "log_spine":
+            if np.any(x >= 0):
+                raise BadParameters("the log spine 1/log(1/t) is defined for t < 1 only")
+            out = -np.log(-x)
+        else:
+            (xs, ys), (lo, hi) = np.log(self._knots), self.end_slopes
+            out = (np.interp(x, xs, ys) + lo * np.minimum(x - xs[0], 0.0)
+                   + hi * np.maximum(x - xs[-1], 0.0))
+        return out if out.ndim else float(out)
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "power":
-            out = t ** self.exponent
-        elif self.kind == "log_spine":
-            out = np.where(t > 0, 1.0 / np.log(1.0 / np.where(t > 0, t, 0.5)), 0.0)
-        else:
-            out = np.where(t == 0, 0.0, _loglog_interp(t, self.table))
+        out = np.zeros(t.shape)
+        out[t > 0] = np.exp(self.log(t[t > 0]))
         return out if out.ndim else float(out)
 
 
@@ -406,7 +416,7 @@ class ModulusOfContinuity(Profile):
 
     @classmethod
     def log_spine(cls) -> "ModulusOfContinuity":
-        """omega0(t) = 1/log(1/t), the Lebesgue-spine modulus."""
+        """omega0(t) = 1/log(1/t) on [0, 1), the Lebesgue-spine modulus."""
         return cls(kind="log_spine")
 
 
@@ -418,64 +428,51 @@ class KernelOrder(Profile):
 class DiniResult:
     converges: bool
     value: float | None
-    exponent: float          # estimated/exact local exponent of the integrand at 0
+    exponent: float          # local exponent of the integrand at 0
 
     @property
     def divergent(self) -> bool:
         return not self.converges
 
 
-def _table_exponent(f, t_hi: float, levels: int = 18) -> float:
-    """Local log-log slope of f near 0 from dyadic samples, Richardson style."""
-    ts = t_hi * 2.0 ** -np.arange(levels, dtype=float)
-    vals = np.array([f(t) for t in ts])
-    slopes = np.diff(np.log(vals)) / np.diff(np.log(ts))
-    return float(slopes[-3:].mean())
-
-
-def dini_check(omega0: ModulusOfContinuity, Psi: KernelOrder, tol: float = 1e-6,
-               quad_tol: float = 1e-9) -> DiniResult:
+def dini_check(omega0: ModulusOfContinuity, Psi: KernelOrder,
+               tol: float = 1e-6) -> DiniResult:
     """Classify int_0^1 (omega0(t)/t) Psi(1/t) dt as finite (with value) or divergent.
 
-    Symbolic kinds (power, log_spine) are classified exactly by exponent
-    arithmetic; sampled-table inputs fall back to a numeric local-exponent
-    estimate at 0 and raise InconclusiveClassification when that estimate is
-    within ``tol`` of the critical value -1.
+    Near 0 the integrand f is C t^(a - b - 1), a = omega0's end slope at 0 and
+    b = Psi's at inf, so it converges iff a > b, compared directly.  A table's
+    end slope comes from rounded samples, so with a table on either side
+    |a - b| < tol raises InconclusiveClassification; power exponents are
+    compared exactly.  The log spine diverges: f >= Psi(1)/(t log(1/t)).
+
+    The value is exact.  Between consecutive knots in (0, 1] (omega0's sample
+    t's and the reciprocals of Psi's) t f(t) is a power of t, so each piece
+    has a closed form, the first, (0, b0], b0 f(b0)/(a - b).  The pieces are
+    summed in log space; a sum beyond float64 raises InconclusiveClassification.
     """
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        return omega0(t) / t * Psi(1.0 / t)
-
-    if omega0.kind != "table" and Psi.kind == "power":
-        # the log spine counts as t^0: 1/(t log(1/t)) t^-alpha has exponent
-        # -1 - alpha and diverges for every alpha > 0 (its log factor even at
-        # the critical alpha = 0, which power() excludes)
-        exponent = omega0.exponent - Psi.exponent - 1.0
-        converges = omega0.exponent > Psi.exponent
-    else:
-        exponent = _table_exponent(integrand, t_hi=2.0 ** -4)
-        if abs(exponent + 1.0) < tol:
-            raise InconclusiveClassification(
-                f"local exponent {exponent:.3e} within {tol} of -1")
-        converges = exponent > -1.0
-    if not converges:
+    a, b = omega0.end_slopes[0], Psi.end_slopes[1]
+    exponent = a - b - 1.0
+    if omega0.kind == "log_spine":
         return DiniResult(converges=False, value=None, exponent=exponent)
-
-    # adaptive quadrature on (eps, 1) plus the local-power tail correction
-    # f(eps) eps / (1 + p); eps is halved until two estimates agree
-    def estimate(eps):
-        body = quad.adaptive(integrand, eps, 1.0, rel_tol=quad_tol)
-        return body + float(integrand(eps)) * eps / (1.0 + exponent)
-
-    eps = 2.0 ** -8
-    prev = estimate(eps)
-    for _ in range(24):
-        eps *= 0.5
-        cur = estimate(eps)
-        if abs(cur - prev) <= max(quad_tol * abs(cur), 1e-14):
-            return DiniResult(converges=True, value=cur, exponent=exponent)
-        prev = cur
-    raise NonConvergedQuadrature("eps-extrapolation did not settle")
+    if "table" in (omega0.kind, Psi.kind) and abs(a - b) < tol:
+        raise InconclusiveClassification(f"end slopes {a:.17g} and {b:.17g} within {tol}")
+    if not a > b:
+        return DiniResult(converges=False, value=None, exponent=exponent)
+    t = np.concatenate([omega0._knots[0], 1.0 / Psi._knots[0], [1.0]])
+    t = np.unique(t[t <= 1.0])
+    lg = omega0.log(t) + Psi.log(1.0 / t)            # log of t f(t) at the knots
+    d = np.diff(np.log(t))
+    q = np.abs(np.diff(lg)) / d
+    # int over a piece = (larger end of t f(t)) * (1 - e^(-|q| d))/|q|, d at q = 0
+    width = np.divide(-np.expm1(-q * d), q, out=d.copy(), where=q > 0)
+    logs = np.append(np.maximum(lg[:-1], lg[1:]) + np.log(width), lg[0] - math.log(a - b))
+    try:
+        value = math.exp(_logsumexp(logs))
+    except OverflowError:
+        raise InconclusiveClassification(
+            f"the integral converges (exponent {exponent:.6g}) but overflows float64"
+        ) from None
+    return DiniResult(converges=True, value=value, exponent=exponent)
 
 
 # ---------------------------------------------------------------------------

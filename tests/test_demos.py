@@ -1,7 +1,9 @@
 """Every script under demos/ runs to completion.
 
 Each demo runs in its own interpreter with the BLAS thread pools pinned to
-one thread, as the benchmark runs the solver.
+one thread, as the benchmark runs the solver, and with RuntimeWarning as an
+error: the warnings policy in pyproject.toml reaches only the pytest process,
+and a nan or overflow in a demo should fail as it fails in a test.
 """
 
 import os
@@ -20,6 +22,6 @@ ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_TH
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_zero(demo):
-    proc = subprocess.run([sys.executable, str(demo)], env=ENV, capture_output=True,
-                          text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          env=ENV, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -325,7 +325,17 @@ class TestCli:
         assert cli_main(["dini", "--omega0", omega0, "--kernel", kernel]) == 0
         out = capsys.readouterr().out
         assert out.startswith("Finite(")
-        assert abs(float(out[len("Finite("):out.index(")")]) - 2.0) < 2e-2
+        assert abs(float(out[len("Finite("):out.index(")")]) - 2.0) < 1e-12
+
+    def test_dini_overflowing_value_is_inconclusive(self, capsys):
+        # omega0's exponent at 0 is exactly 100 log2(10) = 332.19; past t = 0.3
+        # its end slope 1136 makes omega0(1) = exp(1367), beyond float64
+        assert cli_main(["dini", "--omega0", "table:0.1:1e-300,0.2:1e-200,0.3:1",
+                         "--kernel", "power:0.1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: InconclusiveClassification" in err
+        assert "exponent 331.09" in err and "nan" not in err
 
     @pytest.mark.parametrize("t0", ["0", "-1"])
     def test_dini_nonpositive_table_t_is_config_error(self, capsys, t0):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,7 +220,7 @@ class TestDini:
     def test_power_power_finite_value(self):
         res = dini_check(ModulusOfContinuity.power(0.6), KernelOrder.power(0.3))
         assert res.converges
-        assert abs(res.value - 10.0 / 3.0) < 1e-6
+        assert res.value == pytest.approx(10.0 / 3.0, rel=1e-13, abs=0)
 
     def test_borderline_divergent(self):
         res = dini_check(ModulusOfContinuity.power(0.3), KernelOrder.power(0.3))
@@ -236,7 +237,7 @@ class TestDini:
         res = dini_check(ModulusOfContinuity.power(beta), KernelOrder.power(alpha))
         assert res.converges == (beta > alpha)
         if res.converges:
-            assert abs(res.value - 1.0 / (beta - alpha)) < 1e-6
+            assert res.value == pytest.approx(1.0 / (beta - alpha), rel=1e-13, abs=0)
 
     def test_table_kinds_classified_numerically(self):
         ts = np.logspace(-9, -0.1, 60)
@@ -244,7 +245,48 @@ class TestDini:
         ker = KernelOrder.from_table(ts * 1e6, (ts * 1e6) ** 0.2)
         res = dini_check(om, ker)
         assert res.converges
-        assert abs(res.value - 2.0) < 2e-2  # 1/(0.7 - 0.2)
+        assert abs(res.value - 2.0) < 1e-12  # 1/(0.7 - 0.2)
+
+    def test_curved_table_matches_piecewise_mpmath(self):
+        # omega0 = sqrt(t) + t read log-log linearly: 10 pieces on (0, 1),
+        # each a power of t, integrated separately by mpmath
+        ts = np.linspace(0.05, 0.9, 9)
+        vs = np.sqrt(ts) + ts
+        res = dini_check(ModulusOfContinuity.from_table(ts, vs), KernelOrder.power(0.2))
+        with mp.workdps(30):
+            T, V = [mp.mpf(float(t)) for t in ts], [mp.mpf(float(v)) for v in vs]
+            k = [mp.log(V[i + 1] / V[i]) / mp.log(T[i + 1] / T[i]) for i in range(8)]
+            k = [k[0]] + k + [k[-1]]                  # slope left of each edge
+            edges = [mp.mpf(0)] + T + [mp.mpf(1)]
+            ref = mp.fsum(
+                mp.quad(lambda t, i=i, j=min(i, 8): V[j] * (t / T[j]) ** k[i]
+                        * t ** mp.mpf(-1.2), edges[i:i + 2])
+                for i in range(10))
+        assert res.converges
+        assert res.value == pytest.approx(float(ref), rel=1e-9, abs=0)
+
+    def test_flat_piece_closed_form(self):
+        # f = 4 (8t)^-1/2 on (0, 1/8], 2 (2t)^-1/2 on (1/8, 1/2], 1/t on (1/2, 1]:
+        # 1 + 1 + log 2, the last piece with t f(t) flat
+        om = ModulusOfContinuity.from_table([0.25, 0.5, 1.0], [0.5, 1.0, 1.0])
+        ker = KernelOrder.from_table([1.0, 2.0, 8.0], [1.0, 1.0, 2.0])
+        res = dini_check(om, ker)
+        assert res.value == pytest.approx(2.0 + math.log(2.0), rel=1e-13, abs=0)
+
+    def test_log_spine_profile(self):
+        from mixedfrac import BadParameters
+        spine = ModulusOfContinuity.log_spine()
+        assert spine(0.5) == pytest.approx(1.0 / math.log(2.0), rel=1e-15)
+        assert spine(0.0) == 0.0
+        for t in (1.0, 2.0):
+            with pytest.raises(BadParameters):
+                spine(t)
+
+    def test_log_spine_divergent_against_table_kernel(self):
+        ts = np.logspace(-3, 3, 7)
+        ker = KernelOrder.from_table(ts, ts ** 0.1)
+        res = dini_check(ModulusOfContinuity.log_spine(), ker)
+        assert res.divergent
 
     def test_modulus_validation(self):
         from mixedfrac import BadParameters

@@ -284,6 +284,18 @@ class TestPhiPotential:
 
 
 class TestEofR:
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("s", [0.1, 0.3, 0.45, 0.6])
+    @pytest.mark.parametrize("r", [0.25, 0.01])
+    def test_beta_closed_form(self, dimension, s, r):
+        # x = 2r u turns the profile integral into v_(N-1) (2r)^(N-2s) B(.,.)
+        assert s < (dimension + 1) / 4
+        n1 = dimension - 1
+        v_ball = math.pi ** (n1 / 2) / math.gamma(n1 / 2 + 1)
+        exact = (v_ball * (2 * r) ** (dimension - 2 * s)
+                 * float(mp.beta((dimension + 1) / 2 - 2 * s, (dimension + 1) / 2)))
+        assert e_of_r(r, s, dimension=dimension) == pytest.approx(exact, rel=1e-8, abs=0)
+
     def test_scaling_slope(self):
         for s in (0.6, 0.7):
             rs = 2.0 ** -np.arange(3, 9)
