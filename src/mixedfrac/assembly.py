@@ -12,17 +12,22 @@ The grid is uniform and the kernel translation-invariant, so every
 cell-pair integral depends only on the separation d; local pair tensors are
 computed once per d (closed form for the same-cell pair, P0 values from
 ``fracops.pair_integral``, Gauss of orders checked against mpmath in the
-tests otherwise).  Exterior
+tests otherwise).  The P1 unit-cell tensors are built in chunks of
+separations and kept per (s, Gauss order), so meshes with the same s share
+them; a mesh scales its slice by h^(1-2s).  Exterior
 pairs carry no energy, so K is an arrow matrix in O(n_int * m) memory: the
-Omega rows, Toeplitz off the band and gathered from one sequence, and an
-exterior band summed separation by separation.  Couplings with the exterior
-beyond the collar are dropped on the Neumann side and replaced by
-closed-form tail integrals on the Dirichlet side.
+Omega rows, Toeplitz off the band and gathered from one sequence, and a
+band whose entries add their terms in one fixed order, by separation, so
+that it is bitwise reproducible; beyond the nearest n_int separations the
+terms go in by vector adds over all nodes, not one separation at a time.
+Couplings with the exterior beyond the collar are dropped on the Neumann
+side and replaced by closed-form tail integrals on the Dirichlet side.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -195,15 +200,16 @@ def build_mesh(omega: Domain1D, partition: ExteriorPartition, h: float, L: float
 # pair tensors on the uniform grid
 # ---------------------------------------------------------------------------
 
-def _p1_far_tensors(n_sep: int, s: float, h: float, g: int):
-    """A(d), B(d), D(d) blocks for cell pairs at separations d = 2..n_sep.
+_CHUNK = 64          # separations per block of pair tensors and of band terms
+_UNIT_KEYS = 4        # (s, g) kept: two exponents at the two Gauss orders of P1
+_unit_tensors: dict = {}
+_unit_lock = threading.Lock()
 
-    Unit-cell tensor Gauss with shared nodes, so each pair tensor annihilates
-    constants exactly (the quadrature itself is in difference form).
-    """
+
+def _unit_far_block(ds: np.ndarray, s: float, g: int):
+    """Unscaled A, B, D at the separations ``ds``; each d is computed on its own."""
     X, W = quad.gauss_rule(g)
     lam = np.stack([1.0 - X, X])                       # (2, g)
-    ds = np.arange(2, n_sep + 1, dtype=float)
     kv = (ds[:, None, None] + X[None, None, :] - X[None, :, None]) ** (-1.0 - 2 * s)
     kw = kv * (W[:, None] * W[None, :])[None, :, :]
     row = kw.sum(axis=2)                               # (nd, g): sum over y-nodes
@@ -211,8 +217,40 @@ def _p1_far_tensors(n_sep: int, s: float, h: float, g: int):
     A = np.einsum("ap,cp,dp->dac", lam, lam, row)
     D = np.einsum("bq,eq,dq->dbe", lam, lam, col)
     B = np.einsum("ap,bq,dpq->dab", lam, lam, kw)
+    return A, B, D
+
+
+def _unit_far_tensors(n_sep: int, s: float, g: int):
+    """Read-only unit-cell A, B, D for d = 2..(at least) n_sep, shared per (s, g).
+
+    A longer request computes only the missing separations, ``_CHUNK`` at a
+    time; the lock makes concurrent builds of one key compute it once.
+    """
+    with _unit_lock:
+        have = _unit_tensors.pop((s, g), None) or (np.empty((0, 2, 2)),) * 3
+        start = len(have[0]) + 2
+        if n_sep >= start:
+            blocks = [have] + [
+                _unit_far_block(np.arange(lo, min(lo + _CHUNK, n_sep + 1), dtype=float), s, g)
+                for lo in range(start, n_sep + 1, _CHUNK)]
+            have = tuple(np.concatenate(t) for t in zip(*blocks))
+            for t in have:
+                t.setflags(write=False)
+        _unit_tensors[(s, g)] = have
+        if len(_unit_tensors) > _UNIT_KEYS:
+            del _unit_tensors[next(iter(_unit_tensors))]
+    return have
+
+
+def _p1_far_tensors(n_sep: int, s: float, h: float, g: int):
+    """A(d), B(d), D(d) blocks for cell pairs at separations d = 2..n_sep.
+
+    Unit-cell tensor Gauss with shared nodes, so each pair tensor annihilates
+    constants exactly (the quadrature itself is in difference form), scaled
+    by h^(1-2s).
+    """
     scale = h ** (1.0 - 2 * s)
-    return A * scale, B * scale, D * scale
+    return tuple(t[:n_sep - 1] * scale for t in _unit_far_tensors(n_sep, s, g))
 
 
 def _p1_adjacent_local(s: float, h: float, g: int) -> np.ndarray:
@@ -258,6 +296,74 @@ def _ranges(d: int, c_lo: int, c_hi: int, n: int):
     if a2 <= b1 + 1:
         return [(min(a1, a2), max(b1, b2))]
     return [(a1, b1), (a2, b2)]
+
+
+def _band_bulk(diag, sup, A, D, c_lo: int, c_hi: int, d1: int) -> None:
+    """Add the P1 band terms of separations d > d1 >= n_int to (diag, sup) in place.
+
+    There every pair (i, i + d) meeting Omega has one cell in Omega.  A node j
+    left of Omega gets A00(d) while cell j + d lies in Omega and A11(d) while
+    cell j - 1 + d does, A00 first at one d: with u = c_lo - j, the terms are
+    A00(u), A00(u + t), A11(u + t) for t = 1..n_int-1, then A11(u + n_int),
+    so one slice add per term over all left nodes.  Nodes right of Omega get
+    D11 and D00 likewise.  An Omega node gets D00, D11, A00, A11 per d in that
+    order (zero where the pair leaves the grid); a chunk of separations is one
+    block, the running values in its first row and the terms in order below,
+    which ``np.add.reduce`` sums row by row, as it does for C-contiguous
+    blocks at least two columns wide.
+    """
+    n, n_int = len(sup), c_hi - c_lo + 1
+
+    def by_d(x):
+        """x(d) at index d in [0, n), zero for d <= d1 (added already)."""
+        out = np.zeros(n)
+        out[d1 + 1:] = x[d1 - 1:]
+        return out
+
+    a00, a11, a01 = by_d(A[:, 0, 0]), by_d(A[:, 1, 1]), by_d(A[:, 0, 1])
+    d00, d11, d01 = by_d(D[:, 0, 0]), by_d(D[:, 1, 1]), by_d(D[:, 0, 1])
+    # left nodes by u = c_lo - j = 1..c_lo (node 0, the last, has no A11);
+    # right nodes by e = j - c_hi - 1 = 1..m (node n, the last, has no D00)
+    left, right, m = diag[:c_lo][::-1], diag[c_hi + 2:], n - c_hi - 1
+    left += a00[1:c_lo + 1]
+    right += d11[1:m + 1]
+    for t in range(1, n_int):
+        left += a00[1 + t:c_lo + 1 + t]
+        left[:-1] += a11[1 + t:c_lo + t]
+        right[:-1] += d00[1 + t:m + t]
+        right += d11[1 + t:m + 1 + t]
+    left[:-1] += a11[1 + n_int:c_lo + n_int]
+    right[:-1] += d00[1 + n_int:m + n_int]
+    # sup[j]: A01 from d = c_lo - j left of Omega, D01 from d = j - c_hi right
+    left, right = sup[:c_lo - 1][::-1], sup[c_hi + 2:]
+    for t in range(n_int):
+        left += a01[2 + t:c_lo + 1 + t]
+        right += d01[2 + t:m + 1 + t]
+
+    # Omega: node c_lo + jj (diag) and sup[c_lo - 1 + jj], jj = 0..n_int, side
+    # by side; per d the rows hold [D00, 0], [D11, D01], [A00, 0], [A11, A01].
+    # The other cell of a pair lies on the grid left of Omega for jj >= p,
+    # right of Omega for jj <= q.
+    jj = np.arange(n_int + 1)
+    for lo in range(d1 + 1, min(n, max(c_hi, n - 1 - c_lo) + 1), _CHUNK):
+        ds = np.arange(lo, min(lo + _CHUNK, n))
+        Ak, Dk = A[ds - 2], D[ds - 2]
+        blk = np.empty((4 * len(ds) + 1, 2, n_int + 1))
+        blk[0] = diag[c_lo:c_hi + 2], sup[c_lo - 1:c_hi + 1]
+        rows = blk[1:].reshape(len(ds), 4, 2, n_int + 1)
+        vals = np.zeros((len(ds), 4, 2, 1))
+        vals[:, 0, 0, 0], vals[:, 1, 0, 0], vals[:, 1, 1, 0] = Dk[:, 0, 0], Dk[:, 1, 1], Dk[:, 0, 1]
+        vals[:, 2, 0, 0], vals[:, 3, 0, 0], vals[:, 3, 1, 0] = Ak[:, 0, 0], Ak[:, 1, 1], Ak[:, 0, 1]
+        rows[:] = vals
+        rows[:, ::2, 0, n_int] = rows[:, 1::2, :, 0] = 0.0
+        p, q = (ds - c_lo)[:, None, None], (n - 1 - c_lo - ds)[:, None, None]
+        if p[-1] > 0:
+            rows[:, 0] *= jj >= p
+            rows[:, 1] *= jj > p
+        if q[-1] < n_int - 1:
+            rows[:, 2] *= jj <= q
+            rows[:, 3] *= jj <= q + 1
+        diag[c_lo:c_hi + 2], sup[c_lo - 1:c_hi + 1] = np.add.reduce(blk, axis=0)
 
 
 def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -314,6 +420,9 @@ def _p1_arrow(n: int, c_lo: int, c_hi: int, s: float, h: float, a_ns: float):
     sweep by up to 1e-7).  Every entry adds its terms in the order of the
     dense stripe reference -- same-cell, touching, then by separation, piece
     of ``_ranges`` and tensor entry -- so K is reproduced bitwise, symmetric.
+    A Python loop over d adds them while the pieces of ``_ranges`` merge
+    (d <= n_int); ``_band_bulk`` adds the rest, in the same order, by
+    vector adds over whole windows of separations.
     """
     # order 28 on the nearest separations; tests check both against mpmath
     A, B, D = _p1_far_tensors(n - 1, s, h, 20)
@@ -356,7 +465,9 @@ def _p1_arrow(n: int, c_lo: int, c_hi: int, s: float, h: float, a_ns: float):
         diag[lo + 1:hi + 2] += L1[1, 1]
         sup[lo + 1:hi + 2] += L1[1, 2]
         diag[lo + 2:hi + 3] += L1[2, 2]
-    for d in range(2, n):
+    # the pieces of _ranges merge up to d = n_int; beyond, _band_bulk
+    d_split = min(max(2, c_hi - c_lo + 1), n - 1)
+    for d in range(2, d_split + 1):
         Ad, Dd = A[d - 2], D[d - 2]
         for lo, hi in _ranges(d, c_lo, c_hi, n):
             diag[lo:hi + 1] += Ad[0, 0]
@@ -367,6 +478,7 @@ def _p1_arrow(n: int, c_lo: int, c_hi: int, s: float, h: float, a_ns: float):
                 sup[lo + 1:hi + 2] -= B[0, 1, 0]
             diag[lo + 1:hi + 2] += Ad[1, 1]
             diag[lo + d + 1:hi + d + 2] += Dd[1, 1]
+    _band_bulk(diag, sup, A, D, c_lo, c_hi, d_split)
     for off, band in ((0, diag[rows]), (1, sup[rows]), (-1, sup[rows - 1])):
         R[rows - c_lo, rows + off] = band
     ext = np.stack([np.concatenate(([0.0], sup)), diag])

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as _gamma, j0 as _j0, logsumexp as _logsumexp
 
 from . import quadrature as quad
 from .errors import (
@@ -44,7 +43,7 @@ _OMEGA = {1: 2.0, 2: 2.0 * math.pi}
 def gamma_form_constant(dimension: int, s: float) -> float:
     """The Gamma-function display 2^(2s-1) pi^(-N/2) Gamma((N+2s)/2)/|Gamma(-s)|."""
     return (2.0 ** (2 * s - 1) * math.pi ** (-dimension / 2.0)
-            * _gamma((dimension + 2 * s) / 2.0) / abs(_gamma(-s)))
+            * math.gamma((dimension + 2 * s) / 2.0) / abs(math.gamma(-s)))
 
 
 def _head_integral(factor, s: float, rel_tol: float) -> float:
@@ -79,6 +78,8 @@ def _defining_integral_1d(s: float, tol: float, refine: int) -> float:
 
 def _defining_integral_2d(s: float, tol: float, refine: int) -> float:
     """int_R2 (1 - cos xi_1) |xi|^(-2-2s) dxi = 2 pi int_0^inf (1 - J0(r)) r^(-1-2s) dr."""
+    from scipy.special import j0   # 2D only: kept off the import path of make_order(1, s)
+
     p = 1.0 + 2 * s
 
     def quarter_ratio(r):
@@ -87,7 +88,7 @@ def _defining_integral_2d(s: float, tol: float, refine: int) -> float:
         # (1 - J0)/z, cancellation-free below r = 1/4
         poly = 1.0 - z / 4.0 * (1.0 - z / 9.0 * (1.0 - z / 16.0 * (1.0 - z / 25.0)))
         with np.errstate(invalid="ignore", divide="ignore"):
-            direct = np.where(z > 0, (1.0 - _j0(r)) / np.where(z > 0, z, 1.0), 1.0)
+            direct = np.where(z > 0, (1.0 - j0(r)) / np.where(z > 0, z, 1.0), 1.0)
         return 0.25 * np.where(r < 0.25, poly, direct)
 
     head = _head_integral(quarter_ratio, s, rel_tol=tol * 1e-2 / refine)
@@ -450,6 +451,8 @@ def dini_check(omega0: ModulusOfContinuity, Psi: KernelOrder,
     has a closed form, the first, (0, b0], b0 f(b0)/(a - b).  The pieces are
     summed in log space; a sum beyond float64 raises InconclusiveClassification.
     """
+    from scipy.special import logsumexp   # kept off the import path of make_order
+
     a, b = omega0.end_slopes[0], Psi.end_slopes[1]
     exponent = a - b - 1.0
     if omega0.kind == "log_spine":
@@ -467,7 +470,7 @@ def dini_check(omega0: ModulusOfContinuity, Psi: KernelOrder,
     width = np.divide(-np.expm1(-q * d), q, out=d.copy(), where=q > 0)
     logs = np.append(np.maximum(lg[:-1], lg[1:]) + np.log(width), lg[0] - math.log(a - b))
     try:
-        value = math.exp(_logsumexp(logs))
+        value = math.exp(logsumexp(logs))
     except OverflowError:
         raise InconclusiveClassification(
             f"the integral converges (exponent {exponent:.6g}) but overflows float64"

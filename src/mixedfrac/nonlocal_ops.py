@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from . import quadrature as quad
 from .assembly import Discretization, StiffnessSystem, band_matvec
@@ -252,12 +251,13 @@ def phi_integrability(fn: DiscreteFunction, R_list, tol: float = 1e-8) -> Integr
     return IntegrabilityTable(rows=tuple(rows), cauchy=cauchy)
 
 
-def e_of_r(r: float, s: float, dimension: int = 2, tol: float = 1e-8) -> float:
+def e_of_r(r: float, s: float, dimension: int = 2) -> float:
     """int over the ball of radius r tangent to a hyperplane of dist^(-2s).
 
     Reduced to the 1D profile integral int_0^{2r} x^(-2s) |slice(x)| dx with
-    |slice| the (N-1)-ball volume of radius sqrt(2 r x - x^2); finite iff
-    s < (N+1)/4 (endpoint exponent test), else DivergentIntegral.
+    |slice| the (N-1)-ball volume of radius sqrt(2 r x - x^2); x = 2 r u
+    turns it into v_(N-1) (2r)^(N-2s) B((N+1)/2 - 2s, (N+1)/2), exact.
+    Finite iff s < (N+1)/4 (endpoint exponent test), else DivergentIntegral.
     """
     if not (0.0 < r <= 0.25):
         raise BadParameters("r must lie in (0, 1/4]")
@@ -269,10 +269,7 @@ def e_of_r(r: float, s: float, dimension: int = 2, tol: float = 1e-8) -> float:
         raise DivergentIntegral(
             f"profile exponent (N-1)/2 - 2s <= -1 at s = {s}, N = {dimension}")
     n1 = dimension - 1
-    v_ball = math.pi ** (n1 / 2.0) / _gamma(n1 / 2.0 + 1.0)
-
-    def profile(x):
-        return v_ball * x ** (-2.0 * s) * (2.0 * r * x - x * x) ** (n1 / 2.0)
-
-    return quad.adaptive_power(profile, 0.0, 2.0 * r, rel_tol=tol,
-                               p_left=n1 / 2.0 - 2 * s, p_right=n1 / 2.0)
+    v_ball = math.pi ** (n1 / 2.0) / math.gamma(n1 / 2.0 + 1.0)
+    a, b = (dimension + 1) / 2.0 - 2 * s, (dimension + 1) / 2.0
+    beta = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    return v_ball * (2.0 * r) ** (dimension - 2 * s) * beta

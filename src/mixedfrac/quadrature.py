@@ -13,7 +13,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j0, j1
 
 from .errors import NonConvergedQuadrature
 
@@ -126,6 +125,8 @@ def j0_tail(p: float, x0: float, tol: float = 1e-10) -> float:
     round; terminates with a finite adaptive cut once the envelope
     sqrt(2/(pi x)) x^(-p) integrates below tol.
     """
+    from scipy.special import j0, j1   # 2D only: kept off the import path of make_order(1, s)
+
     if p > 5.0:
         cut = max(x0 + 4 * np.pi, (1.0 / tol) ** (1.0 / (p - 0.5)))
         return adaptive(lambda x: j0(x) * x ** (-p), x0, cut, rel_tol=min(1e-10, tol),

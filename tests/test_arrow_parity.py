@@ -5,7 +5,7 @@ label-independent stiffness over all m grid DOFs built by stripe adds, the
 free x free extraction with ``np.ix_``, the per-cell mass and far-field
 tail loops, and a dense Schur complement.  It is only run on meshes of at
 most 400 DOFs, except for the bitwise check of the P1 arrow pair, which also
-covers the 2761-DOF mesh of the criterion-7 sweep.
+covers a 577-DOF mesh and the 2761-DOF mesh of the criterion-7 sweep.
 """
 
 import math
@@ -205,7 +205,10 @@ def test_arrow_matches_dense_reference(scheme, s, part):
     assert abs(lam - lam_ref) <= 1e-12 * abs(lam_ref)
 
 
-@pytest.mark.parametrize("a,b,h,L,s", [(0.0, 1.0, H, L, s) for s in (0.25, 0.5, 0.75)]
+# n_int = 20 and 64: the explicit separations (merged pieces of _ranges) end
+# at d = n_int, the bulk band takes over beyond; the 2761-DOF criterion-7 mesh
+@pytest.mark.parametrize("a,b,h,L,s", [(0.0, 1.0, H, L, s) for s in (0.25, 0.3, 0.5, 0.7, 0.75)]
+                         + [(0.0, 1.0, 1 / 64, 4.0, s) for s in (0.3, 0.75)]
                          + [(-1.0, 1.0, 0.05, 68.0, 0.75)])
 def test_p1_arrow_bitwise_equals_dense_reference(a, b, h, L, s):
     om, order = Domain1D(a, b), make_order(1, s)

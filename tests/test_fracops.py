@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -57,6 +61,18 @@ class TestNormalizationConstant:
         # the head substitution x = t^m underflows here unless taken by hand
         order = make_order(dimension, s)
         assert abs(order.a_ns - 2.0 * order.gamma_form) <= 1e-9 * order.a_ns
+
+
+def test_make_order_does_not_import_scipy_special():
+    # scipy.special costs start-up time and the 1D pipeline needs none of it
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+    code = ("import sys, mixedfrac; mixedfrac.make_order(1, 0.3); "
+            "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 # ---------------------------------------------------------------------------

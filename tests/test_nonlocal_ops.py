@@ -294,7 +294,7 @@ class TestEofR:
         v_ball = math.pi ** (n1 / 2) / math.gamma(n1 / 2 + 1)
         exact = (v_ball * (2 * r) ** (dimension - 2 * s)
                  * float(mp.beta((dimension + 1) / 2 - 2 * s, (dimension + 1) / 2)))
-        assert e_of_r(r, s, dimension=dimension) == pytest.approx(exact, rel=1e-8, abs=0)
+        assert e_of_r(r, s, dimension=dimension) == pytest.approx(exact, rel=1e-13, abs=0)
 
     def test_scaling_slope(self):
         for s in (0.6, 0.7):
