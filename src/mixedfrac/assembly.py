@@ -266,11 +266,11 @@ def _p1_adjacent_local(s: float, h: float, g: int) -> np.ndarray:
     c2 = float(W @ (T ** 2 * ker))
     c3 = float(W @ (T * ker))
     j2 = (c1 + c2) / (3.0 - 2 * s)
-    j11 = 2.0 * c3 / (3.0 - 2 * s)
+    jab = 2.0 * c3 / (3.0 - 2 * s)
     ea = np.array([1.0, -1.0, 0.0])
     eb = np.array([0.0, -1.0, 1.0])
     local = (j2 * (np.outer(ea, ea) + np.outer(eb, eb))
-             - j11 * (np.outer(ea, eb) + np.outer(eb, ea)))
+             - jab * (np.outer(ea, eb) + np.outer(eb, ea)))
     return h ** (1.0 - 2 * s) * local
 
 
@@ -379,8 +379,17 @@ def _base_key(disc: Discretization, order: FractionalOrder) -> tuple:
     return (disc.omega.a, disc.omega.b, disc.h, disc.L, disc.scheme, order.s, order.a_ns)
 
 
+_BASE_LOCK = threading.Lock()     # only _unit_lock is taken while it is held
+
+
+def _base_arrow(*key) -> tuple[np.ndarray, np.ndarray]:
+    """``_build_base(*key)`` under one lock, so concurrent first calls build once."""
+    with _BASE_LOCK:
+        return _build_base(*key)
+
+
 @lru_cache(maxsize=2)
-def _base_arrow(a: float, b: float, h: float, L: float, scheme: str, s: float,
+def _build_base(a: float, b: float, h: float, L: float, scheme: str, s: float,
                 a_ns: float) -> tuple[np.ndarray, np.ndarray]:
     """Label-independent stiffness over all grid DOFs as an arrow pair (R, ext).
 

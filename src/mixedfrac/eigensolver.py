@@ -85,7 +85,7 @@ def schur_reduce(system: StiffnessSystem) -> SchurReduction:
                           K_IE=K_IE)
 
 
-_GRAM_LOCK = threading.Lock()     # one G_E build per mesh, also under experiments.run(jobs=2)
+_GRAM_LOCK = threading.Lock()     # one G_E build per mesh; never taken under the base lock
 
 
 def _schur_operands(system: StiffnessSystem, U: np.ndarray):

@@ -46,20 +46,7 @@ def gamma_form_constant(dimension: int, s: float) -> float:
             * math.gamma((dimension + 2 * s) / 2.0) / abs(math.gamma(-s)))
 
 
-def _head_integral(factor, s: float, rel_tol: float) -> float:
-    """int_0^1 factor(x) x^(1-2s) dx for a smooth bounded factor, via x = t^m."""
-    if s <= 0.99:
-        return quad.adaptive_power(lambda x: factor(x) * x ** (1.0 - 2 * s), 0.0, 1.0,
-                                   rel_tol=rel_tol, p_left=1.0 - 2 * s)
-    # the same substitution by hand: with m = ceil(1/(1-s)) > 100, t^m
-    # underflows at Gauss nodes and x^(1-2s) overflows, so the power goes into
-    # the Jacobian, m t^(m-1) x^(1-2s) = m t^(m(2-2s)-1)
-    m = math.ceil(1.0 / (1.0 - s))
-    return quad.adaptive(lambda t: factor(t ** m) * m * t ** (m * (2 - 2 * s) - 1.0),
-                         0.0, 1.0, rel_tol=rel_tol)
-
-
-def _defining_integral_1d(s: float, tol: float, refine: int) -> float:
+def _defining_integral_1d(s: float, tol: float) -> float:
     """int_R (1 - cos xi) |xi|^(-1-2s) dxi, split at 1 with oscillatory tail.
 
     The head integrand is written as 0.5 (sin(x/2)/(x/2))^2 x^(1-2s): free of
@@ -70,30 +57,19 @@ def _defining_integral_1d(s: float, tol: float, refine: int) -> float:
         sinc = np.where(half > 0, np.sin(half) / np.where(half > 0, half, 1.0), 1.0)
         return 0.5 * sinc ** 2
 
-    head = _head_integral(half_sinc2, s, rel_tol=tol * 1e-2 / refine)
+    if s <= 0.99:
+        head = quad.adaptive_power(lambda x: half_sinc2(x) * x ** (1.0 - 2 * s), 0.0, 1.0,
+                                   rel_tol=tol * 1e-2, p_left=1.0 - 2 * s)
+    else:
+        # the same substitution by hand: with m = ceil(1/(1-s)) > 100, t^m
+        # underflows at Gauss nodes and x^(1-2s) overflows, so the power goes
+        # into the Jacobian, m t^(m-1) x^(1-2s) = m t^(m(2-2s)-1)
+        m = math.ceil(1.0 / (1.0 - s))
+        head = quad.adaptive(lambda t: half_sinc2(t ** m) * m * t ** (m * (2 - 2 * s) - 1.0),
+                             0.0, 1.0, rel_tol=tol * 1e-2)
     tail_monotone = 1.0 / (2 * s)
     tail_osc = quad.cos_tail(1.0 + 2 * s, 1.0, tol=tol * 1e-2)
     return 2.0 * (head + tail_monotone - tail_osc)
-
-
-def _defining_integral_2d(s: float, tol: float, refine: int) -> float:
-    """int_R2 (1 - cos xi_1) |xi|^(-2-2s) dxi = 2 pi int_0^inf (1 - J0(r)) r^(-1-2s) dr."""
-    from scipy.special import j0   # 2D only: kept off the import path of make_order(1, s)
-
-    p = 1.0 + 2 * s
-
-    def quarter_ratio(r):
-        r = np.asarray(r, dtype=float)
-        z = (0.5 * r) ** 2
-        # (1 - J0)/z, cancellation-free below r = 1/4
-        poly = 1.0 - z / 4.0 * (1.0 - z / 9.0 * (1.0 - z / 16.0 * (1.0 - z / 25.0)))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            direct = np.where(z > 0, (1.0 - j0(r)) / np.where(z > 0, z, 1.0), 1.0)
-        return 0.25 * np.where(r < 0.25, poly, direct)
-
-    head = _head_integral(quarter_ratio, s, rel_tol=tol * 1e-2 / refine)
-    tail = 1.0 / (2 * s) - quad.j0_tail(p, 1.0, tol=tol * 1e-2)
-    return 2.0 * math.pi * (head + tail)
 
 
 @dataclass(frozen=True)
@@ -111,14 +87,14 @@ class NormalizationResult:
         return self.value
 
 
-def normalization_constant(dimension: int, s: float, tol: float = 1e-8,
-                           refine: int = 1) -> NormalizationResult:
+def normalization_constant(dimension: int, s: float, tol: float = 1e-8) -> NormalizationResult:
     """Normalization constant of the fractional Laplacian.
 
-    The defining integral int (1 - cos xi_1)/|xi|^(N+2s) dxi is evaluated by
-    adaptive quadrature with radial splitting (relative error <= tol) and
-    inverted; the Gamma closed form is reported alongside with their ratio.
-    ``refine`` doubles the quadrature resolution (determinism check hook).
+    The 1D defining integral int (1 - cos xi)/|xi|^(1+2s) dxi is evaluated by
+    adaptive quadrature (relative error within 2 tol) and inverted.  The 2D
+    one is exactly the 1D one times sqrt(pi) Gamma(s + 1/2)/Gamma(s + 1), the
+    xi_2-integral of (t^2 + xi_2^2)^(-1-s) over |t|^(-1-2s).  The Gamma closed
+    form is reported alongside with their ratio.
     """
     if dimension not in (1, 2):
         raise BadParameters(f"dimension must be 1 or 2, got {dimension}")
@@ -126,8 +102,9 @@ def normalization_constant(dimension: int, s: float, tol: float = 1e-8,
         raise BadParameters(f"s must lie in (0, 1), got {s}")
     if tol <= 0:
         raise BadParameters("tol must be positive")
-    integral = (_defining_integral_1d if dimension == 1 else _defining_integral_2d)(
-        s, tol, refine)
+    integral = _defining_integral_1d(s, tol)
+    if dimension == 2:
+        integral *= math.sqrt(math.pi) * math.gamma(s + 0.5) / math.gamma(s + 1.0)
     value = 1.0 / integral
     gform = gamma_form_constant(dimension, s)
     return NormalizationResult(value=value, gamma_form=gform, ratio=gform / value,
@@ -313,23 +290,21 @@ def exterior_mass(x, omega, order: FractionalOrder):
     return total
 
 
-def exterior_mass_disk(x, center, radius: float, order: FractionalOrder,
-                       tol: float = 1e-8) -> float:
-    """I_Omega^(2s)(x) for a 2D disk, by angular reduction to a 1D integral."""
+def exterior_mass_disk(x, center, radius: float, order: FractionalOrder) -> float:
+    """I_Omega^(2s)(x) for a 2D disk: pi r^2 rho^(-2-2s) 2F1(1+s, 1+s; 2; r^2/rho^2).
+
+    rho = |x - center|; the closed form is the disk's Riesz potential.
+    """
+    from scipy.special import hyp2f1   # kept off the import path of make_order
+
     if order.dimension != 2:
         raise BadParameters("exterior_mass_disk requires dimension 2")
-    dx = (x[0] - center[0], x[1] - center[1])
-    dist0 = math.hypot(*dx)
-    if dist0 <= radius:
+    rho = math.hypot(x[0] - center[0], x[1] - center[1])
+    if rho <= radius:
         raise OnBoundary("point inside or on the disk")
-    p = 2.0 + 2 * order.s
-
-    def arc(t):
-        c = (t * t + dist0 * dist0 - radius * radius) / (2.0 * t * dist0)
-        return 2.0 * np.arccos(np.clip(c, -1.0, 1.0)) * t ** (1.0 - p)
-
-    return quad.adaptive_power(arc, dist0 - radius, dist0 + radius, rel_tol=tol,
-                               p_left=0.5, p_right=0.5)
+    a = 1.0 + order.s
+    return float(math.pi * radius ** 2 * rho ** (-2 * a)
+                 * hyp2f1(a, a, 2.0, (radius / rho) ** 2))
 
 
 def tail_mass(R: float, order: FractionalOrder) -> float:

@@ -159,7 +159,7 @@ FAMILY_KINDS = {
     "shrinking_dirichlet_interior": ("D", {"location": 2.0, "r0": 1.0, "ratio": 2.0}),
     "traveling_dirichlet": ("D", {"offset0": 1.0, "length": 1.0, "ratio": 2.0,
                                   "side": "right"}),
-    "explicit": (None, {}),
+    "explicit": (None, {"dirichlet": "rest", "neumann": "rest"}),
 }
 
 
@@ -172,18 +172,19 @@ class PartitionFamily:
     - shrinking_neumann: N_k = (c - len_k/2, c + len_k/2) at fixed center c,
       len_k = length0 * ratio^-k.
     - nested_neumann: N_k = (left, left + length0 * ratio^-k); nested in k.
-    - traveling_ball: N_k at offset offset0 * ratio^k from the chosen edge of
-      Omega, fixed length.
+    - traveling_ball: N_k at offset offset0 * ratio^k from the edge of Omega
+      that side ('left' or 'right') names, fixed length.
     - traveling_ring: symmetric pair +-(R_k, R_k + length), R_k = R0 * ratio^k.
-    - traveling_strip / infinite_sector: half line (R_k, inf) (or mirrored);
-      in 1D both kinds realize the same set and are kept as aliases.
-    - shrinking_dirichlet_touching: D_k = (a - r_k, a) (or mirrored at b),
-      r_k = r0 * ratio^-k, touching the boundary.
+    - traveling_strip / infinite_sector: half line (R_k, inf) for side
+      'right', (-inf, -R_k) for 'left', both for 'both'; in 1D both kinds
+      realize the same set and are kept as aliases.
+    - shrinking_dirichlet_touching: D_k = (a - r_k, a) for side 'left', or
+      mirrored at b, r_k = r0 * ratio^-k, touching the boundary.
     - shrinking_dirichlet_interior: D_k of length r_k at a fixed center
       strictly outside the closure of Omega.
     - traveling_dirichlet: as traveling_ball with the labels swapped.
-    - explicit: params carry the interval lists verbatim; one of
-      'dirichlet'/'neumann' may be the string 'rest'.
+    - explicit: params 'dirichlet' and 'neumann' (no other keys) carry the
+      interval lists verbatim; one of them may be, or default to, 'rest'.
     """
 
     kind: str
@@ -194,10 +195,14 @@ class PartitionFamily:
         if self.kind not in FAMILY_KINDS:
             raise BadParameters(f"unknown family kind {self.kind!r}")
         merged = dict(FAMILY_KINDS[self.kind][1])
-        unknown = set(self.params) - set(merged) if self.kind != "explicit" else set()
+        unknown = set(self.params) - set(merged)
         if unknown:
             raise BadParameters(f"unknown parameters {sorted(unknown)} for {self.kind}")
         merged.update(self.params)
+        half_lines = self.kind in ("traveling_strip", "infinite_sector")
+        sides = ("left", "right", "both") if half_lines else ("left", "right")
+        if "side" in merged and merged["side"] not in sides:
+            raise BadParameters(f"params.side must be one of {sides}, got {merged['side']!r}")
         if "ratio" in merged and not 0 < merged["ratio"] < INF:
             raise BadParameters(
                 f"params.ratio must be finite and > 0, got {merged['ratio']!r}")
@@ -259,8 +264,7 @@ def generate(family: PartitionFamily, k: int) -> ExteriorPartition:
         raise BadParameters("k must be >= 0")
     om = family.omega
     if family.kind == "explicit":
-        d_spec = family.params.get("dirichlet", "rest")
-        n_spec = family.params.get("neumann", "rest")
+        d_spec, n_spec = family.params["dirichlet"], family.params["neumann"]
         if d_spec == "rest" and n_spec == "rest":
             raise BadParameters("explicit family needs at least one interval list")
         if d_spec != "rest" and n_spec != "rest":

@@ -1,4 +1,6 @@
 import math
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from mixedfrac import (
     solve_mixed,
     tail_mass,
 )
+from mixedfrac import assembly
 from mixedfrac.assembly import CELL_DIRICHLET, CELL_INTERIOR, CELL_NEUMANN
 
 OM = Domain1D(-1.0, 1.0)
@@ -169,6 +172,27 @@ class TestAssembleStructure:
         offsum = np.abs(K).sum(axis=1) - np.abs(diag)
         inner = system.interior_mask
         assert np.all(diag[inner] >= offsum[inner] - 1e-10 * diag[inner])
+
+
+def test_concurrent_first_assembles_build_the_base_once(monkeypatch):
+    # two records of a new mesh that arrive together, as under run(jobs=2)
+    order = make_order(1, 0.4)
+    mesh = build_mesh(OM01, explicit(OM01, neumann=[[1.0, 2.0]], dirichlet="rest"),
+                      0.125, 5.0, "P1", order=order)
+    builds = []
+    build = assembly._p1_arrow
+
+    def slow_build(*args):
+        builds.append(args)
+        time.sleep(0.05)      # the second thread arrives while the first builds
+        return build(*args)
+
+    monkeypatch.setattr(assembly, "_p1_arrow", slow_build)
+    assembly._build_base.cache_clear()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        systems = list(pool.map(lambda _: assemble(mesh, order), range(2)))
+    assert len(builds) == 1
+    assert np.array_equal(systems[0].K_II, systems[1].K_II)
 
 
 class TestBruteForceOracle:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,20 @@ class TestConfig:
         path.write_text(json.dumps(bad))
         assert cli_main(["solve", "--config", str(path)]) == 1
         assert "config error: family: params.ratio" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("traveling_ball", {"side": "rigth"}, "params.side must be one of"),
+        ("explicit", {"neuman": [[1.0, 2.0]]}, "unknown parameters ['neuman']")],
+        ids=["side", "explicit-key"])
+    def test_bad_family_param_is_config_error(self, tmp_path, capsys, kind, params,
+                                              message):
+        bad = base_config(family={"kind": kind, "params": params, "k_list": [1]})
+        with pytest.raises(ConfigError, match=f"family: {re.escape(message)}"):
+            ExperimentConfig.from_dict(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert cli_main(["solve", "--config", str(path)]) == 1
+        assert f"config error: family: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad, where", [
         (1, "config"), ([], "config"), (base_config(order=5), "order"),

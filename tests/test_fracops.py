@@ -44,7 +44,7 @@ class TestNormalizationConstant:
 
     def test_refinement_stability(self):
         a = normalization_constant(1, 0.25, 1e-8).value
-        b = normalization_constant(1, 0.25, 1e-8, refine=2).value
+        b = normalization_constant(1, 0.25, 1e-10).value
         assert abs(a - b) <= 1e-8 * abs(a)
 
     def test_2d_value_agrees_with_standard_constant(self):
@@ -53,7 +53,17 @@ class TestNormalizationConstant:
         for s in (0.3, 0.5, 0.75):
             res = normalization_constant(2, s, 1e-9)
             std = 4.0 ** s * gamma(1.0 + s) / (math.pi * abs(gamma(-s)))
-            assert abs(res.value - std) < 1e-7 * std
+            assert abs(res.value - std) < 2e-9 * std
+
+    @pytest.mark.parametrize("tol", (1e-8, 1e-10))
+    @pytest.mark.parametrize("dimension", (1, 2))
+    def test_within_twice_tol_of_exact_constant(self, dimension, tol):
+        # the documented accuracy; the 1D quadrature reaches 1.06 tol at s = 3/4
+        for s in (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999):
+            exact = (mp.mpf(4) ** s * mp.gamma(mp.mpf(dimension) / 2 + s)
+                     / (mp.pi ** (mp.mpf(dimension) / 2) * abs(mp.gamma(-s))))
+            value = normalization_constant(dimension, s, tol).value
+            assert abs(value - exact) <= 2 * tol * exact, s
 
     @pytest.mark.parametrize("dimension", (1, 2))
     @pytest.mark.parametrize("s", (0.995, 0.999))
@@ -64,11 +74,13 @@ class TestNormalizationConstant:
 
 
 def test_make_order_does_not_import_scipy_special():
-    # scipy.special costs start-up time and the 1D pipeline needs none of it
+    # scipy.special costs start-up time; neither the 1D pipeline nor the 2D
+    # constant needs it
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
     code = ("import sys, mixedfrac; mixedfrac.make_order(1, 0.3); "
+            "mixedfrac.make_order(2, 0.3); "
             "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
@@ -216,6 +228,22 @@ class TestExteriorMass:
         d = 1.0
         assert 0 < val <= 2 * math.pi / (2 * order.s) * d ** (-2 * order.s)
 
+
+    @pytest.mark.parametrize("s", (0.1, 0.5, 0.9))
+    def test_disk_2d_against_mpmath_angular_reduction(self, s):
+        # I(x) = int over rho - r < t < rho + r of the arc 2 acos(.) t^(-1-2s)
+        order = make_order(2, s)
+        with mp.workdps(30):
+            for q in (1.01, 1.5, 3.0, 100.0):
+                rho = mp.mpf(q)
+
+                def arc(t, rho=rho):
+                    c = (t * t + rho * rho - 1) / (2 * t * rho)
+                    return 2 * mp.acos(max(-1, min(1, c))) * t ** (-1 - 2 * s)
+
+                ref = mp.quad(arc, [rho - 1, rho, rho + 1])
+                val = exterior_mass_disk((q, 0.0), (0.0, 0.0), 1.0, order)
+                assert abs(val - ref) <= 1e-12 * ref, q
 
 class TestTailMass:
     def test_examples(self):

@@ -85,6 +85,25 @@ class TestGenerate:
                                  params={"R0": 4.0, "ratio": 2.0})
         assert generate(strip, 2).neumann == generate(sector, 2).neumann
 
+    def test_strip_on_both_sides(self):
+        fam = PartitionFamily(kind="traveling_strip", omega=OM,
+                              params={"R0": 4.0, "ratio": 2.0, "side": "both"})
+        p = generate(fam, 1)
+        assert p.neumann.intervals == ((-math.inf, -8.0), (8.0, math.inf))
+        assert p.dirichlet.intervals == ((-8.0, -1.0), (1.0, 8.0))
+
+    @pytest.mark.parametrize("kind, params", [
+        ("traveling_ball", {"side": "rigth"}),
+        ("shrinking_dirichlet_touching", {"side": "LEFT"}),
+        ("traveling_dirichlet", {"side": "both"}),
+        ("infinite_sector", {"side": None}),
+        ("explicit", {"neuman": [[1.0, 2.0]], "dirichlet": "rest"})],
+        ids=["ball-rigth", "touching-LEFT", "dirichlet-both", "sector-null", "neuman"])
+    def test_misspelled_side_or_key_rejected(self, kind, params):
+        # these used to fall back silently to the other side, or to N = rest
+        with pytest.raises(BadParameters):
+            PartitionFamily(kind=kind, omega=OM, params=params)
+
     def test_overlap_with_omega_rejected(self):
         fam = PartitionFamily(kind="shrinking_neumann", omega=OM,
                               params={"location": 1.0, "length0": 1.0, "ratio": 2.0})
