@@ -501,20 +501,29 @@ def _p1_arrow(n: int, c_lo: int, c_hi: int, s: float, h: float, a_ns: float):
 # ---------------------------------------------------------------------------
 
 def omega_mass(disc: Discretization) -> np.ndarray:
-    """M_ij = int_Omega phi_i phi_j over the Omega DOFs (tridiagonal for P1); exact."""
+    """M_ij = int_Omega phi_i phi_j over the Omega DOFs as a band; exact.
+
+    cholesky_banded upper layout, (2, n): the superdiagonal in row 0 (entry
+    0 unused, zero), the diagonal in row 1.  P0 is diagonal, h; P1 is
+    tridiagonal, (h/6) (4, 1) with 2 h/6 on the two end nodes.
+    """
     n = disc.n_interior
     if disc.scheme == "P0":
-        return disc.h * np.eye(n)
-    T = 4.0 * np.eye(n + 1) + np.eye(n + 1, k=1) + np.eye(n + 1, k=-1)
-    T[0, 0] = T[n, n] = 2.0
-    return disc.h / 6.0 * T
+        return np.stack([np.zeros(n), np.full(n, disc.h)])
+    c = disc.h / 6.0
+    ab = np.full((2, n + 1), c)
+    ab[0, 0] = 0.0
+    ab[1] = 4.0 * c
+    ab[1, [0, n]] = 2.0 * c
+    return ab
 
 
 @dataclass(frozen=True)
 class StiffnessSystem:
     """Symmetric nonlocal stiffness over free DOFs in arrow blocks plus the Omega mass.
 
-    K_EE is diagonal (P0) or tridiagonal (P1), so it is stored as a band.
+    K_EE is diagonal (P0) or tridiagonal (P1) and M_II is diagonal (P0) or
+    tridiagonal (P1), so both are stored as bands.
     """
 
     disc: Discretization
@@ -522,7 +531,7 @@ class StiffnessSystem:
     K_II: np.ndarray              # interior x interior, far-field D tails included
     K_IE: np.ndarray              # interior x exterior Neumann
     K_EE: np.ndarray              # (2, n_E) cholesky_banded upper layout
-    M_II: np.ndarray              # interior x interior Omega mass
+    M_II: np.ndarray              # (2, n_I) Omega mass, same layout
     free_dofs: np.ndarray         # global DOF indices of the free unknowns
     interior_mask: np.ndarray     # within-free boolean
     exterior_mask: np.ndarray     # within-free boolean (exterior Neumann)
@@ -549,53 +558,64 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     if disc.scheme == "P0" and order.s >= 0.5:
         raise IncompatibleScheme("P0 jumps carry infinite energy for s >= 1/2")
     R, ext = _base_arrow(*_base_key(disc, order))
-    omega_dofs = slice(disc.n_collar, disc.n_collar + R.shape[0])
+    n_om = R.shape[0]
+    omega_dofs = slice(disc.n_collar, disc.n_collar + n_om)
     free = np.where(disc.dof_label < DOF_DIRICHLET)[0]
     interior = disc.dof_label[free] == DOF_INTERIOR
     exterior = disc.dof_label[free] == DOF_NEUMANN
     rows = free[interior] - disc.n_collar
     cols_E = free[exterior]
+    # the interior DOFs are one run of Omega DOFs: every cell (P0), or every
+    # node but the ends that touch a Dirichlet cell (P1); so blocks are slices
+    n_I = len(rows)
+    lo = int(rows[0]) if n_I else 0
+    assert n_I == 0 or rows[-1] - lo == n_I - 1, "interior DOFs are not contiguous"
+    I = slice(lo, lo + n_I)
+    K_II = R[I, disc.n_collar + lo:disc.n_collar + lo + n_I].copy()
+    flat = K_II.reshape(-1)                  # views of K_II's three diagonals
+    diag, sup, sub = flat[::n_I + 1], flat[1::n_I + 1], flat[n_I::n_I + 1]
 
     # far-field Dirichlet tails a * int_Omega phi_i phi_j tau(x) dx, tau the
-    # kernel mass of the far Dirichlet half-lines, touch Omega DOFs only: add
-    # them to the Omega block before the free DOFs are cut
-    K_om = R[:, omega_dofs].copy()
-    tails_om = np.zeros(R.shape[0])
+    # kernel mass of the far Dirichlet half-lines, touch Omega DOFs only
+    tails_om = np.zeros(n_om)
     if disc.far_dirichlet:
         i0, i1 = disc.interior_cells
         Xg, Wg = quad.gauss_rule(8)
         wtau = Wg * interval_mass(disc.nodes[i0:i1 + 1, None] + disc.h * Xg,
                                   disc.far_dirichlet, 2.0 * order.s)
-        e = np.arange(disc.n_interior)
         if disc.scheme == "P0":
             tails_om += order.a_ns * disc.h * wtau.sum(axis=1)
-            K_om[e, e] += tails_om
+            diag += tails_om[I]
         else:
             lam = np.stack([1.0 - Xg, Xg])
             local = order.a_ns * disc.h * np.einsum("ep,ap,bp->eab", wtau, lam, lam)
-            # as cells ascend, a node gets the term of the cell on its left first
-            for r, c in ((1, 1), (0, 0), (0, 1)):
-                K_om[e + r, e + c] += local[:, r, c]
-                if r == c:
-                    tails_om[e + r] += local[:, r, r]
-                else:
-                    K_om[e + c, e + r] += local[:, r, c]
+            # as cells ascend, a node gets the term of the cell on its left
+            # first: node j adds local[j - 1, 1, 1], then local[j, 0, 0]
+            for first, cell in ((1, local[:, 1, 1]), (0, local[:, 0, 0])):
+                add = np.zeros(n_om)
+                add[first:first + disc.n_interior] = cell
+                diag += add[I]
+                tails_om += add
+            sup += local[lo:lo + n_I - 1, 0, 1]
+            sub += local[lo:lo + n_I - 1, 0, 1]
     K_EE = ext[:, cols_E]
     K_EE[0] = np.where(np.diff(cols_E, prepend=-2) == 1, K_EE[0], 0.0)
+    M_II = omega_mass(disc)[:, I]
+    M_II[0, :1] = 0.0                        # the coupling to a cut end node
     # column sums of the Dirichlet-row block, K 1_D by symmetry: the discrete
-    # N_s mass on the constrained DOFs, needed by the Gauss-identity diagnostics
-    x = (disc.dof_label == DOF_DIRICHLET).astype(float)
-    Kx = band_matvec(ext, x) + x[omega_dofs] @ R
+    # N_s mass on the constrained DOFs, needed by the Gauss-identity
+    # diagnostics; of the Omega DOFs only the (P1) end nodes can be Dirichlet
+    dirichlet = disc.dof_label == DOF_DIRICHLET
+    x = dirichlet.astype(float)
+    Kx = band_matvec(ext, x) + R[dirichlet[omega_dofs]].sum(axis=0)
     Kx[omega_dofs] = R @ x
     tails = np.zeros(len(free))
-    tails[interior] = tails_om[rows]
+    tails[interior] = tails_om[I]
 
-    block = np.ix_(rows, rows)
     return StiffnessSystem(
-        disc=disc, order=order, K_II=K_om[block], K_IE=R[np.ix_(rows, cols_E)],
-        K_EE=K_EE, M_II=omega_mass(disc)[block], free_dofs=free,
-        interior_mask=interior, exterior_mask=exterior, tail_corrections=tails,
-        dirichlet_row_sums=Kx[free])
+        disc=disc, order=order, K_II=K_II, K_IE=np.take(R[I], cols_E, axis=1),
+        K_EE=K_EE, M_II=M_II, free_dofs=free, interior_mask=interior,
+        exterior_mask=exterior, tail_corrections=tails, dirichlet_row_sums=Kx[free])
 
 
 # ---------------------------------------------------------------------------

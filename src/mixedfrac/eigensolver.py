@@ -17,10 +17,12 @@ of operands:
   Dirichlet cells back by a rank-|D| SYRK.  The two cost the same near
   |D| = |N|, so a Dirichlet-heavy P0 record keeps the direct form.
 
-Only K_II, K_IE, G_E and K_eff are dense (O(n_int * m) memory).  The
-reduced pencil (K_eff, M) is solved by inverse iteration with a tiny fixed
-shift and a deterministic all-ones start (the ground state is positive, so
-the overlap is guaranteed).
+K_II, K_IE, G_E and K_eff are dense (O(n_int * m) memory); the exterior
+block K_EE and the Omega mass M are bands.  The reduced pencil (K_eff, M) is
+solved by inverse iteration with a tiny fixed shift and a deterministic
+all-ones start (the ground state is positive, so the overlap is
+guaranteed).  M enters only through band products and its two diagonals
+added to a copy of K_eff for the shifted factorization.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from scipy.linalg import (LinAlgError, blas, cho_factor, cho_solve, cho_solve_ba
                           cholesky_banded, lapack)
 
 from .assembly import (DOF_DIRICHLET, StiffnessSystem, _base_arrow, _base_key, assemble,
-                       build_mesh)
+                       band_matvec, build_mesh)
 from .errors import BadParameters, IndefinitePencil, SingularExteriorBlock
 from .fracops import FractionalOrder
 from .geometry import (
@@ -133,11 +135,13 @@ class EigenPair:
     flagged_zero: bool
 
 
-def smallest_eigenpair(K_eff: np.ndarray, M_int: np.ndarray, tol: float = 1e-12,
+def smallest_eigenpair(K_eff: np.ndarray, M_band: np.ndarray, tol: float = 1e-12,
                        max_iter: int = 500) -> EigenPair:
     """Minimizer of the Rayleigh quotient u'Ku / u'Mu by shifted inverse iteration.
 
-    Deterministic all-ones start; convergence requires the residual
+    K_eff is dense and symmetric; M is tridiagonal, given as a (2, n) band in
+    cholesky_banded upper layout (``assembly.omega_mass``).  Deterministic
+    all-ones start; convergence requires the residual
     |K u - lambda M u| to fall below sqrt(tol) * max(1, lambda) and successive
     Rayleigh quotients to agree within tol * max(lambda, 1e-30), or their
     change to stop shrinking below the roundoff bound eps |u|'|K||u| of u'Ku
@@ -147,27 +151,33 @@ def smallest_eigenpair(K_eff: np.ndarray, M_int: np.ndarray, tol: float = 1e-12,
     n = K_eff.shape[0]
     if n == 0:
         raise BadParameters("empty interior system")
-    sigma = 1e-10 * (np.trace(K_eff) / max(np.trace(M_int), 1e-300))
+    sigma = 1e-10 * (np.trace(K_eff) / max(M_band[1].sum(), 1e-300))
     sigma = max(sigma, 1e-300)
+    # K + sigma M in a Fortran-order copy (K is symmetric, so it is the same
+    # matrix) that LAPACK factors in place; it reads the diagonal and above
+    A = np.array(K_eff, order="F")
+    flat = A.reshape(-1, order="F")
+    flat[::n + 1] += sigma * M_band[1]
+    flat[n::n + 1] += sigma * M_band[0, 1:]
     try:
-        factor = cho_factor(K_eff + sigma * M_int)
+        factor = cho_factor(A, overwrite_a=True)
     except LinAlgError as exc:
         raise IndefinitePencil(f"K + sigma M not positive definite: {exc}") from exc
 
     u = np.ones(n)
-    u /= math.sqrt(u @ (M_int @ u))
-    Mu = M_int @ u
+    u /= math.sqrt(u @ band_matvec(M_band, u))
+    Mu = band_matvec(M_band, u)
     lam_prev = step_prev = lam = residual = math.inf
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         w = cho_solve(factor, Mu, check_finite=False)
-        mn = math.sqrt(max(w @ (M_int @ w), 0.0))
+        mn = math.sqrt(max(w @ band_matvec(M_band, w), 0.0))
         if mn == 0.0 or not math.isfinite(mn):
             raise IndefinitePencil("inverse iteration collapsed")
         u = w / mn
         Ku = K_eff @ u
-        Mu = M_int @ u
+        Mu = band_matvec(M_band, u)
         lam = float(u @ Ku)
         residual = float(np.linalg.norm(Ku - lam * Mu))
         step = abs(lam - lam_prev)
@@ -233,8 +243,9 @@ def solve_mixed(omega: Domain1D, partition: ExteriorPartition, order: Fractional
     M = system.M_II
     pair = smallest_eigenpair(red.K_eff, M, tol=solver.tol, max_iter=solver.max_iter)
     u_I = pair.vector
-    if float(np.sum(M @ u_I)) < 0:
-        u_I = -u_I
+    Mu = band_matvec(M, u_I)
+    if float(np.sum(Mu)) < 0:
+        u_I, Mu = -u_I, -Mu
     values = np.empty(system.n_free)
     values[system.interior_mask] = u_I
     values[system.exterior_mask] = red.back_map(u_I)
@@ -254,7 +265,7 @@ def solve_mixed(omega: Domain1D, partition: ExteriorPartition, order: Fractional
                 diagnostics[f"measure_{label}_R{mult:g}"] = measure_in_ball(eset, R)
     return EigenResult(lambda1=pair.value, u=DiscreteFunction(system, values),
                        iterations=pair.iterations, rq_residual=pair.rq_residual,
-                       normalization=float(u_I @ (M @ u_I)), converged=pair.converged,
+                       normalization=float(u_I @ Mu), converged=pair.converged,
                        flagged_zero=pair.flagged_zero, diagnostics=diagnostics)
 
 

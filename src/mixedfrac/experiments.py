@@ -172,8 +172,10 @@ class ExperimentRecord:
     h: float
     L: float
     ms: float
-    converged: bool           # JSON only, like flagged_zero
+    converged: bool           # JSON only, like the fields below
     flagged_zero: bool
+    rq_residual: float        # |K u - lambda M u| at the last iteration
+    normalization: float      # u'Mu (1 for a normalized eigenfunction)
     error: str | None = None
 
 
@@ -208,7 +210,8 @@ def _record_from_result(cfg: ExperimentConfig, k: int, res: EigenResult,
         sep=diag.get("separation_D", nan),
         gauss_res=gauss, iters=res.iterations,
         h=cfg.disc.h, L=cfg.disc.L, ms=ms, converged=res.converged,
-        flagged_zero=res.flagged_zero)
+        flagged_zero=res.flagged_zero, rq_residual=res.rq_residual,
+        normalization=res.normalization)
 
 
 def _failed_record(cfg: ExperimentConfig, k: int, ms: float, err: str) -> ExperimentRecord:
@@ -217,7 +220,8 @@ def _failed_record(cfg: ExperimentConfig, k: int, ms: float, err: str) -> Experi
                             baseline=nan, gap=nan, measN_R=nan, measD_R=nan,
                             measN_R8=nan, measD_R8=nan, condC=nan, sep=nan,
                             gauss_res=nan, iters=0, h=cfg.disc.h, L=cfg.disc.L,
-                            ms=ms, converged=False, flagged_zero=False, error=err)
+                            ms=ms, converged=False, flagged_zero=False,
+                            rq_residual=nan, normalization=nan, error=err)
 
 
 def run(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:

@@ -3,6 +3,17 @@
 import numpy as np
 
 
+def band(M):
+    """Dense symmetric tridiagonal M -> (2, n) band, cholesky_banded upper layout."""
+    return np.stack([np.concatenate(([0.0], np.diag(M, 1))), np.diag(M).copy()])
+
+
+def unband(ab):
+    """(2, n) band in cholesky_banded upper layout -> the dense symmetric matrix."""
+    sup, diag = ab
+    return np.diag(diag) + np.diag(sup[1:], 1) + np.diag(sup[1:], -1)
+
+
 def dense(system):
     """(K, M) over the free DOFs, reassembled densely from the arrow blocks.
 
@@ -14,10 +25,7 @@ def dense(system):
     K[np.ix_(iI, iI)] = system.K_II
     K[np.ix_(iI, iE)] = system.K_IE
     K[np.ix_(iE, iI)] = system.K_IE.T
-    sup, diag = system.K_EE
-    K[iE, iE] = diag
-    K[iE[:-1], iE[1:]] = sup[1:]
-    K[iE[1:], iE[:-1]] = sup[1:]
+    K[np.ix_(iE, iE)] = unband(system.K_EE)
     M = np.zeros_like(K)
-    M[np.ix_(iI, iI)] = system.M_II
+    M[np.ix_(iI, iI)] = unband(system.M_II)
     return K, M

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from conftest import dense
+from conftest import band, dense
 from mixedfrac import (
     Domain1D,
     PartitionFamily,
@@ -30,12 +30,16 @@ from mixedfrac import quadrature as quad
 from mixedfrac.fracops import interval_mass
 from mixedfrac.assembly import (
     DOF_DIRICHLET,
+    DOF_INTERIOR,
+    DOF_NEUMANN,
     _base_arrow,
+    _base_key,
     _p0_pair_values,
     _p1_adjacent_local,
     _p1_far_tensors,
     _p1_same_cell_coeff,
     _ranges,
+    band_matvec,
 )
 
 OM = Domain1D(0.0, 1.0)
@@ -154,7 +158,41 @@ def reference_lambda(K, M, interior, exterior, solver_tol=1e-12):
         K_IE = K[np.ix_(iI, iE)]
         K_eff = K_eff - K_IE @ cho_solve(cho_factor(K[np.ix_(iE, iE)]), K_IE.T)
         K_eff = 0.5 * (K_eff + K_eff.T)
-    return smallest_eigenpair(K_eff, M[np.ix_(iI, iI)], tol=solver_tol).value
+    return smallest_eigenpair(K_eff, band(M[np.ix_(iI, iI)]), tol=solver_tol).value
+
+
+def former_blocks(disc, order):
+    """(K_II, K_IE, dirichlet_row_sums) as ``assemble`` cut them before slices.
+
+    The Omega block copied whole with its far-field tails, then cut with
+    ``np.ix_``, and the Omega rows of K 1_D as a GEMV of all of R.
+    """
+    R, ext = _base_arrow(*_base_key(disc, order))
+    omega_dofs = slice(disc.n_collar, disc.n_collar + R.shape[0])
+    free = np.where(disc.dof_label < DOF_DIRICHLET)[0]
+    interior = disc.dof_label[free] == DOF_INTERIOR
+    rows = free[interior] - disc.n_collar
+    cols_E = free[disc.dof_label[free] == DOF_NEUMANN]
+    K_om = R[:, omega_dofs].copy()
+    if disc.far_dirichlet:
+        i0, i1 = disc.interior_cells
+        Xg, Wg = quad.gauss_rule(8)
+        wtau = Wg * interval_mass(disc.nodes[i0:i1 + 1, None] + disc.h * Xg,
+                                  disc.far_dirichlet, 2.0 * order.s)
+        e = np.arange(disc.n_interior)
+        if disc.scheme == "P0":
+            K_om[e, e] += order.a_ns * disc.h * wtau.sum(axis=1)
+        else:
+            lam = np.stack([1.0 - Xg, Xg])
+            local = order.a_ns * disc.h * np.einsum("ep,ap,bp->eab", wtau, lam, lam)
+            for r, c in ((1, 1), (0, 0), (0, 1)):
+                K_om[e + r, e + c] += local[:, r, c]
+                if r != c:
+                    K_om[e + c, e + r] += local[:, r, c]
+    x = (disc.dof_label == DOF_DIRICHLET).astype(float)
+    Kx = band_matvec(ext, x) + x[omega_dofs] @ R
+    Kx[omega_dofs] = R @ x
+    return K_om[np.ix_(rows, rows)], R[np.ix_(rows, cols_E)], Kx[free]
 
 
 def explicit(**kw):
@@ -165,6 +203,8 @@ PARTITIONS = {
     "dirichlet": lambda: full_dirichlet_partition(OM),
     "neumann": lambda: explicit(neumann="rest", dirichlet=[]),
     "mixed": lambda: explicit(neumann=[[1.0, 2.0]], dirichlet="rest"),
+    # both P1 end nodes of Omega are Dirichlet, with Neumann DOFs beyond
+    "mixed_gap": lambda: explicit(neumann=[[2.0, 3.0]], dirichlet="rest"),
     "mixed_far": lambda: explicit(dirichlet=[[-math.inf, -0.5]], neumann="rest"),
 }
 CASES = [("P0", 0.25, p) for p in PARTITIONS] + \
@@ -190,6 +230,11 @@ def test_arrow_matches_dense_reference(scheme, s, part):
     assert _close(system.tail_corrections, tails_ref, 1e-14)
     scale = np.abs(K_ref).sum()
     assert np.all(np.abs(system.dirichlet_row_sums - rows_ref) <= 1e-14 * scale)
+    # the slice cuts reproduce the former np.ix_ gathers and GEMV bitwise
+    for got, ref in zip((system.K_II, system.K_IE, system.dirichlet_row_sums),
+                        former_blocks(disc, order)):
+        assert np.array_equal(got, ref)
+    assert system.M_II.shape == (2, len(system.K_II))
 
     K_eff = schur_reduce(system).K_eff
     assert np.array_equal(K_eff, K_eff.T)

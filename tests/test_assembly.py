@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import dense
+from conftest import dense, unband
 from mixedfrac import (
     BadParameters,
     DiscParams,
@@ -24,7 +24,7 @@ from mixedfrac import (
     solve_mixed,
     tail_mass,
 )
-from mixedfrac import assembly
+from mixedfrac import assembly, quadrature
 from mixedfrac.assembly import CELL_DIRICHLET, CELL_INTERIOR, CELL_NEUMANN
 
 OM = Domain1D(-1.0, 1.0)
@@ -134,7 +134,27 @@ class TestAssembleStructure:
     def test_mass_row_sums_equal_omega(self, small_mixed_p1, small_mixed_p0):
         from mixedfrac.assembly import omega_mass
         for system, _ in (small_mixed_p1, small_mixed_p0):
-            assert abs(float(omega_mass(system.disc).sum()) - OM01.length) < 1e-13
+            assert abs(float(unband(omega_mass(system.disc)).sum()) - OM01.length) < 1e-13
+
+    @pytest.mark.parametrize("scheme", ["P0", "P1"])
+    def test_omega_mass_band_is_exact_gauss(self, scheme):
+        # int_Omega phi_i phi_j by Gauss on every Omega cell (exact for the
+        # products of hats), end nodes included; the band holds all of it
+        h = 0.125
+        mesh = build_mesh(OM, full_neumann(OM), h, 8.0, scheme)
+        X, W = quadrature.gauss_rule(4)
+        n = mesh.n_interior
+        x = (OM.a + h * (np.arange(n)[:, None] + X)).ravel()
+        w = np.tile(h * W, n)
+        if scheme == "P0":
+            lo = OM.a + h * np.arange(n)[:, None]
+            phi = ((x >= lo) & (x < lo + h)).astype(float)
+        else:
+            phi = np.maximum(0.0, 1.0 - np.abs(x - (OM.a + h * np.arange(n + 1))[:, None]) / h)
+        M = (phi * w) @ phi.T
+        got = assembly.omega_mass(mesh)
+        assert got.shape == (2, len(phi)) and got[0, 0] == 0.0
+        assert np.all(np.abs(unband(got) - M) <= 1e-15 * h)
 
     def test_exterior_exterior_only_gram(self, small_mixed_p1):
         system, order = small_mixed_p1

@@ -5,8 +5,9 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import dense
+from conftest import band, dense, unband
 from mixedfrac import (
     DiscParams,
     Domain1D,
@@ -63,7 +64,7 @@ class TestSchurReduce:
         sys.K_IE = np.zeros((4, 3))
         sys.K_EE = K_EE
         sys.dirichlet_row_sums = np.zeros(7)
-        sys.M_II = np.eye(4)
+        sys.M_II = band(np.eye(4))
         sys.interior_mask = np.array([True] * 4 + [False] * 3)
         sys.exterior_mask = ~sys.interior_mask
         red = schur_reduce(sys)
@@ -215,10 +216,24 @@ class TestSmallestEigenpair:
         n = 40
         K = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         M = np.eye(n)
-        pair = smallest_eigenpair(K, M, tol=1e-14, max_iter=2000)
+        pair = smallest_eigenpair(K, band(M), tol=1e-14, max_iter=2000)
         exact = 2 * (1 - math.cos(math.pi / (n + 1)))
         assert abs(pair.value - exact) < 1e-12
         assert pair.converged
+
+    @pytest.mark.parametrize("scheme,s", [("P0", 0.25), ("P1", 0.5)])
+    def test_band_mass_matches_generalized_eigh(self, scheme, s):
+        # the left end node touches a Dirichlet cell and is cut from the P1
+        # mass band; the right one touches the Neumann set and stays
+        order = make_order(1, s)
+        part = explicit(OM, neumann=[[1.0, 2.0]], dirichlet="rest")
+        system = assemble(build_mesh(OM, part, 0.1, 8.0, scheme, order=order), order)
+        K_eff = schur_reduce(system).K_eff
+        ref = scipy.linalg.eigh(K_eff, unband(system.M_II), subset_by_index=[0, 0],
+                                eigvals_only=True)[0]
+        pair = smallest_eigenpair(K_eff, system.M_II)
+        assert pair.converged
+        assert abs(pair.value - ref) <= 1e-12 * ref
 
     def test_stall_exit_stays_reachable(self):
         # criterion 7 at h = 0.05 (41 DOFs): k = 6 meets the tol test only

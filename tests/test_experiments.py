@@ -192,6 +192,7 @@ class TestRun:
         assert len(failed) == 1
         assert "SingularExteriorBlock" in failed[0].error
         assert math.isnan(failed[0].lambda1)
+        assert math.isnan(failed[0].rq_residual) and math.isnan(failed[0].normalization)
 
     def test_unconverged_baseline_fails_every_record(self, fixed_interval_run,
                                                      monkeypatch):
@@ -221,6 +222,20 @@ class TestEmit:
         assert "farfield_slopes" in payload
         dat = open(paths["plotdata"]).read().splitlines()
         assert dat[0].startswith("#")
+
+    def test_json_carries_residual_and_normalization(self, fixed_interval_run, tmp_path):
+        result, _ = fixed_interval_run
+        cfg = ExperimentConfig.from_dict(base_config(outputs={"csv": "r.csv",
+                                                              "json": "r.json"}))
+        paths = experiments.emit(result, cfg, out_dir=str(tmp_path))
+        records = json.load(open(paths["json"]))["records"]
+        assert len(records) == 3
+        for rec in records:
+            # converged: below sqrt(tol) max(1, lambda), tol = 1e-12
+            assert 0.0 <= rec["rq_residual"] <= 1e-6 * max(1.0, rec["lambda1"])
+            assert abs(rec["normalization"] - 1.0) <= 1e-12
+        # JSON only: the CSV keeps its columns
+        assert open(paths["csv"]).readline().strip() == experiments.CSV_HEADER
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_farfield_slopes_for_every_k(self, tmp_path, jobs):
