@@ -18,8 +18,8 @@ them; a mesh scales its slice by h^(1-2s).  Exterior
 pairs carry no energy, so K is an arrow matrix in O(n_int * m) memory: the
 Omega rows, Toeplitz off the band and gathered from one sequence, and a
 band whose entries add their terms in one fixed order, by separation, so
-that it is bitwise reproducible; beyond the nearest n_int separations the
-terms go in by vector adds over all nodes, not one separation at a time.
+that it is bitwise reproducible; the terms go in by vector adds over all
+nodes and whole chunks of separations, not one separation at a time.
 Couplings with the exterior beyond the collar are dropped on the Neumann
 side and replaced by closed-form tail integrals on the Dirichlet side.
 """
@@ -285,39 +285,30 @@ def _p0_pair_values(n_sep: int, s: float, h: float) -> np.ndarray:
     return h ** (1.0 - 2 * s) * pair_integral((0.0, 1.0), (d, d + 1.0), s)
 
 
-def _ranges(d: int, c_lo: int, c_hi: int, n: int):
-    """i-ranges (inclusive pieces) of pairs (i, i+d) meeting the interior block."""
-    a1, b1 = max(0, c_lo - d), min(n - 1 - d, c_hi - d)
-    a2, b2 = max(0, c_lo), min(n - 1 - d, c_hi)
-    if a1 > b1:
-        return [(a2, b2)] if a2 <= b2 else []
-    if a2 > b2:
-        return [(a1, b1)]
-    if a2 <= b1 + 1:
-        return [(min(a1, a2), max(b1, b2))]
-    return [(a1, b1), (a2, b2)]
+def _band_terms(diag, sup, A, B, D, c_lo: int, c_hi: int) -> None:
+    """Add the P1 band terms of every separation d >= 2 to (diag, sup) in place.
 
+    Each entry adds its terms in the order of the dense stripe reference: by
+    d, then by piece of the pairs (i, i + d) that meet Omega, then by tensor
+    entry.  The pairs form one piece while d <= n_int; beyond, those with
+    their right cell in Omega come first.
 
-def _band_bulk(diag, sup, A, D, c_lo: int, c_hi: int, d1: int) -> None:
-    """Add the P1 band terms of separations d > d1 >= n_int to (diag, sup) in place.
-
-    There every pair (i, i + d) meeting Omega has one cell in Omega.  A node j
-    left of Omega gets A00(d) while cell j + d lies in Omega and A11(d) while
-    cell j - 1 + d does, A00 first at one d: with u = c_lo - j, the terms are
-    A00(u), A00(u + t), A11(u + t) for t = 1..n_int-1, then A11(u + n_int),
-    so one slice add per term over all left nodes.  Nodes right of Omega get
-    D11 and D00 likewise.  An Omega node gets D00, D11, A00, A11 per d in that
-    order (zero where the pair leaves the grid); a chunk of separations is one
-    block, the running values in its first row and the terms in order below,
-    which ``np.add.reduce`` sums row by row, as it does for C-contiguous
-    blocks at least two columns wide.
+    A node j left of Omega gets A00(d) while cell j + d lies in Omega and
+    A11(d) while cell j - 1 + d does, A00 first at one d: with u = c_lo - j,
+    the terms are A00(u), A00(u + t), A11(u + t) for t = 1..n_int-1, then
+    A11(u + n_int), so one slice add per term over all left nodes.  Nodes
+    right of Omega get D11 and D00 likewise.  The Omega nodes and sup[c_lo - 1
+    .. c_hi + 1] take one block per chunk of separations: the running values
+    in its first row and the terms in order below, which ``np.add.reduce``
+    sums row by row, as it does for C-contiguous blocks at least two columns
+    wide.
     """
     n, n_int = len(sup), c_hi - c_lo + 1
 
     def by_d(x):
-        """x(d) at index d in [0, n), zero for d <= d1 (added already)."""
+        """x(d) at index d in [0, n), zero for d < 2 (the touching pair is added already)."""
         out = np.zeros(n)
-        out[d1 + 1:] = x[d1 - 1:]
+        out[2:] = x
         return out
 
     a00, a11, a01 = by_d(A[:, 0, 0]), by_d(A[:, 1, 1]), by_d(A[:, 0, 1])
@@ -340,30 +331,40 @@ def _band_bulk(diag, sup, A, D, c_lo: int, c_hi: int, d1: int) -> None:
         left += a01[2 + t:c_lo + 1 + t]
         right += d01[2 + t:m + 1 + t]
 
-    # Omega: node c_lo + jj (diag) and sup[c_lo - 1 + jj], jj = 0..n_int, side
-    # by side; per d the rows hold [D00, 0], [D11, D01], [A00, 0], [A11, A01].
-    # The other cell of a pair lies on the grid left of Omega for jj >= p,
-    # right of Omega for jj <= q.
-    jj = np.arange(n_int + 1)
-    for lo in range(d1 + 1, min(n, max(c_hi, n - 1 - c_lo) + 1), _CHUNK):
-        ds = np.arange(lo, min(lo + _CHUNK, n))
-        Ak, Dk = A[ds - 2], D[ds - 2]
-        blk = np.empty((4 * len(ds) + 1, 2, n_int + 1))
-        blk[0] = diag[c_lo:c_hi + 2], sup[c_lo - 1:c_hi + 1]
-        rows = blk[1:].reshape(len(ds), 4, 2, n_int + 1)
-        vals = np.zeros((len(ds), 4, 2, 1))
-        vals[:, 0, 0, 0], vals[:, 1, 0, 0], vals[:, 1, 1, 0] = Dk[:, 0, 0], Dk[:, 1, 1], Dk[:, 0, 1]
-        vals[:, 2, 0, 0], vals[:, 3, 0, 0], vals[:, 3, 1, 0] = Ak[:, 0, 0], Ak[:, 1, 1], Ak[:, 0, 1]
-        rows[:] = vals
-        rows[:, ::2, 0, n_int] = rows[:, 1::2, :, 0] = 0.0
-        p, q = (ds - c_lo)[:, None, None], (n - 1 - c_lo - ds)[:, None, None]
-        if p[-1] > 0:
-            rows[:, 0] *= jj >= p
-            rows[:, 1] *= jj > p
-        if q[-1] < n_int - 1:
-            rows[:, 2] *= jj <= q
-            rows[:, 3] *= jj <= q + 1
-        diag[c_lo:c_hi + 2], sup[c_lo - 1:c_hi + 1] = np.add.reduce(blk, axis=0)
+    # Omega: a column per node c_lo..c_hi+1 (diag), then per sup entry
+    # c_lo-1..c_hi+1, x its index.  Per d the rows are [A00 | A01], [D00 |
+    # D01], [A11 | -B10 (d = 2 only)], [D11 | 0], each the term of the pair
+    # (i, i + d) with i = x - off; past n_int the D rows, whose pairs have
+    # their right cell in Omega, go first: rows 1, 3, 0, 2
+    x = np.r_[c_lo:c_hi + 2, c_lo - 1:c_hi + 2]
+    ds = np.arange(2, max(c_hi, n - 1 - c_lo) + 1)
+    vals = np.zeros((len(ds), 4, 2))
+    vals[:, 0], vals[:, 1] = A[ds - 2, 0], D[ds - 2, 0]
+    vals[:, 2, 0], vals[:, 3, 0] = A[ds - 2, 1, 1], D[ds - 2, 1, 1]
+    vals[0, 2, 1] = -B[0, 1, 0]
+    off = ([0, 0, 1, 1] + ds[:, None] * [0, 1, 0, 1])[:, :, None]
+    past = (ds > n_int)[:, None, None]
+    vals = np.where(past, vals[:, [1, 3, 0, 2]], vals)
+    off = np.where(past, off[:, [1, 3, 0, 2]], off)
+    # a pair misses Omega only at the end columns, and leaves the grid only
+    # at the largest d; the terms of those pairs are zero
+    ends = np.flatnonzero(np.isin(x, (c_lo - 1, c_lo, c_hi + 1)))
+    i, d = x[ends] - off, ds[:, None, None]
+    at_ends = np.where(ends <= n_int, vals[:, :, :1], vals[:, :, 1:]) * (
+        (c_lo <= i) & (i <= c_hi) | (c_lo <= i + d) & (i + d <= c_hi))
+    run = np.r_[diag[c_lo:c_hi + 2], sup[c_lo - 1:c_hi + 2]]
+    for lo in range(0, len(ds), _CHUNK):
+        c = slice(lo, lo + _CHUNK)
+        blk = np.empty((4 * len(ds[c]) + 1, len(x)))
+        blk[0] = run
+        rows = blk[1:].reshape(-1, 4, len(x))
+        rows[:, :, :n_int + 1], rows[:, :, n_int + 1:] = vals[c, :, :1], vals[c, :, 1:]
+        rows[:, :, ends] = at_ends[c]
+        x_lo, x_hi = off[c], n - d[c] + off[c]        # on the grid: x_lo <= x < x_hi
+        if x_lo.max() > x.min() or x_hi.min() <= x.max():
+            rows *= (x_lo <= x) & (x < x_hi)
+        run = np.add.reduce(blk, axis=0)
+    diag[c_lo:c_hi + 2], sup[c_lo - 1:c_hi + 2] = run[:n_int + 1], run[n_int + 1:]
 
 
 def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -428,10 +429,9 @@ def _p1_arrow(n: int, c_lo: int, c_hi: int, s: float, h: float, a_ns: float):
     smallest eigenvalues (another order moves lambda_1 of the criterion-7
     sweep by up to 1e-7).  Every entry adds its terms in the order of the
     dense stripe reference -- same-cell, touching, then by separation, piece
-    of ``_ranges`` and tensor entry -- so K is reproduced bitwise, symmetric.
-    A Python loop over d adds them while the pieces of ``_ranges`` merge
-    (d <= n_int); ``_band_bulk`` adds the rest, in the same order, by
-    vector adds over whole windows of separations.
+    of pairs and tensor entry -- so K is reproduced bitwise, symmetric.  The
+    same-cell and touching terms are slice adds here; ``_band_terms`` adds
+    every separation d >= 2 in one ordered pass.
     """
     # order 28 on the nearest separations; tests check both against mpmath
     A, B, D = _p1_far_tensors(n - 1, s, h, 20)
@@ -468,26 +468,13 @@ def _p1_arrow(n: int, c_lo: int, c_hi: int, s: float, h: float, a_ns: float):
     diag[c_lo:c_hi + 1] += v0
     diag[c_lo + 1:c_hi + 2] += v0
     sup[c_lo:c_hi + 1] -= v0
-    for lo, hi in _ranges(1, c_lo, c_hi, n):
-        diag[lo:hi + 1] += L1[0, 0]
-        sup[lo:hi + 1] += L1[0, 1]
-        diag[lo + 1:hi + 2] += L1[1, 1]
-        sup[lo + 1:hi + 2] += L1[1, 2]
-        diag[lo + 2:hi + 3] += L1[2, 2]
-    # the pieces of _ranges merge up to d = n_int; beyond, _band_bulk
-    d_split = min(max(2, c_hi - c_lo + 1), n - 1)
-    for d in range(2, d_split + 1):
-        Ad, Dd = A[d - 2], D[d - 2]
-        for lo, hi in _ranges(d, c_lo, c_hi, n):
-            diag[lo:hi + 1] += Ad[0, 0]
-            diag[lo + d:hi + d + 1] += Dd[0, 0]
-            sup[lo:hi + 1] += Ad[0, 1]
-            sup[lo + d:hi + d + 1] += Dd[0, 1]
-            if d == 2:
-                sup[lo + 1:hi + 2] -= B[0, 1, 0]
-            diag[lo + 1:hi + 2] += Ad[1, 1]
-            diag[lo + d + 1:hi + d + 2] += Dd[1, 1]
-    _band_bulk(diag, sup, A, D, c_lo, c_hi, d_split)
+    lo, hi = c_lo - 1, c_hi              # the touching pairs (i, i + 1) that meet Omega
+    diag[lo:hi + 1] += L1[0, 0]
+    sup[lo:hi + 1] += L1[0, 1]
+    diag[lo + 1:hi + 2] += L1[1, 1]
+    sup[lo + 1:hi + 2] += L1[1, 2]
+    diag[lo + 2:hi + 3] += L1[2, 2]
+    _band_terms(diag, sup, A, B, D, c_lo, c_hi)
     for off, band in ((0, diag[rows]), (1, sup[rows]), (-1, sup[rows - 1])):
         R[rows - c_lo, rows + off] = band
     ext = np.stack([np.concatenate(([0.0], sup)), diag])

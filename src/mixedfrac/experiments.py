@@ -46,9 +46,16 @@ def _require_keys(d: dict, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
+def _number(value):
+    """value, refusing JSON true/false and strings, which int() and float() accept."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
 def _integer(value) -> int:
     """int(value), refusing a value that int() would truncate or reinterpret."""
-    n = int(value)          # OverflowError on +-inf, ValueError on nan
+    n = int(_number(value))     # OverflowError on +-inf, ValueError on nan
     if n != value:
         raise ValueError(f"expected an integer, got {value!r}")
     return n
@@ -56,7 +63,7 @@ def _integer(value) -> int:
 
 def _finite(value) -> float:
     """float(value), refusing nan and +-inf (JSON's NaN and Infinity)."""
-    x = float(value)
+    x = float(_number(value))
     if not math.isfinite(x):
         raise ValueError(f"expected a finite number, got {value!r}")
     return x
@@ -89,7 +96,7 @@ class ExperimentConfig:
                           "solver", "outputs", "verify"},
                       {"schema", "order", "omega", "family", "discretization"},
                       "config")
-        if d["schema"] != 1:
+        if _at("schema", _integer, d["schema"]) != 1:
             raise ConfigError(f"unsupported schema {d['schema']!r}")
         _require_keys(d["order"], {"dimension", "s"}, {"dimension", "s"}, "order")
         _require_keys(d["omega"], {"a", "b"}, {"a", "b"}, "omega")

@@ -118,8 +118,6 @@ class FractionalOrder:
     dimension: int
     s: float
     a_ns: float
-    gamma_form: float = 0.0
-    gamma_ratio: float = 0.0
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
@@ -133,9 +131,8 @@ class FractionalOrder:
 @lru_cache(maxsize=64)
 def make_order(dimension: int, s: float, tol: float = 1e-10) -> FractionalOrder:
     """FractionalOrder with a_{N,s} from the defining integral (cached)."""
-    res = normalization_constant(dimension, s, tol=tol)
-    return FractionalOrder(dimension=dimension, s=s, a_ns=res.value,
-                           gamma_form=res.gamma_form, gamma_ratio=res.ratio)
+    return FractionalOrder(dimension=dimension, s=s,
+                           a_ns=normalization_constant(dimension, s, tol=tol).value)
 
 
 # ---------------------------------------------------------------------------

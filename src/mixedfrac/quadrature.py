@@ -20,9 +20,12 @@ _GAUSS_N = 15
 
 @lru_cache(maxsize=32)
 def gauss_rule(n: int):
-    """Gauss-Legendre nodes/weights on [0, 1]."""
+    """Gauss-Legendre nodes/weights on [0, 1], read-only: every caller shares them."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def fixed_gauss(f, a: float, b: float, n: int = _GAUSS_N) -> float:

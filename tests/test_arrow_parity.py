@@ -38,12 +38,24 @@ from mixedfrac.assembly import (
     _p1_adjacent_local,
     _p1_far_tensors,
     _p1_same_cell_coeff,
-    _ranges,
     band_matvec,
 )
 
 OM = Domain1D(0.0, 1.0)
 H, L = 0.05, 4.0
+
+
+def _ranges(d, c_lo, c_hi, n):
+    """i-ranges (inclusive pieces) of pairs (i, i+d) meeting the interior block."""
+    a1, b1 = max(0, c_lo - d), min(n - 1 - d, c_hi - d)
+    a2, b2 = max(0, c_lo), min(n - 1 - d, c_hi)
+    if a1 > b1:
+        return [(a2, b2)] if a2 <= b2 else []
+    if a2 > b2:
+        return [(a1, b1)]
+    if a2 <= b1 + 1:
+        return [(min(a1, a2), max(b1, b2))]
+    return [(a1, b1), (a2, b2)]
 
 
 def _stripe_add(K, lo, hi, row_off, col_off, value):
@@ -250,10 +262,13 @@ def test_arrow_matches_dense_reference(scheme, s, part):
     assert abs(lam - lam_ref) <= 1e-12 * abs(lam_ref)
 
 
-# n_int = 20 and 64: the explicit separations (merged pieces of _ranges) end
-# at d = n_int, the bulk band takes over beyond; the 2761-DOF criterion-7 mesh
+# n_int = 20 and 64; 65 and 129, where the pairs (i, i + d) meeting Omega
+# split into two pieces at a chunk edge (d = n_int + 1); 1, 2 and 3, where
+# they split from d = 2, 3, 4 on and the d = 2 term lands on the ends of the
+# superdiagonal; and the 2761-DOF criterion-7 mesh
 @pytest.mark.parametrize("a,b,h,L,s", [(0.0, 1.0, H, L, s) for s in (0.25, 0.3, 0.5, 0.7, 0.75)]
-                         + [(0.0, 1.0, 1 / 64, 4.0, s) for s in (0.3, 0.75)]
+                         + [(0.0, 1.0, 1 / n, 4.0, s)
+                            for n in (64, 1, 2, 3, 65, 129) for s in (0.3, 0.75)]
                          + [(-1.0, 1.0, 0.05, 68.0, 0.75)])
 def test_p1_arrow_bitwise_equals_dense_reference(a, b, h, L, s):
     om, order = Domain1D(a, b), make_order(1, s)

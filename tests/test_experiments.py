@@ -67,6 +67,20 @@ class TestConfig:
         assert cli_main(["solve", "--config", str(path)]) == 1
         assert f"config error: {section}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value", [
+        ("schema", True), ("schema", "1"), ("order.dimension", True), ("order.s", "0.5"),
+        ("family.k_list", [True, False]), ("omega.b", True), ("solver.max_iter", True),
+        ("solver.tol", "1e-12"), ("discretization.h", "0.05")],
+        ids=["schema-true", "schema-str", "dimension-true", "s-str", "k_list-bools",
+             "b-true", "max_iter-true", "tol-str", "h-str"])
+    def test_bool_or_string_number_is_config_error(self, path, value):
+        # int() and float() take True and "0.05"; a JSON number is neither
+        bad = base_config()
+        *section, key = path.split(".")
+        (bad[section[0]] if section else bad)[key] = value
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected a number"):
+            ExperimentConfig.from_dict(bad)
+
     @pytest.mark.parametrize("kind", ["shrinking_neumann", "shrinking_dirichlet_touching"])
     def test_zero_ratio_is_config_error(self, tmp_path, capsys, kind):
         # ratio^-k of the shrinking kinds divides by zero

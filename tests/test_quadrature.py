@@ -7,6 +7,17 @@ from mixedfrac import BadParameters, NonConvergedQuadrature
 from mixedfrac import quadrature as quad
 
 
+def test_gauss_rule_is_read_only():
+    # the cached arrays are shared by every caller: a write must not reach them
+    x, w = quad.gauss_rule(5)
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+    assert quad.gauss_rule(5)[0] is x and abs(w.sum() - 1.0) < 1e-15
+
+
 def test_polynomial_exact():
     val = quad.adaptive(lambda x: 3 * x ** 2, 0.0, 2.0, rel_tol=1e-12)
     assert abs(val - 8.0) < 1e-12
