@@ -10,18 +10,19 @@ supported on a uniform grid over [a-L, b+L]:
 
 The grid is uniform and the kernel translation-invariant, so every
 cell-pair integral depends only on the separation d; local pair tensors are
-computed once per d (closed form for the same-cell pair, P0 values from
+computed once per d <= d_max = n_collar + n_int - 1, the widest pair that
+meets Omega (closed form for the same-cell pair, P0 values from
 ``fracops.pair_integral``, Gauss of orders checked against mpmath in the
 tests otherwise).  The P1 unit-cell tensors are built in chunks of
 separations and kept per (s, Gauss order), so meshes with the same s share
-them; a mesh scales its slice by h^(1-2s).  Exterior
-pairs carry no energy, so K is an arrow matrix in O(n_int * m) memory: the
-Omega rows, Toeplitz off the band and gathered from one sequence, and a
-band whose entries add their terms in one fixed order, by separation, so
-that it is bitwise reproducible; the terms go in by vector adds over all
-nodes and whole chunks of separations, not one separation at a time.
-Couplings with the exterior beyond the collar are dropped on the Neumann
-side and replaced by closed-form tail integrals on the Dirichlet side.
+them; a mesh scales its slice by h^(1-2s).  Exterior pairs carry no energy,
+so K is an arrow matrix in O(n_int * m) memory: the Omega rows, Toeplitz
+off the band and gathered through a strided view of one symmetric sequence
+(P0 and P1), and a P1 band whose entries add their terms in one fixed
+order, by separation, so that it is bitwise reproducible, by vector adds
+over all nodes and whole chunks of separations.  Couplings with the
+exterior beyond the collar are dropped on the Neumann side and replaced by
+closed-form tail integrals on the Dirichlet side.
 """
 
 from __future__ import annotations
@@ -280,13 +281,17 @@ def _p1_same_cell_coeff(s: float, h: float) -> float:
 
 
 def _p0_pair_values(n_sep: int, s: float, h: float) -> np.ndarray:
-    """Cell-pair integrals f(d), d = 1..n_sep: unit cells scaled by h^(1-2s)."""
-    d = np.arange(1, n_sep + 1, dtype=float)
-    return h ** (1.0 - 2 * s) * pair_integral((0.0, 1.0), (d, d + 1.0), s)
+    """Cell-pair integrals f(d), d = 1..n_sep: unit cells scaled by h^(1-2s).
+
+    d >= 2 is one GEMV, which rounds a last partial block of rows its own way,
+    so it gets whole chunks of ``_CHUNK`` rows: f(d) does not depend on n_sep.
+    """
+    d = np.arange(1, 2 + _CHUNK * -(-(n_sep - 1) // _CHUNK), dtype=float)
+    return h ** (1.0 - 2 * s) * pair_integral((0.0, 1.0), (d, d + 1.0), s)[:n_sep]
 
 
 def _band_terms(diag, sup, A, B, D, c_lo: int, c_hi: int) -> None:
-    """Add the P1 band terms of every separation d >= 2 to (diag, sup) in place.
+    """Add the P1 band terms of d = 2..d_max (A, B, D) to (diag, sup) in place.
 
     Each entry adds its terms in the order of the dense stripe reference: by
     d, then by piece of the pairs (i, i + d) that meet Omega, then by tensor
@@ -305,14 +310,9 @@ def _band_terms(diag, sup, A, B, D, c_lo: int, c_hi: int) -> None:
     """
     n, n_int = len(sup), c_hi - c_lo + 1
 
-    def by_d(x):
-        """x(d) at index d in [0, n), zero for d < 2 (the touching pair is added already)."""
-        out = np.zeros(n)
-        out[2:] = x
-        return out
-
-    a00, a11, a01 = by_d(A[:, 0, 0]), by_d(A[:, 1, 1]), by_d(A[:, 0, 1])
-    d00, d11, d01 = by_d(D[:, 0, 0]), by_d(D[:, 1, 1]), by_d(D[:, 0, 1])
+    # x(d) at index d <= d_max, zero for d < 2 (the touching pair is added already)
+    a00, a11, a01, d00, d11, d01 = (np.r_[0.0, 0.0, x] for x in (
+        A[:, 0, 0], A[:, 1, 1], A[:, 0, 1], D[:, 0, 0], D[:, 1, 1], D[:, 0, 1]))
     # left nodes by u = c_lo - j = 1..c_lo (node 0, the last, has no A11);
     # right nodes by e = j - c_hi - 1 = 1..m (node n, the last, has no D00)
     left, right, m = diag[:c_lo][::-1], diag[c_hi + 2:], n - c_hi - 1
@@ -375,6 +375,11 @@ def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _toeplitz_rows(t: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
+    """Rows p of [t(|q - p|)], q < m, gathered from a strided view of t mirrored."""
+    return np.lib.stride_tricks.sliding_window_view(np.r_[t[:0:-1], t], m)[len(t) - 1 - rows]
+
+
 def _base_key(disc: Discretization, order: FractionalOrder) -> tuple:
     """The arguments of ``_base_arrow`` for a mesh: its label-independent key."""
     return (disc.omega.a, disc.omega.b, disc.h, disc.L, disc.scheme, order.s, order.a_ns)
@@ -397,17 +402,19 @@ def _build_base(a: float, b: float, h: float, L: float, scheme: str, s: float,
     R holds the rows of the Omega DOFs against all m grid DOFs; ``ext`` the
     exterior block (only the Omega-weighted Gram term) as a cholesky_banded
     upper band over the grid DOFs, zero on Omega; both cached and read-only.
-    P0 rows are a Toeplitz gather of f(d) with the row sum on the diagonal.
+    Nothing past d_max = n_collar + n_int - 1, the widest pair that meets
+    Omega, is computed.  P0 rows are the strided gather (``_toeplitz_rows``)
+    of -a_ns f(|d|), f(0) = 0, with the row sum on the diagonal.
     """
     n_collar = round(L / h)
     n_int = round((b - a) / h)
     n = 2 * n_collar + n_int
     c_lo, c_hi = n_collar, n_collar + n_int - 1
     if scheme == "P0":
-        v = np.concatenate(([0.0], -a_ns * _p0_pair_values(n - 1, s, h)))
-        cells = np.arange(n)
-        R = v[np.abs(cells[c_lo:c_hi + 1, None] - cells)]
-        R[np.arange(n_int), cells[c_lo:c_hi + 1]] = -R.sum(axis=1)
+        cells = np.arange(c_lo, c_hi + 1)
+        v = np.concatenate(([0.0], -a_ns * _p0_pair_values(c_hi, s, h)))  # d_max = c_hi
+        R = _toeplitz_rows(v, cells, n)
+        R[cells - c_lo, cells] = -R.sum(axis=1)
         ext = np.stack([np.zeros(n), -R.sum(axis=0)])
         ext[1, c_lo:c_hi + 1] = 0.0
     else:
@@ -424,43 +431,42 @@ def _p1_arrow(n: int, c_lo: int, c_hi: int, s: float, h: float, a_ns: float):
     the cell pairs (lo - r, hi - c) on the grid that meet Omega (X_01(1) is
     the touching-pair entry).  All four pairs do so except on the two Omega
     boundary rows and the grid-end columns, so the other entries are one
-    Toeplitz sequence T(k), gathered through a strided view.  A band entry
-    sums O(n) terms that nearly cancel its row, so its rounding sets the
-    smallest eigenvalues (another order moves lambda_1 of the criterion-7
+    Toeplitz sequence T(k), |k| < d_max (the widest pair that meets Omega),
+    gathered through a strided view; no tensor past d_max is built.  A band
+    entry sums O(n) terms that nearly cancel its row, so its rounding sets
+    the smallest eigenvalues (another order moves lambda_1 of the criterion-7
     sweep by up to 1e-7).  Every entry adds its terms in the order of the
     dense stripe reference -- same-cell, touching, then by separation, piece
     of pairs and tensor entry -- so K is reproduced bitwise, symmetric.  The
     same-cell and touching terms are slice adds here; ``_band_terms`` adds
     every separation d >= 2 in one ordered pass.
     """
+    d_max = max(c_hi, n - 1 - c_lo)
     # order 28 on the nearest separations; tests check both against mpmath
-    A, B, D = _p1_far_tensors(n - 1, s, h, 20)
-    A2, B2, D2 = _p1_far_tensors(min(n - 1, 41), s, h, 28)
+    A, B, D = _p1_far_tensors(d_max, s, h, 20)
+    A2, B2, D2 = _p1_far_tensors(min(d_max, 41), s, h, 28)
     A[:len(A2)], B[:len(B2)], D[:len(D2)] = A2, B2, D2
     A, B, D = a_ns * A, a_ns * B, a_ns * D
     L1 = a_ns * _p1_adjacent_local(s, h, g=64)
-    X = np.zeros((2, 2, n + 2))          # X[r, c, d], zero past the grid
-    X[:, :, 2:n] = -B.transpose(1, 2, 0)
+    X = np.zeros((2, 2, d_max + 3))      # X[r, c, d], zero past d_max
+    X[:, :, 2:d_max + 1] = -B.transpose(1, 2, 0)
     X[0, 1, 1] = L1[0, 2]
 
-    def far(lo, hi, masked=True):
-        """K[lo, hi] over the cell pairs that count (all of them if not masked)."""
+    def far(lo, hi):
+        """K[lo, hi] over the cell pairs that meet Omega."""
         out = 0.0
         for r, c in ((0, 1), (0, 0), (1, 1), (1, 0)):
             cl, ch = lo - r, hi - c
             on = (c_lo <= cl) & (cl <= c_hi) | (c_lo <= ch) & (ch <= c_hi)
-            keep = (cl >= 0) & (ch < n) & on if masked else True
-            out = out + np.where(keep, X[r, c, ch - cl], 0.0)
+            out = out + np.where((cl >= 0) & (ch < n) & on, X[r, c, ch - cl], 0.0)
         return out
 
-    T = np.zeros(2 * n + 1)               # T[n + j] = K[p, p + j], |j| >= 2
-    T[n + 2:] = far(0, np.arange(2, n + 1), masked=False)
-    T[:n - 1] = T[:n + 1:-1]
+    T = np.zeros(d_max + 2)     # T[k] = K[p, p + k], 2 <= k < d_max, p inside Omega
+    T[2:d_max] = far(c_lo + 1, c_lo + 1 + np.arange(2, d_max))
     rows = np.arange(c_lo, c_hi + 2)
-    R = np.lib.stride_tricks.sliding_window_view(T, n + 1)[n - rows]
-    q = np.arange(n + 1)
-    for r in (0, len(rows) - 1):
-        R[r] = far(np.minimum(rows[r], q), np.maximum(rows[r], q))
+    R = _toeplitz_rows(T, rows, n + 1)
+    ends, q = rows[[0, -1], None], np.arange(n + 1)
+    R[[0, -1]] = far(np.minimum(ends, q), np.maximum(ends, q))
     R[:, 0], R[:, n] = far(0, rows), far(rows, n)
 
     diag, sup = np.zeros(n + 1), np.zeros(n)        # K[j, j], K[j, j + 1]
@@ -556,7 +562,8 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     # node but the ends that touch a Dirichlet cell (P1); so blocks are slices
     n_I = len(rows)
     lo = int(rows[0]) if n_I else 0
-    assert n_I == 0 or rows[-1] - lo == n_I - 1, "interior DOFs are not contiguous"
+    if n_I and rows[-1] - lo != n_I - 1:
+        raise BadParameters("interior DOFs are not contiguous")
     I = slice(lo, lo + n_I)
     K_II = R[I, disc.n_collar + lo:disc.n_collar + lo + n_I].copy()
     flat = K_II.reshape(-1)                  # views of K_II's three diagonals

@@ -29,7 +29,7 @@ from .eigensolver import (
 )
 from .errors import ConfigError, DegenerateData, MixedFracError
 from .fracops import make_order
-from .geometry import Domain1D, PartitionFamily, family_param, generate
+from .geometry import FAMILY_KINDS, Domain1D, PartitionFamily, family_param, generate
 from .nonlocal_ops import farfield_rate, gauss_residual
 
 CSV_HEADER = "k,param,lambda1,baseline,gap,measN_R,measD_R,condC,sep,gauss_res,iters,h,L,ms"
@@ -115,8 +115,11 @@ class ExperimentConfig:
             d[key] for key in ("order", "omega", "family", "discretization"))
         omega = _at("omega", Domain1D, _at("omega.a", _finite, omega_d["a"]),
                     _at("omega.b", _finite, omega_d["b"]))
-        family = _at("family", PartitionFamily, family_d["kind"], omega,
-                     _at("family.params", dict, family_d.get("params", {})))
+        params = _at("family.params", dict, family_d.get("params", {}))
+        for key, value in params.items():     # a number key has a float default
+            if any(isinstance(p.get(key), float) for _, p in FAMILY_KINDS.values()):
+                _at(f"family.params.{key}", _finite, value)
+        family = _at("family", PartitionFamily, family_d["kind"], omega, params)
         k_list = _at("family.k_list", lambda ks: tuple(map(_integer, ks)),
                      family_d["k_list"])
         disc = DiscParams(h=_at("discretization.h", _finite, disc_d["h"]),

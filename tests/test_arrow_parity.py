@@ -5,7 +5,9 @@ label-independent stiffness over all m grid DOFs built by stripe adds, the
 free x free extraction with ``np.ix_``, the per-cell mass and far-field
 tail loops, and a dense Schur complement.  It is only run on meshes of at
 most 400 DOFs, except for the bitwise check of the P1 arrow pair, which also
-covers a 577-DOF mesh and the 2761-DOF mesh of the criterion-7 sweep.
+covers a 577-DOF mesh, a 529-DOF long-collar mesh and the 2761-DOF mesh of
+the criterion-7 sweep.  The P0 arrow pair is checked bitwise against its
+former construction (pair values to n - 1 and a fancy-index gather).
 """
 
 import math
@@ -26,8 +28,9 @@ from mixedfrac import (
     schur_reduce,
     smallest_eigenpair,
 )
+from mixedfrac import assembly
 from mixedfrac import quadrature as quad
-from mixedfrac.fracops import interval_mass
+from mixedfrac.fracops import interval_mass, pair_integral
 from mixedfrac.assembly import (
     DOF_DIRICHLET,
     DOF_INTERIOR,
@@ -265,10 +268,12 @@ def test_arrow_matches_dense_reference(scheme, s, part):
 # n_int = 20 and 64; 65 and 129, where the pairs (i, i + d) meeting Omega
 # split into two pieces at a chunk edge (d = n_int + 1); 1, 2 and 3, where
 # they split from d = 2, 3, 4 on and the d = 2 term lands on the ends of the
-# superdiagonal; and the 2761-DOF criterion-7 mesh
+# superdiagonal; n_int = 16 with a 256-cell collar, where the tensors stop
+# at d_max = 271 of n - 1 = 527; and the 2761-DOF criterion-7 mesh
 @pytest.mark.parametrize("a,b,h,L,s", [(0.0, 1.0, H, L, s) for s in (0.25, 0.3, 0.5, 0.7, 0.75)]
                          + [(0.0, 1.0, 1 / n, 4.0, s)
                             for n in (64, 1, 2, 3, 65, 129) for s in (0.3, 0.75)]
+                         + [(0.0, 1.0, 1 / 16, 16.0, s) for s in (0.3, 0.75)]
                          + [(-1.0, 1.0, 0.05, 68.0, 0.75)])
 def test_p1_arrow_bitwise_equals_dense_reference(a, b, h, L, s):
     om, order = Domain1D(a, b), make_order(1, s)
@@ -281,3 +286,55 @@ def test_p1_arrow_bitwise_equals_dense_reference(a, b, h, L, s):
     R_got, ext_got = _base_arrow(a, b, h, L, "P1", s, order.a_ns)
     assert np.array_equal(R_got, K[c_lo:c_hi + 2])
     assert np.array_equal(ext_got, ext)
+
+
+def former_p0_base(disc, order):
+    """P0 (R, ext) as ``_build_base`` built them before the separation cap.
+
+    Pair values f(d), d = 1..n - 1, in one call, and the rows gathered by a
+    2-D fancy index.
+    """
+    n, a_ns, s = disc.n_cells, order.a_ns, order.s
+    c_lo, c_hi = disc.interior_cells
+    d = np.arange(1, n, dtype=float)
+    f = disc.h ** (1.0 - 2 * s) * pair_integral((0.0, 1.0), (d, d + 1.0), s)
+    v = np.concatenate(([0.0], -a_ns * f))
+    cells = np.arange(n)
+    R = v[np.abs(cells[c_lo:c_hi + 1, None] - cells)]
+    R[np.arange(disc.n_interior), cells[c_lo:c_hi + 1]] = -R.sum(axis=1)
+    ext = np.stack([np.zeros(n), -R.sum(axis=0)])
+    ext[1, c_lo:c_hi + 1] = 0.0
+    return R, ext
+
+
+# the criterion-6 mesh, and n_int = 1, 2, 3 and 64 on Omega = (0, 1)
+@pytest.mark.parametrize("h", [2.0 ** -9, 1.0, 1 / 2, 1 / 3, 1 / 64])
+def test_p0_arrow_bitwise_equals_former_gather(h):
+    order = make_order(1, 0.25)
+    disc = build_mesh(OM, full_dirichlet_partition(OM), h, 4.0, "P0", order=order)
+    for got, ref in zip(_base_arrow(*_base_key(disc, order)), former_p0_base(disc, order),
+                        strict=True):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("scheme", ["P0", "P1"])
+def test_cold_build_computes_separations_up_to_d_max(monkeypatch, scheme):
+    # pairs that meet Omega span at most d_max = n_collar + n_int - 1 cells
+    # (271 here, with 49% of 2..n-1 = 527 beyond it); nothing further is built
+    s = 0.3
+    order = make_order(1, s)
+    disc = build_mesh(OM, full_dirichlet_partition(OM), 1 / 16, 16.0, scheme, order=order)
+    d_max = disc.n_collar + disc.n_interior - 1
+    requested = []
+    p0_values = assembly._p0_pair_values
+    monkeypatch.setattr(assembly, "_p0_pair_values",
+                        lambda n_sep, *args: requested.append(n_sep) or p0_values(n_sep, *args))
+    assembly._unit_tensors.clear()
+    assembly._build_base.cache_clear()
+    _base_arrow(*_base_key(disc, order))
+    if scheme == "P0":
+        assert requested == [d_max] and not assembly._unit_tensors
+    else:
+        assert not requested
+        assert {key: len(t[0]) + 1 for key, t in assembly._unit_tensors.items()} \
+            == {(s, 20): d_max, (s, 28): min(d_max, 41)}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -192,6 +193,18 @@ class TestAssembleStructure:
         offsum = np.abs(K).sum(axis=1) - np.abs(diag)
         inner = system.interior_mask
         assert np.all(diag[inner] >= offsum[inner] - 1e-10 * diag[inner])
+
+    @pytest.mark.parametrize("scheme", ["P0", "P1"])
+    def test_noncontiguous_interior_dofs_rejected(self, scheme):
+        # the blocks are cut by slices, so a gap in the interior run must
+        # raise, under python -O too
+        order = make_order(1, 0.25)
+        mesh = build_mesh(OM01, full_dirichlet_partition(OM01), 0.125, 4.0, scheme,
+                          order=order)
+        label = mesh.dof_label.copy()
+        label[mesh.n_collar + 3] = assembly.DOF_DIRICHLET
+        with pytest.raises(BadParameters, match="interior DOFs are not contiguous"):
+            assemble(dataclasses.replace(mesh, dof_label=label), order)
 
 
 def test_concurrent_first_assembles_build_the_base_once(monkeypatch):

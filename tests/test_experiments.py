@@ -81,6 +81,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected a number"):
             ExperimentConfig.from_dict(bad)
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("traveling_ball", "offset0", True), ("traveling_ball", "ratio", True),
+        ("traveling_ball", "length", "1"), ("shrinking_neumann", "location", "1.5"),
+        ("shrinking_dirichlet_touching", "r0", False), ("traveling_ring", "R0", "2")],
+        ids=["offset0-true", "ratio-true", "length-str", "location-str", "r0-false",
+             "R0-str"])
+    def test_bool_or_string_family_param_is_config_error(self, tmp_path, capsys, kind,
+                                                         key, value):
+        # ratio: true passed 0 < ratio < inf, and "1" died in validate() with
+        # a bare TypeError
+        bad = base_config(family={"kind": kind, "params": {key: value}, "k_list": [1]})
+        with pytest.raises(ConfigError, match=f"^family.params.{key}: expected a number"):
+            ExperimentConfig.from_dict(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert cli_main(["solve", "--config", str(path)]) == 1
+        assert f"config error: family.params.{key}: expected a number" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["shrinking_neumann", "shrinking_dirichlet_touching"])
     def test_zero_ratio_is_config_error(self, tmp_path, capsys, kind):
         # ratio^-k of the shrinking kinds divides by zero

@@ -155,6 +155,14 @@ def test_p0_pair_values_match_mpmath(s):
                   [scale * line_integral(d, s, lambda x, y: 1) for d in SEPARATIONS])
 
 
+def test_p0_pair_values_do_not_depend_on_n_sep():
+    # d >= 2 is one GEMV, whose last partial block of rows rounds its own way;
+    # a cold P0 base asks for d_max values, its former construction for n - 1
+    ref = _p0_pair_values(4 * C, 0.25, 2.0 ** -9)
+    for n_sep in range(1, 2 * C + 3):
+        assert np.array_equal(_p0_pair_values(n_sep, 0.25, 2.0 ** -9), ref[:n_sep]), n_sep
+
+
 # ---------------------------------------------------------------------------
 # fracops.pair_integral
 # ---------------------------------------------------------------------------
