@@ -5,14 +5,18 @@ collapses geometrically, even though |N_k| stays constant (this has no local
 analogue).  A fixed window, by contrast, keeps a persistent gap: diffusion
 on compact sets is necessary, not just sufficient.
 
-Writes plot-ready data to demos/out/.
+Writes plot-ready data to demos/out/, or to the directory given by --out.
 """
 
+import argparse
 import os
 
 from mixedfrac import ExperimentConfig, emit, experiments
 
-OUT = os.path.join(os.path.dirname(__file__), "out")
+parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+parser.add_argument("--out", default=os.path.join(os.path.dirname(__file__), "out"),
+                    help="directory for the written files (default: demos/out)")
+OUT = parser.parse_args().out
 
 
 def config(kind, params, k_list, L, csv):

@@ -6,13 +6,19 @@ jump-admitting space is the faithful one below s = 1/2); (ii) for any s, a
 fixed-size Dirichlet set traveling to infinity decouples at the kernel decay
 rate.  Unlike the local problem, a set of fixed (even infinite) measure can
 have an arbitrarily small eigenvalue.
+
+Writes the sweep CSVs to demos/out/, or to the directory given by --out.
 """
 
+import argparse
 import os
 
 from mixedfrac import ExperimentConfig, emit, experiments
 
-OUT = os.path.join(os.path.dirname(__file__), "out")
+parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+parser.add_argument("--out", default=os.path.join(os.path.dirname(__file__), "out"),
+                    help="directory for the written files (default: demos/out)")
+OUT = parser.parse_args().out
 
 print("=== shrinking touching Dirichlet interval, s = 0.25 (P0) ===")
 cfg = ExperimentConfig.from_dict({

@@ -375,6 +375,13 @@ def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def runs(cols: np.ndarray) -> tuple[slice, ...]:
+    """Ascending indices as the slices of their runs of consecutive values."""
+    starts = np.flatnonzero(np.diff(cols, prepend=-2) != 1)
+    ends = np.r_[starts[1:], len(cols)] - 1
+    return tuple(slice(int(cols[i]), int(cols[j]) + 1) for i, j in zip(starts, ends))
+
+
 def _toeplitz_rows(t: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
     """Rows p of [t(|q - p|)], q < m, gathered from a strided view of t mirrored."""
     return np.lib.stride_tricks.sliding_window_view(np.r_[t[:0:-1], t], m)[len(t) - 1 - rows]
@@ -516,13 +523,16 @@ class StiffnessSystem:
     """Symmetric nonlocal stiffness over free DOFs in arrow blocks plus the Omega mass.
 
     K_EE is diagonal (P0) or tridiagonal (P1) and M_II is diagonal (P0) or
-    tridiagonal (P1), so both are stored as bands.
+    tridiagonal (P1), so both are stored as bands.  K_IE is never copied:
+    its columns are the runs ``runs_E`` of consecutive exterior Neumann grid
+    DOFs, read in place from ``R_I``, the interior rows of the cached base.
     """
 
     disc: Discretization
     order: FractionalOrder
     K_II: np.ndarray              # interior x interior, far-field D tails included
-    K_IE: np.ndarray              # interior x exterior Neumann
+    R_I: np.ndarray               # interior x all grid DOFs, a read-only view of the base
+    runs_E: tuple                 # slices of R_I's columns: the exterior Neumann DOFs in order
     K_EE: np.ndarray              # (2, n_E) cholesky_banded upper layout
     M_II: np.ndarray              # (2, n_I) Omega mass, same layout
     free_dofs: np.ndarray         # global DOF indices of the free unknowns
@@ -535,12 +545,40 @@ class StiffnessSystem:
     def n_free(self) -> int:
         return len(self.free_dofs)
 
+    def exterior_blocks(self) -> list[tuple[np.ndarray, slice]]:
+        """(K_IE's columns of one run, as a view of R_I; its slice of the exterior DOFs)."""
+        out, at = [], 0
+        for run in self.runs_E:
+            out.append((self.R_I[:, run], slice(at, at + run.stop - run.start)))
+            at += run.stop - run.start
+        return out
+
+    @property
+    def K_IE(self) -> np.ndarray:
+        """The interior x exterior Neumann block, copied on demand (tests only)."""
+        K_IE = np.empty((len(self.R_I), np.count_nonzero(self.exterior_mask)))
+        for block, e in self.exterior_blocks():
+            K_IE[:, e] = block
+        return K_IE
+
+    def K_EI_matvec(self, u_I: np.ndarray) -> np.ndarray:
+        """K_EI u_I, one GEMV per run."""
+        out = np.empty(np.count_nonzero(self.exterior_mask))
+        for block, e in self.exterior_blocks():
+            out[e] = block.T @ u_I
+        return out
+
     def matvec(self, u_free: np.ndarray) -> np.ndarray:
         """K u over the free DOFs."""
         u_I, u_E = u_free[self.interior_mask], u_free[self.exterior_mask]
+        K_u_I = self.K_II @ u_I
+        K_u_E = band_matvec(self.K_EE, u_E)
+        for block, e in self.exterior_blocks():
+            K_u_I += block @ u_E[e]
+            K_u_E[e] += block.T @ u_I
         out = np.empty(self.n_free)
-        out[self.interior_mask] = self.K_II @ u_I + self.K_IE @ u_E
-        out[self.exterior_mask] = self.K_IE.T @ u_I + band_matvec(self.K_EE, u_E)
+        out[self.interior_mask] = K_u_I
+        out[self.exterior_mask] = K_u_E
         return out
 
 
@@ -607,9 +645,9 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     tails[interior] = tails_om[I]
 
     return StiffnessSystem(
-        disc=disc, order=order, K_II=K_II, K_IE=np.take(R[I], cols_E, axis=1),
-        K_EE=K_EE, M_II=M_II, free_dofs=free, interior_mask=interior,
-        exterior_mask=exterior, tail_corrections=tails, dirichlet_row_sums=Kx[free])
+        disc=disc, order=order, K_II=K_II, R_I=R[I], runs_E=runs(cols_E), K_EE=K_EE, M_II=M_II,
+        free_dofs=free, interior_mask=interior, exterior_mask=exterior,
+        tail_corrections=tails, dirichlet_row_sums=Kx[free])
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,8 @@ def cmd_verify(args) -> int:
     print(f"{line} symmetry: max|K - K'| = {asym:.1e}")
 
     ones = np.ones(system.n_free)
-    k_max = max(np.abs(b).max(initial=0.0) for b in (system.K_II, system.K_IE, system.K_EE))
+    blocks = [system.K_II, system.K_EE, *(block for block, _ in system.exterior_blocks())]
+    k_max = max(np.abs(b).max(initial=0.0) for b in blocks)
     k1 = float(np.max(np.abs(system.matvec(ones)))) / k_max
     good = k1 <= 1e-12
     ok &= good

@@ -8,21 +8,25 @@ of operands:
 
 - direct: base = K_II, alpha = -1 and X = U^{-T} K_EI, one banded
   triangular solve with K_EE = U'U (banded Cholesky on the band's true
-  width), eliminating the Neumann DOFs N;
+  width), eliminating the Neumann DOFs N; K_EI is gathered once from its
+  runs and solved in place;
 - Gram update, when the label-independent base band is diagonal (every P0
   mesh) and the grid has fewer Dirichlet cells D than Neumann ones:
   base = K_II - G_E and alpha = +1 with X = X_D.  G_E = X_E'X_E,
   X_E = diag(ext_E)^{-1/2} R[:, E]', eliminates every exterior grid cell
-  E = N + D; it is cached once per mesh, and a record only puts its
-  Dirichlet cells back by a rank-|D| SYRK.  The two cost the same near
-  |D| = |N|, so a Dirichlet-heavy P0 record keeps the direct form.
+  E = N + D; it is cached once per mesh, built by chunks of exterior
+  columns, and a record only puts its Dirichlet cells back by a rank-|D|
+  SYRK on its fresh base.  The two cost the same near |D| = |N|, so a
+  Dirichlet-heavy P0 record keeps the direct form.
 
-K_II, K_IE, G_E and K_eff are dense (O(n_int * m) memory); the exterior
-block K_EE and the Omega mass M are bands.  The reduced pencil (K_eff, M) is
-solved by inverse iteration with a tiny fixed shift and a deterministic
-all-ones start (the ground state is positive, so the overlap is
-guaranteed).  M enters only through band products and its two diagonals
-added to a copy of K_eff for the shifted factorization.
+K_II, G_E and K_eff are dense n_int x n_int; K_IE is never copied: it is
+read by runs of columns from the cached base rows (O(n_int * m) memory,
+shared by every record of a mesh).  The exterior block K_EE and the Omega
+mass M are bands.  The reduced pencil (K_eff, M) is solved by inverse
+iteration with a tiny fixed shift and a deterministic all-ones start (the
+ground state is positive, so the overlap is guaranteed).  M enters only
+through band products and its two diagonals added to a copy of K_eff for
+the shifted factorization.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from scipy.linalg import (LinAlgError, blas, cho_factor, cho_solve, cho_solve_ba
                           cholesky_banded, lapack)
 
 from .assembly import (DOF_DIRICHLET, StiffnessSystem, _base_arrow, _base_key, assemble,
-                       band_matvec, build_mesh)
+                       band_matvec, build_mesh, runs)
 from .errors import BadParameters, IndefinitePencil, SingularExteriorBlock
 from .fracops import FractionalOrder
 from .geometry import (
@@ -60,16 +64,16 @@ class SchurReduction:
 
     K_eff: np.ndarray
     _solve_EE: object             # callable rhs -> K_EE^{-1} rhs
-    K_IE: np.ndarray
+    _K_EI: object                 # callable u_I -> K_EI u_I (StiffnessSystem.K_EI_matvec)
 
     def back_map(self, u_interior: np.ndarray) -> np.ndarray:
         """Exterior Neumann values -K_EE^{-1} K_EI u_I (discrete reconstruction)."""
-        return -self._solve_EE(self.K_IE.T @ u_interior)
+        return -self._solve_EE(self._K_EI(u_interior))
 
 
 def schur_reduce(system: StiffnessSystem) -> SchurReduction:
     """K_eff = base + alpha X'X over interior DOFs by one SYRK (see the module doc)."""
-    K_IE, K_EE = system.K_IE, system.K_EE
+    K_EE = system.K_EE
     if np.any(K_EE[1] <= 0.0):
         raise SingularExteriorBlock("exterior DOF with no interaction with Omega")
     try:                          # on the band's true width: kd = 0 for P0
@@ -78,16 +82,19 @@ def schur_reduce(system: StiffnessSystem) -> SchurReduction:
         raise SingularExteriorBlock(
             f"exterior Neumann block not positive definite: {exc}") from exc
     K_eff = system.K_II
-    if K_IE.shape[1]:             # BLAS/LAPACK with a zero dimension corrupt the heap
+    if K_EE.shape[1]:             # BLAS/LAPACK with a zero dimension corrupt the heap
         alpha, X, K_eff = _schur_operands(system, U)
         if len(X):            # an all-Neumann P0 grid has no Dirichlet cell to put back
-            K_eff = blas.dsyrk(alpha, X, beta=1.0, c=K_eff, trans=1)
+            # the Gram base is fresh, so dsyrk updates it in place; never K_II
+            K_eff = blas.dsyrk(alpha, X, beta=1.0, c=K_eff, trans=1,
+                               overwrite_c=K_eff is not system.K_II)
             np.copyto(K_eff, K_eff.T, where=np.tri(len(K_eff), k=-1, dtype=bool))
     return SchurReduction(K_eff=K_eff, _solve_EE=partial(cho_solve_banded, (U, False)),
-                          K_IE=K_IE)
+                          _K_EI=system.K_EI_matvec)
 
 
 _GRAM_LOCK = threading.Lock()     # one G_E build per mesh; never taken under the base lock
+_GRAM_CHUNK = 256                 # exterior columns per dsyrk of the G_E build
 
 
 def _schur_operands(system: StiffnessSystem, U: np.ndarray):
@@ -96,20 +103,43 @@ def _schur_operands(system: StiffnessSystem, U: np.ndarray):
     key = _base_key(disc, system.order)
     R, ext = _base_arrow(*key)
     D = np.flatnonzero(disc.dof_label == DOF_DIRICHLET)
-    if np.any(ext[0]) or len(D) >= system.K_IE.shape[1]:
-        return -1.0, lapack.dtbtrs(U, system.K_IE.T, trans="T")[0], system.K_II
+    n_E = system.K_EE.shape[1]
+    if np.any(ext[0]) or len(D) >= n_E:
+        # K_EI gathered once, in the Fortran order that dtbtrs solves in place
+        X = np.empty((n_E, len(system.K_II)), order="F")
+        for block, e in system.exterior_blocks():
+            X[e] = block.T
+        X, info = lapack.dtbtrs(U, X, trans="T", overwrite_b=True)
+        if info:
+            raise SingularExteriorBlock(f"exterior Neumann solve failed: dtbtrs info {info}")
+        return -1.0, X, system.K_II
     with _GRAM_LOCK:
         G_E = _exterior_gram(*key)
-    # a diagonal base band is P0's, whose Omega cells are all interior DOFs
-    return 1.0, _scaled_columns(R, ext, D).T, system.K_II - G_E
+    # a diagonal base band is P0's, whose Omega cells are all interior DOFs;
+    # K_II - G_E is symmetric, so its transpose is the same matrix in the
+    # Fortran order that dsyrk updates in place
+    return 1.0, _scaled_columns(R, ext, D).T, (system.K_II - G_E).T
 
 
 @lru_cache(maxsize=2)
 def _exterior_gram(*key) -> np.ndarray:
-    """G_E = X_E'X_E over every exterior grid cell E of a diagonal base band; read-only."""
+    """G_E = X_E'X_E over every exterior grid cell E of a diagonal base band; read-only.
+
+    One dsyrk per chunk of _GRAM_CHUNK consecutive exterior cells adds its
+    X_c'X_c (beta = 1), with X_c' scaled into one reused buffer: R's
+    exterior columns are never copied whole.
+    """
     R, ext = _base_arrow(*key)
-    G_E = blas.dsyrk(1.0, _scaled_columns(R, ext, np.flatnonzero(ext[1])).T, trans=1)
-    np.copyto(G_E, G_E.T, where=np.tri(len(G_E), k=-1, dtype=bool))
+    n_I = len(R)
+    G_E = np.zeros((n_I, n_I), order="F")
+    buf = np.empty(n_I * _GRAM_CHUNK)
+    root = np.sqrt(ext[1])
+    for run in runs(np.flatnonzero(ext[1])):
+        for lo in range(run.start, run.stop, _GRAM_CHUNK):
+            hi = min(lo + _GRAM_CHUNK, run.stop)
+            XT = np.divide(R[:, lo:hi], root[lo:hi], out=buf[:n_I * (hi - lo)].reshape(n_I, -1))
+            G_E = blas.dsyrk(1.0, XT.T, beta=1.0, c=G_E, trans=1, overwrite_c=True)
+    np.copyto(G_E, G_E.T, where=np.tri(n_I, k=-1, dtype=bool))
     G_E.setflags(write=False)
     return G_E
 
@@ -117,8 +147,9 @@ def _exterior_gram(*key) -> np.ndarray:
 def _scaled_columns(R: np.ndarray, ext: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """X' = R[:, cells] diag(ext)^{-1/2} in C order, so dsyrk reads X in place.
 
+    Used for the few Dirichlet cells that the Gram update puts back.
     ``np.take`` keeps C order; ``R[:, cells]`` comes back in Fortran order,
-    and f2py would copy its transpose (15 ms of a 40 ms G_E build on c6).
+    and f2py would copy its transpose.
     """
     XT = np.take(R, cells, axis=1)
     XT /= np.sqrt(ext[1, cells])

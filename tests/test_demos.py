@@ -20,8 +20,15 @@ ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_TH
                                                     os.environ.get("PYTHONPATH")))))
 
 
+# demos that write files; they take --out, so the test keeps the checkout clean
+WRITERS = {"04_moving_neumann.py", "05_dissipating_dirichlet.py"}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_exits_zero(demo):
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+def test_demo_exits_zero(demo, tmp_path):
+    out = ["--out", str(tmp_path)] if demo.name in WRITERS else []
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo), *out],
                           env=ENV, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    if out:
+        assert any(tmp_path.iterdir())

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mixedfrac import (
     Domain1D,
     ExperimentConfig,
     PartitionFamily,
+    SingularExteriorBlock,
     SolverParams,
     assemble,
     build_mesh,
@@ -27,7 +29,8 @@ from mixedfrac import (
     solve_mixed,
 )
 from mixedfrac import eigensolver, experiments
-from mixedfrac.assembly import DOF_DIRICHLET, DOF_INTERIOR, DOF_NEUMANN
+from mixedfrac.assembly import (DOF_DIRICHLET, DOF_INTERIOR, DOF_NEUMANN, StiffnessSystem,
+                                _base_arrow, _base_key)
 OM = Domain1D(-1.0, 1.0)
 OM01 = Domain1D(0.0, 1.0)
 
@@ -51,22 +54,18 @@ class TestSchurReduce:
         K_II = A @ A.T + 4 * np.eye(4)
         K_EE = np.stack([np.zeros(3), rng.uniform(1.0, 2.0, 3)])   # diagonal band
 
-        class Dummy:
-            pass
-
         # the mesh key of a P1 grid: its base band is not diagonal, so the
-        # direct elimination runs on the synthetic blocks
+        # direct elimination runs on the synthetic blocks, whose K_IE is the
+        # run of columns 0-2 of the zero rows R_I
         order = make_order(1, 0.5)
-        sys = Dummy()
-        sys.disc = build_mesh(OM, full_dirichlet_partition(OM), 0.5, 8.0, "P1", order=order)
-        sys.order = order
-        sys.K_II = K_II
-        sys.K_IE = np.zeros((4, 3))
-        sys.K_EE = K_EE
-        sys.dirichlet_row_sums = np.zeros(7)
-        sys.M_II = band(np.eye(4))
-        sys.interior_mask = np.array([True] * 4 + [False] * 3)
-        sys.exterior_mask = ~sys.interior_mask
+        sys = StiffnessSystem(
+            disc=build_mesh(OM, full_dirichlet_partition(OM), 0.5, 8.0, "P1", order=order),
+            order=order, K_II=K_II, R_I=np.zeros((4, 37)), runs_E=(slice(0, 3),), K_EE=K_EE,
+            M_II=band(np.eye(4)), free_dofs=np.arange(7),
+            interior_mask=np.array([True] * 4 + [False] * 3),
+            exterior_mask=np.array([False] * 4 + [True] * 3),
+            tail_corrections=np.zeros(7), dirichlet_row_sums=np.zeros(7))
+        assert sys.K_IE.shape == (4, 3)
         red = schur_reduce(sys)
         assert np.allclose(red.K_eff, K_II, atol=1e-14)
         assert np.allclose(red.back_map(np.ones(4)), 0.0)
@@ -208,6 +207,75 @@ class TestGramUpdate:
         result = experiments.run(cfg, jobs=jobs)
         assert result.n_failed == 0
         assert len(builds) == 1
+
+
+def _ball_in_sea():
+    """A Dirichlet ball in a Neumann sea, P1: the exterior Neumann DOFs form three runs."""
+    order = make_order(1, 0.75)
+    part = explicit(OM, dirichlet=[[1.5, 2.5]], neumann="rest")
+    return assemble(build_mesh(OM, part, 0.1, 8.0, "P1", order=order), order)
+
+
+class TestExteriorInPlace:
+    """K_IE is read in place from the cached base, by runs of exterior DOFs."""
+
+    def test_three_runs_match_the_gathered_block(self):
+        system = _ball_in_sea()
+        assert len(system.runs_E) == 3
+        R, ext = _base_arrow(*_base_key(system.disc, system.order))
+        saved = [a.copy() for a in (system.K_II, R, ext)]
+        K_IE = np.take(system.R_I, system.free_dofs[system.exterior_mask], axis=1)
+        assert np.array_equal(system.K_IE, K_IE)
+        red = schur_reduce(system)
+        # the construction that copied K_IE: np.take, then dtbtrs on f2py's copy
+        U = scipy.linalg.cholesky_banded(system.K_EE)
+        X = scipy.linalg.lapack.dtbtrs(U, K_IE.T, trans="T")[0]
+        K_eff = scipy.linalg.blas.dsyrk(-1.0, X, beta=1.0, c=system.K_II, trans=1)
+        np.copyto(K_eff, K_eff.T, where=np.tri(len(K_eff), k=-1, dtype=bool))
+        assert np.array_equal(red.K_eff, K_eff)
+        for got, old in zip((system.K_II, R, ext), saved):
+            assert np.array_equal(got, old)
+
+        K, _ = dense(system)
+        u = np.random.default_rng(5).standard_normal(system.n_free)
+        assert np.abs(system.matvec(u) - K @ u).max() <= 1e-14 * np.abs(K @ u).max()
+        iI, iE = np.flatnonzero(system.interior_mask), np.flatnonzero(system.exterior_mask)
+        u_I = u[iI]
+        ref = -np.linalg.solve(K[np.ix_(iE, iE)], K[np.ix_(iE, iI)] @ u_I)
+        assert np.abs(red.back_map(u_I) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_gram_update_leaves_k_ii(self):
+        system = _touching(1)
+        K_II = system.K_II.copy()
+        K_eff = schur_reduce(system).K_eff
+        assert K_eff is not system.K_II
+        assert np.array_equal(system.K_II, K_II)
+
+    def test_failed_triangular_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg.lapack, "dtbtrs", lambda ab, b, **kw: (b, 2))
+        with pytest.raises(SingularExteriorBlock, match="info 2"):
+            schur_reduce(_ball_in_sea())
+
+    def test_memory_on_criterion_6(self):
+        # numpy reports its buffers to tracemalloc; the base is cached first
+        system = _touching(1)
+        key = _base_key(system.disc, system.order)
+        R, ext = _base_arrow(*key)
+        n_I, n_E = system.K_II.shape[0], np.count_nonzero(system.exterior_mask)
+        tracemalloc.start()
+        try:
+            assemble(system.disc, system.order)
+            warm = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            eigensolver._exterior_gram.__wrapped__(*key)
+            cold = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # a warm assemble copies no K_IE (|I| |E| doubles, 15 MiB here)
+        assert warm < n_I * n_E * 8 / 4
+        # a cold G_E build never holds all |I| x |ext| scaled exterior columns
+        assert cold < n_I * np.count_nonzero(ext[1]) * 8
 
 
 class TestSmallestEigenpair:

@@ -45,7 +45,8 @@ def test_singular_exterior_block():
 
     sys = Dummy()
     sys.K_II = np.eye(2)
-    sys.K_IE = np.zeros((2, 1))
+    sys.R_I = np.zeros((2, 3))            # K_IE: the run of column 2
+    sys.runs_E = (slice(2, 3),)
     sys.K_EE = np.zeros((2, 1))           # band with a zero diagonal
     sys.M_II = band(np.eye(2))
     sys.dirichlet_row_sums = np.zeros(3)
