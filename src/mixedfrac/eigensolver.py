@@ -2,9 +2,9 @@
 
 The stiffness arrives in arrow form: K_EE couples exterior DOFs only through
 the Omega-weighted Gram term, so it is a diagonal (P0) or tridiagonal (P1)
-band.  The Schur complement K_eff = K_II - K_IE K_EE^{-1} K_EI is one SYRK
-K_eff = base + alpha X'X, symmetric by construction, from one of two sets
-of operands:
+band.  The Schur complement K_eff = K_II - K_IE K_EE^{-1} K_EI is
+K_eff = base + alpha X'X, with X of r rows, from one of two sets of
+operands:
 
 - direct: base = K_II, alpha = -1 and X = U^{-T} K_EI, one banded
   triangular solve with K_EE = U'U (banded Cholesky on the band's true
@@ -15,9 +15,29 @@ of operands:
   base = K_II - G_E and alpha = +1 with X = X_D.  G_E = X_E'X_E,
   X_E = diag(ext_E)^{-1/2} R[:, E]', eliminates every exterior grid cell
   E = N + D; it is cached once per mesh, built by chunks of exterior
-  columns, and a record only puts its Dirichlet cells back by a rank-|D|
-  SYRK on its fresh base.  The two cost the same near |D| = |N|, so a
-  Dirichlet-heavy P0 record keeps the direct form.
+  columns, and a record only puts its Dirichlet cells back.  The two cost
+  the same near |D| = |N|, so a Dirichlet-heavy P0 record keeps the direct
+  form.
+
+A sweep moves D and N over one mesh, so most records are a rank-r change of
+one base.  When 2r <= n_I the record takes the low-rank path: it keeps
+(base, alpha, X) and never forms K_eff.  Its base and the upper Cholesky
+factor U of base + sigma M are cached once per base, keyed by the mesh
+(``_base_key``), ``far_label``, the interior slice and the form, two
+entries at most, under their own lock, which is never taken under the base
+or Gram lock (the order is factor, then Gram, then base).  The Dirichlet
+baseline is the r = 0 record of the direct form, so on a Dirichlet-sea
+sweep it fills the factor that every record reuses.  Each record then pays
+rank-r work for its shifted solves (Sherman-Morrison-Woodbury):
+Y = U^{-T} X' by one dtrsm (n^2 r flops), the capacitance
+C = I + alpha Y'Y by one dsyrk (n r^2) and its Cholesky (r^3 / 3), against
+n^2 r for the SYRK of K_eff and n^3 / 3 for its Cholesky on the dense path.
+The two meet near r = 0.53 n, hence the rule 2r <= n_I.  The shift sigma
+is taken on the base, and the stall bound on |base| and |X|, which bound
+|K_eff|.  A record with 2r > n_I takes the dense path: one SYRK
+K_eff = base + alpha X'X whose upper triangle is mirrored, symmetric by
+construction, and a Cholesky of its own.  ``SchurReduction.dense()``
+forms K_eff on demand on either path.
 
 K_II, G_E and K_eff are dense n_int x n_int; K_IE is never copied: it is
 read by runs of columns from the cached base rows (O(n_int * m) memory,
@@ -25,8 +45,8 @@ shared by every record of a mesh).  The exterior block K_EE and the Omega
 mass M are bands.  The reduced pencil (K_eff, M) is solved by inverse
 iteration with a tiny fixed shift and a deterministic all-ones start (the
 ground state is positive, so the overlap is guaranteed).  M enters only
-through band products and its two diagonals added to a copy of K_eff for
-the shifted factorization.
+through band products and its two diagonals added to a copy of K_eff (or
+of the base) for the shifted factorization.
 """
 
 from __future__ import annotations
@@ -59,20 +79,46 @@ ZERO_EIGENVALUE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
-class SchurReduction:
-    """Reduced interior stiffness with the exterior back-substitution map."""
+class BaseFactor:
+    """A cached base of K_eff = base + alpha X'X and the factor of its shifted pencil."""
 
-    K_eff: np.ndarray
+    base: np.ndarray              # read-only, symmetric
+    U: np.ndarray                 # base + sigma M = U'U, Fortran order; its upper triangle
+
+
+@dataclass(frozen=True)
+class SchurReduction:
+    """Reduced interior stiffness with the exterior back-substitution map.
+
+    On the dense path K_eff is formed; on the low-rank path it is None and
+    K_eff = factor.base + alpha X'X is kept as its pieces.
+    """
+
+    K_eff: np.ndarray | None
     _solve_EE: object             # callable rhs -> K_EE^{-1} rhs
     _K_EI: object                 # callable u_I -> K_EI u_I (StiffnessSystem.K_EI_matvec)
+    alpha: float = 0.0
+    X: np.ndarray | None = None   # (r, n_I), 2r <= n_I, on the low-rank path
+    factor: BaseFactor | None = None
 
     def back_map(self, u_interior: np.ndarray) -> np.ndarray:
         """Exterior Neumann values -K_EE^{-1} K_EI u_I (discrete reconstruction)."""
         return -self._solve_EE(self._K_EI(u_interior))
 
+    def dense(self) -> np.ndarray:
+        """K_eff, formed on demand on the low-rank path by the dense path's SYRK."""
+        if self.K_eff is not None:
+            return self.K_eff
+        if not len(self.X):
+            return self.factor.base.copy(order="K")
+        return _syrk(self.alpha, self.X, self.factor.base, overwrite=False)
+
 
 def schur_reduce(system: StiffnessSystem) -> SchurReduction:
-    """K_eff = base + alpha X'X over interior DOFs by one SYRK (see the module doc)."""
+    """K_eff = base + alpha X'X over interior DOFs, kept low-rank when 2r <= n_I.
+
+    See the module doc for the two forms and the two paths.
+    """
     K_EE = system.K_EE
     if np.any(K_EE[1] <= 0.0):
         raise SingularExteriorBlock("exterior DOF with no interaction with Omega")
@@ -81,16 +127,27 @@ def schur_reduce(system: StiffnessSystem) -> SchurReduction:
     except (LinAlgError, ValueError) as exc:
         raise SingularExteriorBlock(
             f"exterior Neumann block not positive definite: {exc}") from exc
-    K_eff = system.K_II
-    if K_EE.shape[1]:             # BLAS/LAPACK with a zero dimension corrupt the heap
-        alpha, X, K_eff = _schur_operands(system, U)
-        if len(X):            # an all-Neumann P0 grid has no Dirichlet cell to put back
-            # the Gram base is fresh, so dsyrk updates it in place; never K_II
-            K_eff = blas.dsyrk(alpha, X, beta=1.0, c=K_eff, trans=1,
-                               overwrite_c=K_eff is not system.K_II)
-            np.copyto(K_eff, K_eff.T, where=np.tri(len(K_eff), k=-1, dtype=bool))
-    return SchurReduction(K_eff=K_eff, _solve_EE=partial(cho_solve_banded, (U, False)),
-                          _K_EI=system.K_EI_matvec)
+    n_I = len(system.K_II)
+    pieces = dict(_solve_EE=partial(cho_solve_banded, (U, False)),
+                  _K_EI=system.K_EI_matvec)
+    if not n_I:                   # smallest_eigenpair rejects the empty system
+        return SchurReduction(K_eff=system.K_II, **pieces)
+    # BLAS/LAPACK with a zero dimension corrupt the heap: no exterior, no solve
+    gram, alpha, X = (_schur_operands(system, U) if K_EE.shape[1]
+                      else (False, -1.0, np.empty((0, n_I))))
+    if 2 * len(X) <= n_I:
+        return SchurReduction(K_eff=None, alpha=alpha, X=X,
+                              factor=_base_factor(system, gram), **pieces)
+    # the Gram base is fresh, so dsyrk updates it in place; never K_II
+    base = _gram_base(system) if gram else system.K_II
+    return SchurReduction(K_eff=_syrk(alpha, X, base, overwrite=gram), **pieces)
+
+
+def _syrk(alpha: float, X: np.ndarray, base: np.ndarray, overwrite: bool) -> np.ndarray:
+    """base + alpha X'X by one dsyrk, its upper triangle mirrored."""
+    K = blas.dsyrk(alpha, X, beta=1.0, c=base, trans=1, overwrite_c=overwrite)
+    np.copyto(K, K.T, where=np.tri(len(K), k=-1, dtype=bool))
+    return K
 
 
 _GRAM_LOCK = threading.Lock()     # one G_E build per mesh; never taken under the base lock
@@ -98,10 +155,9 @@ _GRAM_CHUNK = 256                 # exterior columns per dsyrk of the G_E build
 
 
 def _schur_operands(system: StiffnessSystem, U: np.ndarray):
-    """(alpha, X, base) of K_eff = base + alpha X'X: the Gram update or the direct form."""
+    """(gram, alpha, X) of K_eff = base + alpha X'X: the Gram update or the direct form."""
     disc = system.disc
-    key = _base_key(disc, system.order)
-    R, ext = _base_arrow(*key)
+    R, ext = _base_arrow(*_base_key(disc, system.order))
     D = np.flatnonzero(disc.dof_label == DOF_DIRICHLET)
     n_E = system.K_EE.shape[1]
     if np.any(ext[0]) or len(D) >= n_E:
@@ -112,13 +168,50 @@ def _schur_operands(system: StiffnessSystem, U: np.ndarray):
         X, info = lapack.dtbtrs(U, X, trans="T", overwrite_b=True)
         if info:
             raise SingularExteriorBlock(f"exterior Neumann solve failed: dtbtrs info {info}")
-        return -1.0, X, system.K_II
+        return False, -1.0, X
+    # a diagonal base band is P0's, whose Omega cells are all interior DOFs
+    return True, 1.0, _scaled_columns(R, ext, D).T
+
+
+def _gram_base(system: StiffnessSystem) -> np.ndarray:
+    """K_II - G_E, fresh; symmetric, so its transpose is the same matrix in the
+    Fortran order that dsyrk updates in place."""
     with _GRAM_LOCK:
-        G_E = _exterior_gram(*key)
-    # a diagonal base band is P0's, whose Omega cells are all interior DOFs;
-    # K_II - G_E is symmetric, so its transpose is the same matrix in the
-    # Fortran order that dsyrk updates in place
-    return 1.0, _scaled_columns(R, ext, D).T, (system.K_II - G_E).T
+        G_E = _exterior_gram(*_base_key(system.disc, system.order))
+    return (system.K_II - G_E).T
+
+
+_FACTOR_LOCK = threading.Lock()   # one factor per base; never taken under the Gram or base lock
+_FACTOR_SLOTS = 2                 # factors kept, the most recently used
+_FACTORS: dict = {}               # key -> BaseFactor, least recently used first
+
+
+def _base_factor(system: StiffnessSystem, gram: bool) -> BaseFactor:
+    """The cached base and factor of a low-rank record, built by the first record of its key.
+
+    K_II and M_II are functions of the key: the mesh, the far-field labels
+    and the interior slice; so is G_E, and the form says which base it is.
+    """
+    rows = system.free_dofs[system.interior_mask]
+    key = (_base_key(system.disc, system.order), system.disc.far_label, int(rows[0]),
+           len(rows), gram)
+    with _FACTOR_LOCK:
+        entry = _FACTORS.pop(key, None)
+        if entry is None:
+            entry = _factor(_gram_base(system) if gram else system.K_II, system.M_II)
+        _FACTORS[key] = entry
+        if len(_FACTORS) > _FACTOR_SLOTS:
+            del _FACTORS[next(iter(_FACTORS))]
+    return entry
+
+
+def _factor(base: np.ndarray, M_band: np.ndarray) -> BaseFactor:
+    """A read-only view of base and the upper Cholesky factor of base + sigma M."""
+    base = base.view()
+    base.setflags(write=False)
+    U = _shifted_cholesky(base, M_band)
+    U.setflags(write=False)
+    return BaseFactor(base=base, U=U)
 
 
 @lru_cache(maxsize=2)
@@ -166,54 +259,52 @@ class EigenPair:
     flagged_zero: bool
 
 
-def smallest_eigenpair(K_eff: np.ndarray, M_band: np.ndarray, tol: float = 1e-12,
+
+def smallest_eigenpair(K_eff, M_band: np.ndarray, tol: float = 1e-12,
                        max_iter: int = 500) -> EigenPair:
     """Minimizer of the Rayleigh quotient u'Ku / u'Mu by shifted inverse iteration.
 
-    K_eff is dense and symmetric; M is tridiagonal, given as a (2, n) band in
-    cholesky_banded upper layout (``assembly.omega_mass``).  Deterministic
-    all-ones start; convergence requires the residual
-    |K u - lambda M u| to fall below sqrt(tol) * max(1, lambda) and successive
-    Rayleigh quotients to agree within tol * max(lambda, 1e-30), or their
-    change to stop shrinking below the roundoff bound eps |u|'|K||u| of u'Ku
-    (small lambda, where the first test is out of reach).  Eigenvalues
-    below 1e-9 are reported as 0 with a flag (singular D = empty limit).
+    K_eff is a dense symmetric matrix or a ``SchurReduction``, whose
+    low-rank pieces are used as they are (see the module doc); M is
+    tridiagonal, given as a (2, n) band in cholesky_banded upper layout
+    (``assembly.omega_mass``).  Deterministic all-ones start; convergence
+    requires the residual |K u - lambda M u| to fall below
+    sqrt(tol) * max(1, lambda) and successive Rayleigh quotients to agree
+    within tol * max(lambda, 1e-30), or their change to stop shrinking below
+    the roundoff bound eps |u|'|K||u| of u'Ku (small lambda, where the first
+    test is out of reach).  Eigenvalues below 1e-9 are reported as 0 with a
+    flag (singular D = empty limit).
     """
-    n = K_eff.shape[0]
+    if not max_iter >= 1:
+        raise BadParameters(f"max_iter must be >= 1, got {max_iter!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise BadParameters(f"tol must be finite and > 0, got {tol!r}")
+    if isinstance(K_eff, SchurReduction) and K_eff.K_eff is not None:
+        K_eff = K_eff.K_eff
+    low_rank = isinstance(K_eff, SchurReduction)
+    n = len(K_eff.factor.base) if low_rank else K_eff.shape[0]
     if n == 0:
         raise BadParameters("empty interior system")
-    sigma = 1e-10 * (np.trace(K_eff) / max(M_band[1].sum(), 1e-300))
-    sigma = max(sigma, 1e-300)
-    # K + sigma M in a Fortran-order copy (K is symmetric, so it is the same
-    # matrix) that LAPACK factors in place; it reads the diagonal and above
-    A = np.array(K_eff, order="F")
-    flat = A.reshape(-1, order="F")
-    flat[::n + 1] += sigma * M_band[1]
-    flat[n::n + 1] += sigma * M_band[0, 1:]
-    try:
-        factor = cho_factor(A, overwrite_a=True)
-    except LinAlgError as exc:
-        raise IndefinitePencil(f"K + sigma M not positive definite: {exc}") from exc
+    solve, matvec, roundoff = _woodbury(K_eff) if low_rank else _cholesky(K_eff, M_band)
 
     u = np.ones(n)
     u /= math.sqrt(u @ band_matvec(M_band, u))
     Mu = band_matvec(M_band, u)
-    lam_prev = step_prev = lam = residual = math.inf
+    lam_prev = step_prev = math.inf
     converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        w = cho_solve(factor, Mu, check_finite=False)
+        w = solve(Mu)
         mn = math.sqrt(max(w @ band_matvec(M_band, w), 0.0))
         if mn == 0.0 or not math.isfinite(mn):
             raise IndefinitePencil("inverse iteration collapsed")
         u = w / mn
-        Ku = K_eff @ u
+        Ku = matvec(u)
         Mu = band_matvec(M_band, u)
         lam = float(u @ Ku)
         residual = float(np.linalg.norm(Ku - lam * Mu))
         step = abs(lam - lam_prev)
         if residual <= math.sqrt(tol) * max(1.0, abs(lam)) and (
-                step <= tol * max(abs(lam), 1e-30) or step_prev <= step <= _roundoff(K_eff, u)):
+                step <= tol * max(abs(lam), 1e-30) or step_prev <= step <= roundoff(u)):
             converged = True
             break
         lam_prev, step_prev = lam, step
@@ -223,6 +314,78 @@ def smallest_eigenpair(K_eff: np.ndarray, M_band: np.ndarray, tol: float = 1e-12
     return EigenPair(value=0.0 if flagged_zero else lam, vector=u,
                      iterations=iterations, rq_residual=residual,
                      converged=converged, flagged_zero=flagged_zero)
+
+
+def _shifted_cholesky(K: np.ndarray, M_band: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of K + sigma M, sigma = 1e-10 tr(K) / tr(M), Fortran order.
+
+    K + sigma M goes into a Fortran-order copy (K is symmetric, so it is the
+    same matrix) that LAPACK factors in place; it reads the diagonal and
+    above, and the strict lower triangle keeps K's entries.
+    """
+    n = len(K)
+    sigma = 1e-10 * (np.trace(K) / max(M_band[1].sum(), 1e-300))
+    sigma = max(sigma, 1e-300)
+    A = np.array(K, order="F")
+    flat = A.reshape(-1, order="F")
+    flat[::n + 1] += sigma * M_band[1]
+    flat[n::n + 1] += sigma * M_band[0, 1:]
+    try:
+        return cho_factor(A, overwrite_a=True)[0]
+    except LinAlgError as exc:
+        raise IndefinitePencil(f"K + sigma M not positive definite: {exc}") from exc
+
+
+def _cholesky(K: np.ndarray, M_band: np.ndarray):
+    """(solve, matvec, roundoff) of the dense path: one Cholesky of K + sigma M."""
+    factor = (_shifted_cholesky(K, M_band), False)
+    return (partial(cho_solve, factor, check_finite=False), partial(np.matmul, K),
+            partial(_roundoff, K))
+
+
+_ROW_CHUNK = 64                   # rows of |base| per block of the low-rank roundoff bound
+
+
+def _woodbury(red: SchurReduction):
+    """(solve, matvec, roundoff) of the low-rank path on the cached factor.
+
+    With base + sigma M = U'U and Y = U^{-T} X', K_eff + sigma M =
+    U'(I + alpha Y Y')U, so its solve is U^{-1} (I - alpha Y C^{-1} Y') U^{-T}
+    with the r x r capacitance C = I + alpha Y'Y (Woodbury).  Setup is one
+    dtrsm, one dsyrk and one dpotrf; a solve is two dtrsv and rank-r work.
+    """
+    U, base, alpha, X = red.factor.U, red.factor.base, red.alpha, red.X
+    Y = C = None
+    if len(X):                    # BLAS/LAPACK with a zero dimension corrupt the heap
+        Y = blas.dtrsm(1.0, U, X.T, trans_a=1)
+        C, info = lapack.dpotrf(blas.dsyrk(alpha, Y, beta=1.0, c=np.eye(len(X)), trans=1),
+                                overwrite_a=True)
+        if info:
+            raise IndefinitePencil(
+                f"capacitance I + alpha Y'Y not positive definite: dpotrf info {info}")
+
+    def solve(b):
+        y = blas.dtrsv(U, b, trans=1)
+        if Y is not None:
+            y -= alpha * (Y @ lapack.dpotrs(C, Y.T @ y)[0])
+        return blas.dtrsv(U, y, overwrite_x=True)
+
+    def matvec(u):
+        Ku = base @ u
+        if Y is not None:
+            Ku += alpha * (X.T @ (X @ u))
+        return Ku
+
+    def roundoff(u):
+        # eps (|u|'|base||u| + |X||u| squared) >= eps |u|'|K_eff||u|, by
+        # row blocks: no n x n |base| is made
+        a = np.abs(u)
+        Xa = np.abs(X) @ a
+        quad = sum(float(a[lo:lo + _ROW_CHUNK] @ (np.abs(base[lo:lo + _ROW_CHUNK]) @ a))
+                   for lo in range(0, len(a), _ROW_CHUNK))
+        return np.finfo(float).eps * (quad + float(Xa @ Xa))
+
+    return solve, matvec, roundoff
 
 
 def _roundoff(K: np.ndarray, u: np.ndarray) -> float:
@@ -272,7 +435,7 @@ def solve_mixed(omega: Domain1D, partition: ExteriorPartition, order: Fractional
     system = assemble(mesh, order)
     red = schur_reduce(system)
     M = system.M_II
-    pair = smallest_eigenpair(red.K_eff, M, tol=solver.tol, max_iter=solver.max_iter)
+    pair = smallest_eigenpair(red, M, tol=solver.tol, max_iter=solver.max_iter)
     u_I = pair.vector
     Mu = band_matvec(M, u_I)
     if float(np.sum(Mu)) < 0:
@@ -322,6 +485,8 @@ def richardson_extrapolate(h_values, lam_values) -> tuple[float, float]:
     h1, h2, h3 = (float(x) for x in h_values)
     l1, l2, l3 = (float(x) for x in lam_values)
     rho = h1 / h2
+    if rho == 1.0:
+        raise BadParameters("richardson_extrapolate needs a refinement ratio other than 1")
     if abs(h2 / h3 - rho) > 1e-9 * rho:
         raise BadParameters("richardson_extrapolate needs a constant ratio")
     d1, d2 = l2 - l1, l3 - l2

@@ -251,7 +251,7 @@ def test_arrow_matches_dense_reference(scheme, s, part):
         assert np.array_equal(got, ref)
     assert system.M_II.shape == (2, len(system.K_II))
 
-    K_eff = schur_reduce(system).K_eff
+    K_eff = schur_reduce(system).dense()
     assert np.array_equal(K_eff, K_eff.T)
     iI, iE = np.where(system.interior_mask)[0], np.where(system.exterior_mask)[0]
     if part == "dirichlet":

@@ -1,8 +1,11 @@
 import dataclasses
 import functools
+import importlib.util
+import json
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from mixedfrac import (
     DiscParams,
     Domain1D,
     ExperimentConfig,
+    IndefinitePencil,
     PartitionFamily,
     SingularExteriorBlock,
     SolverParams,
@@ -31,6 +35,7 @@ from mixedfrac import (
 from mixedfrac import eigensolver, experiments
 from mixedfrac.assembly import (DOF_DIRICHLET, DOF_INTERIOR, DOF_NEUMANN, StiffnessSystem,
                                 _base_arrow, _base_key)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 OM = Domain1D(-1.0, 1.0)
 OM01 = Domain1D(0.0, 1.0)
 
@@ -135,7 +140,7 @@ def _assert_direct_form(system, monkeypatch):
         raise AssertionError("took the Gram update")
 
     monkeypatch.setattr(eigensolver, "_exterior_gram", forbidden)
-    K_eff = schur_reduce(system).K_eff
+    K_eff = schur_reduce(system).dense()
     X = system.K_IE.T / np.sqrt(system.K_EE[1])[:, None]
     K_direct = system.K_II - X.T @ X
     assert np.abs(K_eff - K_direct).max() <= 1e-13 * np.abs(K_direct).max()
@@ -145,12 +150,13 @@ class TestGramUpdate:
     """The cached all-exterior elimination G_E with the Dirichlet cells put back."""
 
     @pytest.mark.parametrize("k", [1, 7])
-    def test_matches_direct_syrk_on_criterion_6(self, k):
+    def test_matches_direct_syrk_on_criterion_6(self, k, monkeypatch):
+        monkeypatch.setattr(eigensolver, "_FACTORS", {})   # a cold factor reads G_E
         system = _touching(k)
         n_D = np.count_nonzero(system.disc.dof_label == DOF_DIRICHLET)
         assert n_D < system.K_IE.shape[1]
         calls = sum(eigensolver._exterior_gram.cache_info()[:2])
-        K_eff = schur_reduce(system).K_eff
+        K_eff = schur_reduce(system).dense()
         assert sum(eigensolver._exterior_gram.cache_info()[:2]) == calls + 1
         X = system.K_IE.T / np.sqrt(system.K_EE[1])[:, None]
         K_direct = system.K_II - X.T @ X
@@ -204,6 +210,7 @@ class TestGramUpdate:
             return build(*key)
 
         monkeypatch.setattr(eigensolver, "_exterior_gram", slow_build)
+        monkeypatch.setattr(eigensolver, "_FACTORS", {})   # a cold factor reads G_E
         result = experiments.run(cfg, jobs=jobs)
         assert result.n_failed == 0
         assert len(builds) == 1
@@ -247,7 +254,7 @@ class TestExteriorInPlace:
     def test_gram_update_leaves_k_ii(self):
         system = _touching(1)
         K_II = system.K_II.copy()
-        K_eff = schur_reduce(system).K_eff
+        K_eff = schur_reduce(system).dense()
         assert K_eff is not system.K_II
         assert np.array_equal(system.K_II, K_II)
 
@@ -278,6 +285,149 @@ class TestExteriorInPlace:
         assert cold < n_I * np.count_nonzero(ext[1]) * 8
 
 
+def _neumann_interval():
+    """A P1 Neumann interval in a Dirichlet sea: a rank-9 change of K_II (40 DOFs)."""
+    order = make_order(1, 0.5)
+    part = explicit(OM, neumann=[[1.0, 1.5]], dirichlet="rest")
+    return assemble(build_mesh(OM, part, 0.05, 8.0, "P1", order=order), order)
+
+
+def _formed(system):
+    """K_eff as the dense path forms it: dtbtrs and a dsyrk on K_II (direct), or a
+    dsyrk of the Dirichlet cells on K_II - G_E (Gram update), mirrored."""
+    key = _base_key(system.disc, system.order)
+    R, ext = _base_arrow(*key)
+    D = np.flatnonzero(system.disc.dof_label == DOF_DIRICHLET)
+    if np.any(ext[0]) or len(D) >= system.K_EE.shape[1]:
+        U = scipy.linalg.cholesky_banded(system.K_EE)
+        X = scipy.linalg.lapack.dtbtrs(U, system.K_IE.T, trans="T")[0]
+        alpha, base = -1.0, system.K_II
+    else:
+        X = (np.take(R, D, axis=1) / np.sqrt(ext[1, D])).T
+        alpha, base = 1.0, (system.K_II - eigensolver._exterior_gram(*key)).T
+    K_eff = scipy.linalg.blas.dsyrk(alpha, X, beta=1.0, c=base, trans=1)
+    np.copyto(K_eff, K_eff.T, where=np.tri(len(K_eff), k=-1, dtype=bool))
+    return K_eff
+
+
+def _counted(monkeypatch, name, sleep=0.0):
+    """Wrap eigensolver.<name> to record its calls; the list of their arguments."""
+    calls = []
+    inner = getattr(eigensolver, name)
+
+    def counted(*args):
+        calls.append(args)
+        time.sleep(sleep)
+        return inner(*args)
+
+    monkeypatch.setattr(eigensolver, name, counted)
+    return calls
+
+
+def _sweep_config(kind, params, k_list, h, L, scheme, s, omega):
+    return ExperimentConfig.from_dict({
+        "schema": 1,
+        "order": {"dimension": 1, "s": s},
+        "omega": {"a": omega[0], "b": omega[1]},
+        "family": {"kind": kind, "params": params, "k_list": k_list},
+        "discretization": {"h": h, "L": L, "scheme": scheme},
+        "solver": {"tol": 1e-13, "max_iter": 800},
+        "outputs": {},
+        "verify": {"gauss": True, "conditionC": False, "measures": True},
+    })
+
+
+class TestLowRankPath:
+    """Records with 2r <= n_I solve on one cached factor per base by a capacitance update."""
+
+    @pytest.mark.parametrize("make", [_neumann_interval, lambda: _touching(1),
+                                      lambda: _touching(7)],
+                             ids=["p1_interval", "touching1", "touching7"])
+    def test_matches_the_dense_path(self, make):
+        system = make()
+        red = schur_reduce(system)
+        assert red.K_eff is None and 0 < 2 * len(red.X) <= len(system.K_II)
+        K_eff = red.dense()
+        assert np.array_equal(K_eff, _formed(system))
+        low = smallest_eigenpair(red, system.M_II, tol=1e-13, max_iter=800)
+        ref = smallest_eigenpair(K_eff, system.M_II, tol=1e-13, max_iter=800)
+        assert low.converged and ref.converged
+        assert abs(low.value - ref.value) <= 1e-12 * ref.value
+
+    def test_rule_is_two_r_against_n(self):
+        # touching k = 1: |D| = 256 Dirichlet cells against 512 interior ones
+        system = _touching(1)
+        red = schur_reduce(system)
+        assert 2 * len(red.X) == len(system.K_II)
+        assert red.K_eff is None
+        # k = 0: |D| = 512, still fewer than the Neumann cells, so the Gram
+        # update, but 2r > n_I: K_eff is formed and factored per record
+        red = schur_reduce(_touching(0))
+        assert red.K_eff is not None and red.X is None and red.factor is None
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("sea,builds", [("dirichlet", 1), ("neumann", 2)])
+    def test_one_factor_per_base(self, sea, builds, jobs, monkeypatch):
+        if sea == "dirichlet":    # nested Neumann intervals off Omega, P1: the baseline's base
+            cfg = _sweep_config("nested_neumann", {"left": 1.5, "length0": 1.0, "ratio": 2.0},
+                                [2, 3, 4], 2.0 ** -6, 8.0, "P1", 0.3, (-1.0, 1.0))
+        else:                     # touching Dirichlet intervals, P0: the baseline and K_II - G_E
+            cfg = _sweep_config("shrinking_dirichlet_touching",
+                                {"r0": 1.0, "ratio": 2.0, "side": "left"},
+                                [1, 2, 3, 4], 2.0 ** -6, 4.0, "P0", 0.25, (0.0, 1.0))
+        monkeypatch.setattr(eigensolver, "_FACTORS", {})
+        built = _counted(monkeypatch, "_factor", sleep=0.05)
+        low_rank = _counted(monkeypatch, "_woodbury")
+        result = experiments.run(cfg, jobs=jobs)
+        assert result.n_failed == 0
+        assert len(built) == builds
+        # the baseline and every record solve on a cached factor
+        assert len(low_rank) == 1 + len(cfg.k_list)
+        assert len({id(red.factor) for (red,) in low_rank}) == builds
+
+    def test_indefinite_capacitance_raises(self):
+        # K_eff = I - 4 e_0 e_0' is indefinite: C = 1 - 4 / (1 + sigma) < 0
+        n = 4
+        M = band(np.eye(n))
+        X = np.zeros((1, n))
+        X[0, 0] = 2.0
+        red = eigensolver.SchurReduction(K_eff=None, _solve_EE=None, _K_EI=None, alpha=-1.0,
+                                         X=X, factor=eigensolver._factor(np.eye(n), M))
+        with pytest.raises(IndefinitePencil, match="dpotrf info 1"):
+            smallest_eigenpair(red, M)
+
+    def test_memory_of_a_warm_record(self):
+        system = _touching(4)
+        n_I = len(system.K_II)
+        smallest_eigenpair(schur_reduce(system), system.M_II)   # caches G_E and the factor
+        tracemalloc.start()
+        try:
+            red = schur_reduce(system)
+            pair = smallest_eigenpair(red, system.M_II, tol=1e-13, max_iter=800)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert red.K_eff is None and pair.converged
+        assert peak < n_I * n_I * 8 / 2
+
+    @pytest.mark.parametrize("sweep", ["c4_nested_s0.3", "c6_touching_p0"])
+    def test_benchmark_references(self, sweep):
+        # the two benchmark sweeps whose records take the low-rank path
+        spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        refs = json.loads((PERFBENCH / "references.json").read_text())
+        ref = refs["sweeps"][sweep]
+        cfg = ExperimentConfig.from_dict({**workloads.SWEEPS[sweep], "outputs": {}})
+        result = experiments.run(cfg)
+        assert result.n_failed == 0
+        assert abs(result.baseline - ref["baseline"]) <= refs["rtol"] * ref["baseline"]
+        assert sorted(r.k for r in result.records) == sorted(map(int, ref["lambda1"]))
+        for rec in result.records:
+            want = ref["lambda1"][str(rec.k)]
+            assert abs(rec.lambda1 - want) <= refs["rtol"] * want, rec.k
+
+
 class TestSmallestEigenpair:
     def test_reference_pencil(self):
         # 1D Laplacian pencil with known smallest eigenvalue
@@ -296,7 +446,7 @@ class TestSmallestEigenpair:
         order = make_order(1, s)
         part = explicit(OM, neumann=[[1.0, 2.0]], dirichlet="rest")
         system = assemble(build_mesh(OM, part, 0.1, 8.0, scheme, order=order), order)
-        K_eff = schur_reduce(system).K_eff
+        K_eff = schur_reduce(system).dense()
         ref = scipy.linalg.eigh(K_eff, unband(system.M_II), subset_by_index=[0, 0],
                                 eigvals_only=True)[0]
         pair = smallest_eigenpair(K_eff, system.M_II)
@@ -316,6 +466,17 @@ class TestSmallestEigenpair:
                               with_diagnostics=False)
             assert res.converged
             assert res.iterations == iterations
+
+    @pytest.mark.parametrize("low_rank", [False, True])
+    @pytest.mark.parametrize("kw", [{"max_iter": 0}, {"max_iter": -3}, {"tol": 0.0},
+                                    {"tol": -1e-12}, {"tol": math.inf}, {"tol": math.nan}])
+    def test_rejects_bad_solver_parameters(self, kw, low_rank):
+        from mixedfrac import BadParameters
+        system = _neumann_interval()
+        red = schur_reduce(system)
+        assert red.K_eff is None
+        with pytest.raises(BadParameters):
+            smallest_eigenpair(red if low_rank else red.dense(), system.M_II, **kw)
 
     def test_empty_dirichlet_gives_zero_with_flag(self):
         order = make_order(1, 0.5)
@@ -426,3 +587,8 @@ class TestRichardson:
         from mixedfrac import BadParameters
         with pytest.raises(BadParameters):
             richardson_extrapolate([0.04, 0.02, 0.015], [1.0, 1.1, 1.2])
+
+    def test_rejects_a_ratio_of_one(self):
+        from mixedfrac import BadParameters
+        with pytest.raises(BadParameters, match="other than 1"):
+            richardson_extrapolate([0.02, 0.02, 0.02], [1.0, 1.1, 1.2])
