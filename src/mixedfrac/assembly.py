@@ -19,8 +19,10 @@ them; a mesh scales its slice by h^(1-2s).  Exterior pairs carry no energy,
 so K is an arrow matrix in O(n_int * m) memory: the Omega rows, Toeplitz
 off the band and gathered through a strided view of one symmetric sequence
 (P0 and P1), and a P1 band whose entries add their terms in one fixed
-order, by separation, so that it is bitwise reproducible, by vector adds
-over all nodes and whole chunks of separations.  Couplings with the
+order, by separation, so that it is bitwise reproducible: slice adds over
+the nodes outside Omega, and for the Omega entries one sequential sum per
+distinct start value over the separations where every pair lies on the
+grid, and masked blocks over the rest.  Couplings with the
 exterior beyond the collar are dropped on the Neumann side and replaced by
 closed-form tail integrals on the Dirichlet side.
 """
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -302,11 +304,21 @@ def _band_terms(diag, sup, A, B, D, c_lo: int, c_hi: int) -> None:
     A11(d) while cell j - 1 + d does, A00 first at one d: with u = c_lo - j,
     the terms are A00(u), A00(u + t), A11(u + t) for t = 1..n_int-1, then
     A11(u + n_int), so one slice add per term over all left nodes.  Nodes
-    right of Omega get D11 and D00 likewise.  The Omega nodes and sup[c_lo - 1
-    .. c_hi + 1] take one block per chunk of separations: the running values
-    in its first row and the terms in order below, which ``np.add.reduce``
-    sums row by row, as it does for C-contiguous blocks at least two columns
-    wide.
+    right of Omega get D11 and D00 likewise.
+
+    The Omega nodes and sup[c_lo - 1 .. c_hi + 1] are columns of four terms
+    per d, zero for a pair off the grid or, in the five end columns, one
+    that misses Omega.  Every column is summed sequentially from its start
+    value, so its bits depend on that value and its terms only.  The end
+    columns take one block over every d, which ``np.add.reduce`` sums row
+    by row, as it does for C-contiguous blocks at least two columns wide.
+    The other columns of a class (diag or sup) share their terms while
+    every pair lies on the grid, d <= n_collar, and share their start value
+    on the meshes ``_p1_arrow`` builds: one ``np.add.accumulate`` per
+    (class, start value) sums that prefix for all of them.  Only the last
+    separations, at most n_int, take a block per chunk with the on-grid
+    mask, gathered from a byte staircase; a masked zero leaves a sum as it
+    was.
     """
     n, n_int = len(sup), c_hi - c_lo + 1
 
@@ -336,34 +348,55 @@ def _band_terms(diag, sup, A, B, D, c_lo: int, c_hi: int) -> None:
     # D01], [A11 | -B10 (d = 2 only)], [D11 | 0], each the term of the pair
     # (i, i + d) with i = x - off; past n_int the D rows, whose pairs have
     # their right cell in Omega, go first: rows 1, 3, 0, 2
-    x = np.r_[c_lo:c_hi + 2, c_lo - 1:c_hi + 2]
     ds = np.arange(2, max(c_hi, n - 1 - c_lo) + 1)
     vals = np.zeros((len(ds), 4, 2))
     vals[:, 0], vals[:, 1] = A[ds - 2, 0], D[ds - 2, 0]
     vals[:, 2, 0], vals[:, 3, 0] = A[ds - 2, 1, 1], D[ds - 2, 1, 1]
     vals[0, 2, 1] = -B[0, 1, 0]
-    off = ([0, 0, 1, 1] + ds[:, None] * [0, 1, 0, 1])[:, :, None]
-    past = (ds > n_int)[:, None, None]
-    vals = np.where(past, vals[:, [1, 3, 0, 2]], vals)
+    off = [0, 0, 1, 1] + ds[:, None] * [0, 1, 0, 1]
+    past = (ds > n_int)[:, None]
+    vals = np.where(past[:, :, None], vals[:, [1, 3, 0, 2]], vals)
     off = np.where(past, off[:, [1, 3, 0, 2]], off)
-    # a pair misses Omega only at the end columns, and leaves the grid only
-    # at the largest d; the terms of those pairs are zero
-    ends = np.flatnonzero(np.isin(x, (c_lo - 1, c_lo, c_hi + 1)))
-    i, d = x[ends] - off, ds[:, None, None]
-    at_ends = np.where(ends <= n_int, vals[:, :, :1], vals[:, :, 1:]) * (
-        (c_lo <= i) & (i <= c_hi) | (c_lo <= i + d) & (i + d <= c_hi))
     run = np.r_[diag[c_lo:c_hi + 2], sup[c_lo - 1:c_hi + 2]]
-    for lo in range(0, len(ds), _CHUNK):
-        c = slice(lo, lo + _CHUNK)
-        blk = np.empty((4 * len(ds[c]) + 1, len(x)))
-        blk[0] = run
-        rows = blk[1:].reshape(-1, 4, len(x))
-        rows[:, :, :n_int + 1], rows[:, :, n_int + 1:] = vals[c, :, :1], vals[c, :, 1:]
-        rows[:, :, ends] = at_ends[c]
-        x_lo, x_hi = off[c], n - d[c] + off[c]        # on the grid: x_lo <= x < x_hi
-        if x_lo.max() > x.min() or x_hi.min() <= x.max():
-            rows *= (x_lo <= x) & (x < x_hi)
-        run = np.add.reduce(blk, axis=0)
+
+    # the end columns, x = c_lo, c_hi + 1 (diag) and c_lo - 1, c_lo, c_hi + 1
+    # (sup), hold the only pairs that miss Omega
+    ends = [0, n_int, n_int + 1, n_int + 2, 2 * n_int + 2]
+    i = np.array([c_lo, c_hi + 1, c_lo - 1, c_lo, c_hi + 1]) - off[:, :, None]
+    d = ds[:, None, None]
+    keep = ((c_lo <= i) & (i <= c_hi) | (c_lo <= i + d) & (i + d <= c_hi)) \
+        & (0 <= i) & (i + d < n)
+    terms = (vals[:, :, [0, 0, 1, 1, 1]] * keep).reshape(-1, len(ends))
+    run[ends] = np.add.reduce(np.r_[run[None, ends], terms], axis=0)
+
+    # the other columns, x = x0..c_hi in each class
+    w, x0 = n_int - 1, c_lo + 1
+    if w:
+        mid = np.r_[1:n_int, n_int + 3:2 * n_int + 2]
+        on = np.all((off <= x0) & (c_hi < n - ds[:, None] + off), axis=1)
+        n_pre = len(ds) if on.all() else int(np.argmin(on))
+        run_mid = run[mid]
+        for k, cols in enumerate((slice(0, w), slice(w, 2 * w))):
+            start, group = np.unique(run_mid[cols], return_inverse=True)
+            seq = np.empty((1 + 4 * n_pre, len(start)))
+            seq[0] = start
+            seq[1:] = vals[:n_pre, :, k].reshape(-1, 1)
+            run_mid[cols] = np.add.accumulate(seq, axis=0)[-1, group]
+        # for column j = x - x0: j >= t at ge[w - t], j < t at lt[w - t]
+        ge = np.lib.stride_tricks.sliding_window_view(np.arange(2 * w) >= w, w)
+        lt = ge[::-1, ::-1]
+        buf = np.empty((1 + 4 * _CHUNK, 2, w))
+        for lo in range(n_pre, len(ds), _CHUNK):
+            c = slice(lo, lo + _CHUNK)
+            blk = buf[:1 + 4 * len(ds[c])]
+            blk[0] = run_mid.reshape(2, w)
+            rows = blk[1:].reshape(-1, 4, 2, w)
+            rows[...] = 0.0
+            t_lo = np.clip(off[c] - x0, 0, w)                 # on the grid: off <= x
+            t_hi = np.clip(n - ds[c, None] + off[c] - x0, 0, w)   # and x < n - d + off
+            np.copyto(rows, vals[c, :, :, None], where=(ge[w - t_lo] & lt[w - t_hi])[:, :, None])
+            run_mid = np.add.reduce(blk.reshape(len(blk), -1), axis=0)
+        run[mid] = run_mid
     diag[c_lo:c_hi + 2], sup[c_lo - 1:c_hi + 2] = run[:n_int + 1], run[n_int + 1:]
 
 
@@ -446,7 +479,7 @@ def _p1_arrow(n: int, c_lo: int, c_hi: int, s: float, h: float, a_ns: float):
     dense stripe reference -- same-cell, touching, then by separation, piece
     of pairs and tensor entry -- so K is reproduced bitwise, symmetric.  The
     same-cell and touching terms are slice adds here; ``_band_terms`` adds
-    every separation d >= 2 in one ordered pass.
+    every separation d >= 2 in the same order.
     """
     d_max = max(c_hi, n - 1 - c_lo)
     # order 28 on the nearest separations; tests check both against mpmath
@@ -540,6 +573,9 @@ class StiffnessSystem:
     exterior_mask: np.ndarray     # within-free boolean (exterior Neumann)
     tail_corrections: np.ndarray  # per-free-DOF diagonal far-field-D addition
     dirichlet_row_sums: np.ndarray  # column sums of the constrained row block
+    # set by ``assemble`` alone, whose K_II and M_II are functions of the mesh
+    # key; ``dataclasses.replace`` and hand-made systems get False
+    assembled: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def n_free(self) -> int:
@@ -644,10 +680,12 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     tails = np.zeros(len(free))
     tails[interior] = tails_om[I]
 
-    return StiffnessSystem(
+    system = StiffnessSystem(
         disc=disc, order=order, K_II=K_II, R_I=R[I], runs_E=runs(cols_E), K_EE=K_EE, M_II=M_II,
         free_dofs=free, interior_mask=interior, exterior_mask=exterior,
         tail_corrections=tails, dirichlet_row_sums=Kx[free])
+    object.__setattr__(system, "assembled", True)
+    return system
 
 
 # ---------------------------------------------------------------------------

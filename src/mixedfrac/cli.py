@@ -73,8 +73,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _load_config(args)
-    result = experiments.run(cfg, jobs=max(1, args.jobs))
+    result = experiments.run(cfg, jobs=args.jobs)
     paths = experiments.emit(result, cfg, out_dir=_ensure_out(args))
     for r in result.records:
         status = f"FAILED ({r.error})" if r.error else (

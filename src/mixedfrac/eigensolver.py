@@ -189,9 +189,12 @@ _FACTORS: dict = {}               # key -> BaseFactor, least recently used first
 def _base_factor(system: StiffnessSystem, gram: bool) -> BaseFactor:
     """The cached base and factor of a low-rank record, built by the first record of its key.
 
-    K_II and M_II are functions of the key: the mesh, the far-field labels
-    and the interior slice; so is G_E, and the form says which base it is.
+    For a system from ``assemble``, K_II and M_II are functions of the key:
+    the mesh, the far-field labels and the interior slice; so is G_E, and
+    the form says which base it is.  Any other system gets a factor of its own.
     """
+    if not system.assembled:
+        return _factor(_gram_base(system) if gram else system.K_II, system.M_II)
     rows = system.free_dofs[system.interior_mask]
     key = (_base_key(system.disc, system.order), system.disc.far_label, int(rows[0]),
            len(rows), gram)

@@ -27,7 +27,7 @@ from .eigensolver import (
     dirichlet_baseline,
     solve_mixed,
 )
-from .errors import ConfigError, DegenerateData, MixedFracError
+from .errors import BadParameters, ConfigError, DegenerateData, MixedFracError
 from .fracops import make_order
 from .geometry import FAMILY_KINDS, Domain1D, PartitionFamily, family_param, generate
 from .nonlocal_ops import farfield_rate, gauss_residual
@@ -236,6 +236,8 @@ def _failed_record(cfg: ExperimentConfig, k: int, ms: float, err: str) -> Experi
 
 def run(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
     """Solve one record per k; the Dirichlet baseline is solved once per mesh."""
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise BadParameters(f"jobs must be an integer >= 1, got {jobs!r}")
     cfg.validate()
     order = make_order(cfg.dimension, cfg.s)
     # baseline first: warms the cached label-independent base matrix

@@ -7,10 +7,13 @@ tail loops, and a dense Schur complement.  It is only run on meshes of at
 most 400 DOFs, except for the bitwise check of the P1 arrow pair, which also
 covers a 577-DOF mesh, a 529-DOF long-collar mesh and the 2761-DOF mesh of
 the criterion-7 sweep.  The P0 arrow pair is checked bitwise against its
-former construction (pair values to n - 1 and a fancy-index gather).
+former construction (pair values to n - 1 and a fancy-index gather), and the
+P1 band terms against their former summation, one masked block per chunk of
+separations over every Omega column, on the benchmark's P1 meshes.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,8 +38,10 @@ from mixedfrac.assembly import (
     DOF_DIRICHLET,
     DOF_INTERIOR,
     DOF_NEUMANN,
+    _band_terms,
     _base_arrow,
     _base_key,
+    _build_base,
     _p0_pair_values,
     _p1_adjacent_local,
     _p1_far_tensors,
@@ -286,6 +291,123 @@ def test_p1_arrow_bitwise_equals_dense_reference(a, b, h, L, s):
     R_got, ext_got = _base_arrow(a, b, h, L, "P1", s, order.a_ns)
     assert np.array_equal(R_got, K[c_lo:c_hi + 2])
     assert np.array_equal(ext_got, ext)
+
+
+def former_band_terms(diag, sup, A, B, D, c_lo, c_hi):
+    """``_band_terms`` as it summed the Omega columns before the shared prefix.
+
+    One block per chunk of separations over all 2 n_int + 3 columns, with
+    the running values in its first row, masked by broadcast compares
+    wherever a pair leaves the grid.
+    """
+    n, n_int = len(sup), c_hi - c_lo + 1
+
+    # x(d) at index d <= d_max, zero for d < 2 (the touching pair is added already)
+    a00, a11, a01, d00, d11, d01 = (np.r_[0.0, 0.0, x] for x in (
+        A[:, 0, 0], A[:, 1, 1], A[:, 0, 1], D[:, 0, 0], D[:, 1, 1], D[:, 0, 1]))
+    # left nodes by u = c_lo - j = 1..c_lo (node 0, the last, has no A11);
+    # right nodes by e = j - c_hi - 1 = 1..m (node n, the last, has no D00)
+    left, right, m = diag[:c_lo][::-1], diag[c_hi + 2:], n - c_hi - 1
+    left += a00[1:c_lo + 1]
+    right += d11[1:m + 1]
+    for t in range(1, n_int):
+        left += a00[1 + t:c_lo + 1 + t]
+        left[:-1] += a11[1 + t:c_lo + t]
+        right[:-1] += d00[1 + t:m + t]
+        right += d11[1 + t:m + 1 + t]
+    left[:-1] += a11[1 + n_int:c_lo + n_int]
+    right[:-1] += d00[1 + n_int:m + n_int]
+    # sup[j]: A01 from d = c_lo - j left of Omega, D01 from d = j - c_hi right
+    left, right = sup[:c_lo - 1][::-1], sup[c_hi + 2:]
+    for t in range(n_int):
+        left += a01[2 + t:c_lo + 1 + t]
+        right += d01[2 + t:m + 1 + t]
+
+    # Omega: a column per node c_lo..c_hi+1 (diag), then per sup entry
+    # c_lo-1..c_hi+1, x its index.  Per d the rows are [A00 | A01], [D00 |
+    # D01], [A11 | -B10 (d = 2 only)], [D11 | 0], each the term of the pair
+    # (i, i + d) with i = x - off; past n_int the D rows, whose pairs have
+    # their right cell in Omega, go first: rows 1, 3, 0, 2
+    x = np.r_[c_lo:c_hi + 2, c_lo - 1:c_hi + 2]
+    ds = np.arange(2, max(c_hi, n - 1 - c_lo) + 1)
+    vals = np.zeros((len(ds), 4, 2))
+    vals[:, 0], vals[:, 1] = A[ds - 2, 0], D[ds - 2, 0]
+    vals[:, 2, 0], vals[:, 3, 0] = A[ds - 2, 1, 1], D[ds - 2, 1, 1]
+    vals[0, 2, 1] = -B[0, 1, 0]
+    off = ([0, 0, 1, 1] + ds[:, None] * [0, 1, 0, 1])[:, :, None]
+    past = (ds > n_int)[:, None, None]
+    vals = np.where(past, vals[:, [1, 3, 0, 2]], vals)
+    off = np.where(past, off[:, [1, 3, 0, 2]], off)
+    # a pair misses Omega only at the end columns, and leaves the grid only
+    # at the largest d; the terms of those pairs are zero
+    ends = np.flatnonzero(np.isin(x, (c_lo - 1, c_lo, c_hi + 1)))
+    i, d = x[ends] - off, ds[:, None, None]
+    at_ends = np.where(ends <= n_int, vals[:, :, :1], vals[:, :, 1:]) * (
+        (c_lo <= i) & (i <= c_hi) | (c_lo <= i + d) & (i + d <= c_hi))
+    run = np.r_[diag[c_lo:c_hi + 2], sup[c_lo - 1:c_hi + 2]]
+    for lo in range(0, len(ds), 64):
+        c = slice(lo, lo + 64)
+        blk = np.empty((4 * len(ds[c]) + 1, len(x)))
+        blk[0] = run
+        rows = blk[1:].reshape(-1, 4, len(x))
+        rows[:, :, :n_int + 1], rows[:, :, n_int + 1:] = vals[c, :, :1], vals[c, :, 1:]
+        rows[:, :, ends] = at_ends[c]
+        x_lo, x_hi = off[c], n - d[c] + off[c]        # on the grid: x_lo <= x < x_hi
+        if x_lo.max() > x.min() or x_hi.min() <= x.max():
+            rows *= (x_lo <= x) & (x < x_hi)
+        run = np.add.reduce(blk, axis=0)
+    diag[c_lo:c_hi + 2], sup[c_lo - 1:c_hi + 2] = run[:n_int + 1], run[n_int + 1:]
+
+
+def band_inputs(monkeypatch, a, b, h, L, s):
+    """The arguments that a cold ``_p1_arrow`` build hands to ``_band_terms``, copied."""
+    got = []
+    monkeypatch.setattr(assembly, "_band_terms",
+                        lambda diag, sup, *rest: got.append((diag.copy(), sup.copy(), *rest)))
+    assembly._build_base.cache_clear()
+    _build_base(a, b, h, L, "P1", s, make_order(1, s).a_ns)
+    assembly._build_base.cache_clear()
+    return got[0]
+
+
+# the benchmark's P1 meshes: c4_nested at both s, collar_sector and c4_ball /
+# c7 (n_int = 40), too large for the dense reference; and n_int = 1, 2, 3,
+# where the Omega columns are all or nearly all end columns
+@pytest.mark.parametrize("a,b,h,L,s", [(-1.0, 1.0, 2.0 ** -8, 8.0, 0.3),
+                                       (-1.0, 1.0, 2.0 ** -8, 8.0, 0.7),
+                                       (-1.0, 1.0, 0.01, 36.0, 0.5),
+                                       (-1.0, 1.0, 0.05, 68.0, 0.75)]
+                         + [(0.0, 1.0, 1 / n, 4.0, s) for n in (1, 2, 3) for s in (0.3, 0.75)])
+def test_band_terms_bitwise_equal_former(monkeypatch, a, b, h, L, s):
+    diag, sup, *rest = band_inputs(monkeypatch, a, b, h, L, s)
+    ref = diag.copy(), sup.copy()
+    former_band_terms(*ref, *rest)
+    _band_terms(diag, sup, *rest)
+    assert np.array_equal(diag, ref[0]) and np.array_equal(sup, ref[1])
+
+
+def test_band_terms_distinct_start_values(monkeypatch):
+    # every Omega column its own start value: one prefix sum per column
+    diag, sup, *rest = band_inputs(monkeypatch, 0.0, 1.0, 1 / 16, 4.0, 0.3)
+    rng = np.random.default_rng(5)
+    diag, sup = rng.standard_normal(diag.shape), rng.standard_normal(sup.shape)
+    ref = diag.copy(), sup.copy()
+    former_band_terms(*ref, *rest)
+    _band_terms(diag, sup, *rest)
+    assert np.array_equal(diag, ref[0]) and np.array_equal(sup, ref[1])
+
+
+def test_band_terms_memory(monkeypatch):
+    # the tail is summed a chunk of separations at a time: one block over
+    # its 4 n_int rows and 2 n_int columns would be 16.7 MiB here
+    diag, sup, *rest = band_inputs(monkeypatch, -1.0, 1.0, 2.0 ** -8, 8.0, 0.3)
+    tracemalloc.start()
+    try:
+        _band_terms(diag, sup, *rest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
 
 
 def former_p0_base(disc, order):

@@ -385,6 +385,25 @@ class TestLowRankPath:
         assert len(low_rank) == 1 + len(cfg.k_list)
         assert len({id(red.factor) for (red,) in low_rank}) == builds
 
+    def test_replaced_system_gets_its_own_factor(self):
+        # the factor cache trusts that K_II and M_II are functions of the
+        # mesh key, which holds for ``assemble``'s systems only
+        order = make_order(1, 0.5)
+        disc = build_mesh(OM, full_dirichlet_partition(OM), 0.5, 8.0, "P1", order=order)
+        system = assemble(disc, order)
+        assert system.assembled
+        real = smallest_eigenpair(schur_reduce(system), system.M_II).value   # caches its factor
+        fake = dataclasses.replace(system, K_II=4 * np.eye(3))
+        assert not fake.assembled
+        red = schur_reduce(fake)
+        assert red.K_eff is None and not len(red.X)
+        lam = smallest_eigenpair(red, fake.M_II).value
+        dense_path = smallest_eigenpair(fake.K_II, fake.M_II).value
+        assert abs(real - 1.2175) < 1e-4 and abs(dense_path - 8.8656) < 1e-4
+        assert lam == pytest.approx(dense_path, rel=1e-12)
+        # the real system still hits its cached factor
+        assert schur_reduce(system).factor is schur_reduce(system).factor
+
     def test_indefinite_capacitance_raises(self):
         # K_eff = I - 4 e_0 e_0' is indefinite: C = 1 - 4 / (1 + sigma) < 0
         n = 4

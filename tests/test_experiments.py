@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from mixedfrac import ConfigError, DegenerateData, ExperimentConfig, fit_rate
+from mixedfrac import BadParameters, ConfigError, DegenerateData, ExperimentConfig, fit_rate
 from mixedfrac import experiments
 from mixedfrac.cli import main as cli_main
 
@@ -205,6 +205,12 @@ class TestRun:
         for a, b in zip(result.records, threaded.records):
             assert a.lambda1 == b.lambda1
 
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, True])
+    def test_bad_jobs_rejected(self, fixed_interval_run, jobs):
+        _, cfg = fixed_interval_run
+        with pytest.raises(BadParameters, match="jobs must be an integer >= 1"):
+            experiments.run(cfg, jobs=jobs)
+
     def test_per_record_failure_tagged(self, fixed_interval_run, monkeypatch):
         _, cfg = fixed_interval_run
         from mixedfrac import errors
@@ -323,6 +329,12 @@ class TestCli:
         cfg = self._write_cfg(tmp_path)
         assert cli_main(["solve", "--config", cfg]) == 0
         assert "k=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_bad_jobs_is_config_error(self, tmp_path, capsys, jobs):
+        cfg = self._write_cfg(tmp_path)
+        assert cli_main(["sweep", "--config", cfg, "--jobs", jobs]) == 1
+        assert f"config error: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err
 
     def test_baseline_richardson(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)
