@@ -19,12 +19,16 @@ them; a mesh scales its slice by h^(1-2s).  Exterior pairs carry no energy,
 so K is an arrow matrix in O(n_int * m) memory: the Omega rows, Toeplitz
 off the band and gathered through a strided view of one symmetric sequence
 (P0 and P1), and a P1 band whose entries add their terms in one fixed
-order, by separation, so that it is bitwise reproducible: slice adds over
-the nodes outside Omega, and for the Omega entries one sequential sum per
-distinct start value over the separations where every pair lies on the
-grid, and masked blocks over the rest.  Couplings with the
-exterior beyond the collar are dropped on the Neumann side and replaced by
-closed-form tail integrals on the Dirichlet side.
+order, by separation, so that it is bitwise reproducible: for the nodes
+outside Omega, sequential sums over strided windows of one interleaved
+sequence per side, a block of separations at a time; for the Omega
+entries, one sequential sum per distinct start value over the separations
+where every pair lies on the grid, and masked blocks over the rest.
+Couplings with the exterior beyond the collar are dropped on the Neumann
+side and replaced by closed-form tail integrals on the Dirichlet side.
+The arrow pair is cached per mesh, and the interior block K_II with its
+tails per (mesh, far-field labels, interior slice), so the records of a
+sweep share both, read-only.
 """
 
 from __future__ import annotations
@@ -303,8 +307,12 @@ def _band_terms(diag, sup, A, B, D, c_lo: int, c_hi: int) -> None:
     A node j left of Omega gets A00(d) while cell j + d lies in Omega and
     A11(d) while cell j - 1 + d does, A00 first at one d: with u = c_lo - j,
     the terms are A00(u), A00(u + t), A11(u + t) for t = 1..n_int-1, then
-    A11(u + n_int), so one slice add per term over all left nodes.  Nodes
-    right of Omega get D11 and D00 likewise.
+    A11(u + n_int).  Nodes right of Omega get D11 and D00 likewise, and a
+    superdiagonal entry outside Omega n_int terms of A01 or D01.  So the
+    terms of consecutive nodes are windows, two entries apart, of the
+    sequence A00(0), A11(0), A00(1), ... (D00, D11 on the right; one apart
+    in A01 or D01), summed by ``_window_sums``; the last node on each side,
+    which has no A11 (D00), is one ``np.add.accumulate``.
 
     The Omega nodes and sup[c_lo - 1 .. c_hi + 1] are columns of four terms
     per d, zero for a pair off the grid or, in the five end columns, one
@@ -325,23 +333,22 @@ def _band_terms(diag, sup, A, B, D, c_lo: int, c_hi: int) -> None:
     # x(d) at index d <= d_max, zero for d < 2 (the touching pair is added already)
     a00, a11, a01, d00, d11, d01 = (np.r_[0.0, 0.0, x] for x in (
         A[:, 0, 0], A[:, 1, 1], A[:, 0, 1], D[:, 0, 0], D[:, 1, 1], D[:, 0, 1]))
-    # left nodes by u = c_lo - j = 1..c_lo (node 0, the last, has no A11);
-    # right nodes by e = j - c_hi - 1 = 1..m (node n, the last, has no D00)
+    # left nodes by u = c_lo - j = 1..c_lo: A00(u), the 2 n_int - 2 terms
+    # a0a1[2u + 2 ..], A11(u + n_int); node 0, the last, has only A00 terms
     left, right, m = diag[:c_lo][::-1], diag[c_hi + 2:], n - c_hi - 1
-    left += a00[1:c_lo + 1]
-    right += d11[1:m + 1]
-    for t in range(1, n_int):
-        left += a00[1 + t:c_lo + 1 + t]
-        left[:-1] += a11[1 + t:c_lo + t]
-        right[:-1] += d00[1 + t:m + t]
-        right += d11[1 + t:m + 1 + t]
+    a0a1 = np.stack([a00, a11], axis=1).reshape(-1)
+    left[:-1] = _window_sums(left[:-1] + a00[1:c_lo], a0a1[4:], 2 * n_int - 2, 2)
     left[:-1] += a11[1 + n_int:c_lo + n_int]
-    right[:-1] += d00[1 + n_int:m + n_int]
+    left[-1] = np.add.accumulate(np.r_[left[-1], a00[c_lo:c_hi + 1]])[-1]
+    # right nodes by e = j - c_hi - 1 = 1..m: the 2 n_int terms d0d1[2e + 1 ..];
+    # node n, the last, has only D11 terms
+    d0d1 = np.stack([d00, d11], axis=1).reshape(-1)
+    right[:-1] = _window_sums(right[:-1], d0d1[3:], 2 * n_int, 2)
+    right[-1] = np.add.accumulate(np.r_[right[-1], d11[m:m + n_int]])[-1]
     # sup[j]: A01 from d = c_lo - j left of Omega, D01 from d = j - c_hi right
     left, right = sup[:c_lo - 1][::-1], sup[c_hi + 2:]
-    for t in range(n_int):
-        left += a01[2 + t:c_lo + 1 + t]
-        right += d01[2 + t:m + 1 + t]
+    left[:] = _window_sums(left, a01[2:], n_int, 1)
+    right[:] = _window_sums(right, d01[2:], n_int, 1)
 
     # Omega: a column per node c_lo..c_hi+1 (diag), then per sup entry
     # c_lo-1..c_hi+1, x its index.  Per d the rows are [A00 | A01], [D00 |
@@ -398,6 +405,23 @@ def _band_terms(diag, sup, A, B, D, c_lo: int, c_hi: int) -> None:
             run_mid = np.add.reduce(blk.reshape(len(blk), -1), axis=0)
         run[mid] = run_mid
     diag[c_lo:c_hi + 2], sup[c_lo - 1:c_hi + 2] = run[:n_int + 1], run[n_int + 1:]
+
+
+def _window_sums(run: np.ndarray, seq: np.ndarray, n_terms: int, step: int) -> np.ndarray:
+    """run[j] + seq[step j] + seq[step j + 1] + ... + seq[step j + n_terms - 1], in that order.
+
+    The windows are a strided view of ``seq``; ``_CHUNK`` of their rows at a
+    time are copied into one C-contiguous block under the running sums, which
+    ``np.add.reduce`` sums row by row (``run`` is at least two columns wide).
+    """
+    win = np.lib.stride_tricks.sliding_window_view(seq, n_terms)[:step * len(run):step].T
+    buf = np.empty((1 + _CHUNK, len(run)))
+    for lo in range(0, n_terms, _CHUNK):
+        blk = buf[:1 + min(_CHUNK, n_terms - lo)]
+        blk[0] = run
+        blk[1:] = win[lo:lo + _CHUNK]
+        run = np.add.reduce(blk, axis=0)
+    return run
 
 
 def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -563,7 +587,8 @@ class StiffnessSystem:
 
     disc: Discretization
     order: FractionalOrder
-    K_II: np.ndarray              # interior x interior, far-field D tails included
+    K_II: np.ndarray              # interior x interior, far-field D tails included; read-only,
+                                  # shared by every system of its mesh, far labels and slice
     R_I: np.ndarray               # interior x all grid DOFs, a read-only view of the base
     runs_E: tuple                 # slices of R_I's columns: the exterior Neumann DOFs in order
     K_EE: np.ndarray              # (2, n_E) cholesky_banded upper layout
@@ -618,26 +643,43 @@ class StiffnessSystem:
         return out
 
 
-def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
-    """Arrow blocks of K (pairs meeting Q_Omega + Dirichlet tails) and M over free DOFs."""
-    if order.dimension != 1:
-        raise BadParameters("assembly is 1D")
-    if disc.scheme == "P0" and order.s >= 0.5:
-        raise IncompatibleScheme("P0 jumps carry infinite energy for s >= 1/2")
-    R, ext = _base_arrow(*_base_key(disc, order))
+_BLOCK_SLOTS = 2                  # interior blocks kept, the most recently used
+_BLOCKS: dict = {}                # key -> (K_II, tails), least recently used first
+
+
+def _interior_block(disc: Discretization, order: FractionalOrder, R: np.ndarray, lo: int,
+                    n_I: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_build_interior`` once per (mesh, far-field labels, interior slice), shared.
+
+    Built under the base lock, so concurrent first calls build it once.
+    """
+    key = (_base_key(disc, order), disc.far_label, lo, n_I)
+    with _BASE_LOCK:
+        return _recent(_BLOCKS, _BLOCK_SLOTS, key,
+                       lambda: _build_interior(disc, order, R, lo, n_I))
+
+
+def _recent(cache: dict, slots: int, key, build):
+    """cache[key], from ``build()`` on a miss; the ``slots`` most recently used are kept.
+
+    ``cache`` is ordered least recently used first; the caller holds its lock.
+    """
+    entry = cache.pop(key, None)
+    if entry is None:
+        entry = build()
+    cache[key] = entry
+    if len(cache) > slots:
+        del cache[next(iter(cache))]
+    return entry
+
+
+def _build_interior(disc: Discretization, order: FractionalOrder, R: np.ndarray, lo: int,
+                    n_I: int) -> tuple[np.ndarray, np.ndarray]:
+    """K_II, the base's Omega block on the interior DOFs lo..lo+n_I-1 with the
+    far-field Dirichlet tails on its diagonals, and the diagonal tails of
+    those DOFs; both read-only.
+    """
     n_om = R.shape[0]
-    omega_dofs = slice(disc.n_collar, disc.n_collar + n_om)
-    free = np.where(disc.dof_label < DOF_DIRICHLET)[0]
-    interior = disc.dof_label[free] == DOF_INTERIOR
-    exterior = disc.dof_label[free] == DOF_NEUMANN
-    rows = free[interior] - disc.n_collar
-    cols_E = free[exterior]
-    # the interior DOFs are one run of Omega DOFs: every cell (P0), or every
-    # node but the ends that touch a Dirichlet cell (P1); so blocks are slices
-    n_I = len(rows)
-    lo = int(rows[0]) if n_I else 0
-    if n_I and rows[-1] - lo != n_I - 1:
-        raise BadParameters("interior DOFs are not contiguous")
     I = slice(lo, lo + n_I)
     K_II = R[I, disc.n_collar + lo:disc.n_collar + lo + n_I].copy()
     flat = K_II.reshape(-1)                  # views of K_II's three diagonals
@@ -666,6 +708,38 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
                 tails_om += add
             sup += local[lo:lo + n_I - 1, 0, 1]
             sub += local[lo:lo + n_I - 1, 0, 1]
+    tails = tails_om[I]
+    K_II.setflags(write=False)
+    tails.setflags(write=False)
+    return K_II, tails
+
+
+def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
+    """Arrow blocks of K (pairs meeting Q_Omega + Dirichlet tails) and M over free DOFs.
+
+    K_II and the tails come from ``_interior_block``, built by the first
+    record of a (mesh, far-field labels, interior slice) and shared.
+    """
+    if order.dimension != 1:
+        raise BadParameters("assembly is 1D")
+    if disc.scheme == "P0" and order.s >= 0.5:
+        raise IncompatibleScheme("P0 jumps carry infinite energy for s >= 1/2")
+    R, ext = _base_arrow(*_base_key(disc, order))
+    n_om = R.shape[0]
+    omega_dofs = slice(disc.n_collar, disc.n_collar + n_om)
+    free = np.where(disc.dof_label < DOF_DIRICHLET)[0]
+    interior = disc.dof_label[free] == DOF_INTERIOR
+    exterior = disc.dof_label[free] == DOF_NEUMANN
+    rows = free[interior] - disc.n_collar
+    cols_E = free[exterior]
+    # the interior DOFs are one run of Omega DOFs: every cell (P0), or every
+    # node but the ends that touch a Dirichlet cell (P1); so blocks are slices
+    n_I = len(rows)
+    lo = int(rows[0]) if n_I else 0
+    if n_I and rows[-1] - lo != n_I - 1:
+        raise BadParameters("interior DOFs are not contiguous")
+    I = slice(lo, lo + n_I)
+    K_II, tails_I = _interior_block(disc, order, R, lo, n_I)
     K_EE = ext[:, cols_E]
     K_EE[0] = np.where(np.diff(cols_E, prepend=-2) == 1, K_EE[0], 0.0)
     M_II = omega_mass(disc)[:, I]
@@ -678,7 +752,7 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     Kx = band_matvec(ext, x) + R[dirichlet[omega_dofs]].sum(axis=0)
     Kx[omega_dofs] = R @ x
     tails = np.zeros(len(free))
-    tails[interior] = tails_om[I]
+    tails[interior] = tails_I
 
     system = StiffnessSystem(
         disc=disc, order=order, K_II=K_II, R_I=R[I], runs_E=runs(cols_E), K_EE=K_EE, M_II=M_II,

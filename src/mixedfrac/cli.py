@@ -249,10 +249,12 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("efr", help="tangent-ball distance-integral scaling oracle")
     _add_common(p)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--dimension", type=int, default=2)
-    p.add_argument("--rmin-exp", type=int, default=3, help="smallest r is 2^-rmax_exp")
-    p.add_argument("--rmax-exp", type=int, default=8)
+    p.add_argument("--s", type=float, required=True,
+                   help="fractional order s in (0, 1); E(r) diverges for s >= (N+1)/4")
+    p.add_argument("--dimension", type=int, default=2,
+                   help="space dimension N >= 2 of the ball and hyperplane")
+    p.add_argument("--rmin-exp", type=int, default=3, help="largest r is 2^-rmin_exp")
+    p.add_argument("--rmax-exp", type=int, default=8, help="smallest r is 2^-rmax_exp")
     p.set_defaults(func=cmd_efr)
 
     p = sub.add_parser(

@@ -25,7 +25,9 @@ one base.  When 2r <= n_I the record takes the low-rank path: it keeps
 factor U of base + sigma M are cached once per base, keyed by the mesh
 (``_base_key``), ``far_label``, the interior slice and the form, two
 entries at most, under their own lock, which is never taken under the base
-or Gram lock (the order is factor, then Gram, then base).  The Dirichlet
+or Gram lock (the order is factor, then Gram, then base).  The direct
+form's base is a read-only view of K_II, which ``assemble`` shares among
+the records of that key, so the cache holds no copy of it.  The Dirichlet
 baseline is the r = 0 record of the direct form, so on a Dirichlet-sea
 sweep it fills the factor that every record reuses.  Each record then pays
 rank-r work for its shifted solves (Sherman-Morrison-Woodbury):
@@ -60,8 +62,8 @@ import numpy as np
 from scipy.linalg import (LinAlgError, blas, cho_factor, cho_solve, cho_solve_banded,
                           cholesky_banded, lapack)
 
-from .assembly import (DOF_DIRICHLET, StiffnessSystem, _base_arrow, _base_key, assemble,
-                       band_matvec, build_mesh, runs)
+from .assembly import (DOF_DIRICHLET, StiffnessSystem, _base_arrow, _base_key, _recent,
+                       assemble, band_matvec, build_mesh, runs)
 from .errors import BadParameters, IndefinitePencil, SingularExteriorBlock
 from .fracops import FractionalOrder
 from .geometry import (
@@ -82,7 +84,7 @@ ZERO_EIGENVALUE_FLOOR = 1e-9
 class BaseFactor:
     """A cached base of K_eff = base + alpha X'X and the factor of its shifted pencil."""
 
-    base: np.ndarray              # read-only, symmetric
+    base: np.ndarray              # read-only, symmetric; the direct form's is K_II's view
     U: np.ndarray                 # base + sigma M = U'U, Fortran order; its upper triangle
 
 
@@ -199,13 +201,8 @@ def _base_factor(system: StiffnessSystem, gram: bool) -> BaseFactor:
     key = (_base_key(system.disc, system.order), system.disc.far_label, int(rows[0]),
            len(rows), gram)
     with _FACTOR_LOCK:
-        entry = _FACTORS.pop(key, None)
-        if entry is None:
-            entry = _factor(_gram_base(system) if gram else system.K_II, system.M_II)
-        _FACTORS[key] = entry
-        if len(_FACTORS) > _FACTOR_SLOTS:
-            del _FACTORS[next(iter(_FACTORS))]
-    return entry
+        return _recent(_FACTORS, _FACTOR_SLOTS, key, lambda: _factor(
+            _gram_base(system) if gram else system.K_II, system.M_II))
 
 
 def _factor(base: np.ndarray, M_band: np.ndarray) -> BaseFactor:

@@ -373,11 +373,14 @@ def band_inputs(monkeypatch, a, b, h, L, s):
 # the benchmark's P1 meshes: c4_nested at both s, collar_sector and c4_ball /
 # c7 (n_int = 40), too large for the dense reference; and n_int = 1, 2, 3,
 # where the Omega columns are all or nearly all end columns
-@pytest.mark.parametrize("a,b,h,L,s", [(-1.0, 1.0, 2.0 ** -8, 8.0, 0.3),
-                                       (-1.0, 1.0, 2.0 ** -8, 8.0, 0.7),
-                                       (-1.0, 1.0, 0.01, 36.0, 0.5),
-                                       (-1.0, 1.0, 0.05, 68.0, 0.75)]
-                         + [(0.0, 1.0, 1 / n, 4.0, s) for n in (1, 2, 3) for s in (0.3, 0.75)])
+BAND_MESHES = ([(-1.0, 1.0, 2.0 ** -8, 8.0, 0.3),
+                (-1.0, 1.0, 2.0 ** -8, 8.0, 0.7),
+                (-1.0, 1.0, 0.01, 36.0, 0.5),
+                (-1.0, 1.0, 0.05, 68.0, 0.75)]
+               + [(0.0, 1.0, 1 / n, 4.0, s) for n in (1, 2, 3) for s in (0.3, 0.75)])
+
+
+@pytest.mark.parametrize("a,b,h,L,s", BAND_MESHES)
 def test_band_terms_bitwise_equal_former(monkeypatch, a, b, h, L, s):
     diag, sup, *rest = band_inputs(monkeypatch, a, b, h, L, s)
     ref = diag.copy(), sup.copy()
@@ -386,9 +389,11 @@ def test_band_terms_bitwise_equal_former(monkeypatch, a, b, h, L, s):
     assert np.array_equal(diag, ref[0]) and np.array_equal(sup, ref[1])
 
 
-def test_band_terms_distinct_start_values(monkeypatch):
-    # every Omega column its own start value: one prefix sum per column
-    diag, sup, *rest = band_inputs(monkeypatch, 0.0, 1.0, 1 / 16, 4.0, 0.3)
+@pytest.mark.parametrize("a,b,h,L,s", BAND_MESHES + [(0.0, 1.0, 1 / 16, 4.0, 0.3)])
+def test_band_terms_distinct_start_values(monkeypatch, a, b, h, L, s):
+    # every node its own start value: one prefix sum per Omega column, and
+    # no exterior window sum may assume a zero start
+    diag, sup, *rest = band_inputs(monkeypatch, a, b, h, L, s)
     rng = np.random.default_rng(5)
     diag, sup = rng.standard_normal(diag.shape), rng.standard_normal(sup.shape)
     ref = diag.copy(), sup.copy()

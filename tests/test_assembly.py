@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -226,6 +228,89 @@ def test_concurrent_first_assembles_build_the_base_once(monkeypatch):
         systems = list(pool.map(lambda _: assemble(mesh, order), range(2)))
     assert len(builds) == 1
     assert np.array_equal(systems[0].K_II, systems[1].K_II)
+
+
+class TestSharedInteriorBlock:
+    """K_II and its tails are built once per (mesh, far-field labels, interior slice)."""
+
+    ORDER = make_order(1, 0.4)
+
+    def system(self, neumann):
+        part = explicit(OM01, neumann=neumann, dirichlet="rest")
+        return assemble(build_mesh(OM01, part, 0.125, 5.0, "P1", order=self.ORDER), self.ORDER)
+
+    def test_records_of_one_key_share_a_read_only_block(self):
+        a, b = self.system([[1.0, 2.0]]), self.system([[1.0, 3.0]])
+        assert a.K_II is b.K_II
+        assert np.array_equal(a.tail_corrections[a.interior_mask],
+                              b.tail_corrections[b.interior_mask])
+        assert not a.K_II.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.K_II[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            a.K_II.reshape(-1)[::len(a.K_II) + 1] += 1.0
+
+    def test_another_slice_or_far_field_gets_another_block(self):
+        a = self.system([[1.0, 2.0]])
+        # a Dirichlet cell touches node 1: that end node is no longer free
+        cut = self.system([[1.5, 2.5]])
+        # a Neumann far field on the right: the same slice, one tail fewer
+        far = self.system([[1.0, math.inf]])
+        assert len(cut.K_II) == len(a.K_II) - 1 and len(far.K_II) == len(a.K_II)
+        assert cut.K_II is not a.K_II and far.K_II is not a.K_II
+        assert np.all(far.K_II.diagonal() < a.K_II.diagonal())
+
+    def test_concurrent_first_assembles_build_it_once(self, monkeypatch):
+        builds = []
+        build = assembly._build_interior
+
+        def slow_build(*args):
+            builds.append(args)
+            time.sleep(0.05)      # the second thread arrives while the first builds
+            return build(*args)
+
+        monkeypatch.setattr(assembly, "_BLOCKS", {})
+        monkeypatch.setattr(assembly, "_build_interior", slow_build)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            systems = list(pool.map(self.system, ([[1.0, 2.0]], [[1.0, 3.0]])))
+        assert len(builds) == 1
+        assert systems[0].K_II is systems[1].K_II
+
+    def test_many_threads_share_one_block_per_key(self, monkeypatch):
+        # more threads than cores and frequent switches: two keys, two builds
+        builds = []
+        build = assembly._build_interior
+        monkeypatch.setattr(assembly, "_BLOCKS", {})
+        monkeypatch.setattr(assembly, "_build_interior",
+                            lambda *args: builds.append(args) or build(*args))
+        neumann = [[[1.0, 2.0 + k % 4]] if k % 2 else [[1.5, 2.5 + k % 4]] for k in range(32)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                systems = list(pool.map(self.system, neumann, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(builds) == 2
+        assert len({id(system.K_II) for system in systems}) == 2
+
+    def test_warm_assemble_copies_no_block(self):
+        # the c4_nested mesh, n_I = 511: a copy of K_II would be 2 MiB
+        order = make_order(1, 0.3)
+        meshes = [build_mesh(OM, generate(PartitionFamily(
+            kind="nested_neumann", omega=OM, params={"left": 1.5, "length0": 1.0, "ratio": 2.0}),
+            k), 2.0 ** -8, 8.0, "P1", order=order) for k in (2, 3)]
+        first = assemble(meshes[0], order)
+        n_I = len(first.K_II)
+        assert n_I == 511
+        tracemalloc.start()
+        try:
+            system = assemble(meshes[1], order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_I ** 2 * 8 / 4
+        assert system.K_II is first.K_II
 
 
 class TestBruteForceOracle:

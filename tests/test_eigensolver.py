@@ -385,6 +385,18 @@ class TestLowRankPath:
         assert len(low_rank) == 1 + len(cfg.k_list)
         assert len({id(red.factor) for (red,) in low_rank}) == builds
 
+    def test_direct_base_is_the_shared_block(self, monkeypatch):
+        # the cached base of the direct form is the K_II of every record of
+        # its key, not a copy of the first record's
+        monkeypatch.setattr(eigensolver, "_FACTORS", {})
+        first = schur_reduce(_neumann_interval()).factor
+        order = make_order(1, 0.5)
+        part = explicit(OM, neumann=[[1.0, 1.3]], dirichlet="rest")
+        system = assemble(build_mesh(OM, part, 0.05, 8.0, "P1", order=order), order)
+        red = schur_reduce(system)
+        assert red.factor is first and not red.factor.base.flags.writeable
+        assert np.shares_memory(red.factor.base, system.K_II)
+
     def test_replaced_system_gets_its_own_factor(self):
         # the factor cache trusts that K_II and M_II are functions of the
         # mesh key, which holds for ``assemble``'s systems only

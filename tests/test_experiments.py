@@ -379,6 +379,16 @@ class TestCli:
         assert cli_main(["efr", "--s", "0.6", "--rmin-exp", "5", "--rmax-exp", "3"]) == 1
         assert "config error: --rmin-exp" in capsys.readouterr().err
 
+    def test_efr_help_describes_each_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["efr", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--rmin-exp RMIN_EXP largest r is 2^-rmin_exp" in out
+        assert "--rmax-exp RMAX_EXP smallest r is 2^-rmax_exp" in out
+        assert "--s S fractional order" in out
+        assert "--dimension DIMENSION space dimension" in out
+
     def test_efr_divergent(self, capsys):
         assert cli_main(["efr", "--s", "0.8"]) == 0
         assert "DivergentIntegral" in capsys.readouterr().out
