@@ -26,9 +26,18 @@ entries, one sequential sum per distinct start value over the separations
 where every pair lies on the grid, and masked blocks over the rest.
 Couplings with the exterior beyond the collar are dropped on the Neumann
 side and replaced by closed-form tail integrals on the Dirichlet side.
-The arrow pair is cached per mesh, and the interior block K_II with its
-tails per (mesh, far-field labels, interior slice), so the records of a
-sweep share both, read-only.
+
+P1 meshes whose far field is Dirichlet on both sides and whose Omega and
+grid end nodes are Dirichlet take a closed form instead (``assembly_path``):
+every free hat is whole, so the Omega rows that are read are the full-line
+Toeplitz T(k) = -a h^(1-2s) delta^4 G(k), G'''' = |t|^(-1-2s), far tails
+included, to a few ulps of 50-digit mpmath (``_unit_hat_sequence``); K_EE
+is the Omega-weighted Gram band of the Neumann hats.  No exterior grid,
+pair tensor or band term is built there.
+
+The arrow pair or the mirrored T is cached per mesh, and the interior block
+K_II with its tails per (mesh, far-field labels, interior slice, path), so
+the records of a sweep share both, read-only.
 """
 
 from __future__ import annotations
@@ -554,6 +563,126 @@ def _p1_arrow(n: int, c_lo: int, c_hi: int, s: float, h: float, a_ns: float):
 
 
 # ---------------------------------------------------------------------------
+# the full-line P1 stiffness in closed form
+# ---------------------------------------------------------------------------
+
+# (2 sinh(x/2) / x)^4 = sum_j _DELTA4[j] x^(2j), so delta^4 = D^4 sum_j _DELTA4[j] D^(2j);
+# the first omitted term is below 1e-20 of the sum from _SERIES_FROM on
+_DELTA4 = (1.0, 1 / 6, 1 / 80, 17 / 30240, 31 / 1814400, 1 / 2661120,
+           5461 / 871782912000, 257 / 3138418483200)
+_SERIES_FROM = 32
+
+
+def _unit_hat_sequence(n: int, s: float) -> np.ndarray:
+    """delta^4 G(k), k = 0..n: the full-line stiffness of unit P1 hats k nodes apart over -a_ns.
+
+    G(t) = |t|^(3-2s) / ((3-2s)(2-2s)(1-2s)(-2s)) has G'''' = |t|^(-1-2s),
+    and the autocorrelation of a hat is the cubic B-spline B, so delta^4 G(k)
+    = int B(u) |k + u|^(-1-2s) du (a finite part for k <= 1), delta^4 the
+    fourth central difference.  Each k is taken where it is exact to a few ulps:
+
+    - k <= 2: the difference itself, in 50-digit decimal, of G less its
+      cubic part, t^2 expm1(beta log t) / beta with beta = 1 - 2s, which is
+      t^2 log t at s = 1/2 (the difference cancels up to 200-fold at k = 1);
+    - 3 <= k < _SERIES_FROM: one 20-point Gauss rule on each of the four
+      cubic pieces of B, as in ``fracops._far_pair``: the singularity lies
+      at least one piece length beyond each;
+    - beyond: the series of delta^4 in D^2 on D^4 G = t^(-1-2s), whose
+      derivatives are closed forms (the difference loses 4 log10(k) digits).
+
+    Powers are taken as t^(-2s) / t, so that -1 - 2s is never rounded.
+    """
+    from decimal import Decimal, localcontext
+
+    out = np.empty(n + 1)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        two_s = 2 * Decimal(s)
+        beta = 1 - two_s
+        c = (3 - two_s) * (2 - two_s) * -two_s
+
+        def g(t):
+            lg = Decimal(t).ln()
+            return t * t * (lg if beta == 0 else ((beta * lg).exp() - 1) / beta) / c
+
+        g2, g3, g4 = g(2), g(3), g(4)
+        out[:3] = [float(v) for v in (2 * g2, g3 - 4 * g2, g4 - 4 * g3 + 6 * g2)][:n + 1]
+    X, W = quad.gauss_rule(20)
+    lo = np.array([-2.0, -1.0, 0.0, 1.0])         # B on the pieces [lo, lo + 1]
+    v = np.abs(lo[:, None] + X)
+    wb = W * np.where(v > 1.0, (2.0 - v) ** 3, 4.0 - 6.0 * v * v + 3.0 * v ** 3) / 6.0
+    k = np.arange(3, min(n + 1, _SERIES_FROM), dtype=float)
+    t = (k[:, None] + lo)[:, :, None] + X
+    out[3:3 + len(k)] = (t ** (-2 * s) / t).reshape(len(k), wb.size) @ wb.reshape(-1)
+    k = np.arange(_SERIES_FROM, n + 1, dtype=float)
+    # D^(2j) t^(-1-2s) = prod_{i=1}^{2j} (2s + i) t^(-1-2s-2j)
+    coef = np.multiply.accumulate([1.0] + [(2 * s + 2 * j - 1) * (2 * s + 2 * j)
+                                           for j in range(1, len(_DELTA4))]) * _DELTA4
+    x, acc = k ** -2.0, np.full(len(k), coef[-1])
+    for cj in coef[-2::-1]:
+        acc = acc * x + cj
+    out[_SERIES_FROM:] = k ** (-2 * s) / k * acc
+    return out
+
+
+@lru_cache(maxsize=2)
+def _build_line(a: float, b: float, h: float, L: float, scheme: str, s: float,
+                a_ns: float) -> np.ndarray:
+    """T(k) = -a_ns h^(1-2s) delta^4 G(k) mirrored: T(|k|) at k + n, k = -n..n; read-only.
+
+    n is the widest separation of two grid nodes.
+    """
+    n = 2 * round(L / h) + round((b - a) / h)
+    T = -a_ns * h ** (1.0 - 2 * s) * _unit_hat_sequence(n, s)
+    line = np.concatenate((T[:0:-1], T))
+    line.setflags(write=False)
+    return line
+
+
+def _full_line(*key) -> np.ndarray:
+    """``_build_line(*key)`` under the base lock, so concurrent first calls build once."""
+    with _BASE_LOCK:
+        return _build_line(*key)
+
+
+def _line_rows(line: np.ndarray, first: int, n_rows: int) -> np.ndarray:
+    """Rows first..first+n_rows-1 of the Toeplitz [T(|q - p|)] over all grid nodes q.
+
+    A read-only view of ``line``: row p starts at T(p), so the rows run
+    backwards through one window view of the mirrored sequence.
+    """
+    m = (len(line) + 1) // 2                       # grid nodes
+    win = np.lib.stride_tricks.sliding_window_view(line, m)
+    top = m - first                                # row p is win[m - 1 - p]
+    return win[top - n_rows:top][::-1]
+
+
+def _neumann_band(disc: Discretization, order: FractionalOrder,
+                  cols: np.ndarray) -> np.ndarray:
+    """a_ns int phi_j phi_l tau_Omega over the exterior Neumann nodes ``cols`` as a band.
+
+    tau_Omega, the kernel mass of Omega, by one 20-point Gauss rule per cell:
+    on a mesh that takes the closed form every Neumann cell lies at least 4h
+    from Omega.  cholesky_banded upper layout; couplings across a gap in
+    ``cols`` are zero.
+    """
+    if not len(cols):
+        return np.zeros((2, 0))
+    X, W = quad.gauss_rule(20)
+    lam = np.stack([1.0 - X, X])
+    omega = [(disc.omega.a, disc.omega.b)]
+
+    def cells(first):
+        wtau = W * interval_mass(disc.nodes[first, None] + disc.h * X, omega, 2.0 * order.s)
+        return order.a_ns * disc.h * np.einsum("ep,ap,bp->eab", wtau, lam, lam)
+
+    left, right = cells(cols - 1), cells(cols)
+    band = np.stack([np.r_[0.0, right[:-1, 0, 1]], left[:, 1, 1] + right[:, 0, 0]])
+    band[0] = np.where(np.diff(cols, prepend=-2) == 1, band[0], 0.0)
+    return band
+
+
+# ---------------------------------------------------------------------------
 # far-field Dirichlet tails and mass matrix
 # ---------------------------------------------------------------------------
 
@@ -582,14 +711,16 @@ class StiffnessSystem:
     K_EE is diagonal (P0) or tridiagonal (P1) and M_II is diagonal (P0) or
     tridiagonal (P1), so both are stored as bands.  K_IE is never copied:
     its columns are the runs ``runs_E`` of consecutive exterior Neumann grid
-    DOFs, read in place from ``R_I``, the interior rows of the cached base.
+    DOFs, read in place from ``R_I``, the interior rows of the cached base,
+    or on the closed-form path a strided view of the full-line Toeplitz T
+    (its rows run backwards through one mirrored sequence).
     """
 
     disc: Discretization
     order: FractionalOrder
     K_II: np.ndarray              # interior x interior, far-field D tails included; read-only,
                                   # shared by every system of its mesh, far labels and slice
-    R_I: np.ndarray               # interior x all grid DOFs, a read-only view of the base
+    R_I: np.ndarray               # interior x all grid DOFs, a read-only view of the base or T
     runs_E: tuple                 # slices of R_I's columns: the exterior Neumann DOFs in order
     K_EE: np.ndarray              # (2, n_E) cholesky_banded upper layout
     M_II: np.ndarray              # (2, n_I) Omega mass, same layout
@@ -598,9 +729,14 @@ class StiffnessSystem:
     exterior_mask: np.ndarray     # within-free boolean (exterior Neumann)
     tail_corrections: np.ndarray  # per-free-DOF diagonal far-field-D addition
     dirichlet_row_sums: np.ndarray  # column sums of the constrained row block
-    # set by ``assemble`` alone, whose K_II and M_II are functions of the mesh
-    # key; ``dataclasses.replace`` and hand-made systems get False
-    assembled: bool = field(default=False, init=False, repr=False, compare=False)
+    # "closed_form" or "arrow", set by ``assemble`` alone, whose K_II and M_II
+    # are functions of the mesh key and the path; ``dataclasses.replace`` and
+    # hand-made systems get ""
+    path: str = field(default="", init=False, repr=False, compare=False)
+
+    @property
+    def assembled(self) -> bool:
+        return bool(self.path)
 
     @property
     def n_free(self) -> int:
@@ -644,19 +780,41 @@ class StiffnessSystem:
 
 
 _BLOCK_SLOTS = 2                  # interior blocks kept, the most recently used
-_BLOCKS: dict = {}                # key -> (K_II, tails), least recently used first
+_BLOCKS: dict = {}                # key -> _build_interior's triple, least recently used first
+
+
+def assembly_path(disc: Discretization) -> str:
+    """Where ``assemble`` takes the Omega rows of K from: "closed_form" or "arrow".
+
+    The closed form serves P1 meshes whose far field is Dirichlet on both
+    sides and whose two Omega end nodes and two grid end nodes are Dirichlet
+    DOFs.  There every free DOF has a whole hat, the interior ones inside
+    Omega, so each Omega row that is read is the full-line Toeplitz T, far
+    Dirichlet tails included, and K_EE is the Omega-weighted Gram band of
+    the Neumann hats: no exterior grid is built.  Every other mesh takes the
+    arrow base.
+    """
+    ends = [0, disc.n_collar, disc.n_collar + disc.n_interior, disc.n_dofs - 1]
+    closed = (disc.scheme == "P1" and disc.far_label == ("D", "D")
+              and bool(np.all(disc.dof_label[ends] == DOF_DIRICHLET)))
+    return "closed_form" if closed else "arrow"
+
+
+def _interior_key(disc: Discretization, order: FractionalOrder, lo: int, n_I: int,
+                  path: str) -> tuple:
+    """What K_II and M_II are functions of: mesh, far-field labels, interior slice and path."""
+    return (_base_key(disc, order), disc.far_label, lo, n_I, path)
 
 
 def _interior_block(disc: Discretization, order: FractionalOrder, R: np.ndarray, lo: int,
-                    n_I: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_build_interior`` once per (mesh, far-field labels, interior slice), shared.
+                    n_I: int, path: str) -> tuple:
+    """``_build_interior`` once per ``_interior_key``, shared.
 
     Built under the base lock, so concurrent first calls build it once.
     """
-    key = (_base_key(disc, order), disc.far_label, lo, n_I)
     with _BASE_LOCK:
-        return _recent(_BLOCKS, _BLOCK_SLOTS, key,
-                       lambda: _build_interior(disc, order, R, lo, n_I))
+        return _recent(_BLOCKS, _BLOCK_SLOTS, _interior_key(disc, order, lo, n_I, path),
+                       lambda: _build_interior(disc, order, R, lo, n_I, path == "closed_form"))
 
 
 def _recent(cache: dict, slots: int, key, build):
@@ -673,59 +831,92 @@ def _recent(cache: dict, slots: int, key, build):
     return entry
 
 
+def _far_tails(disc: Discretization, order: FractionalOrder, n_om: int):
+    """Far-field Dirichlet tails a * int_Omega phi_i phi_j tau(x) dx, tau the kernel
+    mass of the far Dirichlet half-lines: (diagonal terms, superdiagonal).
+
+    The diagonal terms are arrays over the Omega DOFs, added in list order;
+    the superdiagonal holds the P1 coupling per Omega cell, None for P0 or
+    when no far side is Dirichlet.
+    """
+    if not disc.far_dirichlet:
+        return [], None
+    i0, i1 = disc.interior_cells
+    Xg, Wg = quad.gauss_rule(8)
+    wtau = Wg * interval_mass(disc.nodes[i0:i1 + 1, None] + disc.h * Xg,
+                              disc.far_dirichlet, 2.0 * order.s)
+    if disc.scheme == "P0":
+        return [order.a_ns * disc.h * wtau.sum(axis=1)], None
+    lam = np.stack([1.0 - Xg, Xg])
+    local = order.a_ns * disc.h * np.einsum("ep,ap,bp->eab", wtau, lam, lam)
+    # as cells ascend, a node gets the term of the cell on its left first:
+    # node j adds local[j - 1, 1, 1], then local[j, 0, 0]
+    adds = []
+    for first, cell in ((1, local[:, 1, 1]), (0, local[:, 0, 0])):
+        add = np.zeros(n_om)
+        add[first:first + disc.n_interior] = cell
+        adds.append(add)
+    return adds, local[:, 0, 1]
+
+
 def _build_interior(disc: Discretization, order: FractionalOrder, R: np.ndarray, lo: int,
-                    n_I: int) -> tuple[np.ndarray, np.ndarray]:
-    """K_II, the base's Omega block on the interior DOFs lo..lo+n_I-1 with the
-    far-field Dirichlet tails on its diagonals, and the diagonal tails of
-    those DOFs; both read-only.
+                    n_I: int, closed: bool) -> tuple:
+    """(K_II, tails, tail_rows) on the interior DOFs lo..lo+n_I-1; all read-only.
+
+    R holds the rows of the Omega DOFs.  K_II is R's block on the interior
+    DOFs: on the arrow path with the far-field Dirichlet tails added to its
+    three diagonals, in the closed form as it is, since T holds them.
+    ``tails`` are the diagonal tails of those DOFs.  ``tail_rows`` (closed
+    form only, else None) are the row sums of the tails among them.
     """
     n_om = R.shape[0]
     I = slice(lo, lo + n_I)
     K_II = R[I, disc.n_collar + lo:disc.n_collar + lo + n_I].copy()
-    flat = K_II.reshape(-1)                  # views of K_II's three diagonals
-    diag, sup, sub = flat[::n_I + 1], flat[1::n_I + 1], flat[n_I::n_I + 1]
-
-    # far-field Dirichlet tails a * int_Omega phi_i phi_j tau(x) dx, tau the
-    # kernel mass of the far Dirichlet half-lines, touch Omega DOFs only
+    adds, sup_tails = _far_tails(disc, order, n_om)
+    sup_tails = None if sup_tails is None else sup_tails[lo:lo + n_I - 1]
     tails_om = np.zeros(n_om)
-    if disc.far_dirichlet:
-        i0, i1 = disc.interior_cells
-        Xg, Wg = quad.gauss_rule(8)
-        wtau = Wg * interval_mass(disc.nodes[i0:i1 + 1, None] + disc.h * Xg,
-                                  disc.far_dirichlet, 2.0 * order.s)
-        if disc.scheme == "P0":
-            tails_om += order.a_ns * disc.h * wtau.sum(axis=1)
-            diag += tails_om[I]
-        else:
-            lam = np.stack([1.0 - Xg, Xg])
-            local = order.a_ns * disc.h * np.einsum("ep,ap,bp->eab", wtau, lam, lam)
-            # as cells ascend, a node gets the term of the cell on its left
-            # first: node j adds local[j - 1, 1, 1], then local[j, 0, 0]
-            for first, cell in ((1, local[:, 1, 1]), (0, local[:, 0, 0])):
-                add = np.zeros(n_om)
-                add[first:first + disc.n_interior] = cell
-                diag += add[I]
-                tails_om += add
-            sup += local[lo:lo + n_I - 1, 0, 1]
-            sub += local[lo:lo + n_I - 1, 0, 1]
+    for add in adds:
+        tails_om += add
     tails = tails_om[I]
+    tail_rows = None
+    if closed:                               # P1 with Dirichlet far sides: sup_tails is set
+        tail_rows = tails.copy()
+        tail_rows[1:] += sup_tails
+        tail_rows[:-1] += sup_tails
+        tail_rows.setflags(write=False)
+    else:
+        flat = K_II.reshape(-1)                  # views of K_II's three diagonals
+        diag, sup, sub = flat[::n_I + 1], flat[1::n_I + 1], flat[n_I::n_I + 1]
+        for add in adds:
+            diag += add[I]
+        if sup_tails is not None:
+            sup += sup_tails
+            sub += sup_tails
     K_II.setflags(write=False)
     tails.setflags(write=False)
-    return K_II, tails
+    return K_II, tails, tail_rows
 
 
-def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
+def assemble(disc: Discretization, order: FractionalOrder,
+             closed_form: bool = True) -> StiffnessSystem:
     """Arrow blocks of K (pairs meeting Q_Omega + Dirichlet tails) and M over free DOFs.
 
-    K_II and the tails come from ``_interior_block``, built by the first
-    record of a (mesh, far-field labels, interior slice) and shared.
+    The Omega rows are a view of the full-line Toeplitz T where
+    ``assembly_path`` allows it and ``closed_form`` is true, else of the
+    cached arrow base.  K_II and the tails come from ``_interior_block``,
+    built by the first record of an ``_interior_key`` and shared.
     """
     if order.dimension != 1:
         raise BadParameters("assembly is 1D")
     if disc.scheme == "P0" and order.s >= 0.5:
         raise IncompatibleScheme("P0 jumps carry infinite energy for s >= 1/2")
-    R, ext = _base_arrow(*_base_key(disc, order))
-    n_om = R.shape[0]
+    path = assembly_path(disc) if closed_form else "arrow"
+    closed = path == "closed_form"
+    n_om = disc.n_interior + (disc.scheme == "P1")
+    if closed:
+        R = _line_rows(_full_line(*_base_key(disc, order)), disc.n_collar, n_om)
+    else:
+        R, ext = _base_arrow(*_base_key(disc, order))
     omega_dofs = slice(disc.n_collar, disc.n_collar + n_om)
     free = np.where(disc.dof_label < DOF_DIRICHLET)[0]
     interior = disc.dof_label[free] == DOF_INTERIOR
@@ -739,26 +930,37 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     if n_I and rows[-1] - lo != n_I - 1:
         raise BadParameters("interior DOFs are not contiguous")
     I = slice(lo, lo + n_I)
-    K_II, tails_I = _interior_block(disc, order, R, lo, n_I)
-    K_EE = ext[:, cols_E]
-    K_EE[0] = np.where(np.diff(cols_E, prepend=-2) == 1, K_EE[0], 0.0)
+    K_II, tails_I, tail_rows = _interior_block(disc, order, R, lo, n_I, path)
     M_II = omega_mass(disc)[:, I]
     M_II[0, :1] = 0.0                        # the coupling to a cut end node
     # column sums of the Dirichlet-row block, K 1_D by symmetry: the discrete
     # N_s mass on the constrained DOFs, needed by the Gauss-identity
     # diagnostics; of the Omega DOFs only the (P1) end nodes can be Dirichlet
-    dirichlet = disc.dof_label == DOF_DIRICHLET
-    x = dirichlet.astype(float)
-    Kx = band_matvec(ext, x) + R[dirichlet[omega_dofs]].sum(axis=0)
-    Kx[omega_dofs] = R @ x
+    row_sums = np.empty(len(free))
+    if closed:
+        K_EE = _neumann_band(disc, order, cols_E)
+    else:
+        K_EE = ext[:, cols_E]
+        K_EE[0] = np.where(np.diff(cols_E, prepend=-2) == 1, K_EE[0], 0.0)
+        dirichlet = disc.dof_label == DOF_DIRICHLET
+        x = dirichlet.astype(float)
+        Kx = band_matvec(ext, x) + R[dirichlet[omega_dofs]].sum(axis=0)
+        Kx[omega_dofs] = R @ x
+        row_sums[:] = Kx[free]
     tails = np.zeros(len(free))
     tails[interior] = tails_I
 
     system = StiffnessSystem(
-        disc=disc, order=order, K_II=K_II, R_I=R[I], runs_E=runs(cols_E), K_EE=K_EE, M_II=M_II,
-        free_dofs=free, interior_mask=interior, exterior_mask=exterior,
-        tail_corrections=tails, dirichlet_row_sums=Kx[free])
-    object.__setattr__(system, "assembled", True)
+        disc=disc, order=order, K_II=K_II, R_I=R[I], runs_E=runs(cols_E), K_EE=K_EE,
+        M_II=M_II, free_dofs=free, interior_mask=interior, exterior_mask=exterior,
+        tail_corrections=tails, dirichlet_row_sums=row_sums)
+    if closed:
+        # the span-truncated stiffness annihilates constants, so a free row's
+        # Dirichlet columns sum to minus its free ones, less the far tails
+        # among the interior DOFs, which T holds and the grid does not
+        row_sums[:] = -system.matvec(np.ones(len(free)))
+        row_sums[interior] += tail_rows
+    object.__setattr__(system, "path", path)
     return system
 
 

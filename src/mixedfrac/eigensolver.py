@@ -10,8 +10,8 @@ operands:
   triangular solve with K_EE = U'U (banded Cholesky on the band's true
   width), eliminating the Neumann DOFs N; K_EI is gathered once from its
   runs and solved in place;
-- Gram update, when the label-independent base band is diagonal (every P0
-  mesh) and the grid has fewer Dirichlet cells D than Neumann ones:
+- Gram update, on P0 meshes, whose label-independent base band is
+  diagonal, when the grid has fewer Dirichlet cells D than Neumann ones:
   base = K_II - G_E and alpha = +1 with X = X_D.  G_E = X_E'X_E,
   X_E = diag(ext_E)^{-1/2} R[:, E]', eliminates every exterior grid cell
   E = N + D; it is cached once per mesh, built by chunks of exterior
@@ -23,13 +23,13 @@ A sweep moves D and N over one mesh, so most records are a rank-r change of
 one base.  When 2r <= n_I the record takes the low-rank path: it keeps
 (base, alpha, X) and never forms K_eff.  Its base and the upper Cholesky
 factor U of base + sigma M are cached once per base, keyed by the mesh
-(``_base_key``), ``far_label``, the interior slice and the form, two
-entries at most, under their own lock, which is never taken under the base
-or Gram lock (the order is factor, then Gram, then base).  The direct
-form's base is a read-only view of K_II, which ``assemble`` shares among
-the records of that key, so the cache holds no copy of it.  The Dirichlet
-baseline is the r = 0 record of the direct form, so on a Dirichlet-sea
-sweep it fills the factor that every record reuses.  Each record then pays
+(``_base_key``), ``far_label``, the interior slice, the assembly path and
+the form, two entries at most, under their own lock, which is never taken
+under the base or Gram lock (the order is factor, then Gram, then base).
+The direct form's base is a read-only view of K_II, which ``assemble``
+shares among the records of that key, so the cache holds no copy of it.
+The Dirichlet baseline is the r = 0 record of the direct form, so on a
+Dirichlet-sea sweep it fills the factor that every record reuses.  Each record then pays
 rank-r work for its shifted solves (Sherman-Morrison-Woodbury):
 Y = U^{-T} X' by one dtrsm (n^2 r flops), the capacitance
 C = I + alpha Y'Y by one dsyrk (n r^2) and its Cholesky (r^3 / 3), against
@@ -43,7 +43,8 @@ forms K_eff on demand on either path.
 
 K_II, G_E and K_eff are dense n_int x n_int; K_IE is never copied: it is
 read by runs of columns from the cached base rows (O(n_int * m) memory,
-shared by every record of a mesh).  The exterior block K_EE and the Omega
+shared by every record of a mesh) or from a view of the full-line Toeplitz
+sequence on the closed-form path.  The exterior block K_EE and the Omega
 mass M are bands.  The reduced pencil (K_eff, M) is solved by inverse
 iteration with a tiny fixed shift and a deterministic all-ones start (the
 ground state is positive, so the overlap is guaranteed).  M enters only
@@ -62,8 +63,8 @@ import numpy as np
 from scipy.linalg import (LinAlgError, blas, cho_factor, cho_solve, cho_solve_banded,
                           cholesky_banded, lapack)
 
-from .assembly import (DOF_DIRICHLET, StiffnessSystem, _base_arrow, _base_key, _recent,
-                       assemble, band_matvec, build_mesh, runs)
+from .assembly import (DOF_DIRICHLET, StiffnessSystem, _base_arrow, _base_key, _interior_key,
+                       _recent, assemble, band_matvec, build_mesh, runs)
 from .errors import BadParameters, IndefinitePencil, SingularExteriorBlock
 from .fracops import FractionalOrder
 from .geometry import (
@@ -157,12 +158,15 @@ _GRAM_CHUNK = 256                 # exterior columns per dsyrk of the G_E build
 
 
 def _schur_operands(system: StiffnessSystem, U: np.ndarray):
-    """(gram, alpha, X) of K_eff = base + alpha X'X: the Gram update or the direct form."""
+    """(gram, alpha, X) of K_eff = base + alpha X'X: the Gram update or the direct form.
+
+    The Gram update needs a diagonal base band, which P0 meshes have and P1
+    meshes never do; so a P1 record never builds the base here.
+    """
     disc = system.disc
-    R, ext = _base_arrow(*_base_key(disc, system.order))
     D = np.flatnonzero(disc.dof_label == DOF_DIRICHLET)
     n_E = system.K_EE.shape[1]
-    if np.any(ext[0]) or len(D) >= n_E:
+    if disc.scheme == "P1" or len(D) >= n_E:
         # K_EI gathered once, in the Fortran order that dtbtrs solves in place
         X = np.empty((n_E, len(system.K_II)), order="F")
         for block, e in system.exterior_blocks():
@@ -171,7 +175,8 @@ def _schur_operands(system: StiffnessSystem, U: np.ndarray):
         if info:
             raise SingularExteriorBlock(f"exterior Neumann solve failed: dtbtrs info {info}")
         return False, -1.0, X
-    # a diagonal base band is P0's, whose Omega cells are all interior DOFs
+    # P0's Omega cells are all interior DOFs
+    R, ext = _base_arrow(*_base_key(disc, system.order))
     return True, 1.0, _scaled_columns(R, ext, D).T
 
 
@@ -192,14 +197,15 @@ def _base_factor(system: StiffnessSystem, gram: bool) -> BaseFactor:
     """The cached base and factor of a low-rank record, built by the first record of its key.
 
     For a system from ``assemble``, K_II and M_II are functions of the key:
-    the mesh, the far-field labels and the interior slice; so is G_E, and
-    the form says which base it is.  Any other system gets a factor of its own.
+    the mesh, the far-field labels, the interior slice and the assembly path
+    (``assembly._interior_key``); so is G_E, and the form says which base it
+    is.  Any other system gets a factor of its own.
     """
     if not system.assembled:
         return _factor(_gram_base(system) if gram else system.K_II, system.M_II)
     rows = system.free_dofs[system.interior_mask]
-    key = (_base_key(system.disc, system.order), system.disc.far_label, int(rows[0]),
-           len(rows), gram)
+    key = (_interior_key(system.disc, system.order, int(rows[0]), len(rows), system.path),
+           gram)
     with _FACTOR_LOCK:
         return _recent(_FACTORS, _FACTOR_SLOTS, key, lambda: _factor(
             _gram_base(system) if gram else system.K_II, system.M_II))
@@ -423,16 +429,18 @@ class EigenResult:
 
 def solve_mixed(omega: Domain1D, partition: ExteriorPartition, order: FractionalOrder,
                 disc: DiscParams, solver: SolverParams = SolverParams(),
-                with_diagnostics: bool = True) -> EigenResult:
+                with_diagnostics: bool = True, closed_form: bool = True) -> EigenResult:
     """build_mesh -> assemble -> schur_reduce -> smallest_eigenpair -> back_map.
 
-    Across a family sweep the label-independent stiffness base is cached by
-    ``assemble``.  The eigenfunction is sign-fixed (nonnegative mean) and
-    L^2(Omega)-normalized; its exterior Neumann values are the discrete
-    kernel average of the interior values (one back-substitution).
+    Across a family sweep the label-independent stiffness pieces are cached
+    by ``assemble``, which takes the closed form where the mesh allows it
+    and ``closed_form`` is true; ``diagnostics["assembly"]`` names the path.
+    The eigenfunction is sign-fixed (nonnegative mean) and L^2(Omega)-
+    normalized; its exterior Neumann values are the discrete kernel average
+    of the interior values (one back-substitution).
     """
     mesh = build_mesh(omega, partition, disc.h, disc.L, disc.scheme, order=order)
-    system = assemble(mesh, order)
+    system = assemble(mesh, order, closed_form=closed_form)
     red = schur_reduce(system)
     M = system.M_II
     pair = smallest_eigenpair(red, M, tol=solver.tol, max_iter=solver.max_iter)
@@ -443,7 +451,7 @@ def solve_mixed(omega: Domain1D, partition: ExteriorPartition, order: Fractional
     values = np.empty(system.n_free)
     values[system.interior_mask] = u_I
     values[system.exterior_mask] = red.back_map(u_I)
-    diagnostics = {}
+    diagnostics = {"assembly": system.path}
     if with_diagnostics:
         from .nonlocal_ops import gauss_residual
         diagnostics["gauss_residual"] = gauss_residual(system, values)
@@ -470,10 +478,11 @@ def full_dirichlet_partition(omega: Domain1D) -> ExteriorPartition:
 
 
 def dirichlet_baseline(omega: Domain1D, order: FractionalOrder, disc: DiscParams,
-                       solver: SolverParams = SolverParams()) -> EigenResult:
+                       solver: SolverParams = SolverParams(),
+                       closed_form: bool = True) -> EigenResult:
     """Principal eigenvalue with Dirichlet data on the whole exterior."""
     return solve_mixed(omega, full_dirichlet_partition(omega), order, disc, solver,
-                       with_diagnostics=False)
+                       with_diagnostics=False, closed_form=closed_form)
 
 
 def richardson_extrapolate(h_values, lam_values) -> tuple[float, float]:

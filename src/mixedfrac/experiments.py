@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy
 
+from .assembly import assembly_path
 from .eigensolver import (
     DiscParams,
     EigenResult,
@@ -151,17 +152,19 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
         return cls.from_dict(d)
 
-    def validate(self) -> None:
-        """Check every referenced parameter combination before any solve."""
+    def validate(self) -> tuple:
+        """Check every referenced parameter combination before any solve; the meshes, by k."""
         from .assembly import build_mesh
         order = make_order(self.dimension, self.s)
+        meshes = []
         for k in self.k_list:
             try:
                 part = generate(self.family, k)
-                build_mesh(self.omega, part, self.disc.h, self.disc.L,
-                           self.disc.scheme, order=order)
+                meshes.append(build_mesh(self.omega, part, self.disc.h, self.disc.L,
+                                         self.disc.scheme, order=order))
             except MixedFracError as exc:
                 raise ConfigError(f"k = {k}: {exc}") from exc
+        return tuple(meshes)
 
 
 @dataclass(frozen=True)
@@ -187,6 +190,7 @@ class ExperimentRecord:
     rq_residual: float        # |K u - lambda M u| at the last iteration
     normalization: float      # u'Mu (1 for a normalized eigenfunction)
     error: str | None = None
+    assembly: str | None = None   # "closed_form" | "arrow" (JSON only)
 
 
 @dataclass(frozen=True)
@@ -221,7 +225,7 @@ def _record_from_result(cfg: ExperimentConfig, k: int, res: EigenResult,
         gauss_res=gauss, iters=res.iterations,
         h=cfg.disc.h, L=cfg.disc.L, ms=ms, converged=res.converged,
         flagged_zero=res.flagged_zero, rq_residual=res.rq_residual,
-        normalization=res.normalization)
+        normalization=res.normalization, assembly=diag.get("assembly"))
 
 
 def _failed_record(cfg: ExperimentConfig, k: int, ms: float, err: str) -> ExperimentRecord:
@@ -235,13 +239,18 @@ def _failed_record(cfg: ExperimentConfig, k: int, ms: float, err: str) -> Experi
 
 
 def run(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
-    """Solve one record per k; the Dirichlet baseline is solved once per mesh."""
+    """Solve one record per k; the Dirichlet baseline is solved once per mesh.
+
+    The sweep takes the closed-form assembly only if every record's mesh
+    allows it, so that its gaps compare eigenvalues of one assembly.
+    """
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise BadParameters(f"jobs must be an integer >= 1, got {jobs!r}")
-    cfg.validate()
+    closed_form = all(assembly_path(mesh) == "closed_form" for mesh in cfg.validate())
     order = make_order(cfg.dimension, cfg.s)
-    # baseline first: warms the cached label-independent base matrix
-    base_res = dirichlet_baseline(cfg.omega, order, cfg.disc, cfg.solver)
+    # baseline first: warms the cached label-independent operator pieces
+    base_res = dirichlet_baseline(cfg.omega, order, cfg.disc, cfg.solver,
+                                  closed_form=closed_form)
     # no gap is measured against an unconverged baseline: every record fails
     baseline = base_res.lambda1 if base_res.converged else math.nan
 
@@ -252,7 +261,8 @@ def run(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
         t0 = time.perf_counter()
         try:
             part = generate(cfg.family, k)
-            res = solve_mixed(cfg.omega, part, order, cfg.disc, cfg.solver)
+            res = solve_mixed(cfg.omega, part, order, cfg.disc, cfg.solver,
+                              closed_form=closed_form)
             if want_farfield:
                 rep = farfield_rate(res.u, np.logspace(1.0, 3.0, 9))
                 farfield_slopes[k] = rep.slope

@@ -46,6 +46,7 @@ from mixedfrac.assembly import (
     _p1_adjacent_local,
     _p1_far_tensors,
     _p1_same_cell_coeff,
+    assembly_path,
     band_matvec,
 )
 
@@ -250,10 +251,19 @@ def test_arrow_matches_dense_reference(scheme, s, part):
     assert _close(system.tail_corrections, tails_ref, 1e-14)
     scale = np.abs(K_ref).sum()
     assert np.all(np.abs(system.dirichlet_row_sums - rows_ref) <= 1e-14 * scale)
-    # the slice cuts reproduce the former np.ix_ gathers and GEMV bitwise
-    for got, ref in zip((system.K_II, system.K_IE, system.dirichlet_row_sums),
-                        former_blocks(disc, order)):
-        assert np.array_equal(got, ref)
+    former = former_blocks(disc, order)
+    got = system.K_II, system.K_IE, system.dirichlet_row_sums
+    if assembly_path(disc) == "arrow":
+        # the slice cuts reproduce the former np.ix_ gathers and GEMV bitwise
+        for block, ref in zip(got, former):
+            assert np.array_equal(block, ref)
+    else:
+        # the closed form: T's blocks and the row sums from K 1 = 0
+        assert scheme == "P1" and part in ("dirichlet", "mixed_gap")
+        (K_II, K_IE, rows), (K_II_ref, K_IE_ref, rows_ref) = got, former
+        assert np.abs(K_II - K_II_ref).max() <= 1e-14 * np.abs(K_II_ref).max()
+        assert _close(K_IE, K_IE_ref, 1e-14)
+        assert np.abs(rows - rows_ref).max() <= 1e-14 * np.abs(rows_ref).max()
     assert system.M_II.shape == (2, len(system.K_II))
 
     K_eff = schur_reduce(system).dense()

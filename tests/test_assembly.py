@@ -107,6 +107,17 @@ def small_mixed_p1():
 
 
 @pytest.fixture(scope="module")
+def small_gap_p1():
+    # both Omega end nodes Dirichlet and far field D: the closed-form path
+    order = make_order(1, 0.5)
+    part = explicit(OM01, neumann=[[2.0, 3.0]], dirichlet="rest")
+    mesh = build_mesh(OM01, part, 0.25, 4.0, "P1", order=order)
+    system = assemble(mesh, order)
+    assert system.path == "closed_form" and system.n_free == 6
+    return system, order
+
+
+@pytest.fixture(scope="module")
 def small_mixed_p0():
     order = make_order(1, 0.25)
     part = explicit(OM01, neumann=[[1.0, 2.0]], dirichlet="rest")
@@ -317,7 +328,7 @@ class TestBruteForceOracle:
     """Q_Omega exclusion: the assembled quadratic form equals an independent
     double sum over cell pairs with the (Omega^c)^2 pairs explicitly skipped."""
 
-    @pytest.mark.parametrize("fixture", ["small_mixed_p1", "small_mixed_p0"])
+    @pytest.mark.parametrize("fixture", ["small_mixed_p1", "small_mixed_p0", "small_gap_p1"])
     def test_quadratic_form_matches(self, fixture, request):
         system, order = request.getfixturevalue(fixture)
         rng = np.random.default_rng(7)
@@ -328,7 +339,13 @@ class TestBruteForceOracle:
             assert abs(exact - brute) <= 1e-10 * max(abs(exact), 1.0)
 
     def test_bilinear_form_matches(self, small_mixed_p1):
-        system, order = small_mixed_p1
+        self.check_bilinear_form(*small_mixed_p1)
+
+    def test_bilinear_form_matches_on_the_closed_form(self, small_gap_p1):
+        self.check_bilinear_form(*small_gap_p1)
+
+    @staticmethod
+    def check_bilinear_form(system, order):
         rng = np.random.default_rng(11)
         u = rng.standard_normal(system.n_free)
         v = rng.standard_normal(system.n_free)
