@@ -14,8 +14,7 @@ computed once per d <= d_max = n_collar + n_int - 1, the widest pair that
 meets Omega (closed form for the same-cell pair, P0 values from
 ``fracops.pair_integral``, Gauss of orders checked against mpmath in the
 tests otherwise).  The P1 unit-cell tensors are built in chunks of
-separations and kept per (s, Gauss order), so meshes with the same s share
-them; a mesh scales its slice by h^(1-2s).  Exterior pairs carry no energy,
+separations and scaled by h^(1-2s).  Exterior pairs carry no energy,
 so K is an arrow matrix in O(n_int * m) memory: the Omega rows, Toeplitz
 off the band and gathered through a strided view of one symmetric sequence
 (P0 and P1), and a P1 band whose entries add their terms in one fixed
@@ -217,9 +216,6 @@ def build_mesh(omega: Domain1D, partition: ExteriorPartition, h: float, L: float
 # ---------------------------------------------------------------------------
 
 _CHUNK = 64          # separations per block of pair tensors and of band terms
-_UNIT_KEYS = 4        # (s, g) kept: two exponents at the two Gauss orders of P1
-_unit_tensors: dict = {}
-_unit_lock = threading.Lock()
 
 
 def _unit_far_block(ds: np.ndarray, s: float, g: int):
@@ -236,37 +232,17 @@ def _unit_far_block(ds: np.ndarray, s: float, g: int):
     return A, B, D
 
 
-def _unit_far_tensors(n_sep: int, s: float, g: int):
-    """Read-only unit-cell A, B, D for d = 2..(at least) n_sep, shared per (s, g).
-
-    A longer request computes only the missing separations, ``_CHUNK`` at a
-    time; the lock makes concurrent builds of one key compute it once.
-    """
-    with _unit_lock:
-        have = _unit_tensors.pop((s, g), None) or (np.empty((0, 2, 2)),) * 3
-        start = len(have[0]) + 2
-        if n_sep >= start:
-            blocks = [have] + [
-                _unit_far_block(np.arange(lo, min(lo + _CHUNK, n_sep + 1), dtype=float), s, g)
-                for lo in range(start, n_sep + 1, _CHUNK)]
-            have = tuple(np.concatenate(t) for t in zip(*blocks))
-            for t in have:
-                t.setflags(write=False)
-        _unit_tensors[(s, g)] = have
-        if len(_unit_tensors) > _UNIT_KEYS:
-            del _unit_tensors[next(iter(_unit_tensors))]
-    return have
-
-
 def _p1_far_tensors(n_sep: int, s: float, h: float, g: int):
     """A(d), B(d), D(d) blocks for cell pairs at separations d = 2..n_sep.
 
     Unit-cell tensor Gauss with shared nodes, so each pair tensor annihilates
-    constants exactly (the quadrature itself is in difference form), scaled
-    by h^(1-2s).
+    constants exactly (the quadrature itself is in difference form), built
+    ``_CHUNK`` separations at a time and scaled by h^(1-2s).
     """
+    blocks = [_unit_far_block(np.arange(lo, min(lo + _CHUNK, n_sep + 1), dtype=float), s, g)
+              for lo in range(2, n_sep + 1, _CHUNK)]
     scale = h ** (1.0 - 2 * s)
-    return tuple(t[:n_sep - 1] * scale for t in _unit_far_tensors(n_sep, s, g))
+    return tuple(np.concatenate(t) * scale for t in zip(*blocks))
 
 
 def _p1_adjacent_local(s: float, h: float, g: int) -> np.ndarray:
@@ -458,7 +434,7 @@ def _base_key(disc: Discretization, order: FractionalOrder) -> tuple:
     return (disc.omega.a, disc.omega.b, disc.h, disc.L, disc.scheme, order.s, order.a_ns)
 
 
-_BASE_LOCK = threading.Lock()     # only _unit_lock is taken while it is held
+_BASE_LOCK = threading.Lock()     # no other lock is taken while it is held
 
 
 def _base_arrow(*key) -> tuple[np.ndarray, np.ndarray]:
@@ -668,18 +644,27 @@ def _neumann_band(disc: Discretization, order: FractionalOrder,
     """
     if not len(cols):
         return np.zeros((2, 0))
-    X, W = quad.gauss_rule(20)
-    lam = np.stack([1.0 - X, X])
     omega = [(disc.omega.a, disc.omega.b)]
-
-    def cells(first):
-        wtau = W * interval_mass(disc.nodes[first, None] + disc.h * X, omega, 2.0 * order.s)
-        return order.a_ns * disc.h * np.einsum("ep,ap,bp->eab", wtau, lam, lam)
-
-    left, right = cells(cols - 1), cells(cols)
+    left, right = (_cell_gram(disc, order, first, omega, 20) for first in (cols - 1, cols))
     band = np.stack([np.r_[0.0, right[:-1, 0, 1]], left[:, 1, 1] + right[:, 0, 0]])
     band[0] = np.where(np.diff(cols, prepend=-2) == 1, band[0], 0.0)
     return band
+
+
+def _cell_gram(disc: Discretization, order: FractionalOrder, first: np.ndarray, sets,
+               g: int) -> np.ndarray:
+    """a_ns int_E phi_a phi_b tau on the cells E = [x_first, x_first + h], tau the
+    kernel mass of ``sets``, by one g-point Gauss rule per cell.
+
+    (cells, 2, 2) over the two hats of a P1 cell, (cells, 1, 1) over the
+    constant of a P0 cell.
+    """
+    X, W = quad.gauss_rule(g)
+    wtau = W * interval_mass(disc.nodes[first, None] + disc.h * X, sets, 2.0 * order.s)
+    if disc.scheme == "P0":
+        return order.a_ns * disc.h * wtau.sum(axis=1)[:, None, None]
+    lam = np.stack([1.0 - X, X])
+    return order.a_ns * disc.h * np.einsum("ep,ap,bp->eab", wtau, lam, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +714,8 @@ class StiffnessSystem:
     exterior_mask: np.ndarray     # within-free boolean (exterior Neumann)
     tail_corrections: np.ndarray  # per-free-DOF diagonal far-field-D addition
     dirichlet_row_sums: np.ndarray  # column sums of the constrained row block
-    # "closed_form" or "arrow", set by ``assemble`` alone, whose K_II and M_II
-    # are functions of the mesh key and the path; ``dataclasses.replace`` and
+    # ``assembly_path`` of the mesh, set by ``assemble`` alone, whose K_II and
+    # M_II are functions of ``_interior_key``; ``dataclasses.replace`` and
     # hand-made systems get ""
     path: str = field(default="", init=False, repr=False, compare=False)
 
@@ -800,21 +785,20 @@ def assembly_path(disc: Discretization) -> str:
     return "closed_form" if closed else "arrow"
 
 
-def _interior_key(disc: Discretization, order: FractionalOrder, lo: int, n_I: int,
-                  path: str) -> tuple:
+def _interior_key(disc: Discretization, order: FractionalOrder, lo: int, n_I: int) -> tuple:
     """What K_II and M_II are functions of: mesh, far-field labels, interior slice and path."""
-    return (_base_key(disc, order), disc.far_label, lo, n_I, path)
+    return (_base_key(disc, order), disc.far_label, lo, n_I, assembly_path(disc))
 
 
 def _interior_block(disc: Discretization, order: FractionalOrder, R: np.ndarray, lo: int,
-                    n_I: int, path: str) -> tuple:
+                    n_I: int) -> tuple:
     """``_build_interior`` once per ``_interior_key``, shared.
 
     Built under the base lock, so concurrent first calls build it once.
     """
     with _BASE_LOCK:
-        return _recent(_BLOCKS, _BLOCK_SLOTS, _interior_key(disc, order, lo, n_I, path),
-                       lambda: _build_interior(disc, order, R, lo, n_I, path == "closed_form"))
+        return _recent(_BLOCKS, _BLOCK_SLOTS, _interior_key(disc, order, lo, n_I),
+                       lambda: _build_interior(disc, order, R, lo, n_I))
 
 
 def _recent(cache: dict, slots: int, key, build):
@@ -842,13 +826,9 @@ def _far_tails(disc: Discretization, order: FractionalOrder, n_om: int):
     if not disc.far_dirichlet:
         return [], None
     i0, i1 = disc.interior_cells
-    Xg, Wg = quad.gauss_rule(8)
-    wtau = Wg * interval_mass(disc.nodes[i0:i1 + 1, None] + disc.h * Xg,
-                              disc.far_dirichlet, 2.0 * order.s)
+    local = _cell_gram(disc, order, np.arange(i0, i1 + 1), disc.far_dirichlet, 8)
     if disc.scheme == "P0":
-        return [order.a_ns * disc.h * wtau.sum(axis=1)], None
-    lam = np.stack([1.0 - Xg, Xg])
-    local = order.a_ns * disc.h * np.einsum("ep,ap,bp->eab", wtau, lam, lam)
+        return [local[:, 0, 0]], None
     # as cells ascend, a node gets the term of the cell on its left first:
     # node j adds local[j - 1, 1, 1], then local[j, 0, 0]
     adds = []
@@ -860,7 +840,7 @@ def _far_tails(disc: Discretization, order: FractionalOrder, n_om: int):
 
 
 def _build_interior(disc: Discretization, order: FractionalOrder, R: np.ndarray, lo: int,
-                    n_I: int, closed: bool) -> tuple:
+                    n_I: int) -> tuple:
     """(K_II, tails, tail_rows) on the interior DOFs lo..lo+n_I-1; all read-only.
 
     R holds the rows of the Omega DOFs.  K_II is R's block on the interior
@@ -879,7 +859,7 @@ def _build_interior(disc: Discretization, order: FractionalOrder, R: np.ndarray,
         tails_om += add
     tails = tails_om[I]
     tail_rows = None
-    if closed:                               # P1 with Dirichlet far sides: sup_tails is set
+    if assembly_path(disc) == "closed_form":     # P1 with Dirichlet far sides: sup_tails is set
         tail_rows = tails.copy()
         tail_rows[1:] += sup_tails
         tail_rows[:-1] += sup_tails
@@ -897,20 +877,19 @@ def _build_interior(disc: Discretization, order: FractionalOrder, R: np.ndarray,
     return K_II, tails, tail_rows
 
 
-def assemble(disc: Discretization, order: FractionalOrder,
-             closed_form: bool = True) -> StiffnessSystem:
+def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     """Arrow blocks of K (pairs meeting Q_Omega + Dirichlet tails) and M over free DOFs.
 
-    The Omega rows are a view of the full-line Toeplitz T where
-    ``assembly_path`` allows it and ``closed_form`` is true, else of the
-    cached arrow base.  K_II and the tails come from ``_interior_block``,
-    built by the first record of an ``_interior_key`` and shared.
+    The Omega rows are a view of the full-line Toeplitz T or of the cached
+    arrow base, as ``assembly_path`` picks from the mesh.  K_II and the
+    tails come from ``_interior_block``, built by the first record of an
+    ``_interior_key`` and shared.
     """
     if order.dimension != 1:
         raise BadParameters("assembly is 1D")
     if disc.scheme == "P0" and order.s >= 0.5:
         raise IncompatibleScheme("P0 jumps carry infinite energy for s >= 1/2")
-    path = assembly_path(disc) if closed_form else "arrow"
+    path = assembly_path(disc)
     closed = path == "closed_form"
     n_om = disc.n_interior + (disc.scheme == "P1")
     if closed:
@@ -930,7 +909,7 @@ def assemble(disc: Discretization, order: FractionalOrder,
     if n_I and rows[-1] - lo != n_I - 1:
         raise BadParameters("interior DOFs are not contiguous")
     I = slice(lo, lo + n_I)
-    K_II, tails_I, tail_rows = _interior_block(disc, order, R, lo, n_I, path)
+    K_II, tails_I, tail_rows = _interior_block(disc, order, R, lo, n_I)
     M_II = omega_mass(disc)[:, I]
     M_II[0, :1] = 0.0                        # the coupling to a cut end node
     # column sums of the Dirichlet-row block, K 1_D by symmetry: the discrete

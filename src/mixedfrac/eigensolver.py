@@ -204,8 +204,7 @@ def _base_factor(system: StiffnessSystem, gram: bool) -> BaseFactor:
     if not system.assembled:
         return _factor(_gram_base(system) if gram else system.K_II, system.M_II)
     rows = system.free_dofs[system.interior_mask]
-    key = (_interior_key(system.disc, system.order, int(rows[0]), len(rows), system.path),
-           gram)
+    key = (_interior_key(system.disc, system.order, int(rows[0]), len(rows)), gram)
     with _FACTOR_LOCK:
         return _recent(_FACTORS, _FACTOR_SLOTS, key, lambda: _factor(
             _gram_base(system) if gram else system.K_II, system.M_II))
@@ -429,18 +428,18 @@ class EigenResult:
 
 def solve_mixed(omega: Domain1D, partition: ExteriorPartition, order: FractionalOrder,
                 disc: DiscParams, solver: SolverParams = SolverParams(),
-                with_diagnostics: bool = True, closed_form: bool = True) -> EigenResult:
+                with_diagnostics: bool = True) -> EigenResult:
     """build_mesh -> assemble -> schur_reduce -> smallest_eigenpair -> back_map.
 
     Across a family sweep the label-independent stiffness pieces are cached
-    by ``assemble``, which takes the closed form where the mesh allows it
-    and ``closed_form`` is true; ``diagnostics["assembly"]`` names the path.
+    by ``assemble``, whose path (``assembly.assembly_path``) the mesh alone
+    picks; ``diagnostics["assembly"]`` names it.
     The eigenfunction is sign-fixed (nonnegative mean) and L^2(Omega)-
     normalized; its exterior Neumann values are the discrete kernel average
     of the interior values (one back-substitution).
     """
     mesh = build_mesh(omega, partition, disc.h, disc.L, disc.scheme, order=order)
-    system = assemble(mesh, order, closed_form=closed_form)
+    system = assemble(mesh, order)
     red = schur_reduce(system)
     M = system.M_II
     pair = smallest_eigenpair(red, M, tol=solver.tol, max_iter=solver.max_iter)
@@ -478,11 +477,10 @@ def full_dirichlet_partition(omega: Domain1D) -> ExteriorPartition:
 
 
 def dirichlet_baseline(omega: Domain1D, order: FractionalOrder, disc: DiscParams,
-                       solver: SolverParams = SolverParams(),
-                       closed_form: bool = True) -> EigenResult:
+                       solver: SolverParams = SolverParams()) -> EigenResult:
     """Principal eigenvalue with Dirichlet data on the whole exterior."""
     return solve_mixed(omega, full_dirichlet_partition(omega), order, disc, solver,
-                       with_diagnostics=False, closed_form=closed_form)
+                       with_diagnostics=False)
 
 
 def richardson_extrapolate(h_values, lam_values) -> tuple[float, float]:

@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy
 
-from .assembly import assembly_path
 from .eigensolver import (
     DiscParams,
     EigenResult,
@@ -152,19 +151,17 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
         return cls.from_dict(d)
 
-    def validate(self) -> tuple:
-        """Check every referenced parameter combination before any solve; the meshes, by k."""
+    def validate(self) -> None:
+        """Check every referenced parameter combination before any solve."""
         from .assembly import build_mesh
         order = make_order(self.dimension, self.s)
-        meshes = []
         for k in self.k_list:
             try:
                 part = generate(self.family, k)
-                meshes.append(build_mesh(self.omega, part, self.disc.h, self.disc.L,
-                                         self.disc.scheme, order=order))
+                build_mesh(self.omega, part, self.disc.h, self.disc.L,
+                           self.disc.scheme, order=order)
             except MixedFracError as exc:
                 raise ConfigError(f"k = {k}: {exc}") from exc
-        return tuple(meshes)
 
 
 @dataclass(frozen=True)
@@ -200,6 +197,7 @@ class RunResult:
     fits: dict
     n_failed: int
     farfield_slopes: dict = field(default_factory=dict)
+    baseline_assembly: str | None = None    # the baseline's assembly path (JSON only)
 
 
 def _record_from_result(cfg: ExperimentConfig, k: int, res: EigenResult,
@@ -241,16 +239,16 @@ def _failed_record(cfg: ExperimentConfig, k: int, ms: float, err: str) -> Experi
 def run(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
     """Solve one record per k; the Dirichlet baseline is solved once per mesh.
 
-    The sweep takes the closed-form assembly only if every record's mesh
-    allows it, so that its gaps compare eigenvalues of one assembly.
+    Each solve takes the assembly path its own mesh picks, so the baseline
+    and a record may differ; ``baseline_assembly`` and each record's
+    ``assembly`` say which was taken.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise BadParameters(f"jobs must be an integer >= 1, got {jobs!r}")
-    closed_form = all(assembly_path(mesh) == "closed_form" for mesh in cfg.validate())
+    cfg.validate()
     order = make_order(cfg.dimension, cfg.s)
     # baseline first: warms the cached label-independent operator pieces
-    base_res = dirichlet_baseline(cfg.omega, order, cfg.disc, cfg.solver,
-                                  closed_form=closed_form)
+    base_res = dirichlet_baseline(cfg.omega, order, cfg.disc, cfg.solver)
     # no gap is measured against an unconverged baseline: every record fails
     baseline = base_res.lambda1 if base_res.converged else math.nan
 
@@ -261,8 +259,7 @@ def run(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
         t0 = time.perf_counter()
         try:
             part = generate(cfg.family, k)
-            res = solve_mixed(cfg.omega, part, order, cfg.disc, cfg.solver,
-                              closed_form=closed_form)
+            res = solve_mixed(cfg.omega, part, order, cfg.disc, cfg.solver)
             if want_farfield:
                 rep = farfield_rate(res.u, np.logspace(1.0, 3.0, 9))
                 farfield_slopes[k] = rep.slope
@@ -289,7 +286,8 @@ def run(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
     n_failed = len(records) - len(good)
     return RunResult(records=tuple(records), baseline=baseline, fits=fits,
                      n_failed=n_failed,
-                     farfield_slopes=dict(sorted(farfield_slopes.items())))
+                     farfield_slopes=dict(sorted(farfield_slopes.items())),
+                     baseline_assembly=base_res.diagnostics.get("assembly"))
 
 
 def fit_rate(records, x_field: str, y_field: str):
@@ -360,6 +358,7 @@ def emit(result: RunResult, cfg: ExperimentConfig, out_dir=None) -> dict:
         payload = {
             "config": cfg.raw,
             "baseline": result.baseline,
+            "baseline_assembly": result.baseline_assembly,
             "n_records": len(result.records),
             "n_failed": result.n_failed,
             "fits": {k: {"slope": v[0], "intercept": v[1], "r2": v[2]}

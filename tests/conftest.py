@@ -1,6 +1,29 @@
 """Shared test helpers."""
 
 import numpy as np
+import pytest
+
+from mixedfrac import assembly, eigensolver
+
+
+def _clear_solver_caches():
+    assembly._build_base.cache_clear()
+    assembly._build_line.cache_clear()
+    assembly._BLOCKS.clear()
+    eigensolver._FACTORS.clear()
+    eigensolver._exterior_gram.cache_clear()
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty every solver cache before and after the test.
+
+    The test's first assemble and solve build cold, and nothing it builds,
+    perhaps under a monkeypatch, reaches a later test.
+    """
+    _clear_solver_caches()
+    yield
+    _clear_solver_caches()
 
 
 def band(M):

@@ -370,13 +370,14 @@ def former_band_terms(diag, sup, A, B, D, c_lo, c_hi):
 
 
 def band_inputs(monkeypatch, a, b, h, L, s):
-    """The arguments that a cold ``_p1_arrow`` build hands to ``_band_terms``, copied."""
+    """The arguments that a cold ``_p1_arrow`` build hands to ``_band_terms``, copied.
+
+    The caller takes the ``cold_caches`` fixture: the base built here has no band.
+    """
     got = []
     monkeypatch.setattr(assembly, "_band_terms",
                         lambda diag, sup, *rest: got.append((diag.copy(), sup.copy(), *rest)))
-    assembly._build_base.cache_clear()
     _build_base(a, b, h, L, "P1", s, make_order(1, s).a_ns)
-    assembly._build_base.cache_clear()
     return got[0]
 
 
@@ -391,7 +392,7 @@ BAND_MESHES = ([(-1.0, 1.0, 2.0 ** -8, 8.0, 0.3),
 
 
 @pytest.mark.parametrize("a,b,h,L,s", BAND_MESHES)
-def test_band_terms_bitwise_equal_former(monkeypatch, a, b, h, L, s):
+def test_band_terms_bitwise_equal_former(cold_caches, monkeypatch, a, b, h, L, s):
     diag, sup, *rest = band_inputs(monkeypatch, a, b, h, L, s)
     ref = diag.copy(), sup.copy()
     former_band_terms(*ref, *rest)
@@ -400,7 +401,7 @@ def test_band_terms_bitwise_equal_former(monkeypatch, a, b, h, L, s):
 
 
 @pytest.mark.parametrize("a,b,h,L,s", BAND_MESHES + [(0.0, 1.0, 1 / 16, 4.0, 0.3)])
-def test_band_terms_distinct_start_values(monkeypatch, a, b, h, L, s):
+def test_band_terms_distinct_start_values(cold_caches, monkeypatch, a, b, h, L, s):
     # every node its own start value: one prefix sum per Omega column, and
     # no exterior window sum may assume a zero start
     diag, sup, *rest = band_inputs(monkeypatch, a, b, h, L, s)
@@ -412,7 +413,7 @@ def test_band_terms_distinct_start_values(monkeypatch, a, b, h, L, s):
     assert np.array_equal(diag, ref[0]) and np.array_equal(sup, ref[1])
 
 
-def test_band_terms_memory(monkeypatch):
+def test_band_terms_memory(cold_caches, monkeypatch):
     # the tail is summed a chunk of separations at a time: one block over
     # its 4 n_int rows and 2 n_int columns would be 16.7 MiB here
     diag, sup, *rest = band_inputs(monkeypatch, -1.0, 1.0, 2.0 ** -8, 8.0, 0.3)
@@ -455,23 +456,24 @@ def test_p0_arrow_bitwise_equals_former_gather(h):
 
 
 @pytest.mark.parametrize("scheme", ["P0", "P1"])
-def test_cold_build_computes_separations_up_to_d_max(monkeypatch, scheme):
+def test_cold_build_computes_separations_up_to_d_max(cold_caches, monkeypatch, scheme):
     # pairs that meet Omega span at most d_max = n_collar + n_int - 1 cells
     # (271 here, with 49% of 2..n-1 = 527 beyond it); nothing further is built
     s = 0.3
     order = make_order(1, s)
     disc = build_mesh(OM, full_dirichlet_partition(OM), 1 / 16, 16.0, scheme, order=order)
     d_max = disc.n_collar + disc.n_interior - 1
-    requested = []
-    p0_values = assembly._p0_pair_values
+    requested, blocks = [], []
+    p0_values, unit_block = assembly._p0_pair_values, assembly._unit_far_block
     monkeypatch.setattr(assembly, "_p0_pair_values",
                         lambda n_sep, *args: requested.append(n_sep) or p0_values(n_sep, *args))
-    assembly._unit_tensors.clear()
-    assembly._build_base.cache_clear()
+    monkeypatch.setattr(assembly, "_unit_far_block",
+                        lambda ds, s, g: blocks.append((g, ds.max())) or unit_block(ds, s, g))
     _base_arrow(*_base_key(disc, order))
     if scheme == "P0":
-        assert requested == [d_max] and not assembly._unit_tensors
+        assert requested == [d_max] and not blocks
     else:
         assert not requested
-        assert {key: len(t[0]) + 1 for key, t in assembly._unit_tensors.items()} \
-            == {(s, 20): d_max, (s, 28): min(d_max, 41)}
+        # the largest separation requested at each Gauss order
+        assert {g: max(d for gg, d in blocks if gg == g) for g, _ in blocks} \
+            == {20: d_max, 28: min(d_max, 41)}

@@ -220,7 +220,7 @@ class TestAssembleStructure:
             assemble(dataclasses.replace(mesh, dof_label=label), order)
 
 
-def test_concurrent_first_assembles_build_the_base_once(monkeypatch):
+def test_concurrent_first_assembles_build_the_base_once(cold_caches, monkeypatch):
     # two records of a new mesh that arrive together, as under run(jobs=2)
     order = make_order(1, 0.4)
     mesh = build_mesh(OM01, explicit(OM01, neumann=[[1.0, 2.0]], dirichlet="rest"),
@@ -234,7 +234,6 @@ def test_concurrent_first_assembles_build_the_base_once(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(assembly, "_p1_arrow", slow_build)
-    assembly._build_base.cache_clear()
     with ThreadPoolExecutor(max_workers=2) as pool:
         systems = list(pool.map(lambda _: assemble(mesh, order), range(2)))
     assert len(builds) == 1
@@ -271,7 +270,7 @@ class TestSharedInteriorBlock:
         assert cut.K_II is not a.K_II and far.K_II is not a.K_II
         assert np.all(far.K_II.diagonal() < a.K_II.diagonal())
 
-    def test_concurrent_first_assembles_build_it_once(self, monkeypatch):
+    def test_concurrent_first_assembles_build_it_once(self, cold_caches, monkeypatch):
         builds = []
         build = assembly._build_interior
 
@@ -280,18 +279,16 @@ class TestSharedInteriorBlock:
             time.sleep(0.05)      # the second thread arrives while the first builds
             return build(*args)
 
-        monkeypatch.setattr(assembly, "_BLOCKS", {})
         monkeypatch.setattr(assembly, "_build_interior", slow_build)
         with ThreadPoolExecutor(max_workers=2) as pool:
             systems = list(pool.map(self.system, ([[1.0, 2.0]], [[1.0, 3.0]])))
         assert len(builds) == 1
         assert systems[0].K_II is systems[1].K_II
 
-    def test_many_threads_share_one_block_per_key(self, monkeypatch):
+    def test_many_threads_share_one_block_per_key(self, cold_caches, monkeypatch):
         # more threads than cores and frequent switches: two keys, two builds
         builds = []
         build = assembly._build_interior
-        monkeypatch.setattr(assembly, "_BLOCKS", {})
         monkeypatch.setattr(assembly, "_build_interior",
                             lambda *args: builds.append(args) or build(*args))
         neumann = [[[1.0, 2.0 + k % 4]] if k % 2 else [[1.5, 2.5 + k % 4]] for k in range(32)]

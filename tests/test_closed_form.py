@@ -3,8 +3,10 @@
 The full-line sequence delta^4 G(k) and the Omega-weighted Gram band of the
 Neumann hats are checked against their definitions at 50 digits; the blocks
 that ``assemble`` builds from them against the arrow base on the meshes of
-the criterion-4 sweeps; and a sweep whose meshes all allow the closed form
-never builds the arrow base.
+the criterion-4 sweeps; and a sweep whose meshes all take the closed form
+never builds the arrow base.  The arrow base of a closed-form mesh is
+reached by patching ``assembly.assembly_path``: the mesh alone picks the
+path, and no public function takes it as an option.
 """
 
 import math
@@ -115,14 +117,20 @@ SEA = [(s, kind, params, k, h, L)
        for k in ks]
 
 
+def arrow_path(monkeypatch):
+    """From here on, ``assemble`` takes the arrow base on every mesh."""
+    monkeypatch.setattr(assembly, "assembly_path", lambda disc: "arrow")
+
+
 @pytest.mark.parametrize("s,kind,params,k,h,L", SEA)
-def test_closed_form_matches_the_arrow_base(s, kind, params, k, h, L):
+def test_closed_form_matches_the_arrow_base(cold_caches, monkeypatch, s, kind, params, k, h, L):
     order = make_order(1, s)
     part = generate(PartitionFamily(kind=kind, omega=OM, params=params), k)
     disc = build_mesh(OM, part, h, L, "P1", order=order)
     assert assembly_path(disc) == "closed_form"
     got = assemble(disc, order)
-    ref = assemble(disc, order, closed_form=False)      # _base_arrow + _build_interior
+    arrow_path(monkeypatch)
+    ref = assemble(disc, order)                          # _base_arrow + _build_interior
     assert (got.path, ref.path) == ("closed_form", "arrow")
     assert got.K_EE.shape[1] > 0 and np.array_equal(got.free_dofs, ref.free_dofs)
     assert np.abs(got.K_II - ref.K_II).max() <= 1e-14 * np.abs(ref.K_II).max()
@@ -152,12 +160,11 @@ def sweep(family_params, kind="explicit", k_list=(0, 1, 2)):
     })
 
 
-def test_dirichlet_far_sweep_never_builds_the_arrow_base(monkeypatch):
+def test_dirichlet_far_sweep_never_builds_the_arrow_base(cold_caches, monkeypatch):
     def refuse(*args):
         raise AssertionError("the arrow base was built")
 
     monkeypatch.setattr(assembly, "_p1_arrow", refuse)
-    assembly._build_base.cache_clear()
     result = experiments.run(sweep(_NESTED, kind="nested_neumann"))
     assert result.n_failed == 0
     assert {r.assembly for r in result.records} == {"closed_form"}
@@ -165,26 +172,31 @@ def test_dirichlet_far_sweep_never_builds_the_arrow_base(monkeypatch):
 
 @pytest.mark.parametrize("neumann", [[[1.5, math.inf]], [[1.0, 2.0]]],
                          ids=["neumann_far_field", "free_omega_end_node"])
-def test_other_sweeps_build_the_arrow_base(monkeypatch, neumann):
+def test_other_sweeps_build_the_arrow_base(cold_caches, monkeypatch, neumann):
     builds = []
     build = assembly._p1_arrow
     monkeypatch.setattr(assembly, "_p1_arrow", lambda *args: builds.append(args) or build(*args))
-    assembly._build_base.cache_clear()
     result = experiments.run(sweep({"neumann": neumann, "dirichlet": "rest"}))
     assert result.n_failed == 0 and len(builds) == 1
     assert {r.assembly for r in result.records} == {"arrow"}
 
 
-def test_a_sweep_with_one_arrow_mesh_keeps_its_baseline_on_the_arrow_path(monkeypatch):
-    # the baseline's mesh allows the closed form, a record's does not: the
-    # gaps compare eigenvalues of one assembly
+def test_a_sweep_with_arrow_records_keeps_the_closed_form_baseline(cold_caches, monkeypatch):
+    # the baseline's mesh takes the closed form; the records' Neumann set
+    # frees Omega's right end node, so they take the arrow base
     cfg = sweep({"neumann": [[1.0, 2.0]], "dirichlet": "rest"})
     order = make_order(1, cfg.s)
-    arrow = experiments.dirichlet_baseline(OM, order, cfg.disc, closed_form=False)
+    result = experiments.run(cfg)
+    assert result.n_failed == 0 and result.baseline_assembly == "closed_form"
+    assert {r.assembly for r in result.records} == {"arrow"}
     closed = experiments.dirichlet_baseline(OM, order, cfg.disc)
     assert closed.diagnostics["assembly"] == "closed_form"
-    assert experiments.run(cfg).baseline == arrow.lambda1
-    assert abs(closed.lambda1 - arrow.lambda1) <= 1e-12 * arrow.lambda1
+    assert result.baseline == closed.lambda1
+    arrow_path(monkeypatch)
+    arrow = experiments.dirichlet_baseline(OM, order, cfg.disc)
+    assert arrow.diagnostics["assembly"] == "arrow"
+    assert abs(result.baseline - arrow.lambda1) <= 1e-12 * arrow.lambda1
+    assert all(0.0 <= r.lambda1 <= result.baseline for r in result.records)
 
 
 def test_full_dirichlet_closed_form_needs_dirichlet_grid_ends():

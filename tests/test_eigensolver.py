@@ -150,8 +150,8 @@ class TestGramUpdate:
     """The cached all-exterior elimination G_E with the Dirichlet cells put back."""
 
     @pytest.mark.parametrize("k", [1, 7])
-    def test_matches_direct_syrk_on_criterion_6(self, k, monkeypatch):
-        monkeypatch.setattr(eigensolver, "_FACTORS", {})   # a cold factor reads G_E
+    def test_matches_direct_syrk_on_criterion_6(self, cold_caches, k):
+        # cold_caches: a cold factor reads G_E
         system = _touching(k)
         n_D = np.count_nonzero(system.disc.dof_label == DOF_DIRICHLET)
         assert n_D < system.K_IE.shape[1]
@@ -187,7 +187,7 @@ class TestGramUpdate:
         _assert_direct_form(system, monkeypatch)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_built_once_per_mesh(self, jobs, monkeypatch):
+    def test_built_once_per_mesh(self, cold_caches, jobs, monkeypatch):
         cfg = ExperimentConfig.from_dict({
             "schema": 1,
             "order": {"dimension": 1, "s": 0.25},
@@ -210,7 +210,6 @@ class TestGramUpdate:
             return build(*key)
 
         monkeypatch.setattr(eigensolver, "_exterior_gram", slow_build)
-        monkeypatch.setattr(eigensolver, "_FACTORS", {})   # a cold factor reads G_E
         result = experiments.run(cfg, jobs=jobs)
         assert result.n_failed == 0
         assert len(builds) == 1
@@ -367,7 +366,7 @@ class TestLowRankPath:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("sea,builds", [("dirichlet", 1), ("neumann", 2)])
-    def test_one_factor_per_base(self, sea, builds, jobs, monkeypatch):
+    def test_one_factor_per_base(self, cold_caches, sea, builds, jobs, monkeypatch):
         if sea == "dirichlet":    # nested Neumann intervals off Omega, P1: the baseline's base
             cfg = _sweep_config("nested_neumann", {"left": 1.5, "length0": 1.0, "ratio": 2.0},
                                 [2, 3, 4], 2.0 ** -6, 8.0, "P1", 0.3, (-1.0, 1.0))
@@ -375,7 +374,6 @@ class TestLowRankPath:
             cfg = _sweep_config("shrinking_dirichlet_touching",
                                 {"r0": 1.0, "ratio": 2.0, "side": "left"},
                                 [1, 2, 3, 4], 2.0 ** -6, 4.0, "P0", 0.25, (0.0, 1.0))
-        monkeypatch.setattr(eigensolver, "_FACTORS", {})
         built = _counted(monkeypatch, "_factor", sleep=0.05)
         low_rank = _counted(monkeypatch, "_woodbury")
         result = experiments.run(cfg, jobs=jobs)
@@ -385,10 +383,9 @@ class TestLowRankPath:
         assert len(low_rank) == 1 + len(cfg.k_list)
         assert len({id(red.factor) for (red,) in low_rank}) == builds
 
-    def test_direct_base_is_the_shared_block(self, monkeypatch):
+    def test_direct_base_is_the_shared_block(self, cold_caches):
         # the cached base of the direct form is the K_II of every record of
         # its key, not a copy of the first record's
-        monkeypatch.setattr(eigensolver, "_FACTORS", {})
         first = schur_reduce(_neumann_interval()).factor
         order = make_order(1, 0.5)
         part = explicit(OM, neumann=[[1.0, 1.3]], dirichlet="rest")

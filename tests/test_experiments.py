@@ -276,6 +276,19 @@ class TestEmit:
         # JSON only: the CSV keeps its columns
         assert open(paths["csv"]).readline().strip() == experiments.CSV_HEADER
 
+    def test_json_names_the_baseline_and_record_assembly(self, fixed_interval_run, tmp_path):
+        # the full-Dirichlet baseline takes the closed form; N = (1, 2) frees
+        # Omega's right end node, so every record takes the arrow base
+        result, _ = fixed_interval_run
+        assert result.baseline_assembly == "closed_form"
+        cfg = ExperimentConfig.from_dict(base_config(outputs={"csv": "a.csv",
+                                                              "json": "a.json"}))
+        paths = experiments.emit(result, cfg, out_dir=str(tmp_path))
+        payload = json.load(open(paths["json"]))
+        assert payload["baseline_assembly"] == "closed_form"
+        assert {rec["assembly"] for rec in payload["records"]} == {"arrow"}
+        assert open(paths["csv"]).readline().strip() == experiments.CSV_HEADER
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_farfield_slopes_for_every_k(self, tmp_path, jobs):
         cfg = ExperimentConfig.from_dict(base_config(verify={"farfield": True},

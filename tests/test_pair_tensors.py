@@ -1,7 +1,7 @@
 """Pair tensors and cell-pair integrals against mpmath.
 
-The stored, chunked P1 tensors are also checked bitwise against the former
-one-shot construction, kept here as the reference.
+The chunked P1 tensors are also checked bitwise against the former one-shot
+construction, kept here as the reference.
 
 The grid tensors are checked at 30 digits: a cell pair (E, F) at
 separation d, unit h, is integrated line by line
@@ -20,8 +20,6 @@ precision routines avoid costs nothing.
 """
 
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import mpmath as mp
@@ -106,33 +104,11 @@ N_SEPS = (2, 41, C, C + 1, C + 2, 2 * C + 1, 2759)
 @pytest.mark.parametrize("g", (20, 28))
 @pytest.mark.parametrize("s", (0.3, 0.75))
 def test_stored_far_tensors_equal_one_shot(s, g, descending):
-    # chunked and extended on demand, the store must not move one bit
-    assembly._unit_tensors.clear()
+    # chunked, in either order of requests, the tensors must not move one bit
     for n_sep in sorted(N_SEPS, reverse=descending):
         got = _p1_far_tensors(n_sep, s, 0.05, g)
         ref = one_shot_far_tensors(n_sep, s, 0.05, g)
         assert all(np.array_equal(x, y) for x, y in zip(got, ref, strict=True)), n_sep
-
-
-def test_concurrent_requests_compute_each_separation_once(monkeypatch):
-    computed = []
-    block = assembly._unit_far_block
-    monkeypatch.setattr(assembly, "_unit_far_block",
-                        lambda ds, s, g: computed.append(len(ds)) or block(ds, s, g))
-    assembly._unit_tensors.clear()
-    n_seps = (2759, 300, 2759, 1000, 41, 2000, 2759, 700)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(_p1_far_tensors, n, 0.3, 0.05, 20) for n in n_seps]
-            results = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert sum(computed) == max(n_seps) - 1
-    for n, got in zip(n_seps, results):
-        ref = one_shot_far_tensors(n, 0.3, 0.05, 20)
-        assert all(np.array_equal(x, y) for x, y in zip(got, ref, strict=True))
 
 
 @pytest.mark.parametrize("s", (0.01, 0.25, 0.5, 0.75, 0.99))
