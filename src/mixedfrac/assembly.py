@@ -698,7 +698,12 @@ class StiffnessSystem:
     its columns are the runs ``runs_E`` of consecutive exterior Neumann grid
     DOFs, read in place from ``R_I``, the interior rows of the cached base,
     or on the closed-form path a strided view of the full-line Toeplitz T
-    (its rows run backwards through one mirrored sequence).
+    (its rows run backwards through one mirrored sequence).  On P0 every
+    exterior column of R_I is a window of one sequence ``R_seq``, so an
+    exterior product is one convolution per run with a window of it, which
+    stays in cache.  P1 rows are not Toeplitz at the Omega boundary rows,
+    the grid-end columns and the band, so there it is one GEMV per run on
+    R_I's columns.
     """
 
     disc: Discretization
@@ -714,6 +719,9 @@ class StiffnessSystem:
     exterior_mask: np.ndarray     # within-free boolean (exterior Neumann)
     tail_corrections: np.ndarray  # per-free-DOF diagonal far-field-D addition
     dirichlet_row_sums: np.ndarray  # column sums of the constrained row block
+    # P0: R_I[i, q] = R_seq[q - i + n_I - 1] at every exterior column q (not at
+    # the diagonal, which no run reads); None on P1 and hand-made systems
+    R_seq: np.ndarray | None = None
     # ``assembly_path`` of the mesh, set by ``assemble`` alone, whose K_II and
     # M_II are functions of ``_interior_key``; ``dataclasses.replace`` and
     # hand-made systems get ""
@@ -727,13 +735,21 @@ class StiffnessSystem:
     def n_free(self) -> int:
         return len(self.free_dofs)
 
-    def exterior_blocks(self) -> list[tuple[np.ndarray, slice]]:
-        """(K_IE's columns of one run, as a view of R_I; its slice of the exterior DOFs)."""
+    def _runs(self) -> list[tuple[slice, slice]]:
+        """(one run of R_I's columns, its slice of the exterior DOFs)."""
         out, at = [], 0
         for run in self.runs_E:
-            out.append((self.R_I[:, run], slice(at, at + run.stop - run.start)))
+            out.append((run, slice(at, at + run.stop - run.start)))
             at += run.stop - run.start
         return out
+
+    def exterior_blocks(self) -> list[tuple[np.ndarray, slice]]:
+        """(K_IE's columns of one run, as a view of R_I; its slice of the exterior DOFs)."""
+        return [(self.R_I[:, run], e) for run, e in self._runs()]
+
+    def _window(self, run: slice) -> np.ndarray:
+        """R_seq[run.start .. run.stop + n_I - 2]: every entry of R_I[:, run]."""
+        return self.R_seq[run.start:run.stop + len(self.R_I) - 1]
 
     @property
     def K_IE(self) -> np.ndarray:
@@ -743,21 +759,33 @@ class StiffnessSystem:
             K_IE[:, e] = block
         return K_IE
 
-    def K_EI_matvec(self, u_I: np.ndarray) -> np.ndarray:
-        """K_EI u_I, one GEMV per run."""
+    def K_EI_matvec(self, u_I: np.ndarray, absolute: bool = False) -> np.ndarray:
+        """K_EI u_I, or |K_EI| u_I: per run, a convolution with R_seq's window or a GEMV.
+
+        Output q of a run is sum_i R_seq[q - i + n_I - 1] u_I[i], the valid part
+        of the convolution of the window with u_I.
+        """
         out = np.empty(np.count_nonzero(self.exterior_mask))
-        for block, e in self.exterior_blocks():
-            out[e] = block.T @ u_I
+        for run, e in self._runs():
+            if self.R_seq is not None:
+                win = self._window(run)
+                out[e] = np.convolve(np.abs(win) if absolute else win, u_I, "valid")
+            else:
+                block = self.R_I[:, run]
+                out[e] = (np.abs(block) if absolute else block).T @ u_I
         return out
 
     def matvec(self, u_free: np.ndarray) -> np.ndarray:
         """K u over the free DOFs."""
         u_I, u_E = u_free[self.interior_mask], u_free[self.exterior_mask]
         K_u_I = self.K_II @ u_I
-        K_u_E = band_matvec(self.K_EE, u_E)
-        for block, e in self.exterior_blocks():
-            K_u_I += block @ u_E[e]
-            K_u_E[e] += block.T @ u_I
+        K_u_E = band_matvec(self.K_EE, u_E) + self.K_EI_matvec(u_I)
+        for run, e in self._runs():
+            if self.R_seq is not None:
+                # row i is sum_q R_seq[q - i + n_I - 1] u_E[q]: the correlation, reversed
+                K_u_I += np.correlate(self._window(run), u_E[e], "valid")[::-1]
+            else:
+                K_u_I += self.R_I[:, run] @ u_E[e]
         out = np.empty(self.n_free)
         out[self.interior_mask] = K_u_I
         out[self.exterior_mask] = K_u_E
@@ -928,11 +956,16 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
         row_sums[:] = Kx[free]
     tails = np.zeros(len(free))
     tails[interior] = tails_I
+    R_I, R_seq = R[I], None
+    if disc.scheme == "P0" and n_I:
+        # the last interior row, then the first row's columns past its end
+        R_seq = np.r_[R_I[-1], R_I[0, R.shape[1] - n_I + 1:]]
+        R_seq.setflags(write=False)
 
     system = StiffnessSystem(
-        disc=disc, order=order, K_II=K_II, R_I=R[I], runs_E=runs(cols_E), K_EE=K_EE,
+        disc=disc, order=order, K_II=K_II, R_I=R_I, runs_E=runs(cols_E), K_EE=K_EE,
         M_II=M_II, free_dofs=free, interior_mask=interior, exterior_mask=exterior,
-        tail_corrections=tails, dirichlet_row_sums=row_sums)
+        tail_corrections=tails, dirichlet_row_sums=row_sums, R_seq=R_seq)
     if closed:
         # the span-truncated stiffness annihilates constants, so a free row's
         # Dirichlet columns sum to minus its free ones, less the far tails

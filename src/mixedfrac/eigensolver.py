@@ -14,10 +14,10 @@ operands:
   diagonal, when the grid has fewer Dirichlet cells D than Neumann ones:
   base = K_II - G_E and alpha = +1 with X = X_D.  G_E = X_E'X_E,
   X_E = diag(ext_E)^{-1/2} R[:, E]', eliminates every exterior grid cell
-  E = N + D; it is cached once per mesh, built by chunks of exterior
-  columns, and a record only puts its Dirichlet cells back.  The two cost
-  the same near |D| = |N|, so a Dirichlet-heavy P0 record keeps the direct
-  form.
+  E = N + D; it is cached once per mesh, built by chunks of the left
+  collar's columns (the right collar is its mirror image), and a record
+  only puts its Dirichlet cells back.  The two cost the same near
+  |D| = |N|, so a Dirichlet-heavy P0 record keeps the direct form.
 
 A sweep moves D and N over one mesh, so most records are a rank-r change of
 one base.  When 2r <= n_I the record takes the low-rank path: it keeps
@@ -36,7 +36,8 @@ C = I + alpha Y'Y by one dsyrk (n r^2) and its Cholesky (r^3 / 3), against
 n^2 r for the SYRK of K_eff and n^3 / 3 for its Cholesky on the dense path.
 The two meet near r = 0.53 n, hence the rule 2r <= n_I.  The shift sigma
 is taken on the base, and the stall bound on |base| and |X|, which bound
-|K_eff|.  A record with 2r > n_I takes the dense path: one SYRK
+|K_eff|; K_eff u is one dsymv on the base's upper triangle plus rank-r
+work.  A record with 2r > n_I takes the dense path: one SYRK
 K_eff = base + alpha X'X whose upper triangle is mirrored, symmetric by
 construction, and a Cholesky of its own.  ``SchurReduction.dense()``
 forms K_eff on demand on either path.
@@ -44,8 +45,9 @@ forms K_eff on demand on either path.
 K_II, G_E and K_eff are dense n_int x n_int; K_IE is never copied: it is
 read by runs of columns from the cached base rows (O(n_int * m) memory,
 shared by every record of a mesh) or from a view of the full-line Toeplitz
-sequence on the closed-form path.  The exterior block K_EE and the Omega
-mass M are bands.  The reduced pencil (K_eff, M) is solved by inverse
+sequence on the closed-form path; on P0 its products are convolutions of
+one Toeplitz sequence (``StiffnessSystem.K_EI_matvec``).  The exterior
+block K_EE and the Omega mass M are bands.  The reduced pencil (K_eff, M) is solved by inverse
 iteration with a tiny fixed shift and a deterministic all-ones start (the
 ground state is positive, so the overlap is guaranteed).  M enters only
 through band products and its two diagonals added to a copy of K_eff (or
@@ -64,7 +66,7 @@ from scipy.linalg import (LinAlgError, blas, cho_factor, cho_solve, cho_solve_ba
                           cholesky_banded, lapack)
 
 from .assembly import (DOF_DIRICHLET, StiffnessSystem, _base_arrow, _base_key, _interior_key,
-                       _recent, assemble, band_matvec, build_mesh, runs)
+                       _recent, assemble, band_matvec, build_mesh)
 from .errors import BadParameters, IndefinitePencil, SingularExteriorBlock
 from .fracops import FractionalOrder
 from .geometry import (
@@ -221,23 +223,29 @@ def _factor(base: np.ndarray, M_band: np.ndarray) -> BaseFactor:
 
 @lru_cache(maxsize=2)
 def _exterior_gram(*key) -> np.ndarray:
-    """G_E = X_E'X_E over every exterior grid cell E of a diagonal base band; read-only.
+    """G_E = X_E'X_E over every exterior grid cell E of a P0 base; read-only.
 
-    One dsyrk per chunk of _GRAM_CHUNK consecutive exterior cells adds its
-    X_c'X_c (beta = 1), with X_c' scaled into one reused buffer: R's
-    exterior columns are never copied whole.
+    The P0 base is a mirror image of itself: n_collar exterior cells on each
+    side and R[n_I-1-i, m-1-q] = R[i, q] at every exterior column q, so the
+    right collar's Gram is J G_L J, J the reversal of the interior index,
+    and G_E = G_L + J G_L J is summed over the left collar alone.  ext is
+    mirrored only to ulps, so G_E is the two-sided sum up to roundoff; it is
+    symmetric and persymmetric bitwise.  One dsyrk per chunk of _GRAM_CHUNK
+    consecutive cells adds its X_c'X_c (beta = 1), with X_c' scaled into
+    one reused buffer: R's exterior columns are never copied whole.
     """
     R, ext = _base_arrow(*key)
     n_I = len(R)
-    G_E = np.zeros((n_I, n_I), order="F")
+    n_collar = (R.shape[1] - n_I) // 2
+    G_L = np.zeros((n_I, n_I), order="F")
     buf = np.empty(n_I * _GRAM_CHUNK)
     root = np.sqrt(ext[1])
-    for run in runs(np.flatnonzero(ext[1])):
-        for lo in range(run.start, run.stop, _GRAM_CHUNK):
-            hi = min(lo + _GRAM_CHUNK, run.stop)
-            XT = np.divide(R[:, lo:hi], root[lo:hi], out=buf[:n_I * (hi - lo)].reshape(n_I, -1))
-            G_E = blas.dsyrk(1.0, XT.T, beta=1.0, c=G_E, trans=1, overwrite_c=True)
-    np.copyto(G_E, G_E.T, where=np.tri(n_I, k=-1, dtype=bool))
+    for lo in range(0, n_collar, _GRAM_CHUNK):
+        hi = min(lo + _GRAM_CHUNK, n_collar)
+        XT = np.divide(R[:, lo:hi], root[lo:hi], out=buf[:n_I * (hi - lo)].reshape(n_I, -1))
+        G_L = blas.dsyrk(1.0, XT.T, beta=1.0, c=G_L, trans=1, overwrite_c=True)
+    np.copyto(G_L, G_L.T, where=np.tri(n_I, k=-1, dtype=bool))
+    G_E = np.add(G_L, G_L[::-1, ::-1], out=np.empty_like(G_L, order="F"))
     G_E.setflags(write=False)
     return G_E
 
@@ -358,8 +366,12 @@ def _woodbury(red: SchurReduction):
     U'(I + alpha Y Y')U, so its solve is U^{-1} (I - alpha Y C^{-1} Y') U^{-T}
     with the r x r capacitance C = I + alpha Y'Y (Woodbury).  Setup is one
     dtrsm, one dsyrk and one dpotrf; a solve is two dtrsv and rank-r work.
+    K_eff u is one dsymv on the base's upper triangle, read in the Fortran
+    order of the base (the Gram base) or of its transpose (the C-ordered
+    K_II of the direct form, the same matrix), so f2py copies nothing.
     """
     U, base, alpha, X = red.factor.U, red.factor.base, red.alpha, red.X
+    base_F = base if base.flags.f_contiguous else base.T
     Y = C = None
     if len(X):                    # BLAS/LAPACK with a zero dimension corrupt the heap
         Y = blas.dtrsm(1.0, U, X.T, trans_a=1)
@@ -376,7 +388,7 @@ def _woodbury(red: SchurReduction):
         return blas.dtrsv(U, y, overwrite_x=True)
 
     def matvec(u):
-        Ku = base @ u
+        Ku = blas.dsymv(1.0, base_F, u)
         if Y is not None:
             Ku += alpha * (X.T @ (X @ u))
         return Ku

@@ -127,10 +127,8 @@ def neumann_cell_residuals(system: StiffnessSystem, u_free: np.ndarray):
     both raw and relative to the row scale |K| |u|.
     """
     rows = system.matvec(u_free)[system.exterior_mask]
-    abs_u_I = np.abs(u_free[system.interior_mask])
     scale = band_matvec(np.abs(system.K_EE), np.abs(u_free[system.exterior_mask]))
-    for block, e in system.exterior_blocks():
-        scale[e] += np.abs(block).T @ abs_u_I
+    scale += system.K_EI_matvec(np.abs(u_free[system.interior_mask]), absolute=True)
     return rows, rows / np.maximum(scale, 1e-300)
 
 

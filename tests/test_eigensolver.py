@@ -215,6 +215,32 @@ class TestGramUpdate:
         assert len(builds) == 1
 
 
+def _p0_full_dirichlet(h, L):
+    """(mesh, order) of D = Omega^c on Omega = (0, 1), P0, s = 1/4."""
+    order = make_order(1, 0.25)
+    return build_mesh(OM01, full_dirichlet_partition(OM01), h, L, "P0", order=order), order
+
+
+class TestExteriorGram:
+    """G_E from the left collar and its mirror image, against the two-sided sum."""
+
+    # criterion 6 (n_int = 512, 2048 cells a side), n_int = 1, and odd L / h
+    @pytest.mark.parametrize("h,L", [(2.0 ** -9, 4.0), (1.0, 4.0), (1 / 16, 65 / 16)],
+                             ids=["c6", "n_int_1", "odd_collar"])
+    def test_matches_the_two_sided_sum(self, h, L):
+        key = _base_key(*_p0_full_dirichlet(h, L))
+        G_E = eigensolver._exterior_gram.__wrapped__(*key)
+        R, ext = _base_arrow(*key)
+        E = np.flatnonzero(ext[1])
+        assert len(E) == R.shape[1] - len(R)
+        X = R[:, E] / np.sqrt(ext[1, E])
+        ref = X @ X.T
+        assert np.abs(G_E - ref).max() <= 1e-14 * np.abs(G_E).max()
+        assert np.array_equal(G_E, G_E.T)
+        assert np.array_equal(G_E, G_E[::-1, ::-1])
+        assert not G_E.flags.writeable
+
+
 def _ball_in_sea():
     """A Dirichlet ball in a Neumann sea, P1: the exterior Neumann DOFs form three runs."""
     order = make_order(1, 0.75)
@@ -437,6 +463,44 @@ class TestLowRankPath:
             tracemalloc.stop()
         assert red.K_eff is None and pair.converged
         assert peak < n_I * n_I * 8 / 2
+
+    @pytest.mark.parametrize("make,layout", [(_neumann_interval, "C_CONTIGUOUS"),
+                                             (lambda: _touching(1), "F_CONTIGUOUS")],
+                             ids=["direct", "gram"])
+    def test_matvec_matches_the_formed_operator(self, make, layout):
+        # dsymv on the base's Fortran-order view: K_II's transpose (direct form)
+        # or the Gram base itself
+        red = schur_reduce(make())
+        base, X = red.factor.base, red.X
+        assert len(X) and base.flags[layout]
+        _, matvec, roundoff = eigensolver._woodbury(red)
+        K = red.dense()
+        u = np.random.default_rng(0).standard_normal(len(K))
+        got, ref = matvec(u), K @ u
+        assert abs(u @ got - u @ ref) <= roundoff(u)
+        a = np.abs(u)
+        bound = (len(K) + len(X)) * np.finfo(float).eps * (np.abs(base) @ a
+                                                            + np.abs(X).T @ (np.abs(X) @ a))
+        assert np.all(np.abs(got - ref) <= bound)
+
+    # the criterion-6 baseline (r = 0, the direct form on C-ordered K_II) and record
+    @pytest.mark.parametrize("make", [lambda: assemble(*_p0_full_dirichlet(2.0 ** -9, 4.0)),
+                                      lambda: _touching(1)], ids=["direct", "gram"])
+    def test_matvec_copies_no_base(self, make):
+        # f2py copies an array that is not in Fortran order: n^2 doubles here
+        red = schur_reduce(make())
+        assert red.K_eff is None
+        n = len(red.factor.base)
+        _, matvec, _ = eigensolver._woodbury(red)
+        u = np.ones(n)
+        matvec(u)
+        tracemalloc.start()
+        try:
+            matvec(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
     @pytest.mark.parametrize("sweep", ["c4_nested_s0.3", "c6_touching_p0"])
     def test_benchmark_references(self, sweep):

@@ -1,0 +1,111 @@
+"""P0 exterior products by convolution of one sequence, against the GEMVs on R_I."""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from mixedfrac import (Domain1D, PartitionFamily, assemble, build_mesh, gauss_residual,
+                       generate, make_order, neumann_cell_residuals, schur_reduce)
+
+OM01 = Domain1D(0.0, 1.0)
+EPS = np.finfo(float).eps
+
+
+def explicit(**kw):
+    return generate(PartitionFamily(kind="explicit", omega=OM01, params=kw), 0)
+
+
+def touching(k):
+    """The criterion-6 record k: D = (-2^-k, 0) touching Omega = (0, 1), N the rest."""
+    return generate(PartitionFamily(kind="shrinking_dirichlet_touching", omega=OM01,
+                                    params={"r0": 1.0, "ratio": 2.0, "side": "left"}), k)
+
+
+def p0_system(part, h=2.0 ** -9, L=4.0):
+    order = make_order(1, 0.25)
+    return assemble(build_mesh(OM01, part, h, L, "P0", order=order), order)
+
+
+# (system, runs of exterior Neumann cells): criterion 6, Neumann cells on both
+# sides of a Dirichlet gap, and n_int = 1
+CASES = {
+    "c6": (lambda: p0_system(touching(1)), 2),
+    "gap": (lambda: p0_system(explicit(dirichlet=[[2.0, 3.0]], neumann="rest"), 2.0 ** -6), 3),
+    "n_int_1": (lambda: p0_system(explicit(dirichlet=[[-8.0, -4.0]], neumann="rest"), 1.0,
+                                  12.0), 3),
+}
+
+
+def gemv(system):
+    """The same system without its sequence: every product is a GEMV on R_I."""
+    return dataclasses.replace(system, R_seq=None)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_sequence_holds_every_exterior_column(case):
+    make, n_runs = CASES[case]
+    system = make()
+    assert len(system.runs_E) == n_runs
+    n_I = len(system.R_I)
+    for run in system.runs_E:
+        win = np.lib.stride_tricks.sliding_window_view(
+            system.R_seq[run.start:run.stop + n_I - 1], run.stop - run.start)[::-1]
+        assert np.array_equal(win, system.R_I[:, run])
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_products_match_the_gemvs(case):
+    system = CASES[case][0]()
+    K_IE = system.K_IE
+    rng = np.random.default_rng(1)
+    u_I, u_E = rng.standard_normal(K_IE.shape[0]), rng.standard_normal(K_IE.shape[1])
+    a_I, a_E = np.abs(u_I), np.abs(u_E)
+    # each output is a dot product of n_I or run terms summed in another order
+    bound = 16 * EPS * (np.abs(K_IE).T @ a_I)
+    assert np.all(np.abs(system.K_EI_matvec(u_I) - K_IE.T @ u_I) <= bound)
+    assert np.all(np.abs(system.K_EI_matvec(a_I, absolute=True) - np.abs(K_IE).T @ a_I) <= bound)
+    # K_IE u_E alone: the interior rows of K u with u_I = 0
+    u = np.zeros(system.n_free)
+    u[system.exterior_mask] = u_E
+    got = system.matvec(u)[system.interior_mask]
+    assert np.all(np.abs(got - K_IE @ u_E) <= 16 * EPS * (np.abs(K_IE) @ a_E))
+
+
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_back_map_and_gauss_residual_match_the_gemvs(k):
+    system = p0_system(touching(k))
+    u = np.random.default_rng(k).uniform(0.5, 1.5, system.n_free)
+    u_I, u_E = u[system.interior_mask], u[system.exterior_mask]
+    K_IE = np.abs(system.K_IE)
+    back = schur_reduce(system).back_map(u_I)
+    back_ref = schur_reduce(gemv(system)).back_map(u_I)
+    assert np.abs(back - back_ref).max() <= 1e-12 * np.abs(back_ref).max()
+    # |K| |u| summed over every row, the Dirichlet-row block included
+    scale = (np.abs(system.K_II).sum(axis=0) @ u_I + K_IE.sum(axis=0) @ u_E
+             + K_IE.sum(axis=1) @ u_I + np.abs(system.K_EE[1]) @ u_E
+             + np.abs(system.dirichlet_row_sums) @ u)
+    assert abs(gauss_residual(system, u) - gauss_residual(gemv(system), u)) <= 1e-12 * scale
+    rows, rel = neumann_cell_residuals(system, u)
+    rows_ref, rel_ref = neumann_cell_residuals(gemv(system), u)
+    assert np.all(np.abs(rows - rows_ref) <= 1e-12 * np.abs(rows_ref).max())
+    assert np.all(np.abs(rel - rel_ref) <= 1e-12 * np.abs(rel_ref).max())
+
+
+@pytest.mark.parametrize("product", ["matvec", "cell_residuals"])
+def test_warm_products_allocate_o_m(product):
+    # a copy of R_I or of |R_I[:, run]| would be n_I x run doubles: 7 MiB here
+    system = p0_system(touching(1))
+    m = system.R_I.shape[1]
+    u = np.ones(system.n_free)
+    call = {"matvec": system.matvec,
+            "cell_residuals": lambda u: neumann_cell_residuals(system, u)}[product]
+    call(u)
+    tracemalloc.start()
+    try:
+        call(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * m * 8
