@@ -9,30 +9,32 @@ supported on a uniform grid over [a-L, b+L]:
 - P1: continuous piecewise linear hats on nodes.
 
 The grid is uniform and the kernel translation-invariant, so every
-cell-pair integral depends only on the separation d; local pair tensors are
-computed once per d <= d_max = n_collar + n_int - 1, the widest pair that
-meets Omega (closed form for the same-cell pair, P0 values from
+cell-pair integral depends only on the separation d, and nothing past
+d_max = n_collar + n_int - 1, the widest pair that meets Omega, is built
+(closed form for the same-cell pair, P0 values from
 ``fracops.pair_integral``, Gauss of orders checked against mpmath in the
-tests otherwise).  The P1 unit-cell tensors are built in chunks of
-separations and scaled by h^(1-2s).  Exterior pairs carry no energy,
-so K is an arrow matrix in O(n_int * m) memory: the Omega rows, Toeplitz
-off the band and gathered through a strided view of one symmetric sequence
-(P0 and P1), and a P1 band whose entries add their terms in one fixed
-order, by separation, so that it is bitwise reproducible: for the nodes
-outside Omega, sequential sums over strided windows of one interleaved
-sequence per side, a block of separations at a time; for the Omega
-entries, one sequential sum per distinct start value over the separations
-where every pair lies on the grid, and masked blocks over the rest.
+tests otherwise; P1 unit-cell tensors in chunks of separations, scaled by
+h^(1-2s)).  Exterior pairs carry no energy, so K is an arrow matrix.
 Couplings with the exterior beyond the collar are dropped on the Neumann
 side and replaced by closed-form tail integrals on the Dirichlet side.
+``assembly_path`` picks where the Omega rows come from:
 
-P1 meshes whose far field is Dirichlet on both sides and whose Omega and
-grid end nodes are Dirichlet take a closed form instead (``assembly_path``):
-every free hat is whole, so the Omega rows that are read are the full-line
-Toeplitz T(k) = -a h^(1-2s) delta^4 G(k), G'''' = |t|^(-1-2s), far tails
-included, to a few ulps of 50-digit mpmath (``_unit_hat_sequence``); K_EE
-is the Omega-weighted Gram band of the Neumann hats.  No exterior grid,
-pair tensor or band term is built there.
+- the closed form (every P0 mesh; P1 meshes whose far field is Dirichlet
+  on both sides and whose Omega and grid end nodes are Dirichlet): a
+  strided view of one mirrored Toeplitz line T, in O(m) memory.  P0's
+  T(d) = -a f(d), T(0) = 0; K_II's diagonal is the negated grid row sum,
+  and K_EE, an exterior cell's Omega mass, one reverse cumulative sum of
+  T.  P1's T(k) = -a h^(1-2s) delta^4 G(k), G'''' = |t|^(-1-2s), far tails
+  included, is exact to a few ulps of 50-digit mpmath
+  (``_unit_hat_sequence``); every free hat is whole, and K_EE is the
+  Omega-weighted Gram band of the Neumann hats;
+- the P1 arrow base, in O(n_int * m) memory: Omega rows Toeplitz off the
+  band, and a band whose entries add their terms in one fixed order, by
+  separation, so that it is bitwise reproducible: for the nodes outside
+  Omega, sequential sums over strided windows of one interleaved sequence
+  per side, a block of separations at a time; for the Omega entries, one
+  sequential sum per distinct start value over the separations where
+  every pair lies on the grid, and masked blocks over the rest.
 
 The arrow pair or the mirrored T is cached per mesh, and the interior block
 K_II with its tails per (mesh, far-field labels, interior slice, path), so
@@ -424,13 +426,8 @@ def runs(cols: np.ndarray) -> tuple[slice, ...]:
     return tuple(slice(int(cols[i]), int(cols[j]) + 1) for i, j in zip(starts, ends))
 
 
-def _toeplitz_rows(t: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
-    """Rows p of [t(|q - p|)], q < m, gathered from a strided view of t mirrored."""
-    return np.lib.stride_tricks.sliding_window_view(np.r_[t[:0:-1], t], m)[len(t) - 1 - rows]
-
-
 def _base_key(disc: Discretization, order: FractionalOrder) -> tuple:
-    """The arguments of ``_base_arrow`` for a mesh: its label-independent key."""
+    """The arguments of ``_base_arrow`` and ``_full_line``: the mesh's label-independent key."""
     return (disc.omega.a, disc.omega.b, disc.h, disc.L, disc.scheme, order.s, order.a_ns)
 
 
@@ -446,28 +443,17 @@ def _base_arrow(*key) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=2)
 def _build_base(a: float, b: float, h: float, L: float, scheme: str, s: float,
                 a_ns: float) -> tuple[np.ndarray, np.ndarray]:
-    """Label-independent stiffness over all grid DOFs as an arrow pair (R, ext).
+    """Label-independent P1 stiffness over all grid nodes as an arrow pair (R, ext).
 
-    R holds the rows of the Omega DOFs against all m grid DOFs; ``ext`` the
+    R holds the rows of the Omega nodes against all m grid nodes; ``ext`` the
     exterior block (only the Omega-weighted Gram term) as a cholesky_banded
-    upper band over the grid DOFs, zero on Omega; both cached and read-only.
+    upper band over the grid nodes, zero on Omega; both cached and read-only.
     Nothing past d_max = n_collar + n_int - 1, the widest pair that meets
-    Omega, is computed.  P0 rows are the strided gather (``_toeplitz_rows``)
-    of -a_ns f(|d|), f(0) = 0, with the row sum on the diagonal.
+    Omega, is computed.  P0 meshes never come here: they take the line.
     """
     n_collar = round(L / h)
     n_int = round((b - a) / h)
-    n = 2 * n_collar + n_int
-    c_lo, c_hi = n_collar, n_collar + n_int - 1
-    if scheme == "P0":
-        cells = np.arange(c_lo, c_hi + 1)
-        v = np.concatenate(([0.0], -a_ns * _p0_pair_values(c_hi, s, h)))  # d_max = c_hi
-        R = _toeplitz_rows(v, cells, n)
-        R[cells - c_lo, cells] = -R.sum(axis=1)
-        ext = np.stack([np.zeros(n), -R.sum(axis=0)])
-        ext[1, c_lo:c_hi + 1] = 0.0
-    else:
-        R, ext = _p1_arrow(n, c_lo, c_hi, s, h, a_ns)
+    R, ext = _p1_arrow(2 * n_collar + n_int, n_collar, n_collar + n_int - 1, s, h, a_ns)
     R.setflags(write=False)
     ext.setflags(write=False)
     return R, ext
@@ -510,10 +496,10 @@ def _p1_arrow(n: int, c_lo: int, c_hi: int, s: float, h: float, a_ns: float):
             out = out + np.where((cl >= 0) & (ch < n) & on, X[r, c, ch - cl], 0.0)
         return out
 
-    T = np.zeros(d_max + 2)     # T[k] = K[p, p + k], 2 <= k < d_max, p inside Omega
+    T = np.zeros(n + 1)         # T[k] = K[p, p + k], 2 <= k < d_max, p inside Omega
     T[2:d_max] = far(c_lo + 1, c_lo + 1 + np.arange(2, d_max))
     rows = np.arange(c_lo, c_hi + 2)
-    R = _toeplitz_rows(T, rows, n + 1)
+    R = _line_rows(np.r_[T[:0:-1], T], c_lo, len(rows)).copy()
     ends, q = rows[[0, -1], None], np.arange(n + 1)
     R[[0, -1]] = far(np.minimum(ends, q), np.maximum(ends, q))
     R[:, 0], R[:, n] = far(0, rows), far(rows, n)
@@ -604,12 +590,17 @@ def _unit_hat_sequence(n: int, s: float) -> np.ndarray:
 @lru_cache(maxsize=2)
 def _build_line(a: float, b: float, h: float, L: float, scheme: str, s: float,
                 a_ns: float) -> np.ndarray:
-    """T(k) = -a_ns h^(1-2s) delta^4 G(k) mirrored: T(|k|) at k + n, k = -n..n; read-only.
-
-    n is the widest separation of two grid nodes.
+    """T mirrored, T(|k|) at k + n, k = -n..n, n the widest separation of two grid
+    DOFs; read-only.  P1: T(k) = -a_ns h^(1-2s) delta^4 G(k).  P0: T(d) = -a_ns
+    f(d), T(0) = 0 and zero past d_max, which no Omega row reads.
     """
-    n = 2 * round(L / h) + round((b - a) / h)
-    T = -a_ns * h ** (1.0 - 2 * s) * _unit_hat_sequence(n, s)
+    n_collar, n_int = round(L / h), round((b - a) / h)
+    n = 2 * n_collar + n_int                      # grid cells
+    if scheme == "P0":
+        T = np.zeros(n)
+        T[1:n_collar + n_int] = -a_ns * _p0_pair_values(n_collar + n_int - 1, s, h)
+    else:
+        T = -a_ns * h ** (1.0 - 2 * s) * _unit_hat_sequence(n, s)
     line = np.concatenate((T[:0:-1], T))
     line.setflags(write=False)
     return line
@@ -622,7 +613,7 @@ def _full_line(*key) -> np.ndarray:
 
 
 def _line_rows(line: np.ndarray, first: int, n_rows: int) -> np.ndarray:
-    """Rows first..first+n_rows-1 of the Toeplitz [T(|q - p|)] over all grid nodes q.
+    """Rows first..first+n_rows-1 of the Toeplitz [T(|q - p|)] over all grid DOFs q.
 
     A read-only view of ``line``: row p starts at T(p), so the rows run
     backwards through one window view of the mirrored sequence.
@@ -633,22 +624,44 @@ def _line_rows(line: np.ndarray, first: int, n_rows: int) -> np.ndarray:
     return win[top - n_rows:top][::-1]
 
 
-def _neumann_band(disc: Discretization, order: FractionalOrder,
+def _neumann_band(disc: Discretization, order: FractionalOrder, R: np.ndarray,
                   cols: np.ndarray) -> np.ndarray:
-    """a_ns int phi_j phi_l tau_Omega over the exterior Neumann nodes ``cols`` as a band.
+    """a_ns int phi_j phi_l tau_Omega over the exterior Neumann DOFs ``cols`` as a band.
 
-    tau_Omega, the kernel mass of Omega, by one 20-point Gauss rule per cell:
-    on a mesh that takes the closed form every Neumann cell lies at least 4h
-    from Omega.  cholesky_banded upper layout; couplings across a gap in
+    P0: ``_omega_mass`` of the Toeplitz Omega rows R.  P1: tau_Omega, the
+    kernel mass of Omega, by one 20-point Gauss rule per cell: on a P1 mesh
+    that takes the closed form every Neumann cell lies at least 4h from
+    Omega.  cholesky_banded upper layout; couplings across a gap in
     ``cols`` are zero.
     """
     if not len(cols):
         return np.zeros((2, 0))
+    if disc.scheme == "P0":
+        return np.stack([np.zeros(len(cols)), _omega_mass(R, cols)])
     omega = [(disc.omega.a, disc.omega.b)]
     left, right = (_cell_gram(disc, order, first, omega, 20) for first in (cols - 1, cols))
     band = np.stack([np.r_[0.0, right[:-1, 0, 1]], left[:, 1, 1] + right[:, 0, 0]])
     band[0] = np.where(np.diff(cols, prepend=-2) == 1, band[0], 0.0)
     return band
+
+
+def _omega_mass(R: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Omega mass -(T(g) + ... + T(g + n_int - 1)) of the P0 exterior ``cells``, g
+    their gap to Omega: minus their column sums in R, the Toeplitz Omega rows.
+
+    One reverse cumulative sum of R's row 0 from its diagonal, T(0..d_max),
+    serves every gap, mirror-exact; its rounding errors, exact by TwoSum,
+    are summed alongside, so a difference of two tails (which cancels up to
+    g / (2s)-fold) stays within an ulp or two of the exact sum.
+    """
+    n_int, n_collar = len(R), (R.shape[1] - len(R)) // 2
+    x = R[0, n_collar:][::-1]                            # T(d_max), ..., T(0)
+    c = np.cumsum(x)
+    b = c[1:] - c[:-1]
+    err = np.cumsum(np.r_[0.0, (c[:-1] - (c[1:] - b)) + (x[1:] - b)])
+    hi, lo = (np.r_[v[::-1], 0.0] for v in (c, err))    # T(d) + ... + T(d_max) = hi[d] + lo[d]
+    gaps = np.where(cells < n_collar, n_collar - cells, cells - n_collar - n_int + 1)
+    return (hi[gaps + n_int] - hi[gaps]) + (lo[gaps + n_int] - lo[gaps])
 
 
 def _cell_gram(disc: Discretization, order: FractionalOrder, first: np.ndarray, sets,
@@ -696,14 +709,14 @@ class StiffnessSystem:
     K_EE is diagonal (P0) or tridiagonal (P1) and M_II is diagonal (P0) or
     tridiagonal (P1), so both are stored as bands.  K_IE is never copied:
     its columns are the runs ``runs_E`` of consecutive exterior Neumann grid
-    DOFs, read in place from ``R_I``, the interior rows of the cached base,
-    or on the closed-form path a strided view of the full-line Toeplitz T
-    (its rows run backwards through one mirrored sequence).  On P0 every
-    exterior column of R_I is a window of one sequence ``R_seq``, so an
-    exterior product is one convolution per run with a window of it, which
-    stays in cache.  P1 rows are not Toeplitz at the Omega boundary rows,
-    the grid-end columns and the band, so there it is one GEMV per run on
-    R_I's columns.
+    DOFs, read in place from ``R_I``: on the closed-form path a strided view
+    of the Toeplitz T (its rows run backwards through one mirrored sequence),
+    else the interior rows of the cached P1 arrow base.  On the closed-form
+    path an exterior product is one convolution per run with a window of
+    R_I (its reversed first column, then row 0 past it), which stays in
+    cache.  The arrow rows are not Toeplitz at the Omega boundary rows, the
+    grid-end columns and the band, so there, and on hand-made systems, it
+    is one GEMV per run on R_I's columns.
     """
 
     disc: Discretization
@@ -719,9 +732,6 @@ class StiffnessSystem:
     exterior_mask: np.ndarray     # within-free boolean (exterior Neumann)
     tail_corrections: np.ndarray  # per-free-DOF diagonal far-field-D addition
     dirichlet_row_sums: np.ndarray  # column sums of the constrained row block
-    # P0: R_I[i, q] = R_seq[q - i + n_I - 1] at every exterior column q (not at
-    # the diagonal, which no run reads); None on P1 and hand-made systems
-    R_seq: np.ndarray | None = None
     # ``assembly_path`` of the mesh, set by ``assemble`` alone, whose K_II and
     # M_II are functions of ``_interior_key``; ``dataclasses.replace`` and
     # hand-made systems get ""
@@ -748,8 +758,8 @@ class StiffnessSystem:
         return [(self.R_I[:, run], e) for run, e in self._runs()]
 
     def _window(self, run: slice) -> np.ndarray:
-        """R_seq[run.start .. run.stop + n_I - 2]: every entry of R_I[:, run]."""
-        return self.R_seq[run.start:run.stop + len(self.R_I) - 1]
+        """Toeplitz R_I[:, run] as one sequence: R_I[i, q] = w[q - run.start - i + n_I - 1]."""
+        return np.concatenate((self.R_I[::-1, run.start], self.R_I[0, run.start + 1:run.stop]))
 
     @property
     def K_IE(self) -> np.ndarray:
@@ -760,14 +770,14 @@ class StiffnessSystem:
         return K_IE
 
     def K_EI_matvec(self, u_I: np.ndarray, absolute: bool = False) -> np.ndarray:
-        """K_EI u_I, or |K_EI| u_I: per run, a convolution with R_seq's window or a GEMV.
+        """K_EI u_I, or |K_EI| u_I: per run, a convolution with its window or a GEMV.
 
-        Output q of a run is sum_i R_seq[q - i + n_I - 1] u_I[i], the valid part
-        of the convolution of the window with u_I.
+        Output q of a run is sum_i w[q - run.start - i + n_I - 1] u_I[i], the
+        valid part of the convolution of the window w with u_I.
         """
         out = np.empty(np.count_nonzero(self.exterior_mask))
         for run, e in self._runs():
-            if self.R_seq is not None:
+            if self.path == "closed_form":
                 win = self._window(run)
                 out[e] = np.convolve(np.abs(win) if absolute else win, u_I, "valid")
             else:
@@ -781,8 +791,8 @@ class StiffnessSystem:
         K_u_I = self.K_II @ u_I
         K_u_E = band_matvec(self.K_EE, u_E) + self.K_EI_matvec(u_I)
         for run, e in self._runs():
-            if self.R_seq is not None:
-                # row i is sum_q R_seq[q - i + n_I - 1] u_E[q]: the correlation, reversed
+            if self.path == "closed_form":
+                # row i is sum_q w[q - run.start - i + n_I - 1] u_E[q]: the correlation, reversed
                 K_u_I += np.correlate(self._window(run), u_E[e], "valid")[::-1]
             else:
                 K_u_I += self.R_I[:, run] @ u_E[e]
@@ -799,17 +809,17 @@ _BLOCKS: dict = {}                # key -> _build_interior's triple, least recen
 def assembly_path(disc: Discretization) -> str:
     """Where ``assemble`` takes the Omega rows of K from: "closed_form" or "arrow".
 
-    The closed form serves P1 meshes whose far field is Dirichlet on both
-    sides and whose two Omega end nodes and two grid end nodes are Dirichlet
-    DOFs.  There every free DOF has a whole hat, the interior ones inside
-    Omega, so each Omega row that is read is the full-line Toeplitz T, far
-    Dirichlet tails included, and K_EE is the Omega-weighted Gram band of
-    the Neumann hats: no exterior grid is built.  Every other mesh takes the
-    arrow base.
+    The closed form serves every P0 mesh, whose Omega rows are Toeplitz off
+    their diagonal, and P1 meshes whose far field is Dirichlet on both sides
+    and whose two Omega end nodes and two grid end nodes are Dirichlet DOFs:
+    there every free DOF has a whole hat, the interior ones inside Omega, so
+    each Omega row that is read is the full-line Toeplitz T, far Dirichlet
+    tails included, and K_EE is the Omega-weighted Gram band of the Neumann
+    hats.  Every other P1 mesh takes the arrow base.
     """
     ends = [0, disc.n_collar, disc.n_collar + disc.n_interior, disc.n_dofs - 1]
-    closed = (disc.scheme == "P1" and disc.far_label == ("D", "D")
-              and bool(np.all(disc.dof_label[ends] == DOF_DIRICHLET)))
+    closed = disc.scheme == "P0" or (disc.far_label == ("D", "D")
+                                     and bool(np.all(disc.dof_label[ends] == DOF_DIRICHLET)))
     return "closed_form" if closed else "arrow"
 
 
@@ -872,34 +882,39 @@ def _build_interior(disc: Discretization, order: FractionalOrder, R: np.ndarray,
     """(K_II, tails, tail_rows) on the interior DOFs lo..lo+n_I-1; all read-only.
 
     R holds the rows of the Omega DOFs.  K_II is R's block on the interior
-    DOFs: on the arrow path with the far-field Dirichlet tails added to its
-    three diagonals, in the closed form as it is, since T holds them.
-    ``tails`` are the diagonal tails of those DOFs.  ``tail_rows`` (closed
-    form only, else None) are the row sums of the tails among them.
+    DOFs: P0's diagonal is the negated sum of its grid row, since T(0) = 0.
+    The far-field Dirichlet tails are added to its three diagonals, except
+    on the P1 closed form, whose T holds them.  ``tails`` are the diagonal
+    tails of those DOFs.  ``tail_rows`` (closed form only, else None) are
+    the row sums of the tails among them.
     """
     n_om = R.shape[0]
     I = slice(lo, lo + n_I)
     K_II = R[I, disc.n_collar + lo:disc.n_collar + lo + n_I].copy()
+    flat = K_II.reshape(-1)                      # views of K_II's three diagonals
+    diag, sup, sub = flat[::n_I + 1], flat[1::n_I + 1], flat[n_I::n_I + 1]
+    if disc.scheme == "P0":
+        diag[:] = -R[I].sum(axis=1)
     adds, sup_tails = _far_tails(disc, order, n_om)
     sup_tails = None if sup_tails is None else sup_tails[lo:lo + n_I - 1]
     tails_om = np.zeros(n_om)
     for add in adds:
         tails_om += add
     tails = tails_om[I]
-    tail_rows = None
-    if assembly_path(disc) == "closed_form":     # P1 with Dirichlet far sides: sup_tails is set
-        tail_rows = tails.copy()
-        tail_rows[1:] += sup_tails
-        tail_rows[:-1] += sup_tails
-        tail_rows.setflags(write=False)
-    else:
-        flat = K_II.reshape(-1)                  # views of K_II's three diagonals
-        diag, sup, sub = flat[::n_I + 1], flat[1::n_I + 1], flat[n_I::n_I + 1]
+    closed = assembly_path(disc) == "closed_form"
+    if not (closed and disc.scheme == "P1"):     # the P1 line holds its tails
         for add in adds:
             diag += add[I]
         if sup_tails is not None:
             sup += sup_tails
             sub += sup_tails
+    tail_rows = None
+    if closed:
+        tail_rows = tails.copy()
+        if sup_tails is not None:                # P1 with Dirichlet far sides
+            tail_rows[1:] += sup_tails
+            tail_rows[:-1] += sup_tails
+        tail_rows.setflags(write=False)
     K_II.setflags(write=False)
     tails.setflags(write=False)
     return K_II, tails, tail_rows
@@ -908,10 +923,10 @@ def _build_interior(disc: Discretization, order: FractionalOrder, R: np.ndarray,
 def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     """Arrow blocks of K (pairs meeting Q_Omega + Dirichlet tails) and M over free DOFs.
 
-    The Omega rows are a view of the full-line Toeplitz T or of the cached
-    arrow base, as ``assembly_path`` picks from the mesh.  K_II and the
-    tails come from ``_interior_block``, built by the first record of an
-    ``_interior_key`` and shared.
+    The Omega rows are a view of the Toeplitz T or of the cached arrow base,
+    as ``assembly_path`` picks from the mesh.  K_II and the tails come from
+    ``_interior_block``, built by the first record of an ``_interior_key``
+    and shared.
     """
     if order.dimension != 1:
         raise BadParameters("assembly is 1D")
@@ -945,7 +960,7 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     # diagnostics; of the Omega DOFs only the (P1) end nodes can be Dirichlet
     row_sums = np.empty(len(free))
     if closed:
-        K_EE = _neumann_band(disc, order, cols_E)
+        K_EE = _neumann_band(disc, order, R, cols_E)
     else:
         K_EE = ext[:, cols_E]
         K_EE[0] = np.where(np.diff(cols_E, prepend=-2) == 1, K_EE[0], 0.0)
@@ -956,23 +971,18 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
         row_sums[:] = Kx[free]
     tails = np.zeros(len(free))
     tails[interior] = tails_I
-    R_I, R_seq = R[I], None
-    if disc.scheme == "P0" and n_I:
-        # the last interior row, then the first row's columns past its end
-        R_seq = np.r_[R_I[-1], R_I[0, R.shape[1] - n_I + 1:]]
-        R_seq.setflags(write=False)
 
     system = StiffnessSystem(
-        disc=disc, order=order, K_II=K_II, R_I=R_I, runs_E=runs(cols_E), K_EE=K_EE,
+        disc=disc, order=order, K_II=K_II, R_I=R[I], runs_E=runs(cols_E), K_EE=K_EE,
         M_II=M_II, free_dofs=free, interior_mask=interior, exterior_mask=exterior,
-        tail_corrections=tails, dirichlet_row_sums=row_sums, R_seq=R_seq)
+        tail_corrections=tails, dirichlet_row_sums=row_sums)
+    object.__setattr__(system, "path", path)     # before matvec, which it selects
     if closed:
         # the span-truncated stiffness annihilates constants, so a free row's
         # Dirichlet columns sum to minus its free ones, less the far tails
-        # among the interior DOFs, which T holds and the grid does not
+        # among the interior DOFs, which K holds and the grid does not
         row_sums[:] = -system.matvec(np.ones(len(free)))
         row_sums[interior] += tail_rows
-    object.__setattr__(system, "path", path)
     return system
 
 

@@ -10,14 +10,15 @@ operands:
   triangular solve with K_EE = U'U (banded Cholesky on the band's true
   width), eliminating the Neumann DOFs N; K_EI is gathered once from its
   runs and solved in place;
-- Gram update, on P0 meshes, whose label-independent base band is
-  diagonal, when the grid has fewer Dirichlet cells D than Neumann ones:
-  base = K_II - G_E and alpha = +1 with X = X_D.  G_E = X_E'X_E,
-  X_E = diag(ext_E)^{-1/2} R[:, E]', eliminates every exterior grid cell
-  E = N + D; it is cached once per mesh, built by chunks of the left
-  collar's columns (the right collar is its mirror image), and a record
-  only puts its Dirichlet cells back.  The two cost the same near
-  |D| = |N|, so a Dirichlet-heavy P0 record keeps the direct form.
+- Gram update, on P0 meshes, whose exterior block is diagonal, when the
+  grid has fewer Dirichlet cells D than Neumann ones: base = K_II - G_E
+  and alpha = +1 with X = X_D.  G_E = X_E'X_E, X_E = diag(mass_E)^{-1/2}
+  R[:, E]' (R the Toeplitz Omega rows, mass_E the Omega mass), eliminates
+  every exterior grid cell E = N + D; it is cached once per mesh, built by
+  chunks of the left collar's columns (the right collar is its mirror
+  image), and a record only puts its Dirichlet cells back.  The two cost
+  the same near |D| = |N|, so a Dirichlet-heavy P0 record keeps the
+  direct form.
 
 A sweep moves D and N over one mesh, so most records are a rank-r change of
 one base.  When 2r <= n_I the record takes the low-rank path: it keeps
@@ -43,15 +44,15 @@ construction, and a Cholesky of its own.  ``SchurReduction.dense()``
 forms K_eff on demand on either path.
 
 K_II, G_E and K_eff are dense n_int x n_int; K_IE is never copied: it is
-read by runs of columns from the cached base rows (O(n_int * m) memory,
-shared by every record of a mesh) or from a view of the full-line Toeplitz
-sequence on the closed-form path; on P0 its products are convolutions of
-one Toeplitz sequence (``StiffnessSystem.K_EI_matvec``).  The exterior
-block K_EE and the Omega mass M are bands.  The reduced pencil (K_eff, M) is solved by inverse
-iteration with a tiny fixed shift and a deterministic all-ones start (the
-ground state is positive, so the overlap is guaranteed).  M enters only
-through band products and its two diagonals added to a copy of K_eff (or
-of the base) for the shifted factorization.
+read by runs of columns from a view of the Toeplitz line on the
+closed-form path (every P0 mesh, O(m) memory), whose products are
+convolutions (``StiffnessSystem.K_EI_matvec``), or from the cached P1
+arrow base rows (O(n_int * m) memory, shared by every record of a mesh).
+The exterior block K_EE and the Omega mass M are bands.  The reduced pencil
+(K_eff, M) is solved by inverse iteration with a tiny fixed shift and a
+deterministic all-ones start (the ground state is positive, so the overlap
+is guaranteed).  M enters only through band products and its two diagonals
+added to a copy of K_eff (or of the base) for the shifted factorization.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ import numpy as np
 from scipy.linalg import (LinAlgError, blas, cho_factor, cho_solve, cho_solve_banded,
                           cholesky_banded, lapack)
 
-from .assembly import (DOF_DIRICHLET, StiffnessSystem, _base_arrow, _base_key, _interior_key,
-                       _recent, assemble, band_matvec, build_mesh)
+from .assembly import (DOF_DIRICHLET, StiffnessSystem, _base_key, _full_line, _interior_key,
+                       _line_rows, _omega_mass, _recent, assemble, band_matvec, build_mesh)
 from .errors import BadParameters, IndefinitePencil, SingularExteriorBlock
 from .fracops import FractionalOrder
 from .geometry import (
@@ -162,8 +163,8 @@ _GRAM_CHUNK = 256                 # exterior columns per dsyrk of the G_E build
 def _schur_operands(system: StiffnessSystem, U: np.ndarray):
     """(gram, alpha, X) of K_eff = base + alpha X'X: the Gram update or the direct form.
 
-    The Gram update needs a diagonal base band, which P0 meshes have and P1
-    meshes never do; so a P1 record never builds the base here.
+    The Gram update needs a diagonal exterior block over every grid cell,
+    which P0 meshes have and P1 meshes never do.
     """
     disc = system.disc
     D = np.flatnonzero(disc.dof_label == DOF_DIRICHLET)
@@ -177,9 +178,9 @@ def _schur_operands(system: StiffnessSystem, U: np.ndarray):
         if info:
             raise SingularExteriorBlock(f"exterior Neumann solve failed: dtbtrs info {info}")
         return False, -1.0, X
-    # P0's Omega cells are all interior DOFs
-    R, ext = _base_arrow(*_base_key(disc, system.order))
-    return True, 1.0, _scaled_columns(R, ext, D).T
+    # R_I is P0's Toeplitz Omega rows; X' in C order, so dsyrk reads X in place
+    XT = np.divide(system.R_I[:, D], np.sqrt(_omega_mass(system.R_I, D)), order="C")
+    return True, 1.0, XT.T
 
 
 def _gram_base(system: StiffnessSystem) -> np.ndarray:
@@ -223,23 +224,22 @@ def _factor(base: np.ndarray, M_band: np.ndarray) -> BaseFactor:
 
 @lru_cache(maxsize=2)
 def _exterior_gram(*key) -> np.ndarray:
-    """G_E = X_E'X_E over every exterior grid cell E of a P0 base; read-only.
+    """G_E = X_E'X_E over every exterior grid cell E of a P0 mesh; read-only.
 
-    The P0 base is a mirror image of itself: n_collar exterior cells on each
-    side and R[n_I-1-i, m-1-q] = R[i, q] at every exterior column q, so the
-    right collar's Gram is J G_L J, J the reversal of the interior index,
-    and G_E = G_L + J G_L J is summed over the left collar alone.  ext is
-    mirrored only to ulps, so G_E is the two-sided sum up to roundoff; it is
-    symmetric and persymmetric bitwise.  One dsyrk per chunk of _GRAM_CHUNK
-    consecutive cells adds its X_c'X_c (beta = 1), with X_c' scaled into
-    one reused buffer: R's exterior columns are never copied whole.
+    The Toeplitz Omega rows R and the Omega mass are mirror images of
+    themselves: n_collar exterior cells on each side, R[n_I-1-i, m-1-q] =
+    R[i, q], one mass per gap.  So the right collar's Gram is J G_L J, J the
+    reversal of the interior index, and G_E = G_L + J G_L J, summed over the
+    left collar alone, is symmetric and persymmetric bitwise.  One dsyrk per
+    chunk of _GRAM_CHUNK consecutive cells adds its X_c'X_c (beta = 1), with
+    X_c' scaled into one reused buffer: R's columns are never copied whole.
     """
-    R, ext = _base_arrow(*key)
-    n_I = len(R)
-    n_collar = (R.shape[1] - n_I) // 2
+    a, b, h, L = key[:4]
+    n_I, n_collar = round((b - a) / h), round(L / h)
+    R = _line_rows(_full_line(*key), n_collar, n_I)
     G_L = np.zeros((n_I, n_I), order="F")
     buf = np.empty(n_I * _GRAM_CHUNK)
-    root = np.sqrt(ext[1])
+    root = np.sqrt(_omega_mass(R, np.arange(n_collar)))
     for lo in range(0, n_collar, _GRAM_CHUNK):
         hi = min(lo + _GRAM_CHUNK, n_collar)
         XT = np.divide(R[:, lo:hi], root[lo:hi], out=buf[:n_I * (hi - lo)].reshape(n_I, -1))
@@ -248,18 +248,6 @@ def _exterior_gram(*key) -> np.ndarray:
     G_E = np.add(G_L, G_L[::-1, ::-1], out=np.empty_like(G_L, order="F"))
     G_E.setflags(write=False)
     return G_E
-
-
-def _scaled_columns(R: np.ndarray, ext: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """X' = R[:, cells] diag(ext)^{-1/2} in C order, so dsyrk reads X in place.
-
-    Used for the few Dirichlet cells that the Gram update puts back.
-    ``np.take`` keeps C order; ``R[:, cells]`` comes back in Fortran order,
-    and f2py would copy its transpose.
-    """
-    XT = np.take(R, cells, axis=1)
-    XT /= np.sqrt(ext[1, cells])
-    return XT
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ free x free extraction with ``np.ix_``, the per-cell mass and far-field
 tail loops, and a dense Schur complement.  It is only run on meshes of at
 most 400 DOFs, except for the bitwise check of the P1 arrow pair, which also
 covers a 577-DOF mesh, a 529-DOF long-collar mesh and the 2761-DOF mesh of
-the criterion-7 sweep.  The P0 arrow pair is checked bitwise against its
-former construction (pair values to n - 1 and a fancy-index gather), and the
-P1 band terms against their former summation, one masked block per chunk of
+the criterion-7 sweep.  The P0 line is checked against the former gathered
+P0 base (pair values to n - 1 and a fancy-index gather): its Toeplitz view
+and K_II bitwise, the exterior mass to a few ulps.  The P1 band terms are
+checked against their former summation, one masked block per chunk of
 separations over every Omega column, on the benchmark's P1 meshes.
 """
 
@@ -42,6 +43,9 @@ from mixedfrac.assembly import (
     _base_arrow,
     _base_key,
     _build_base,
+    _full_line,
+    _line_rows,
+    _omega_mass,
     _p0_pair_values,
     _p1_adjacent_local,
     _p1_far_tensors,
@@ -186,15 +190,24 @@ def former_blocks(disc, order):
     """(K_II, K_IE, dirichlet_row_sums) as ``assemble`` cut them before slices.
 
     The Omega block copied whole with its far-field tails, then cut with
-    ``np.ix_``, and the Omega rows of K 1_D as a GEMV of all of R.
+    ``np.ix_``, and the Omega rows of K 1_D as a GEMV of all of R.  P0 reads
+    R through the line, its diagonal T(0) = 0 replaced by the negated row
+    sum; no P0 row of K 1_D that is kept reads the exterior band.
     """
-    R, ext = _base_arrow(*_base_key(disc, order))
+    key = _base_key(disc, order)
+    if disc.scheme == "P0":
+        R = _line_rows(_full_line(*key), disc.n_collar, disc.n_interior)
+        ext = np.zeros((2, R.shape[1]))
+    else:
+        R, ext = _base_arrow(*key)
     omega_dofs = slice(disc.n_collar, disc.n_collar + R.shape[0])
     free = np.where(disc.dof_label < DOF_DIRICHLET)[0]
     interior = disc.dof_label[free] == DOF_INTERIOR
     rows = free[interior] - disc.n_collar
     cols_E = free[disc.dof_label[free] == DOF_NEUMANN]
     K_om = R[:, omega_dofs].copy()
+    if disc.scheme == "P0":
+        K_om[np.diag_indices(len(K_om))] = -R.sum(axis=1)
     if disc.far_dirichlet:
         i0, i1 = disc.interior_cells
         Xg, Wg = quad.gauss_rule(8)
@@ -258,12 +271,18 @@ def test_arrow_matches_dense_reference(scheme, s, part):
         for block, ref in zip(got, former):
             assert np.array_equal(block, ref)
     else:
-        # the closed form: T's blocks and the row sums from K 1 = 0
-        assert scheme == "P1" and part in ("dirichlet", "mixed_gap")
+        # the closed form: T's blocks and the row sums from K 1 = 0; P0's
+        # blocks are the line's own, bitwise
+        assert scheme == "P0" or part in ("dirichlet", "mixed_gap")
         (K_II, K_IE, rows), (K_II_ref, K_IE_ref, rows_ref) = got, former
+        if scheme == "P0":
+            assert np.array_equal(K_II, K_II_ref) and np.array_equal(K_IE, K_IE_ref)
         assert np.abs(K_II - K_II_ref).max() <= 1e-14 * np.abs(K_II_ref).max()
         assert _close(K_IE, K_IE_ref, 1e-14)
-        assert np.abs(rows - rows_ref).max() <= 1e-14 * np.abs(rows_ref).max()
+        # with no Dirichlet cell P0's rows are 0, and K 1 = 0 leaves the
+        # rounding of its terms, which the diagonal bounds
+        scale = np.abs(rows_ref).max() if scheme == "P1" else np.abs(K_II_ref).max()
+        assert np.abs(rows - rows_ref).max() <= 1e-14 * scale
     assert system.M_II.shape == (2, len(system.K_II))
 
     K_eff = schur_reduce(system).dense()
@@ -427,10 +446,11 @@ def test_band_terms_memory(cold_caches, monkeypatch):
 
 
 def former_p0_base(disc, order):
-    """P0 (R, ext) as ``_build_base`` built them before the separation cap.
+    """The P0 arrow pair (R, ext), materialized as ``_build_base`` built it
+    before the separation cap and the line: the independent reference.
 
-    Pair values f(d), d = 1..n - 1, in one call, and the rows gathered by a
-    2-D fancy index.
+    Pair values f(d), d = 1..n - 1, in one call, the rows gathered by a 2-D
+    fancy index, the row sums on the diagonal and the column sums in ext.
     """
     n, a_ns, s = disc.n_cells, order.a_ns, order.s
     c_lo, c_hi = disc.interior_cells
@@ -448,11 +468,47 @@ def former_p0_base(disc, order):
 # the criterion-6 mesh, and n_int = 1, 2, 3 and 64 on Omega = (0, 1)
 @pytest.mark.parametrize("h", [2.0 ** -9, 1.0, 1 / 2, 1 / 3, 1 / 64])
 def test_p0_arrow_bitwise_equals_former_gather(h):
+    # an all-Neumann exterior: no far-field tails, and every exterior cell in K_EE
     order = make_order(1, 0.25)
-    disc = build_mesh(OM, full_dirichlet_partition(OM), h, 4.0, "P0", order=order)
-    for got, ref in zip(_base_arrow(*_base_key(disc, order)), former_p0_base(disc, order),
-                        strict=True):
-        assert np.array_equal(got, ref)
+    disc = build_mesh(OM, explicit(neumann="rest", dirichlet=[]), h, 4.0, "P0", order=order)
+    system = assemble(disc, order)
+    R, ext = former_p0_base(disc, order)
+    c_lo, c_hi = disc.interior_cells
+    cells = np.arange(disc.n_interior)
+    # the line view holds the former rows off their diagonal, where T(0) = 0
+    off = np.ones(R.shape, dtype=bool)
+    off[cells, c_lo + cells] = False
+    assert np.array_equal(system.R_I[off], R[off]) and not np.any(system.R_I[~off])
+    assert np.array_equal(system.K_II, R[:, c_lo:c_hi + 1])
+    # K_EE and the Gram's exterior mass: the former column sums, and mirror-exact
+    E = np.flatnonzero(ext[1])
+    assert np.array_equal(system.free_dofs[system.exterior_mask], E)
+    assert not np.any(system.K_EE[0])
+    assert_exterior_mass(system.K_EE[1], R, ext, E)
+    assert np.array_equal(_omega_mass(system.R_I, E), system.K_EE[1])
+
+
+def assert_exterior_mass(got, R, ext, E):
+    """got is mirror-exact and within 2 eps of the exactly rounded column sums of
+    R, and so within 2 eps plus their own error of the former sequential sums
+    (9.06 eps from exact on the criterion-6 mesh)."""
+    eps = np.finfo(float).eps
+    exact = np.array([-math.fsum(R[:, q]) for q in E])
+    assert np.all(np.abs(got - exact) <= 2 * eps * exact)
+    assert np.all(np.abs(got - ext[1, E]) <= 2 * eps * exact + np.abs(ext[1, E] - exact))
+    assert np.array_equal(got, got[::-1])
+
+
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.45])
+def test_p0_exterior_mass_on_a_long_collar(s):
+    # n_int = 1 and 1024 cells a side: a cell's mass T(g) is the difference of
+    # two tails of the cumulative sum that are up to g / (2s) times larger
+    order = make_order(1, s)
+    disc = build_mesh(OM, explicit(neumann="rest", dirichlet=[]), 1.0, 1024.0, "P0",
+                      order=order)
+    system = assemble(disc, order)
+    R, ext = former_p0_base(disc, order)
+    assert_exterior_mass(system.K_EE[1], R, ext, np.flatnonzero(ext[1]))
 
 
 @pytest.mark.parametrize("scheme", ["P0", "P1"])
@@ -469,7 +525,7 @@ def test_cold_build_computes_separations_up_to_d_max(cold_caches, monkeypatch, s
                         lambda n_sep, *args: requested.append(n_sep) or p0_values(n_sep, *args))
     monkeypatch.setattr(assembly, "_unit_far_block",
                         lambda ds, s, g: blocks.append((g, ds.max())) or unit_block(ds, s, g))
-    _base_arrow(*_base_key(disc, order))
+    (_full_line if scheme == "P0" else _base_arrow)(*_base_key(disc, order))
     if scheme == "P0":
         assert requested == [d_max] and not blocks
     else:

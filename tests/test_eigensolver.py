@@ -34,7 +34,7 @@ from mixedfrac import (
 )
 from mixedfrac import eigensolver, experiments
 from mixedfrac.assembly import (DOF_DIRICHLET, DOF_INTERIOR, DOF_NEUMANN, StiffnessSystem,
-                                _base_arrow, _base_key)
+                                _base_arrow, _base_key, _full_line, _line_rows, _omega_mass)
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 OM = Domain1D(-1.0, 1.0)
 OM01 = Domain1D(0.0, 1.0)
@@ -228,12 +228,13 @@ class TestExteriorGram:
     @pytest.mark.parametrize("h,L", [(2.0 ** -9, 4.0), (1.0, 4.0), (1 / 16, 65 / 16)],
                              ids=["c6", "n_int_1", "odd_collar"])
     def test_matches_the_two_sided_sum(self, h, L):
-        key = _base_key(*_p0_full_dirichlet(h, L))
+        disc, order = _p0_full_dirichlet(h, L)
+        key = _base_key(disc, order)
         G_E = eigensolver._exterior_gram.__wrapped__(*key)
-        R, ext = _base_arrow(*key)
-        E = np.flatnonzero(ext[1])
-        assert len(E) == R.shape[1] - len(R)
-        X = R[:, E] / np.sqrt(ext[1, E])
+        R = _line_rows(_full_line(*key), disc.n_collar, disc.n_interior)
+        E = np.r_[0:disc.n_collar, disc.n_collar + disc.n_interior:disc.n_cells]
+        mass = -R[:, E].sum(axis=0)       # the column sums, each its own sum
+        X = R[:, E] / np.sqrt(mass)
         ref = X @ X.T
         assert np.abs(G_E - ref).max() <= 1e-14 * np.abs(G_E).max()
         assert np.array_equal(G_E, G_E.T)
@@ -289,10 +290,10 @@ class TestExteriorInPlace:
             schur_reduce(_ball_in_sea())
 
     def test_memory_on_criterion_6(self):
-        # numpy reports its buffers to tracemalloc; the base is cached first
+        # numpy reports its buffers to tracemalloc; the line is cached first
         system = _touching(1)
         key = _base_key(system.disc, system.order)
-        R, ext = _base_arrow(*key)
+        n_ext = system.disc.n_cells - system.disc.n_interior
         n_I, n_E = system.K_II.shape[0], np.count_nonzero(system.exterior_mask)
         tracemalloc.start()
         try:
@@ -307,7 +308,7 @@ class TestExteriorInPlace:
         # a warm assemble copies no K_IE (|I| |E| doubles, 15 MiB here)
         assert warm < n_I * n_E * 8 / 4
         # a cold G_E build never holds all |I| x |ext| scaled exterior columns
-        assert cold < n_I * np.count_nonzero(ext[1]) * 8
+        assert cold < n_I * n_ext * 8
 
 
 def _neumann_interval():
@@ -319,16 +320,18 @@ def _neumann_interval():
 
 def _formed(system):
     """K_eff as the dense path forms it: dtbtrs and a dsyrk on K_II (direct), or a
-    dsyrk of the Dirichlet cells on K_II - G_E (Gram update), mirrored."""
-    key = _base_key(system.disc, system.order)
-    R, ext = _base_arrow(*key)
-    D = np.flatnonzero(system.disc.dof_label == DOF_DIRICHLET)
-    if np.any(ext[0]) or len(D) >= system.K_EE.shape[1]:
+    dsyrk of the Dirichlet cells on K_II - G_E (Gram update, P0), mirrored; P0's
+    Omega rows are read through the line."""
+    disc = system.disc
+    key = _base_key(disc, system.order)
+    D = np.flatnonzero(disc.dof_label == DOF_DIRICHLET)
+    if disc.scheme == "P1" or len(D) >= system.K_EE.shape[1]:
         U = scipy.linalg.cholesky_banded(system.K_EE)
         X = scipy.linalg.lapack.dtbtrs(U, system.K_IE.T, trans="T")[0]
         alpha, base = -1.0, system.K_II
     else:
-        X = (np.take(R, D, axis=1) / np.sqrt(ext[1, D])).T
+        R = _line_rows(_full_line(*key), disc.n_collar, disc.n_interior)
+        X = (R[:, D] / np.sqrt(_omega_mass(R, D))).T
         alpha, base = 1.0, (system.K_II - eigensolver._exterior_gram(*key)).T
     K_eff = scipy.linalg.blas.dsyrk(alpha, X, beta=1.0, c=base, trans=1)
     np.copyto(K_eff, K_eff.T, where=np.tri(len(K_eff), k=-1, dtype=bool))

@@ -1,4 +1,9 @@
-"""P0 exterior products by convolution of one sequence, against the GEMVs on R_I."""
+"""Closed-form exterior products by convolution of windows of R_I, against the GEMVs.
+
+Every P0 mesh and the Dirichlet-far P1 meshes take the closed form, whose
+Omega rows R_I are a Toeplitz view of one line; the P0 memory guard is here
+too.
+"""
 
 import dataclasses
 import tracemalloc
@@ -8,8 +13,10 @@ import pytest
 
 from mixedfrac import (Domain1D, PartitionFamily, assemble, build_mesh, gauss_residual,
                        generate, make_order, neumann_cell_residuals, schur_reduce)
+from mixedfrac.assembly import _base_key, _build_interior, _full_line, _line_rows
 
 OM01 = Domain1D(0.0, 1.0)
+OM = Domain1D(-1.0, 1.0)
 EPS = np.finfo(float).eps
 
 
@@ -28,30 +35,39 @@ def p0_system(part, h=2.0 ** -9, L=4.0):
     return assemble(build_mesh(OM01, part, h, L, "P0", order=order), order)
 
 
-# (system, runs of exterior Neumann cells): criterion 6, Neumann cells on both
-# sides of a Dirichlet gap, and n_int = 1
+def nested_p1(k):
+    """The criterion-4 nested record k, P1 at s = 0.3: one Neumann run, Dirichlet far field."""
+    order = make_order(1, 0.3)
+    part = generate(PartitionFamily(kind="nested_neumann", omega=OM,
+                                    params={"left": 1.5, "length0": 1.0, "ratio": 2.0}), k)
+    return assemble(build_mesh(OM, part, 2.0 ** -6, 8.0, "P1", order=order), order)
+
+
+# (system, runs of exterior Neumann DOFs): criterion 6, Neumann cells on both
+# sides of a Dirichlet gap, n_int = 1, and a closed-form P1 record
 CASES = {
     "c6": (lambda: p0_system(touching(1)), 2),
     "gap": (lambda: p0_system(explicit(dirichlet=[[2.0, 3.0]], neumann="rest"), 2.0 ** -6), 3),
     "n_int_1": (lambda: p0_system(explicit(dirichlet=[[-8.0, -4.0]], neumann="rest"), 1.0,
                                   12.0), 3),
+    "p1_nested": (lambda: nested_p1(2), 1),
 }
 
 
 def gemv(system):
-    """The same system without its sequence: every product is a GEMV on R_I."""
-    return dataclasses.replace(system, R_seq=None)
+    """The same system, not from ``assemble``: its path is "", so every product is a GEMV."""
+    return dataclasses.replace(system)
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_sequence_holds_every_exterior_column(case):
     make, n_runs = CASES[case]
     system = make()
+    assert system.path == "closed_form" and gemv(system).path == ""
     assert len(system.runs_E) == n_runs
-    n_I = len(system.R_I)
     for run in system.runs_E:
         win = np.lib.stride_tricks.sliding_window_view(
-            system.R_seq[run.start:run.stop + n_I - 1], run.stop - run.start)[::-1]
+            system._window(run), run.stop - run.start)[::-1]
         assert np.array_equal(win, system.R_I[:, run])
 
 
@@ -109,3 +125,34 @@ def test_warm_products_allocate_o_m(product):
     finally:
         tracemalloc.stop()
     assert peak < 32 * m * 8
+
+
+@pytest.mark.parametrize("make", [lambda: p0_system(touching(1)), lambda: nested_p1(3)],
+                         ids=["p0", "p1_closed_form"])
+def test_row_sums_are_the_products_of_the_assembled_system(make):
+    # assemble stamps the path before it takes -K 1, so the row sums come
+    # from the very products that the assembled system computes
+    system = make()
+    disc, order, n_I = system.disc, system.order, len(system.K_II)
+    n_om = disc.n_interior + (disc.scheme == "P1")
+    R = _line_rows(_full_line(*_base_key(disc, order)), disc.n_collar, n_om)
+    lo = int(system.free_dofs[system.interior_mask][0]) - disc.n_collar
+    tail_rows = _build_interior(disc, order, R, lo, n_I)[2]
+    rows = -system.matvec(np.ones(system.n_free))
+    rows[system.interior_mask] += tail_rows
+    assert np.array_equal(rows, system.dirichlet_row_sums)
+
+
+def test_cold_p0_assemble_memory(cold_caches):
+    # O(n_I^2 + m), the line and K_II: an n_I x m block would be 18 MiB here
+    order = make_order(1, 0.25)
+    disc = build_mesh(OM01, touching(4), 2.0 ** -9, 4.0, "P0", order=order)
+    n_I = disc.n_interior
+    tracemalloc.start()
+    try:
+        system = assemble(disc, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(system.K_II) == n_I
+    assert peak < 2 * n_I * n_I * 8
