@@ -36,11 +36,10 @@ Y = U^{-T} X' by one dtrsm (n^2 r flops), the capacitance
 C = I + alpha Y'Y by one dsyrk (n r^2) and its Cholesky (r^3 / 3), against
 n^2 r for the SYRK of K_eff and n^3 / 3 for its Cholesky on the dense path.
 The two meet near r = 0.53 n, hence the rule 2r <= n_I.  The shift sigma
-is taken on the base, and the stall bound on |base| and |X|, which bound
-|K_eff|; K_eff u is one dsymv on the base's upper triangle plus rank-r
-work.  A record with 2r > n_I takes the dense path: one SYRK
-K_eff = base + alpha X'X whose upper triangle is mirrored, symmetric by
-construction, and a Cholesky of its own.  ``SchurReduction.dense()``
+is taken on the base and kept with its factor; K_eff u is one dsymv on the
+base's upper triangle plus rank-r work.  A record with 2r > n_I takes the
+dense path: one SYRK K_eff = base + alpha X'X whose upper triangle is
+mirrored, symmetric by construction, and a Cholesky of its own.  ``SchurReduction.dense()``
 forms K_eff on demand on either path.
 
 K_II, G_E and K_eff are dense n_int x n_int; K_IE is never copied: it is
@@ -49,10 +48,13 @@ closed-form path (every P0 mesh, O(m) memory), whose products are
 convolutions (``StiffnessSystem.K_EI_matvec``), or from the cached P1
 arrow base rows (O(n_int * m) memory, shared by every record of a mesh).
 The exterior block K_EE and the Omega mass M are bands.  The reduced pencil
-(K_eff, M) is solved by inverse iteration with a tiny fixed shift and a
-deterministic all-ones start (the ground state is positive, so the overlap
-is guaranteed).  M enters only through band products and its two diagonals
-added to a copy of K_eff (or of the base) for the shifted factorization.
+(K_eff, M) is solved by shift-invert Lanczos on the factor of K_eff + sigma M,
+sigma tiny and fixed, from the all-ones start (the ground state is positive,
+so the overlap is guaranteed).  A step is one shifted solve; K_eff itself is
+applied only to a Ritz vector, whose Kato-Temple term decides the stop.  M
+enters through band products, its banded Cholesky for the M^-1 norm of a
+residual, and its two diagonals added to a copy of K_eff (or of the base)
+for the shifted factorization.
 """
 
 from __future__ import annotations
@@ -63,11 +65,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.linalg import (LinAlgError, blas, cho_factor, cho_solve, cho_solve_banded,
-                          cholesky_banded, lapack)
+from scipy.linalg import (LinAlgError, blas, cho_factor, cho_solve_banded, cholesky_banded,
+                          lapack)
 
-from .assembly import (DOF_DIRICHLET, StiffnessSystem, _base_key, _full_line, _interior_key,
-                       _line_rows, _omega_mass, _recent, assemble, band_matvec, build_mesh)
+from .assembly import (DOF_DIRICHLET, Discretization, StiffnessSystem, _base_key, _full_line,
+                       _interior_key, _line_rows, _omega_mass, _recent, assemble, band_matvec,
+                       build_mesh)
 from .errors import BadParameters, IndefinitePencil, SingularExteriorBlock
 from .fracops import FractionalOrder
 from .geometry import (
@@ -90,6 +93,7 @@ class BaseFactor:
 
     base: np.ndarray              # read-only, symmetric; the direct form's is K_II's view
     U: np.ndarray                 # base + sigma M = U'U, Fortran order; its upper triangle
+    sigma: float                  # the shift that U factors
 
 
 @dataclass(frozen=True)
@@ -217,9 +221,9 @@ def _factor(base: np.ndarray, M_band: np.ndarray) -> BaseFactor:
     """A read-only view of base and the upper Cholesky factor of base + sigma M."""
     base = base.view()
     base.setflags(write=False)
-    U = _shifted_cholesky(base, M_band)
+    U, sigma = _shifted_cholesky(base, M_band)
     U.setflags(write=False)
-    return BaseFactor(base=base, U=U)
+    return BaseFactor(base=base, U=U, sigma=sigma)
 
 
 @lru_cache(maxsize=2)
@@ -254,27 +258,28 @@ def _exterior_gram(*key) -> np.ndarray:
 class EigenPair:
     value: float
     vector: np.ndarray            # M-normalized interior coefficients
-    iterations: int
-    rq_residual: float
+    iterations: int               # Lanczos steps, one shifted solve each
+    rq_residual: float            # |K u - lambda M u|
+    temple: float                 # Kato-Temple term |r|^2_{M^-1} / (lambda_2 - lambda)
     converged: bool
     flagged_zero: bool
 
 
-
 def smallest_eigenpair(K_eff, M_band: np.ndarray, tol: float = 1e-12,
                        max_iter: int = 500) -> EigenPair:
-    """Minimizer of the Rayleigh quotient u'Ku / u'Mu by shifted inverse iteration.
+    """Minimizer of the Rayleigh quotient u'Ku / u'Mu by shift-invert Lanczos.
 
     K_eff is a dense symmetric matrix or a ``SchurReduction``, whose
     low-rank pieces are used as they are (see the module doc); M is
     tridiagonal, given as a (2, n) band in cholesky_banded upper layout
-    (``assembly.omega_mass``).  Deterministic all-ones start; convergence
-    requires the residual |K u - lambda M u| to fall below
-    sqrt(tol) * max(1, lambda) and successive Rayleigh quotients to agree
-    within tol * max(lambda, 1e-30), or their change to stop shrinking below
-    the roundoff bound eps |u|'|K||u| of u'Ku (small lambda, where the first
-    test is out of reach).  Eigenvalues below 1e-9 are reported as 0 with a
-    flag (singular D = empty limit).
+    (``assembly.omega_mass``).  Lanczos on (K + sigma M)^-1 M, M-orthonormal,
+    takes one shifted solve per step, at most min(max_iter, n) steps.  From
+    step 2, once the top Ritz value has est^2 <= tol theta_1 (theta_1 - theta_2),
+    est = beta_j |s_j|, its Ritz vector u (u'Mu = 1) gets one product K u, and
+    lambda = u'Ku.  The loop stops when the Kato-Temple term
+    |r|^2_{M^-1} / (lambda_2 - lambda) <= tol max(lambda, 1e-9) and
+    |r| <= sqrt(tol) max(1, lambda), r = K u - lambda M u, lambda_2 ~ 1/theta_2 - sigma.
+    Eigenvalues below 1e-9 are reported as 0 with a flag (singular D = empty limit).
     """
     if not max_iter >= 1:
         raise BadParameters(f"max_iter must be >= 1, got {max_iter!r}")
@@ -286,39 +291,57 @@ def smallest_eigenpair(K_eff, M_band: np.ndarray, tol: float = 1e-12,
     n = len(K_eff.factor.base) if low_rank else K_eff.shape[0]
     if n == 0:
         raise BadParameters("empty interior system")
-    solve, matvec, roundoff = _woodbury(K_eff) if low_rank else _cholesky(K_eff, M_band)
+    solve, matvec, sigma = _woodbury(K_eff) if low_rank else _cholesky(K_eff, M_band)
 
-    u = np.ones(n)
-    u /= math.sqrt(u @ band_matvec(M_band, u))
-    Mu = band_matvec(M_band, u)
-    lam_prev = step_prev = math.inf
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        w = solve(Mu)
-        mn = math.sqrt(max(w @ band_matvec(M_band, w), 0.0))
-        if mn == 0.0 or not math.isfinite(mn):
-            raise IndefinitePencil("inverse iteration collapsed")
-        u = w / mn
-        Ku = matvec(u)
-        Mu = band_matvec(M_band, u)
-        lam = float(u @ Ku)
-        residual = float(np.linalg.norm(Ku - lam * Mu))
-        step = abs(lam - lam_prev)
-        if residual <= math.sqrt(tol) * max(1.0, abs(lam)) and (
-                step <= tol * max(abs(lam), 1e-30) or step_prev <= step <= roundoff(u)):
-            converged = True
-            break
-        lam_prev, step_prev = lam, step
+    steps = min(max_iter, n)
+    d, e = np.empty(steps), np.empty(steps)     # the Lanczos tridiagonal
+    Q = np.empty((2, min(steps, 16), n))        # rows q_i and M q_i, grown with the steps
+    Q[:, 0] = np.ones(n), band_matvec(M_band, np.ones(n))
+    Q[:, 0] /= math.sqrt(Q[1, 0].sum())
+    M_factor = None
+    for j in range(steps):
+        B, MB = Q[0, :j + 1], Q[1, :j + 1]
+        w = solve(MB[j])
+        c = MB @ w                # q_i'M w; full reorthogonalization, twice is enough
+        w -= c @ B
+        c2 = MB @ w
+        w -= c2 @ B
+        Mw = band_matvec(M_band, w)
+        d[j], e[j] = c[j] + c2[j], math.sqrt(max(w @ Mw, 0.0))
+        theta, Z, info = lapack.dstev(d[:j + 1], e[:max(j, 1)])
+        if info or not (math.isfinite(e[j]) and theta[0] > 0):
+            raise IndefinitePencil("shift-invert Lanczos lost positivity")
+        # the Krylov space is exhausted at step n or at an invariant subspace
+        last = j + 1 == steps or e[j] <= np.finfo(float).eps * theta[-1]
+        if last or j and (e[j] * Z[j, -1]) ** 2 <= tol * theta[-1] * (theta[-1] - theta[-2]):
+            u = Z[:, -1] @ B
+            Mu = band_matvec(M_band, u)
+            norm = math.sqrt(u @ Mu)
+            u, Mu = u / norm, Mu / norm
+            Ku = matvec(u)
+            lam = float(u @ Ku)
+            r = Ku - lam * Mu
+            residual = float(np.linalg.norm(r))
+            M_factor = M_factor or (cholesky_banded(M_band), False)
+            gap = 1.0 / theta[-2] - sigma - lam if j else math.inf
+            temple = float(r @ cho_solve_banded(M_factor, r) / gap) if gap > 0 else math.inf
+            converged = (temple <= tol * max(lam, ZERO_EIGENVALUE_FLOOR)
+                         and residual <= math.sqrt(tol) * max(1.0, abs(lam)))
+            if converged or last:
+                break
+        if j + 1 == len(Q[0]):
+            Q = np.concatenate((Q, np.empty_like(Q)), axis=1)
+        Q[0, j + 1], Q[1, j + 1] = w / e[j], Mw / e[j]
     if lam < -math.sqrt(np.finfo(float).eps):
         raise IndefinitePencil(f"negative Rayleigh quotient {lam}")
     flagged_zero = lam < ZERO_EIGENVALUE_FLOOR
-    return EigenPair(value=0.0 if flagged_zero else lam, vector=u,
-                     iterations=iterations, rq_residual=residual,
-                     converged=converged, flagged_zero=flagged_zero)
+    return EigenPair(value=0.0 if flagged_zero else lam, vector=u, iterations=j + 1,
+                     rq_residual=residual, temple=temple, converged=converged,
+                     flagged_zero=flagged_zero)
 
 
-def _shifted_cholesky(K: np.ndarray, M_band: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor of K + sigma M, sigma = 1e-10 tr(K) / tr(M), Fortran order.
+def _shifted_cholesky(K: np.ndarray, M_band: np.ndarray) -> tuple[np.ndarray, float]:
+    """(U, sigma): U'U = K + sigma M, U upper in Fortran order, sigma = 1e-10 tr(K) / tr(M).
 
     K + sigma M goes into a Fortran-order copy (K is symmetric, so it is the
     same matrix) that LAPACK factors in place; it reads the diagonal and
@@ -326,29 +349,25 @@ def _shifted_cholesky(K: np.ndarray, M_band: np.ndarray) -> np.ndarray:
     """
     n = len(K)
     sigma = 1e-10 * (np.trace(K) / max(M_band[1].sum(), 1e-300))
-    sigma = max(sigma, 1e-300)
+    sigma = float(max(sigma, 1e-300))
     A = np.array(K, order="F")
     flat = A.reshape(-1, order="F")
     flat[::n + 1] += sigma * M_band[1]
     flat[n::n + 1] += sigma * M_band[0, 1:]
     try:
-        return cho_factor(A, overwrite_a=True)[0]
+        return cho_factor(A, overwrite_a=True)[0], sigma
     except LinAlgError as exc:
         raise IndefinitePencil(f"K + sigma M not positive definite: {exc}") from exc
 
 
 def _cholesky(K: np.ndarray, M_band: np.ndarray):
-    """(solve, matvec, roundoff) of the dense path: one Cholesky of K + sigma M."""
-    factor = (_shifted_cholesky(K, M_band), False)
-    return (partial(cho_solve, factor, check_finite=False), partial(np.matmul, K),
-            partial(_roundoff, K))
-
-
-_ROW_CHUNK = 64                   # rows of |base| per block of the low-rank roundoff bound
+    """(solve, matvec, sigma) of the dense path: one Cholesky of K + sigma M."""
+    U, sigma = _shifted_cholesky(K, M_band)
+    return (lambda b: lapack.dpotrs(U, b)[0]), partial(np.matmul, K), sigma
 
 
 def _woodbury(red: SchurReduction):
-    """(solve, matvec, roundoff) of the low-rank path on the cached factor.
+    """(solve, matvec, sigma) of the low-rank path on the cached factor.
 
     With base + sigma M = U'U and Y = U^{-T} X', K_eff + sigma M =
     U'(I + alpha Y Y')U, so its solve is U^{-1} (I - alpha Y C^{-1} Y') U^{-T}
@@ -381,22 +400,7 @@ def _woodbury(red: SchurReduction):
             Ku += alpha * (X.T @ (X @ u))
         return Ku
 
-    def roundoff(u):
-        # eps (|u|'|base||u| + |X||u| squared) >= eps |u|'|K_eff||u|, by
-        # row blocks: no n x n |base| is made
-        a = np.abs(u)
-        Xa = np.abs(X) @ a
-        quad = sum(float(a[lo:lo + _ROW_CHUNK] @ (np.abs(base[lo:lo + _ROW_CHUNK]) @ a))
-                   for lo in range(0, len(a), _ROW_CHUNK))
-        return np.finfo(float).eps * (quad + float(Xa @ Xa))
-
-    return solve, matvec, roundoff
-
-
-def _roundoff(K: np.ndarray, u: np.ndarray) -> float:
-    """eps |u|'|K||u|: the rounding bound of the float u'Ku."""
-    a = np.abs(u)
-    return np.finfo(float).eps * float(a @ np.abs(K) @ a)
+    return solve, matvec, red.factor.sigma
 
 
 @dataclass(frozen=True)
@@ -420,6 +424,7 @@ class EigenResult:
     u: DiscreteFunction           # interior eigenvector, exterior from back_map
     iterations: int
     rq_residual: float
+    temple: float
     normalization: float          # int_Omega u^2 (must be 1)
     converged: bool
     flagged_zero: bool
@@ -429,7 +434,15 @@ class EigenResult:
 def solve_mixed(omega: Domain1D, partition: ExteriorPartition, order: FractionalOrder,
                 disc: DiscParams, solver: SolverParams = SolverParams(),
                 with_diagnostics: bool = True) -> EigenResult:
-    """build_mesh -> assemble -> schur_reduce -> smallest_eigenpair -> back_map.
+    """build_mesh, then ``solve_on_mesh``."""
+    mesh = build_mesh(omega, partition, disc.h, disc.L, disc.scheme, order=order)
+    return solve_on_mesh(mesh, order, solver, with_diagnostics)
+
+
+def solve_on_mesh(mesh: Discretization, order: FractionalOrder,
+                  solver: SolverParams = SolverParams(),
+                  with_diagnostics: bool = True) -> EigenResult:
+    """assemble -> schur_reduce -> smallest_eigenpair -> back_map on a built mesh.
 
     Across a family sweep the label-independent stiffness pieces are cached
     by ``assemble``, whose path (``assembly.assembly_path``) the mesh alone
@@ -438,7 +451,7 @@ def solve_mixed(omega: Domain1D, partition: ExteriorPartition, order: Fractional
     normalized; its exterior Neumann values are the discrete kernel average
     of the interior values (one back-substitution).
     """
-    mesh = build_mesh(omega, partition, disc.h, disc.L, disc.scheme, order=order)
+    omega, partition = mesh.omega, mesh.partition
     system = assemble(mesh, order)
     red = schur_reduce(system)
     M = system.M_II
@@ -466,8 +479,9 @@ def solve_mixed(omega: Domain1D, partition: ExteriorPartition, order: Fractional
                 diagnostics[f"measure_{label}_R{mult:g}"] = measure_in_ball(eset, R)
     return EigenResult(lambda1=pair.value, u=DiscreteFunction(system, values),
                        iterations=pair.iterations, rq_residual=pair.rq_residual,
-                       normalization=float(u_I @ Mu), converged=pair.converged,
-                       flagged_zero=pair.flagged_zero, diagnostics=diagnostics)
+                       temple=pair.temple, normalization=float(u_I @ Mu),
+                       converged=pair.converged, flagged_zero=pair.flagged_zero,
+                       diagnostics=diagnostics)
 
 
 def full_dirichlet_partition(omega: Domain1D) -> ExteriorPartition:

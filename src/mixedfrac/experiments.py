@@ -20,12 +20,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy
 
-from .eigensolver import (
+from .eigensolver import (  # noqa: F401 (solve_mixed: perfbench/layers.py wraps it here)
     DiscParams,
     EigenResult,
     SolverParams,
     dirichlet_baseline,
     solve_mixed,
+    solve_on_mesh,
 )
 from .errors import BadParameters, ConfigError, DegenerateData, MixedFracError
 from .fracops import make_order
@@ -151,17 +152,23 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
         return cls.from_dict(d)
 
-    def validate(self) -> None:
-        """Check every referenced parameter combination before any solve."""
+    def validate(self) -> list:
+        """Check every referenced parameter combination before any solve.
+
+        Returns the mesh of each k of ``k_list``, in its order; a mesh
+        carries its partition.
+        """
         from .assembly import build_mesh
         order = make_order(self.dimension, self.s)
+        meshes = []
         for k in self.k_list:
             try:
                 part = generate(self.family, k)
-                build_mesh(self.omega, part, self.disc.h, self.disc.L,
-                           self.disc.scheme, order=order)
+                meshes.append(build_mesh(self.omega, part, self.disc.h, self.disc.L,
+                                         self.disc.scheme, order=order))
             except MixedFracError as exc:
                 raise ConfigError(f"k = {k}: {exc}") from exc
+        return meshes
 
 
 @dataclass(frozen=True)
@@ -178,13 +185,14 @@ class ExperimentRecord:
     condC: float
     sep: float
     gauss_res: float
-    iters: int
+    iters: int                # Lanczos steps, one shifted solve each
     h: float
     L: float
     ms: float
     converged: bool           # JSON only, like the fields below
     flagged_zero: bool
-    rq_residual: float        # |K u - lambda M u| at the last iteration
+    rq_residual: float        # |K u - lambda M u| at the last Lanczos step
+    temple: float             # Kato-Temple term |r|^2_{M^-1} / (lambda_2 - lambda)
     normalization: float      # u'Mu (1 for a normalized eigenfunction)
     error: str | None = None
     assembly: str | None = None   # "closed_form" | "arrow" (JSON only)
@@ -222,7 +230,7 @@ def _record_from_result(cfg: ExperimentConfig, k: int, res: EigenResult,
         sep=diag.get("separation_D", nan),
         gauss_res=gauss, iters=res.iterations,
         h=cfg.disc.h, L=cfg.disc.L, ms=ms, converged=res.converged,
-        flagged_zero=res.flagged_zero, rq_residual=res.rq_residual,
+        flagged_zero=res.flagged_zero, rq_residual=res.rq_residual, temple=res.temple,
         normalization=res.normalization, assembly=diag.get("assembly"))
 
 
@@ -233,11 +241,12 @@ def _failed_record(cfg: ExperimentConfig, k: int, ms: float, err: str) -> Experi
                             measN_R8=nan, measD_R8=nan, condC=nan, sep=nan,
                             gauss_res=nan, iters=0, h=cfg.disc.h, L=cfg.disc.L,
                             ms=ms, converged=False, flagged_zero=False,
-                            rq_residual=nan, normalization=nan, error=err)
+                            rq_residual=nan, temple=nan, normalization=nan, error=err)
 
 
 def run(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
-    """Solve one record per k; the Dirichlet baseline is solved once per mesh.
+    """Solve one record per k on the mesh ``validate`` built; the Dirichlet
+    baseline is solved once per mesh.
 
     Each solve takes the assembly path its own mesh picks, so the baseline
     and a record may differ; ``baseline_assembly`` and each record's
@@ -245,7 +254,7 @@ def run(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
     """
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise BadParameters(f"jobs must be an integer >= 1, got {jobs!r}")
-    cfg.validate()
+    meshes = cfg.validate()
     order = make_order(cfg.dimension, cfg.s)
     # baseline first: warms the cached label-independent operator pieces
     base_res = dirichlet_baseline(cfg.omega, order, cfg.disc, cfg.solver)
@@ -255,11 +264,10 @@ def run(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
     want_farfield = cfg.verify.get("farfield", False)
     farfield_slopes = {}
 
-    def solve_one(k: int) -> ExperimentRecord:
+    def solve_one(k: int, mesh) -> ExperimentRecord:
         t0 = time.perf_counter()
         try:
-            part = generate(cfg.family, k)
-            res = solve_mixed(cfg.omega, part, order, cfg.disc, cfg.solver)
+            res = solve_on_mesh(mesh, order, cfg.solver)
             if want_farfield:
                 rep = farfield_rate(res.u, np.logspace(1.0, 3.0, 9))
                 farfield_slopes[k] = rep.slope
@@ -271,9 +279,9 @@ def run(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(solve_one, cfg.k_list))
+            records = list(pool.map(solve_one, cfg.k_list, meshes))
     else:
-        records = [solve_one(k) for k in cfg.k_list]
+        records = list(map(solve_one, cfg.k_list, meshes))
     records.sort(key=lambda r: r.k)
 
     fits = {}

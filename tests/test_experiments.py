@@ -215,7 +215,7 @@ class TestRun:
         _, cfg = fixed_interval_run
         from mixedfrac import errors
 
-        real = experiments.solve_mixed
+        real = experiments.solve_on_mesh
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
@@ -224,7 +224,7 @@ class TestRun:
                 raise errors.SingularExteriorBlock("injected")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "solve_mixed", flaky)
+        monkeypatch.setattr(experiments, "solve_on_mesh", flaky)
         result = experiments.run(cfg)
         assert result.n_failed == 1
         failed = [r for r in result.records if r.error]
@@ -299,6 +299,31 @@ class TestEmit:
         paths = experiments.emit(result, cfg, out_dir=str(tmp_path))
         assert json.load(open(paths["json"]))["farfield_slopes"] == {
             str(k): v for k, v in result.farfield_slopes.items()}
+
+    @pytest.mark.parametrize("neumann,low_rank", [([[1.0, 1.5]], True), ([[1.0, 8.0]], False)],
+                             ids=["low_rank", "dense"])
+    def test_records_hold_python_scalars(self, tmp_path, monkeypatch, neumann, low_rank):
+        # json.dump refuses numpy scalars such as numpy.bool_
+        from mixedfrac import eigensolver
+        woodbury = eigensolver._woodbury
+        calls = []
+        monkeypatch.setattr(eigensolver, "_woodbury",
+                            lambda red: calls.append(red) or woodbury(red))
+        cfg = ExperimentConfig.from_dict(base_config(
+            family={"kind": "explicit", "params": {"neumann": neumann, "dirichlet": "rest"},
+                    "k_list": [0, 1]},
+            outputs={"csv": "t.csv", "json": "t.json"}))
+        result = experiments.run(cfg)
+        # the baseline always takes the low-rank path, the records as given
+        assert len(calls) == 1 + (len(cfg.k_list) if low_rank else 0)
+        assert result.n_failed == 0
+        for rec in result.records:
+            for f in dataclasses.fields(rec):
+                assert type(getattr(rec, f.name)) in (bool, int, float, str, type(None)), f.name
+        paths = experiments.emit(result, cfg, out_dir=str(tmp_path))
+        for rec in json.load(open(paths["json"]))["records"]:
+            assert type(rec["converged"]) is bool and type(rec["iters"]) is int
+            assert 0.0 <= rec["temple"] <= 1e-12 * rec["lambda1"]
 
     def test_empty_records_header_only(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(outputs={"csv": "e.csv",
