@@ -273,12 +273,14 @@ def smallest_eigenpair(K_eff, M_band: np.ndarray, tol: float = 1e-12,
     low-rank pieces are used as they are (see the module doc); M is
     tridiagonal, given as a (2, n) band in cholesky_banded upper layout
     (``assembly.omega_mass``).  Lanczos on (K + sigma M)^-1 M, M-orthonormal,
-    takes one shifted solve per step, at most min(max_iter, n) steps.  From
-    step 2, once the top Ritz value has est^2 <= tol theta_1 (theta_1 - theta_2),
+    takes one shifted solve per step, at most max_iter steps.  From step 2,
+    once the top Ritz value has est^2 <= tol theta_1 (theta_1 - theta_2),
     est = beta_j |s_j|, its Ritz vector u (u'Mu = 1) gets one product K u, and
     lambda = u'Ku.  The loop stops when the Kato-Temple term
     |r|^2_{M^-1} / (lambda_2 - lambda) <= tol max(lambda, 1e-9) and
     |r| <= sqrt(tol) max(1, lambda), r = K u - lambda M u, lambda_2 ~ 1/theta_2 - sigma.
+    An exhausted Krylov space (n steps, or an invariant subspace) that has not
+    met the test restarts from u, so an unconverged pair reports max_iter steps.
     Eigenvalues below 1e-9 are reported as 0 with a flag (singular D = empty limit).
     """
     if not max_iter >= 1:
@@ -293,13 +295,12 @@ def smallest_eigenpair(K_eff, M_band: np.ndarray, tol: float = 1e-12,
         raise BadParameters("empty interior system")
     solve, matvec, sigma = _woodbury(K_eff) if low_rank else _cholesky(K_eff, M_band)
 
-    steps = min(max_iter, n)
-    d, e = np.empty(steps), np.empty(steps)     # the Lanczos tridiagonal
-    Q = np.empty((2, min(steps, 16), n))        # rows q_i and M q_i, grown with the steps
+    d, e = np.empty((2, min(max_iter, n)))      # the Lanczos tridiagonal
+    Q = np.empty((2, min(max_iter, n, 16), n))  # rows q_i and M q_i, grown with the steps
     Q[:, 0] = np.ones(n), band_matvec(M_band, np.ones(n))
     Q[:, 0] /= math.sqrt(Q[1, 0].sum())
-    M_factor = None
-    for j in range(steps):
+    M_factor, j = None, 0
+    for step in range(1, max_iter + 1):
         B, MB = Q[0, :j + 1], Q[1, :j + 1]
         w = solve(MB[j])
         c = MB @ w                # q_i'M w; full reorthogonalization, twice is enough
@@ -312,8 +313,9 @@ def smallest_eigenpair(K_eff, M_band: np.ndarray, tol: float = 1e-12,
         if info or not (math.isfinite(e[j]) and theta[0] > 0):
             raise IndefinitePencil("shift-invert Lanczos lost positivity")
         # the Krylov space is exhausted at step n or at an invariant subspace
-        last = j + 1 == steps or e[j] <= np.finfo(float).eps * theta[-1]
-        if last or j and (e[j] * Z[j, -1]) ** 2 <= tol * theta[-1] * (theta[-1] - theta[-2]):
+        exhausted = j + 1 == n or e[j] <= np.finfo(float).eps * theta[-1]
+        if (exhausted or step == max_iter
+                or j and (e[j] * Z[j, -1]) ** 2 <= tol * theta[-1] * (theta[-1] - theta[-2])):
             u = Z[:, -1] @ B
             Mu = band_matvec(M_band, u)
             norm = math.sqrt(u @ Mu)
@@ -323,19 +325,24 @@ def smallest_eigenpair(K_eff, M_band: np.ndarray, tol: float = 1e-12,
             r = Ku - lam * Mu
             residual = float(np.linalg.norm(r))
             M_factor = M_factor or (cholesky_banded(M_band), False)
-            gap = 1.0 / theta[-2] - sigma - lam if j else math.inf
+            # step 1 has no theta_2: its term is 0 on an exhausted space, unknown otherwise
+            gap = 1.0 / theta[-2] - sigma - lam if j else (math.inf if exhausted else 0.0)
             temple = float(r @ cho_solve_banded(M_factor, r) / gap) if gap > 0 else math.inf
             converged = (temple <= tol * max(lam, ZERO_EIGENVALUE_FLOOR)
                          and residual <= math.sqrt(tol) * max(1.0, abs(lam)))
-            if converged or last:
+            if converged or step == max_iter:
                 break
+            if exhausted:         # restart from the Ritz vector, so only max_iter stops short
+                Q[0, 0], Q[1, 0], j = u, Mu, 0
+                continue
         if j + 1 == len(Q[0]):
             Q = np.concatenate((Q, np.empty_like(Q)), axis=1)
         Q[0, j + 1], Q[1, j + 1] = w / e[j], Mw / e[j]
+        j += 1
     if lam < -math.sqrt(np.finfo(float).eps):
         raise IndefinitePencil(f"negative Rayleigh quotient {lam}")
     flagged_zero = lam < ZERO_EIGENVALUE_FLOOR
-    return EigenPair(value=0.0 if flagged_zero else lam, vector=u, iterations=j + 1,
+    return EigenPair(value=0.0 if flagged_zero else lam, vector=u, iterations=step,
                      rq_residual=residual, temple=temple, converged=converged,
                      flagged_zero=flagged_zero)
 

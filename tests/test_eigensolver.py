@@ -352,12 +352,19 @@ def _counted(monkeypatch, name, sleep=0.0):
     return calls
 
 
-def _benchmark_sweep(name: str) -> ExperimentConfig:
+def _perfbench(module: str):
+    """perfbench/<module>.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(module, PERFBENCH / f"{module}.py")
+    loaded = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loaded)
+    return loaded
+
+
+def _benchmark_sweep(name: str, **solver) -> ExperimentConfig:
     """The config of one sweep of perfbench/workloads.py, with no outputs."""
-    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return ExperimentConfig.from_dict({**workloads.SWEEPS[name], "outputs": {}})
+    raw = _perfbench("workloads").SWEEPS[name]
+    return ExperimentConfig.from_dict({**raw, "solver": {**raw["solver"], **solver},
+                                       "outputs": {}})
 
 
 def _sweep_config(kind, params, k_list, h, L, scheme, s, omega):
@@ -589,6 +596,31 @@ class TestSmallestEigenpair:
         assert pair.converged
         a = np.abs(pair.vector)
         assert abs(pair.value - ref) <= 1e-12 * ref + 2 * np.finfo(float).eps * (a @ np.abs(K) @ a)
+
+    @pytest.mark.parametrize("low_rank", [False, True])
+    def test_first_step_never_converges(self, low_rank):
+        # step 1 has no theta_2, so no Kato-Temple term, on an n > 1 pencil
+        system = _neumann_interval()
+        red = schur_reduce(system)
+        pair = smallest_eigenpair(red if low_rank else red.dense(), system.M_II, max_iter=1)
+        assert pair.iterations == 1 and pair.temple == math.inf
+        assert pair.converged is False
+
+    def test_unconverged_record_fails_the_benchmark_gate(self):
+        # the benchmark gate reads non-convergence as iters >= max_iter: a
+        # record whose Krylov space is exhausted (41 steps on c7) without
+        # meeting the test restarts from its Ritz vector until max_iter
+        gate = _perfbench("gate")
+        cfg = _benchmark_sweep("c7_dirichlet_ball", tol=1e-30)
+        cfg = dataclasses.replace(cfg, k_list=(6,))
+        (rec,) = experiments.run(cfg).records
+        max_iter = cfg.solver.max_iter
+        assert rec.converged is False and rec.iters == max_iter > 41
+        row = {"sweep": "c7_dirichlet_ball", "k": rec.k, "lambda1": rec.lambda1,
+               "baseline": rec.baseline, "iters": rec.iters, "max_iter": max_iter,
+               "error": rec.error, "ms": rec.ms}   # perfbench/worker.py's record_dicts
+        assert gate.record_failure(row, gate.load_references()) == (
+            f"not converged in {max_iter} iterations")
 
     @pytest.mark.parametrize("low_rank", [False, True])
     @pytest.mark.parametrize("kw", [{"max_iter": 0}, {"max_iter": -3}, {"tol": 0.0},
