@@ -36,9 +36,9 @@ side and replaced by closed-form tail integrals on the Dirichlet side.
   sequential sum per distinct start value over the separations where
   every pair lies on the grid, and masked blocks over the rest.
 
-The arrow pair or the mirrored T is cached per mesh, and the interior block
-K_II with its tails per (mesh, far-field labels, interior slice, path), so
-the records of a sweep share both, read-only.
+One store (``_cached``) keeps the arrow pair or the mirrored T per mesh,
+K_II with its tails per (mesh, far-field labels, interior slice, path) and
+the eigensolver's factors, so the records of a sweep share them, read-only.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -431,16 +430,33 @@ def _base_key(disc: Discretization, order: FractionalOrder) -> tuple:
     return (disc.omega.a, disc.omega.b, disc.h, disc.L, disc.scheme, order.s, order.a_ns)
 
 
-_BASE_LOCK = threading.Lock()     # no other lock is taken while it is held
+_LOCK = threading.RLock()         # re-entrant: a Gram factor build nests the line build
+_SLOTS = 2                        # entries kept per kind, the most recently used
+_STORE: dict = {}                 # kind -> {key: entry}, least recently used first
+
+
+def _cached(kind: str, key, build):
+    """The shared ``kind`` entry of ``key``, from ``build()`` on its first call.
+
+    One lock for every kind: concurrent first calls build once, and a build
+    may read other kinds.
+    """
+    with _LOCK:
+        cache = _STORE.setdefault(kind, {})
+        entry = cache.pop(key, None)
+        if entry is None:
+            entry = build()
+        cache[key] = entry
+        if len(cache) > _SLOTS:
+            del cache[next(iter(cache))]
+        return entry
 
 
 def _base_arrow(*key) -> tuple[np.ndarray, np.ndarray]:
-    """``_build_base(*key)`` under one lock, so concurrent first calls build once."""
-    with _BASE_LOCK:
-        return _build_base(*key)
+    """``_build_base(*key)``, shared."""
+    return _cached("arrow", key, lambda: _build_base(*key))
 
 
-@lru_cache(maxsize=2)
 def _build_base(a: float, b: float, h: float, L: float, scheme: str, s: float,
                 a_ns: float) -> tuple[np.ndarray, np.ndarray]:
     """Label-independent P1 stiffness over all grid nodes as an arrow pair (R, ext).
@@ -587,7 +603,6 @@ def _unit_hat_sequence(n: int, s: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=2)
 def _build_line(a: float, b: float, h: float, L: float, scheme: str, s: float,
                 a_ns: float) -> np.ndarray:
     """T mirrored, T(|k|) at k + n, k = -n..n, n the widest separation of two grid
@@ -607,9 +622,8 @@ def _build_line(a: float, b: float, h: float, L: float, scheme: str, s: float,
 
 
 def _full_line(*key) -> np.ndarray:
-    """``_build_line(*key)`` under the base lock, so concurrent first calls build once."""
-    with _BASE_LOCK:
-        return _build_line(*key)
+    """``_build_line(*key)``, shared."""
+    return _cached("line", key, lambda: _build_line(*key))
 
 
 def _line_rows(line: np.ndarray, first: int, n_rows: int) -> np.ndarray:
@@ -802,10 +816,6 @@ class StiffnessSystem:
         return out
 
 
-_BLOCK_SLOTS = 2                  # interior blocks kept, the most recently used
-_BLOCKS: dict = {}                # key -> _build_interior's triple, least recently used first
-
-
 def assembly_path(disc: Discretization) -> str:
     """Where ``assemble`` takes the Omega rows of K from: "closed_form" or "arrow".
 
@@ -826,31 +836,6 @@ def assembly_path(disc: Discretization) -> str:
 def _interior_key(disc: Discretization, order: FractionalOrder, lo: int, n_I: int) -> tuple:
     """What K_II and M_II are functions of: mesh, far-field labels, interior slice and path."""
     return (_base_key(disc, order), disc.far_label, lo, n_I, assembly_path(disc))
-
-
-def _interior_block(disc: Discretization, order: FractionalOrder, R: np.ndarray, lo: int,
-                    n_I: int) -> tuple:
-    """``_build_interior`` once per ``_interior_key``, shared.
-
-    Built under the base lock, so concurrent first calls build it once.
-    """
-    with _BASE_LOCK:
-        return _recent(_BLOCKS, _BLOCK_SLOTS, _interior_key(disc, order, lo, n_I),
-                       lambda: _build_interior(disc, order, R, lo, n_I))
-
-
-def _recent(cache: dict, slots: int, key, build):
-    """cache[key], from ``build()`` on a miss; the ``slots`` most recently used are kept.
-
-    ``cache`` is ordered least recently used first; the caller holds its lock.
-    """
-    entry = cache.pop(key, None)
-    if entry is None:
-        entry = build()
-    cache[key] = entry
-    if len(cache) > slots:
-        del cache[next(iter(cache))]
-    return entry
 
 
 def _far_tails(disc: Discretization, order: FractionalOrder, n_om: int):
@@ -925,7 +910,7 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
 
     The Omega rows are a view of the Toeplitz T or of the cached arrow base,
     as ``assembly_path`` picks from the mesh.  K_II and the tails come from
-    ``_interior_block``, built by the first record of an ``_interior_key``
+    ``_build_interior``, built by the first record of an ``_interior_key``
     and shared.
     """
     if order.dimension != 1:
@@ -952,7 +937,8 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     if n_I and rows[-1] - lo != n_I - 1:
         raise BadParameters("interior DOFs are not contiguous")
     I = slice(lo, lo + n_I)
-    K_II, tails_I, tail_rows = _interior_block(disc, order, R, lo, n_I)
+    K_II, tails_I, tail_rows = _cached("block", _interior_key(disc, order, lo, n_I),
+                                       lambda: _build_interior(disc, order, R, lo, n_I))
     M_II = omega_mass(disc)[:, I]
     M_II[0, :1] = 0.0                        # the coupling to a cut end node
     # column sums of the Dirichlet-row block, K 1_D by symmetry: the discrete

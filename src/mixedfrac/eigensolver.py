@@ -14,33 +14,30 @@ operands:
   grid has fewer Dirichlet cells D than Neumann ones: base = K_II - G_E
   and alpha = +1 with X = X_D.  G_E = X_E'X_E, X_E = diag(mass_E)^{-1/2}
   R[:, E]' (R the Toeplitz Omega rows, mass_E the Omega mass), eliminates
-  every exterior grid cell E = N + D; it is cached once per mesh, built by
-  chunks of the left collar's columns (the right collar is its mirror
+  every exterior grid cell E = N + D; it is built with the base's factor,
+  by chunks of the left collar's columns (the right collar is its mirror
   image), and a record only puts its Dirichlet cells back.  The two cost
   the same near |D| = |N|, so a Dirichlet-heavy P0 record keeps the
   direct form.
 
 A sweep moves D and N over one mesh, so most records are a rank-r change of
-one base.  When 2r <= n_I the record takes the low-rank path: it keeps
-(base, alpha, X) and never forms K_eff.  Its base and the upper Cholesky
-factor U of base + sigma M are cached once per base, keyed by the mesh
+one base.  When 2r <= n_I the record is low-rank: it keeps (base, alpha, X)
+and never forms K_eff.  Its base and the upper Cholesky factor U of
+base + sigma M are kept in ``assembly``'s store, keyed by the mesh
 (``_base_key``), ``far_label``, the interior slice, the assembly path and
-the form, two entries at most, under their own lock, which is never taken
-under the base or Gram lock (the order is factor, then Gram, then base).
-The direct form's base is a read-only view of K_II, which ``assemble``
-shares among the records of that key, so the cache holds no copy of it.
-The Dirichlet baseline is the r = 0 record of the direct form, so on a
-Dirichlet-sea sweep it fills the factor that every record reuses.  Each record then pays
-rank-r work for its shifted solves (Sherman-Morrison-Woodbury):
-Y = U^{-T} X' by one dtrsm (n^2 r flops), the capacitance
-C = I + alpha Y'Y by one dsyrk (n r^2) and its Cholesky (r^3 / 3), against
-n^2 r for the SYRK of K_eff and n^3 / 3 for its Cholesky on the dense path.
-The two meet near r = 0.53 n, hence the rule 2r <= n_I.  The shift sigma
-is taken on the base and kept with its factor; K_eff u is one dsymv on the
-base's upper triangle plus rank-r work.  A record with 2r > n_I takes the
-dense path: one SYRK K_eff = base + alpha X'X whose upper triangle is
-mirrored, symmetric by construction, and a Cholesky of its own.  ``SchurReduction.dense()``
-forms K_eff on demand on either path.
+the form.  The direct form's base is a read-only view of K_II, which
+``assemble`` shares among the records of that key.  The Dirichlet baseline
+is the r = 0 record of the direct form, so on a Dirichlet-sea sweep it
+fills the factor that every record reuses.  Each record then pays rank-r
+work for its shifted solves (Sherman-Morrison-Woodbury): Y = U^{-T} X' by
+one dtrsm (n^2 r flops), the capacitance C = I + alpha Y'Y by one dsyrk
+(n r^2) and its Cholesky (r^3 / 3), against n^2 r for the SYRK of K_eff
+and n^3 / 3 for its Cholesky.  The two meet near r = 0.53 n, hence the
+rule 2r <= n_I.  A record with 2r > n_I is dense: the SYRK K_eff = base +
+alpha X'X, its upper triangle mirrored, is the base of an uncached factor,
+with X empty.  So one solve path (``_woodbury``) serves every record and
+every matrix handed to ``smallest_eigenpair``; K_eff u is one dsymv on the
+base's upper triangle plus rank-r work.
 
 K_II, G_E and K_eff are dense n_int x n_int; K_IE is never copied: it is
 read by runs of columns from a view of the Toeplitz line on the
@@ -53,23 +50,22 @@ sigma tiny and fixed, from the all-ones start (the ground state is positive,
 so the overlap is guaranteed).  A step is one shifted solve; K_eff itself is
 applied only to a Ritz vector, whose Kato-Temple term decides the stop.  M
 enters through band products, its banded Cholesky for the M^-1 norm of a
-residual, and its two diagonals added to a copy of K_eff (or of the base)
-for the shifted factorization.
+residual, and its two diagonals added to a copy of the base for the shifted
+factorization.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 from scipy.linalg import (LinAlgError, blas, cho_factor, cho_solve_banded, cholesky_banded,
                           lapack)
 
-from .assembly import (DOF_DIRICHLET, Discretization, StiffnessSystem, _base_key, _full_line,
-                       _interior_key, _line_rows, _omega_mass, _recent, assemble, band_matvec,
+from .assembly import (DOF_DIRICHLET, Discretization, StiffnessSystem, _base_key, _cached,
+                       _full_line, _interior_key, _line_rows, _omega_mass, assemble, band_matvec,
                        build_mesh)
 from .errors import BadParameters, IndefinitePencil, SingularExteriorBlock
 from .fracops import FractionalOrder
@@ -98,36 +94,33 @@ class BaseFactor:
 
 @dataclass(frozen=True)
 class SchurReduction:
-    """Reduced interior stiffness with the exterior back-substitution map.
+    """K_eff = factor.base + alpha X'X with the exterior back-substitution map.
 
-    On the dense path K_eff is formed; on the low-rank path it is None and
-    K_eff = factor.base + alpha X'X is kept as its pieces.
+    A low-rank record keeps X (2r <= n_I) and the cached factor of its base;
+    a dense record has an empty X and a factor of its own K_eff.
     """
 
-    K_eff: np.ndarray | None
     _solve_EE: object             # callable rhs -> K_EE^{-1} rhs
     _K_EI: object                 # callable u_I -> K_EI u_I (StiffnessSystem.K_EI_matvec)
+    X: np.ndarray                 # (r, n_I)
+    factor: BaseFactor | None     # None only when n_I = 0
     alpha: float = 0.0
-    X: np.ndarray | None = None   # (r, n_I), 2r <= n_I, on the low-rank path
-    factor: BaseFactor | None = None
 
     def back_map(self, u_interior: np.ndarray) -> np.ndarray:
         """Exterior Neumann values -K_EE^{-1} K_EI u_I (discrete reconstruction)."""
         return -self._solve_EE(self._K_EI(u_interior))
 
     def dense(self) -> np.ndarray:
-        """K_eff, formed on demand on the low-rank path by the dense path's SYRK."""
-        if self.K_eff is not None:
-            return self.K_eff
+        """K_eff, formed on demand by the dense path's SYRK."""
         if not len(self.X):
             return self.factor.base.copy(order="K")
-        return _syrk(self.alpha, self.X, self.factor.base, overwrite=False)
+        return _syrk(self.alpha, self.X, self.factor.base)
 
 
 def schur_reduce(system: StiffnessSystem) -> SchurReduction:
     """K_eff = base + alpha X'X over interior DOFs, kept low-rank when 2r <= n_I.
 
-    See the module doc for the two forms and the two paths.
+    See the module doc for the two forms and the dense records.
     """
     K_EE = system.K_EE
     if np.any(K_EE[1] <= 0.0):
@@ -141,26 +134,24 @@ def schur_reduce(system: StiffnessSystem) -> SchurReduction:
     pieces = dict(_solve_EE=partial(cho_solve_banded, (U, False)),
                   _K_EI=system.K_EI_matvec)
     if not n_I:                   # smallest_eigenpair rejects the empty system
-        return SchurReduction(K_eff=system.K_II, **pieces)
+        return SchurReduction(X=np.empty((0, 0)), factor=None, **pieces)
     # BLAS/LAPACK with a zero dimension corrupt the heap: no exterior, no solve
     gram, alpha, X = (_schur_operands(system, U) if K_EE.shape[1]
                       else (False, -1.0, np.empty((0, n_I))))
     if 2 * len(X) <= n_I:
-        return SchurReduction(K_eff=None, alpha=alpha, X=X,
-                              factor=_base_factor(system, gram), **pieces)
-    # the Gram base is fresh, so dsyrk updates it in place; never K_II
-    base = _gram_base(system) if gram else system.K_II
-    return SchurReduction(K_eff=_syrk(alpha, X, base, overwrite=gram), **pieces)
+        return SchurReduction(alpha=alpha, X=X, factor=_base_factor(system, gram), **pieces)
+    base = _base_factor(system, True).base if gram else system.K_II
+    return SchurReduction(X=X[:0], factor=_factor(_syrk(alpha, X, base), system.M_II),
+                          **pieces)
 
 
-def _syrk(alpha: float, X: np.ndarray, base: np.ndarray, overwrite: bool) -> np.ndarray:
-    """base + alpha X'X by one dsyrk, its upper triangle mirrored."""
-    K = blas.dsyrk(alpha, X, beta=1.0, c=base, trans=1, overwrite_c=overwrite)
+def _syrk(alpha: float, X: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """base + alpha X'X by one dsyrk into a copy, its upper triangle mirrored."""
+    K = blas.dsyrk(alpha, X, beta=1.0, c=base, trans=1)
     np.copyto(K, K.T, where=np.tri(len(K), k=-1, dtype=bool))
     return K
 
 
-_GRAM_LOCK = threading.Lock()     # one G_E build per mesh; never taken under the base lock
 _GRAM_CHUNK = 256                 # exterior columns per dsyrk of the G_E build
 
 
@@ -187,34 +178,27 @@ def _schur_operands(system: StiffnessSystem, U: np.ndarray):
     return True, 1.0, XT.T
 
 
-def _gram_base(system: StiffnessSystem) -> np.ndarray:
-    """K_II - G_E, fresh; symmetric, so its transpose is the same matrix in the
-    Fortran order that dsyrk updates in place."""
-    with _GRAM_LOCK:
-        G_E = _exterior_gram(*_base_key(system.disc, system.order))
-    return (system.K_II - G_E).T
-
-
-_FACTOR_LOCK = threading.Lock()   # one factor per base; never taken under the Gram or base lock
-_FACTOR_SLOTS = 2                 # factors kept, the most recently used
-_FACTORS: dict = {}               # key -> BaseFactor, least recently used first
-
-
 def _base_factor(system: StiffnessSystem, gram: bool) -> BaseFactor:
-    """The cached base and factor of a low-rank record, built by the first record of its key.
+    """The cached base and factor of the form, built by the first record of its key.
 
-    For a system from ``assemble``, K_II and M_II are functions of the key:
-    the mesh, the far-field labels, the interior slice and the assembly path
+    The Gram base K_II - G_E is taken as its transpose, the same matrix in
+    the Fortran order that dsymv reads, and G_E is kept nowhere.  For a
+    system from ``assemble``, K_II and M_II are functions of the key: the
+    mesh, the far-field labels, the interior slice and the assembly path
     (``assembly._interior_key``); so is G_E, and the form says which base it
     is.  Any other system gets a factor of its own.
     """
+    def build():
+        base = system.K_II
+        if gram:
+            base = (base - _exterior_gram(*_base_key(system.disc, system.order))).T
+        return _factor(base, system.M_II)
+
     if not system.assembled:
-        return _factor(_gram_base(system) if gram else system.K_II, system.M_II)
+        return build()
     rows = system.free_dofs[system.interior_mask]
     key = (_interior_key(system.disc, system.order, int(rows[0]), len(rows)), gram)
-    with _FACTOR_LOCK:
-        return _recent(_FACTORS, _FACTOR_SLOTS, key, lambda: _factor(
-            _gram_base(system) if gram else system.K_II, system.M_II))
+    return _cached("factor", key, build)
 
 
 def _factor(base: np.ndarray, M_band: np.ndarray) -> BaseFactor:
@@ -226,7 +210,6 @@ def _factor(base: np.ndarray, M_band: np.ndarray) -> BaseFactor:
     return BaseFactor(base=base, U=U, sigma=sigma)
 
 
-@lru_cache(maxsize=2)
 def _exterior_gram(*key) -> np.ndarray:
     """G_E = X_E'X_E over every exterior grid cell E of a P0 mesh; read-only.
 
@@ -269,11 +252,11 @@ def smallest_eigenpair(K_eff, M_band: np.ndarray, tol: float = 1e-12,
                        max_iter: int = 500) -> EigenPair:
     """Minimizer of the Rayleigh quotient u'Ku / u'Mu by shift-invert Lanczos.
 
-    K_eff is a dense symmetric matrix or a ``SchurReduction``, whose
-    low-rank pieces are used as they are (see the module doc); M is
-    tridiagonal, given as a (2, n) band in cholesky_banded upper layout
-    (``assembly.omega_mass``).  Lanczos on (K + sigma M)^-1 M, M-orthonormal,
-    takes one shifted solve per step, at most max_iter steps.  From step 2,
+    K_eff is a ``SchurReduction``, whose pieces are used as they are (see
+    the module doc), or a dense symmetric matrix, which gets a factor of its
+    own; M is tridiagonal, given as a (2, n) band in cholesky_banded upper
+    layout (``assembly.omega_mass``).  Lanczos on (K + sigma M)^-1 M,
+    M-orthonormal, takes one shifted solve per step, at most max_iter steps.  From step 2,
     once the top Ritz value has est^2 <= tol theta_1 (theta_1 - theta_2),
     est = beta_j |s_j|, its Ritz vector u (u'Mu = 1) gets one product K u, and
     lambda = u'Ku.  The loop stops when the Kato-Temple term
@@ -283,17 +266,17 @@ def smallest_eigenpair(K_eff, M_band: np.ndarray, tol: float = 1e-12,
     met the test restarts from u, so an unconverged pair reports max_iter steps.
     Eigenvalues below 1e-9 are reported as 0 with a flag (singular D = empty limit).
     """
-    if not max_iter >= 1:
-        raise BadParameters(f"max_iter must be >= 1, got {max_iter!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
+        raise BadParameters(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if not (math.isfinite(tol) and tol > 0):
         raise BadParameters(f"tol must be finite and > 0, got {tol!r}")
-    if isinstance(K_eff, SchurReduction) and K_eff.K_eff is not None:
-        K_eff = K_eff.K_eff
-    low_rank = isinstance(K_eff, SchurReduction)
-    n = len(K_eff.factor.base) if low_rank else K_eff.shape[0]
+    n = K_eff.X.shape[1] if isinstance(K_eff, SchurReduction) else len(K_eff)
     if n == 0:
         raise BadParameters("empty interior system")
-    solve, matvec, sigma = _woodbury(K_eff) if low_rank else _cholesky(K_eff, M_band)
+    if not isinstance(K_eff, SchurReduction):
+        K_eff = SchurReduction(_solve_EE=None, _K_EI=None, X=np.empty((0, n)),
+                               factor=_factor(K_eff, M_band))
+    solve, matvec, sigma = _woodbury(K_eff)
 
     d, e = np.empty((2, min(max_iter, n)))      # the Lanczos tridiagonal
     Q = np.empty((2, min(max_iter, n, 16), n))  # rows q_i and M q_i, grown with the steps
@@ -367,22 +350,17 @@ def _shifted_cholesky(K: np.ndarray, M_band: np.ndarray) -> tuple[np.ndarray, fl
         raise IndefinitePencil(f"K + sigma M not positive definite: {exc}") from exc
 
 
-def _cholesky(K: np.ndarray, M_band: np.ndarray):
-    """(solve, matvec, sigma) of the dense path: one Cholesky of K + sigma M."""
-    U, sigma = _shifted_cholesky(K, M_band)
-    return (lambda b: lapack.dpotrs(U, b)[0]), partial(np.matmul, K), sigma
-
-
 def _woodbury(red: SchurReduction):
-    """(solve, matvec, sigma) of the low-rank path on the cached factor.
+    """(solve, matvec, sigma) of K_eff = base + alpha X'X on the factor of its base.
 
     With base + sigma M = U'U and Y = U^{-T} X', K_eff + sigma M =
     U'(I + alpha Y Y')U, so its solve is U^{-1} (I - alpha Y C^{-1} Y') U^{-T}
     with the r x r capacitance C = I + alpha Y'Y (Woodbury).  Setup is one
-    dtrsm, one dsyrk and one dpotrf; a solve is two dtrsv and rank-r work.
-    K_eff u is one dsymv on the base's upper triangle, read in the Fortran
-    order of the base (the Gram base) or of its transpose (the C-ordered
-    K_II of the direct form, the same matrix), so f2py copies nothing.
+    dtrsm, one dsyrk and one dpotrf; a solve is two dtrsv and rank-r work,
+    none when X is empty.  K_eff u is one dsymv on the base's upper triangle,
+    read in the Fortran order of the base (the Gram base, a dense record's
+    K_eff) or of its transpose (the C-ordered K_II of the direct form, the
+    same matrix), so f2py copies nothing.
     """
     U, base, alpha, X = red.factor.U, red.factor.base, red.alpha, red.X
     base_F = base if base.flags.f_contiguous else base.T

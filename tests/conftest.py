@@ -3,27 +3,19 @@
 import numpy as np
 import pytest
 
-from mixedfrac import assembly, eigensolver
-
-
-def _clear_solver_caches():
-    assembly._build_base.cache_clear()
-    assembly._build_line.cache_clear()
-    assembly._BLOCKS.clear()
-    eigensolver._FACTORS.clear()
-    eigensolver._exterior_gram.cache_clear()
+from mixedfrac import assembly
 
 
 @pytest.fixture
 def cold_caches():
-    """Empty every solver cache before and after the test.
+    """Empty the solver's store before and after the test.
 
     The test's first assemble and solve build cold, and nothing it builds,
     perhaps under a monkeypatch, reaches a later test.
     """
-    _clear_solver_caches()
+    assembly._STORE.clear()
     yield
-    _clear_solver_caches()
+    assembly._STORE.clear()
 
 
 def band(M):

@@ -1,10 +1,15 @@
 import dataclasses
-import functools
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +37,7 @@ from mixedfrac import (
     smallest_eigenpair,
     solve_mixed,
 )
-from mixedfrac import eigensolver, experiments
+from mixedfrac import BadParameters, assembly, eigensolver, experiments
 from mixedfrac.assembly import (DOF_DIRICHLET, DOF_INTERIOR, DOF_NEUMANN, StiffnessSystem,
                                 _base_arrow, _base_key, _full_line, _line_rows, _omega_mass)
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -72,7 +77,7 @@ class TestSchurReduce:
             tail_corrections=np.zeros(7), dirichlet_row_sums=np.zeros(7))
         assert sys.K_IE.shape == (4, 3)
         red = schur_reduce(sys)
-        assert np.allclose(red.K_eff, K_II, atol=1e-14)
+        assert np.allclose(red.dense(), K_II, atol=1e-14)
         assert np.allclose(red.back_map(np.ones(4)), 0.0)
 
     def test_back_map_of_constants_is_one(self):
@@ -150,14 +155,14 @@ class TestGramUpdate:
     """The cached all-exterior elimination G_E with the Dirichlet cells put back."""
 
     @pytest.mark.parametrize("k", [1, 7])
-    def test_matches_direct_syrk_on_criterion_6(self, cold_caches, k):
-        # cold_caches: a cold factor reads G_E
+    def test_matches_direct_syrk_on_criterion_6(self, cold_caches, k, monkeypatch):
+        # cold_caches: a cold factor builds G_E
         system = _touching(k)
         n_D = np.count_nonzero(system.disc.dof_label == DOF_DIRICHLET)
         assert n_D < system.K_IE.shape[1]
-        calls = sum(eigensolver._exterior_gram.cache_info()[:2])
+        calls = _counted(monkeypatch, "_exterior_gram")
         K_eff = schur_reduce(system).dense()
-        assert sum(eigensolver._exterior_gram.cache_info()[:2]) == calls + 1
+        assert len(calls) == 1
         X = system.K_IE.T / np.sqrt(system.K_EE[1])[:, None]
         K_direct = system.K_II - X.T @ X
         assert np.array_equal(K_eff, K_eff.T)
@@ -200,19 +205,66 @@ class TestGramUpdate:
             "outputs": {},
             "verify": {"gauss": True, "conditionC": False, "measures": True},
         })
-        builds = []
-        build = eigensolver._exterior_gram.__wrapped__
-
-        @functools.lru_cache(maxsize=2)
-        def slow_build(*key):
-            builds.append(key)
-            time.sleep(0.05)      # two concurrent records both arrive while it builds
-            return build(*key)
-
-        monkeypatch.setattr(eigensolver, "_exterior_gram", slow_build)
+        # two concurrent records both arrive while it builds
+        builds = _counted(monkeypatch, "_exterior_gram", sleep=0.05)
         result = experiments.run(cfg, jobs=jobs)
         assert result.n_failed == 0
         assert len(builds) == 1
+
+
+class TestStore:
+    """The one store of shared operator pieces: a re-entrant lock, two entries per kind."""
+
+    def test_concurrent_first_calls_build_once(self, cold_caches):
+        builds, barrier = [], threading.Barrier(2)
+
+        def build():
+            builds.append(None)
+            time.sleep(0.05)      # the second thread arrives while the first builds
+            return object()
+
+        def first_call(_):
+            barrier.wait(timeout=5)
+            return assembly._cached("line", "key", build)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(first_call, range(2), timeout=60))
+        assert len(builds) == 1 and got[0] is got[1]
+
+    def test_a_third_key_evicts_the_least_recently_used_of_its_kind(self, cold_caches):
+        def cached(kind, key):
+            return assembly._cached(kind, key, lambda: [kind, key])   # a new list per build
+
+        arrow = cached("arrow", 0)
+        one, two = cached("line", 1), cached("line", 2)
+        assert cached("line", 1) is one           # now the most recently used line
+        cached("line", 3)                         # evicts line 2
+        assert len(assembly._STORE["line"]) == 2
+        assert cached("line", 1) is one and cached("arrow", 0) is arrow
+        assert cached("line", 2) is not two
+
+    def test_nested_builds_from_two_threads_finish(self):
+        # a cold Gram factor builds G_E, which reads the line: three nested
+        # builds under the one lock, which a plain Lock deadlocks; in a process
+        # of its own, so that a deadlock fails this test alone
+        code = textwrap.dedent("""
+            from concurrent.futures import ThreadPoolExecutor
+            from mixedfrac import (Domain1D, PartitionFamily, assemble, assembly, build_mesh,
+                                   generate, make_order, schur_reduce)
+            order, om = make_order(1, 0.25), Domain1D(0.0, 1.0)
+            part = generate(PartitionFamily(kind="shrinking_dirichlet_touching", omega=om,
+                            params={"r0": 1.0, "ratio": 2.0, "side": "left"}), 1)
+            system = assemble(build_mesh(om, part, 2.0 ** -6, 4.0, "P0", order=order), order)
+            assembly._STORE.clear()
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                a, b = pool.map(lambda _: schur_reduce(system).factor, range(2))
+            assert a is b and set(assembly._STORE) == {"factor", "line"}
+        """)
+        src = str(Path(assembly.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 def _p0_full_dirichlet(h, L):
@@ -230,7 +282,7 @@ class TestExteriorGram:
     def test_matches_the_two_sided_sum(self, h, L):
         disc, order = _p0_full_dirichlet(h, L)
         key = _base_key(disc, order)
-        G_E = eigensolver._exterior_gram.__wrapped__(*key)
+        G_E = eigensolver._exterior_gram(*key)
         R = _line_rows(_full_line(*key), disc.n_collar, disc.n_interior)
         E = np.r_[0:disc.n_collar, disc.n_collar + disc.n_interior:disc.n_cells]
         mass = -R[:, E].sum(axis=0)       # the column sums, each its own sum
@@ -265,7 +317,7 @@ class TestExteriorInPlace:
         X = scipy.linalg.lapack.dtbtrs(U, K_IE.T, trans="T")[0]
         K_eff = scipy.linalg.blas.dsyrk(-1.0, X, beta=1.0, c=system.K_II, trans=1)
         np.copyto(K_eff, K_eff.T, where=np.tri(len(K_eff), k=-1, dtype=bool))
-        assert np.array_equal(red.K_eff, K_eff)
+        assert np.array_equal(red.dense(), K_eff)
         for got, old in zip((system.K_II, R, ext), saved):
             assert np.array_equal(got, old)
 
@@ -301,7 +353,7 @@ class TestExteriorInPlace:
             warm = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            eigensolver._exterior_gram.__wrapped__(*key)
+            eigensolver._exterior_gram(*key)
             cold = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
@@ -389,7 +441,7 @@ class TestLowRankPath:
     def test_matches_the_dense_path(self, make):
         system = make()
         red = schur_reduce(system)
-        assert red.K_eff is None and 0 < 2 * len(red.X) <= len(system.K_II)
+        assert 0 < 2 * len(red.X) <= len(system.K_II)
         K_eff = red.dense()
         assert np.array_equal(K_eff, _formed(system))
         low = smallest_eigenpair(red, system.M_II, tol=1e-13, max_iter=800)
@@ -402,11 +454,13 @@ class TestLowRankPath:
         system = _touching(1)
         red = schur_reduce(system)
         assert 2 * len(red.X) == len(system.K_II)
-        assert red.K_eff is None
+        assert red.factor is schur_reduce(system).factor
         # k = 0: |D| = 512, still fewer than the Neumann cells, so the Gram
         # update, but 2r > n_I: K_eff is formed and factored per record
-        red = schur_reduce(_touching(0))
-        assert red.K_eff is not None and red.X is None and red.factor is None
+        system = _touching(0)
+        dense_red = schur_reduce(system)
+        assert not len(dense_red.X) and dense_red.factor is not red.factor
+        assert dense_red.factor is not schur_reduce(system).factor
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("sea,builds", [("dirichlet", 1), ("neumann", 2)])
@@ -449,7 +503,7 @@ class TestLowRankPath:
         fake = dataclasses.replace(system, K_II=4 * np.eye(3))
         assert not fake.assembled
         red = schur_reduce(fake)
-        assert red.K_eff is None and not len(red.X)
+        assert not len(red.X) and red.factor is not schur_reduce(fake).factor
         lam = smallest_eigenpair(red, fake.M_II).value
         dense_path = smallest_eigenpair(fake.K_II, fake.M_II).value
         assert abs(real - 1.2175) < 1e-4 and abs(dense_path - 8.8656) < 1e-4
@@ -463,8 +517,8 @@ class TestLowRankPath:
         M = band(np.eye(n))
         X = np.zeros((1, n))
         X[0, 0] = 2.0
-        red = eigensolver.SchurReduction(K_eff=None, _solve_EE=None, _K_EI=None, alpha=-1.0,
-                                         X=X, factor=eigensolver._factor(np.eye(n), M))
+        red = eigensolver.SchurReduction(_solve_EE=None, _K_EI=None, alpha=-1.0, X=X,
+                                         factor=eigensolver._factor(np.eye(n), M))
         with pytest.raises(IndefinitePencil, match="dpotrf info 1"):
             smallest_eigenpair(red, M)
 
@@ -479,7 +533,7 @@ class TestLowRankPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert red.K_eff is None and pair.converged
+        assert len(red.X) and pair.converged
         assert peak < n_I * n_I * 8 / 2
 
     @pytest.mark.parametrize("make,layout", [(_neumann_interval, "C_CONTIGUOUS"),
@@ -508,8 +562,9 @@ class TestLowRankPath:
                                       lambda: _touching(1)], ids=["direct", "gram"])
     def test_matvec_copies_no_base(self, make):
         # f2py copies an array that is not in Fortran order: n^2 doubles here
-        red = schur_reduce(make())
-        assert red.K_eff is None
+        system = make()
+        red = schur_reduce(system)
+        assert red.factor is schur_reduce(system).factor
         n = len(red.factor.base)
         _, matvec, _ = eigensolver._woodbury(red)
         u = np.ones(n)
@@ -623,15 +678,24 @@ class TestSmallestEigenpair:
             f"not converged in {max_iter} iterations")
 
     @pytest.mark.parametrize("low_rank", [False, True])
-    @pytest.mark.parametrize("kw", [{"max_iter": 0}, {"max_iter": -3}, {"tol": 0.0},
-                                    {"tol": -1e-12}, {"tol": math.inf}, {"tol": math.nan}])
+    @pytest.mark.parametrize("kw", [{"max_iter": 0}, {"max_iter": -3}, {"max_iter": True},
+                                    {"max_iter": 2.5}, {"tol": 0.0}, {"tol": -1e-12},
+                                    {"tol": math.inf}, {"tol": math.nan}])
     def test_rejects_bad_solver_parameters(self, kw, low_rank):
-        from mixedfrac import BadParameters
         system = _neumann_interval()
         red = schur_reduce(system)
-        assert red.K_eff is None
+        assert len(red.X)
         with pytest.raises(BadParameters):
             smallest_eigenpair(red if low_rank else red.dense(), system.M_II, **kw)
+
+    def test_empty_interior_raises(self):
+        # one P1 cell whose two end nodes touch Dirichlet cells: n_I = 0
+        order = make_order(1, 0.5)
+        disc = DiscParams(h=1.0, L=4.0, scheme="P1")
+        mesh = build_mesh(OM01, full_dirichlet_partition(OM01), disc.h, disc.L, disc.scheme)
+        assert assemble(mesh, order).K_II.shape == (0, 0)
+        with pytest.raises(BadParameters, match="empty interior system"):
+            solve_mixed(OM01, full_dirichlet_partition(OM01), order, disc)
 
     def test_empty_dirichlet_gives_zero_with_flag(self):
         order = make_order(1, 0.5)
@@ -739,11 +803,9 @@ class TestRichardson:
         assert abs(rate - p) < 1e-10
 
     def test_requires_constant_ratio(self):
-        from mixedfrac import BadParameters
         with pytest.raises(BadParameters):
             richardson_extrapolate([0.04, 0.02, 0.015], [1.0, 1.1, 1.2])
 
     def test_rejects_a_ratio_of_one(self):
-        from mixedfrac import BadParameters
         with pytest.raises(BadParameters, match="other than 1"):
             richardson_extrapolate([0.02, 0.02, 0.02], [1.0, 1.1, 1.2])

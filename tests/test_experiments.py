@@ -314,8 +314,10 @@ class TestEmit:
                     "k_list": [0, 1]},
             outputs={"csv": "t.csv", "json": "t.json"}))
         result = experiments.run(cfg)
-        # the baseline always takes the low-rank path, the records as given
-        assert len(calls) == 1 + (len(cfg.k_list) if low_rank else 0)
+        # every solve runs on a factor; the baseline's X is empty (r = 0), and a
+        # dense record's too, since its base is its K_eff
+        assert len(calls) == 1 + len(cfg.k_list)
+        assert [len(red.X) > 0 for red in calls[1:]] == [low_rank] * len(cfg.k_list)
         assert result.n_failed == 0
         for rec in result.records:
             for f in dataclasses.fields(rec):
