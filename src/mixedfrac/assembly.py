@@ -37,8 +37,9 @@ side and replaced by closed-form tail integrals on the Dirichlet side.
   every pair lies on the grid, and masked blocks over the rest.
 
 One store (``_cached``) keeps the arrow pair or the mirrored T per mesh,
-K_II with its tails per (mesh, far-field labels, interior slice, path) and
-the eigensolver's factors, so the records of a sweep share them, read-only.
+K_II with its tails per (mesh, far-field labels, interior slice, path), the
+key stamped on the system, and the eigensolver's factors per that key, so
+the records of a sweep share them, read-only.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ INF = math.inf
 
 DOF_INTERIOR, DOF_NEUMANN, DOF_DIRICHLET = 0, 1, 2
 CELL_INTERIOR, CELL_NEUMANN, CELL_DIRICHLET = 0, 1, 2
+MAX_CELLS = 2 ** 26      # build_mesh's limit; h = 2^-18, L = 8, |Omega| = 2 has 4.7e6
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +134,10 @@ def build_mesh(omega: Domain1D, partition: ExteriorPartition, h: float, L: float
                scheme: str, order: FractionalOrder | None = None) -> Discretization:
     """Uniform grid with snapped partition labels and per-side far-field label.
 
-    Preconditions: h > 0, L >= 4 |Omega|, h divides |Omega| and L, every
-    bounded partition feature intersecting the grid span is at least 4h wide
-    (so shrinking sets stay resolved), and the partition is single-labeled
-    beyond the span on each side.
+    Preconditions: h > 0, L >= 4 |Omega|, h divides |Omega| and L, at most
+    ``MAX_CELLS`` cells, every bounded partition feature intersecting the
+    grid span is at least 4h wide (so shrinking sets stay resolved), and the
+    partition is single-labeled beyond the span on each side.
     """
     if scheme not in ("P0", "P1"):
         raise BadParameters(f"unknown scheme {scheme!r}")
@@ -143,6 +145,8 @@ def build_mesh(omega: Domain1D, partition: ExteriorPartition, h: float, L: float
         raise BadParameters(f"h = {h} must be positive and finite")
     if not 4.0 * omega.length - 1e-12 <= L < INF:
         raise BadParameters(f"L = {L} must be finite and >= 4 |Omega| = {4 * omega.length}")
+    if (2.0 * L + omega.length) / h > MAX_CELLS:
+        raise BadParameters(f"h = {h} and L = {L} give more than {MAX_CELLS} grid cells")
     if order is not None and scheme == "P0" and order.s >= 0.5:
         raise IncompatibleScheme("P0 jumps carry infinite energy for s >= 1/2")
 
@@ -418,11 +422,12 @@ def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def runs(cols: np.ndarray) -> tuple[slice, ...]:
-    """Ascending indices as the slices of their runs of consecutive values."""
+def runs(cols: np.ndarray) -> tuple[tuple[slice, slice], ...]:
+    """Ascending indices by runs of consecutive values, as (values, positions) slices."""
     starts = np.flatnonzero(np.diff(cols, prepend=-2) != 1)
-    ends = np.r_[starts[1:], len(cols)] - 1
-    return tuple(slice(int(cols[i]), int(cols[j]) + 1) for i, j in zip(starts, ends))
+    ends = np.r_[starts[1:], len(cols)]
+    return tuple((slice(int(cols[i]), int(cols[j - 1]) + 1), slice(int(i), int(j)))
+                 for i, j in zip(starts, ends))
 
 
 def _base_key(disc: Discretization, order: FractionalOrder) -> tuple:
@@ -430,7 +435,7 @@ def _base_key(disc: Discretization, order: FractionalOrder) -> tuple:
     return (disc.omega.a, disc.omega.b, disc.h, disc.L, disc.scheme, order.s, order.a_ns)
 
 
-_LOCK = threading.RLock()         # re-entrant: a Gram factor build nests the line build
+_LOCK = threading.RLock()         # re-entrant, so that a build may read the store
 _SLOTS = 2                        # entries kept per kind, the most recently used
 _STORE: dict = {}                 # kind -> {key: entry}, least recently used first
 
@@ -723,14 +728,15 @@ class StiffnessSystem:
     K_EE is diagonal (P0) or tridiagonal (P1) and M_II is diagonal (P0) or
     tridiagonal (P1), so both are stored as bands.  K_IE is never copied:
     its columns are the runs ``runs_E`` of consecutive exterior Neumann grid
-    DOFs, read in place from ``R_I``: on the closed-form path a strided view
-    of the Toeplitz T (its rows run backwards through one mirrored sequence),
-    else the interior rows of the cached P1 arrow base.  On the closed-form
-    path an exterior product is one convolution per run with a window of
-    R_I (its reversed first column, then row 0 past it), which stays in
-    cache.  The arrow rows are not Toeplitz at the Omega boundary rows, the
-    grid-end columns and the band, so there, and on hand-made systems, it
-    is one GEMV per run on R_I's columns.
+    DOFs, each cut once into its slices of R_I's columns and of the exterior
+    DOFs, and read in place from ``R_I``: on the closed-form path a strided
+    view of the Toeplitz T (its rows run backwards through one mirrored
+    sequence), else the interior rows of the cached P1 arrow base.  On the
+    closed-form path an exterior product is one convolution per run with a
+    window of R_I (its reversed first column, then row 0 past it), which
+    stays in cache.  The arrow rows are not Toeplitz at the Omega boundary
+    rows, the grid-end columns and the band, so there, and on hand-made
+    systems, it is one GEMV per run on R_I's columns.
     """
 
     disc: Discretization
@@ -738,7 +744,7 @@ class StiffnessSystem:
     K_II: np.ndarray              # interior x interior, far-field D tails included; read-only,
                                   # shared by every system of its mesh, far labels and slice
     R_I: np.ndarray               # interior x all grid DOFs, a read-only view of the base or T
-    runs_E: tuple                 # slices of R_I's columns: the exterior Neumann DOFs in order
+    runs_E: tuple                 # (R_I's columns, exterior DOFs) slice pairs, one per run
     K_EE: np.ndarray              # (2, n_E) cholesky_banded upper layout
     M_II: np.ndarray              # (2, n_I) Omega mass, same layout
     free_dofs: np.ndarray         # global DOF indices of the free unknowns
@@ -746,30 +752,23 @@ class StiffnessSystem:
     exterior_mask: np.ndarray     # within-free boolean (exterior Neumann)
     tail_corrections: np.ndarray  # per-free-DOF diagonal far-field-D addition
     dirichlet_row_sums: np.ndarray  # column sums of the constrained row block
-    # ``assembly_path`` of the mesh, set by ``assemble`` alone, whose K_II and
-    # M_II are functions of ``_interior_key``; ``dataclasses.replace`` and
-    # hand-made systems get ""
-    path: str = field(default="", init=False, repr=False, compare=False)
+    # (mesh, far-field labels, interior slice, path): the key that K_II and M_II
+    # are functions of, set by ``assemble`` alone; ``dataclasses.replace`` and
+    # hand-made systems get None
+    key: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
-    def assembled(self) -> bool:
-        return bool(self.path)
+    def path(self) -> str:
+        """``assembly_path`` of the mesh, the key's last entry; "" without a key."""
+        return self.key[-1] if self.key else ""
 
     @property
     def n_free(self) -> int:
         return len(self.free_dofs)
 
-    def _runs(self) -> list[tuple[slice, slice]]:
-        """(one run of R_I's columns, its slice of the exterior DOFs)."""
-        out, at = [], 0
-        for run in self.runs_E:
-            out.append((run, slice(at, at + run.stop - run.start)))
-            at += run.stop - run.start
-        return out
-
     def exterior_blocks(self) -> list[tuple[np.ndarray, slice]]:
         """(K_IE's columns of one run, as a view of R_I; its slice of the exterior DOFs)."""
-        return [(self.R_I[:, run], e) for run, e in self._runs()]
+        return [(self.R_I[:, run], e) for run, e in self.runs_E]
 
     def _window(self, run: slice) -> np.ndarray:
         """Toeplitz R_I[:, run] as one sequence: R_I[i, q] = w[q - run.start - i + n_I - 1]."""
@@ -790,7 +789,7 @@ class StiffnessSystem:
         valid part of the convolution of the window w with u_I.
         """
         out = np.empty(np.count_nonzero(self.exterior_mask))
-        for run, e in self._runs():
+        for run, e in self.runs_E:
             if self.path == "closed_form":
                 win = self._window(run)
                 out[e] = np.convolve(np.abs(win) if absolute else win, u_I, "valid")
@@ -804,7 +803,7 @@ class StiffnessSystem:
         u_I, u_E = u_free[self.interior_mask], u_free[self.exterior_mask]
         K_u_I = self.K_II @ u_I
         K_u_E = band_matvec(self.K_EE, u_E) + self.K_EI_matvec(u_I)
-        for run, e in self._runs():
+        for run, e in self.runs_E:
             if self.path == "closed_form":
                 # row i is sum_q w[q - run.start - i + n_I - 1] u_E[q]: the correlation, reversed
                 K_u_I += np.correlate(self._window(run), u_E[e], "valid")[::-1]
@@ -831,11 +830,6 @@ def assembly_path(disc: Discretization) -> str:
     closed = disc.scheme == "P0" or (disc.far_label == ("D", "D")
                                      and bool(np.all(disc.dof_label[ends] == DOF_DIRICHLET)))
     return "closed_form" if closed else "arrow"
-
-
-def _interior_key(disc: Discretization, order: FractionalOrder, lo: int, n_I: int) -> tuple:
-    """What K_II and M_II are functions of: mesh, far-field labels, interior slice and path."""
-    return (_base_key(disc, order), disc.far_label, lo, n_I, assembly_path(disc))
 
 
 def _far_tails(disc: Discretization, order: FractionalOrder, n_om: int):
@@ -910,20 +904,20 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
 
     The Omega rows are a view of the Toeplitz T or of the cached arrow base,
     as ``assembly_path`` picks from the mesh.  K_II and the tails come from
-    ``_build_interior``, built by the first record of an ``_interior_key``
-    and shared.
+    ``_build_interior``, built by the first record of their key and shared;
+    the system carries that key.
     """
     if order.dimension != 1:
         raise BadParameters("assembly is 1D")
     if disc.scheme == "P0" and order.s >= 0.5:
         raise IncompatibleScheme("P0 jumps carry infinite energy for s >= 1/2")
-    path = assembly_path(disc)
+    path, base = assembly_path(disc), _base_key(disc, order)
     closed = path == "closed_form"
     n_om = disc.n_interior + (disc.scheme == "P1")
     if closed:
-        R = _line_rows(_full_line(*_base_key(disc, order)), disc.n_collar, n_om)
+        R = _line_rows(_full_line(*base), disc.n_collar, n_om)
     else:
-        R, ext = _base_arrow(*_base_key(disc, order))
+        R, ext = _base_arrow(*base)
     omega_dofs = slice(disc.n_collar, disc.n_collar + n_om)
     free = np.where(disc.dof_label < DOF_DIRICHLET)[0]
     interior = disc.dof_label[free] == DOF_INTERIOR
@@ -937,7 +931,8 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     if n_I and rows[-1] - lo != n_I - 1:
         raise BadParameters("interior DOFs are not contiguous")
     I = slice(lo, lo + n_I)
-    K_II, tails_I, tail_rows = _cached("block", _interior_key(disc, order, lo, n_I),
+    key = (base, disc.far_label, lo, n_I, path)
+    K_II, tails_I, tail_rows = _cached("block", key,
                                        lambda: _build_interior(disc, order, R, lo, n_I))
     M_II = omega_mass(disc)[:, I]
     M_II[0, :1] = 0.0                        # the coupling to a cut end node
@@ -962,7 +957,7 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
         disc=disc, order=order, K_II=K_II, R_I=R[I], runs_E=runs(cols_E), K_EE=K_EE,
         M_II=M_II, free_dofs=free, interior_mask=interior, exterior_mask=exterior,
         tail_corrections=tails, dirichlet_row_sums=row_sums)
-    object.__setattr__(system, "path", path)     # before matvec, which it selects
+    object.__setattr__(system, "key", key)       # before matvec, whose path it selects
     if closed:
         # the span-truncated stiffness annihilates constants, so a free row's
         # Dirichlet columns sum to minus its free ones, less the far tails

@@ -15,17 +15,17 @@ operands:
   and alpha = +1 with X = X_D.  G_E = X_E'X_E, X_E = diag(mass_E)^{-1/2}
   R[:, E]' (R the Toeplitz Omega rows, mass_E the Omega mass), eliminates
   every exterior grid cell E = N + D; it is built with the base's factor,
-  by chunks of the left collar's columns (the right collar is its mirror
-  image), and a record only puts its Dirichlet cells back.  The two cost
-  the same near |D| = |N|, so a Dirichlet-heavy P0 record keeps the
-  direct form.
+  from R_I (every Omega row on a P0 mesh), by chunks of the left collar's
+  columns (the right collar is its mirror image), and a record only puts
+  its Dirichlet cells back.  The two cost the same near |D| = |N|, so a
+  Dirichlet-heavy P0 record keeps the direct form.
 
 A sweep moves D and N over one mesh, so most records are a rank-r change of
 one base.  When 2r <= n_I the record is low-rank: it keeps (base, alpha, X)
 and never forms K_eff.  Its base and the upper Cholesky factor U of
-base + sigma M are kept in ``assembly``'s store, keyed by the mesh
-(``_base_key``), ``far_label``, the interior slice, the assembly path and
-the form.  The direct form's base is a read-only view of K_II, which
+base + sigma M are kept in ``assembly``'s store under (``system.key``,
+form), the key that ``assemble`` cached K_II under and whether the base
+is the Gram one.  The direct form's base is a read-only view of K_II, which
 ``assemble`` shares among the records of that key.  The Dirichlet baseline
 is the r = 0 record of the direct form, so on a Dirichlet-sea sweep it
 fills the factor that every record reuses.  Each record then pays rank-r
@@ -40,7 +40,8 @@ every matrix handed to ``smallest_eigenpair``; K_eff u is one dsymv on the
 base's upper triangle plus rank-r work.
 
 K_II, G_E and K_eff are dense n_int x n_int; K_IE is never copied: it is
-read by runs of columns from a view of the Toeplitz line on the
+read by runs of columns (``runs_E``, each a pair of slices of R_I's
+columns and of the exterior DOFs) from a view of the Toeplitz line on the
 closed-form path (every P0 mesh, O(m) memory), whose products are
 convolutions (``StiffnessSystem.K_EI_matvec``), or from the cached P1
 arrow base rows (O(n_int * m) memory, shared by every record of a mesh).
@@ -64,9 +65,8 @@ import numpy as np
 from scipy.linalg import (LinAlgError, blas, cho_factor, cho_solve_banded, cholesky_banded,
                           lapack)
 
-from .assembly import (DOF_DIRICHLET, Discretization, StiffnessSystem, _base_key, _cached,
-                       _full_line, _interior_key, _line_rows, _omega_mass, assemble, band_matvec,
-                       build_mesh)
+from .assembly import (DOF_DIRICHLET, Discretization, StiffnessSystem, _cached, _omega_mass,
+                       assemble, band_matvec, build_mesh)
 from .errors import BadParameters, IndefinitePencil, SingularExteriorBlock
 from .fracops import FractionalOrder
 from .geometry import (
@@ -182,23 +182,19 @@ def _base_factor(system: StiffnessSystem, gram: bool) -> BaseFactor:
     """The cached base and factor of the form, built by the first record of its key.
 
     The Gram base K_II - G_E is taken as its transpose, the same matrix in
-    the Fortran order that dsymv reads, and G_E is kept nowhere.  For a
-    system from ``assemble``, K_II and M_II are functions of the key: the
-    mesh, the far-field labels, the interior slice and the assembly path
-    (``assembly._interior_key``); so is G_E, and the form says which base it
-    is.  Any other system gets a factor of its own.
+    the Fortran order that dsymv reads, and G_E is kept nowhere.  K_II, M_II
+    and G_E are functions of ``system.key``, and the form says which base it
+    is; a system without a key gets a factor of its own.
     """
     def build():
         base = system.K_II
         if gram:
-            base = (base - _exterior_gram(*_base_key(system.disc, system.order))).T
+            base = (base - _exterior_gram(system)).T
         return _factor(base, system.M_II)
 
-    if not system.assembled:
+    if system.key is None:
         return build()
-    rows = system.free_dofs[system.interior_mask]
-    key = (_interior_key(system.disc, system.order, int(rows[0]), len(rows)), gram)
-    return _cached("factor", key, build)
+    return _cached("factor", (system.key, gram), build)
 
 
 def _factor(base: np.ndarray, M_band: np.ndarray) -> BaseFactor:
@@ -210,20 +206,20 @@ def _factor(base: np.ndarray, M_band: np.ndarray) -> BaseFactor:
     return BaseFactor(base=base, U=U, sigma=sigma)
 
 
-def _exterior_gram(*key) -> np.ndarray:
-    """G_E = X_E'X_E over every exterior grid cell E of a P0 mesh; read-only.
+def _exterior_gram(system: StiffnessSystem) -> np.ndarray:
+    """G_E = X_E'X_E over every exterior grid cell E of a P0 system; read-only.
 
-    The Toeplitz Omega rows R and the Omega mass are mirror images of
-    themselves: n_collar exterior cells on each side, R[n_I-1-i, m-1-q] =
-    R[i, q], one mass per gap.  So the right collar's Gram is J G_L J, J the
+    Every Omega cell of a P0 mesh is interior, so R = R_I holds the Toeplitz
+    Omega rows.  R and the Omega mass are mirror images of themselves:
+    n_collar exterior cells on each side, R[n_I-1-i, m-1-q] = R[i, q], one
+    mass per gap.  So the right collar's Gram is J G_L J, J the
     reversal of the interior index, and G_E = G_L + J G_L J, summed over the
     left collar alone, is symmetric and persymmetric bitwise.  One dsyrk per
     chunk of _GRAM_CHUNK consecutive cells adds its X_c'X_c (beta = 1), with
     X_c' scaled into one reused buffer: R's columns are never copied whole.
     """
-    a, b, h, L = key[:4]
-    n_I, n_collar = round((b - a) / h), round(L / h)
-    R = _line_rows(_full_line(*key), n_collar, n_I)
+    R, n_collar = system.R_I, system.disc.n_collar
+    n_I = len(R)
     G_L = np.zeros((n_I, n_I), order="F")
     buf = np.empty(n_I * _GRAM_CHUNK)
     root = np.sqrt(_omega_mass(R, np.arange(n_collar)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -48,8 +49,9 @@ def _require_keys(d: dict, allowed: set, required: set, where: str) -> None:
 
 
 def _number(value):
-    """value, refusing JSON true/false and strings, which int() and float() accept."""
-    if isinstance(value, (bool, str)):
+    """value, refusing JSON true/false and strings, which int() and float() accept,
+    and anything else that is not a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"expected a number, got {value!r}")
     return value
 
@@ -68,6 +70,19 @@ def _finite(value) -> float:
     if not math.isfinite(x):
         raise ValueError(f"expected a finite number, got {value!r}")
     return x
+
+
+def _intervals(value) -> None:
+    """Refuse an explicit family's set that is not "rest" or a list of [lo, hi] numbers."""
+    if value == "rest":
+        return
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f'expected "rest" or a list of [lo, hi] pairs, got {value!r}')
+    for pair in value:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise ValueError(f"expected a [lo, hi] pair, got {pair!r}")
+        for x in pair:
+            _number(x)
 
 
 def _at(path: str, convert, *args):
@@ -121,6 +136,9 @@ class ExperimentConfig:
             if any(isinstance(p.get(key), float) for _, p in FAMILY_KINDS.values()):
                 _at(f"family.params.{key}", _finite, value)
         family = _at("family", PartitionFamily, family_d["kind"], omega, params)
+        if family.kind == "explicit":
+            for key in ("dirichlet", "neumann"):
+                _at(f"family.params.{key}", _intervals, family.params[key])
         k_list = _at("family.k_list", lambda ks: tuple(map(_integer, ks)),
                      family_d["k_list"])
         disc = DiscParams(h=_at("discretization.h", _finite, disc_d["h"]),

@@ -129,10 +129,14 @@ class FractionalOrder:
 
 
 @lru_cache(maxsize=64)
-def make_order(dimension: int, s: float, tol: float = 1e-10) -> FractionalOrder:
-    """FractionalOrder with a_{N,s} from the defining integral (cached)."""
+def make_order(dimension: int, s: float) -> FractionalOrder:
+    """FractionalOrder with a_{N,s} from the defining integral to 1e-10 (cached).
+
+    The tolerance is fixed: a 1e-10 change of a_ns moves the criterion-7
+    sweep's lambda_1 at k = 6 by 2.6e-8, beyond its references' rtol.
+    """
     return FractionalOrder(dimension=dimension, s=s,
-                           a_ns=normalization_constant(dimension, s, tol=tol).value)
+                           a_ns=normalization_constant(dimension, s, tol=1e-10).value)
 
 
 # ---------------------------------------------------------------------------

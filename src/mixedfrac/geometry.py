@@ -278,7 +278,10 @@ def generate(family: PartitionFamily, k: int) -> ExteriorPartition:
             n = _complement_in_exterior(om, d)
         return ExteriorPartition(omega=om, dirichlet=d, neumann=n, moving_label=None)
 
-    moving = ExteriorSet.of(*_moving_intervals(family, k))
+    try:                          # a huge ratio^k, float or int
+        moving = ExteriorSet.of(*_moving_intervals(family, k))
+    except OverflowError:
+        raise BadParameters(f"{family.kind}: the set at k = {k} overflows") from None
     for lo, hi in moving.intervals:
         if max(lo, om.a) < min(hi, om.b):
             raise BadParameters(

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib.util
 import json
@@ -39,7 +40,7 @@ from mixedfrac import (
 )
 from mixedfrac import BadParameters, assembly, eigensolver, experiments
 from mixedfrac.assembly import (DOF_DIRICHLET, DOF_INTERIOR, DOF_NEUMANN, StiffnessSystem,
-                                _base_arrow, _base_key, _full_line, _line_rows, _omega_mass)
+                                _base_arrow, _base_key, _omega_mass)
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 OM = Domain1D(-1.0, 1.0)
 OM01 = Domain1D(0.0, 1.0)
@@ -70,7 +71,8 @@ class TestSchurReduce:
         order = make_order(1, 0.5)
         sys = StiffnessSystem(
             disc=build_mesh(OM, full_dirichlet_partition(OM), 0.5, 8.0, "P1", order=order),
-            order=order, K_II=K_II, R_I=np.zeros((4, 37)), runs_E=(slice(0, 3),), K_EE=K_EE,
+            order=order, K_II=K_II, R_I=np.zeros((4, 37)), K_EE=K_EE,
+            runs_E=((slice(0, 3), slice(0, 3)),),
             M_II=band(np.eye(4)), free_dofs=np.arange(7),
             interior_mask=np.array([True] * 4 + [False] * 3),
             exterior_mask=np.array([False] * 4 + [True] * 3),
@@ -141,7 +143,7 @@ def _touching(k):
 
 def _assert_direct_form(system, monkeypatch):
     """schur_reduce eliminates N directly, without the cached Gram."""
-    def forbidden(*key):
+    def forbidden(system):
         raise AssertionError("took the Gram update")
 
     monkeypatch.setattr(eigensolver, "_exterior_gram", forbidden)
@@ -244,27 +246,38 @@ class TestStore:
         assert cached("line", 2) is not two
 
     def test_nested_builds_from_two_threads_finish(self):
-        # a cold Gram factor builds G_E, which reads the line: three nested
-        # builds under the one lock, which a plain Lock deadlocks; in a process
+        # a cold Gram factor builds G_E under the store's lock, from the
+        # system's own rows: one build, and no other kind stored; in a process
         # of its own, so that a deadlock fails this test alone
         code = textwrap.dedent("""
             from concurrent.futures import ThreadPoolExecutor
             from mixedfrac import (Domain1D, PartitionFamily, assemble, assembly, build_mesh,
-                                   generate, make_order, schur_reduce)
+                                   eigensolver, generate, make_order, schur_reduce)
             order, om = make_order(1, 0.25), Domain1D(0.0, 1.0)
             part = generate(PartitionFamily(kind="shrinking_dirichlet_touching", omega=om,
                             params={"r0": 1.0, "ratio": 2.0, "side": "left"}), 1)
             system = assemble(build_mesh(om, part, 2.0 ** -6, 4.0, "P0", order=order), order)
             assembly._STORE.clear()
+            builds, gram = [], eigensolver._exterior_gram
+            eigensolver._exterior_gram = lambda system: builds.append(1) or gram(system)
             with ThreadPoolExecutor(max_workers=2) as pool:
                 a, b = pool.map(lambda _: schur_reduce(system).factor, range(2))
-            assert a is b and set(assembly._STORE) == {"factor", "line"}
+            assert a is b and len(builds) == 1 and set(assembly._STORE) == {"factor"}
         """)
         src = str(Path(assembly.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
         done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+
+def test_eigensolver_imports_only_the_store_and_omega_mass_of_assembly_privates():
+    # the Schur step reads the system it is given, not assembly's bookkeeping
+    tree = ast.parse(Path(eigensolver.__file__).read_text(encoding="utf-8"))
+    private = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[-1] == "assembly"
+               for alias in node.names if alias.name.startswith("_")}
+    assert private <= {"_cached", "_omega_mass"}, private
 
 
 def _p0_full_dirichlet(h, L):
@@ -281,9 +294,10 @@ class TestExteriorGram:
                              ids=["c6", "n_int_1", "odd_collar"])
     def test_matches_the_two_sided_sum(self, h, L):
         disc, order = _p0_full_dirichlet(h, L)
-        key = _base_key(disc, order)
-        G_E = eigensolver._exterior_gram(*key)
-        R = _line_rows(_full_line(*key), disc.n_collar, disc.n_interior)
+        system = assemble(disc, order)
+        G_E = eigensolver._exterior_gram(system)
+        R = system.R_I
+        assert R.shape == (disc.n_interior, disc.n_cells)    # every Omega row
         E = np.r_[0:disc.n_collar, disc.n_collar + disc.n_interior:disc.n_cells]
         mass = -R[:, E].sum(axis=0)       # the column sums, each its own sum
         X = R[:, E] / np.sqrt(mass)
@@ -344,7 +358,6 @@ class TestExteriorInPlace:
     def test_memory_on_criterion_6(self):
         # numpy reports its buffers to tracemalloc; the line is cached first
         system = _touching(1)
-        key = _base_key(system.disc, system.order)
         n_ext = system.disc.n_cells - system.disc.n_interior
         n_I, n_E = system.K_II.shape[0], np.count_nonzero(system.exterior_mask)
         tracemalloc.start()
@@ -353,7 +366,7 @@ class TestExteriorInPlace:
             warm = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            eigensolver._exterior_gram(*key)
+            eigensolver._exterior_gram(system)
             cold = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
@@ -373,18 +386,17 @@ def _neumann_interval():
 def _formed(system):
     """K_eff as the dense path forms it: dtbtrs and a dsyrk on K_II (direct), or a
     dsyrk of the Dirichlet cells on K_II - G_E (Gram update, P0), mirrored; P0's
-    Omega rows are read through the line."""
+    Omega rows are R_I."""
     disc = system.disc
-    key = _base_key(disc, system.order)
     D = np.flatnonzero(disc.dof_label == DOF_DIRICHLET)
     if disc.scheme == "P1" or len(D) >= system.K_EE.shape[1]:
         U = scipy.linalg.cholesky_banded(system.K_EE)
         X = scipy.linalg.lapack.dtbtrs(U, system.K_IE.T, trans="T")[0]
         alpha, base = -1.0, system.K_II
     else:
-        R = _line_rows(_full_line(*key), disc.n_collar, disc.n_interior)
+        R = system.R_I
         X = (R[:, D] / np.sqrt(_omega_mass(R, D))).T
-        alpha, base = 1.0, (system.K_II - eigensolver._exterior_gram(*key)).T
+        alpha, base = 1.0, (system.K_II - eigensolver._exterior_gram(system)).T
     K_eff = scipy.linalg.blas.dsyrk(alpha, X, beta=1.0, c=base, trans=1)
     np.copyto(K_eff, K_eff.T, where=np.tri(len(K_eff), k=-1, dtype=bool))
     return K_eff
@@ -494,14 +506,14 @@ class TestLowRankPath:
 
     def test_replaced_system_gets_its_own_factor(self):
         # the factor cache trusts that K_II and M_II are functions of the
-        # mesh key, which holds for ``assemble``'s systems only
+        # system's key, which ``assemble`` alone sets
         order = make_order(1, 0.5)
         disc = build_mesh(OM, full_dirichlet_partition(OM), 0.5, 8.0, "P1", order=order)
         system = assemble(disc, order)
-        assert system.assembled
+        assert system.key is not None
         real = smallest_eigenpair(schur_reduce(system), system.M_II).value   # caches its factor
         fake = dataclasses.replace(system, K_II=4 * np.eye(3))
-        assert not fake.assembled
+        assert fake.key is None
         red = schur_reduce(fake)
         assert not len(red.X) and red.factor is not schur_reduce(fake).factor
         lam = smallest_eigenpair(red, fake.M_II).value

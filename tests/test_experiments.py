@@ -112,18 +112,44 @@ class TestConfig:
         assert "config error: family: params.ratio" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, params, message", [
-        ("traveling_ball", {"side": "rigth"}, "params.side must be one of"),
-        ("explicit", {"neuman": [[1.0, 2.0]]}, "unknown parameters ['neuman']")],
-        ids=["side", "explicit-key"])
+        ("traveling_ball", {"side": "rigth"}, "family: params.side must be one of"),
+        ("explicit", {"neuman": [[1.0, 2.0]]}, "family: unknown parameters ['neuman']"),
+        ("explicit", {"neumann": [[3, "a"]]}, "family.params.neumann: expected a number"),
+        ("explicit", {"neumann": [[3]]}, "family.params.neumann: expected a [lo, hi] pair"),
+        ("explicit", {"neumann": [3, 4]}, "family.params.neumann: expected a [lo, hi] pair"),
+        ("explicit", {"dirichlet": [[None, 4]]},
+         "family.params.dirichlet: expected a number")],
+        ids=["side", "explicit-key", "interval-str", "interval-short", "interval-flat",
+             "interval-null"])
     def test_bad_family_param_is_config_error(self, tmp_path, capsys, kind, params,
                                               message):
+        # the interval lists died in ExteriorSet.of with a bare ValueError or TypeError
         bad = base_config(family={"kind": kind, "params": params, "k_list": [1]})
-        with pytest.raises(ConfigError, match=f"family: {re.escape(message)}"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             ExperimentConfig.from_dict(bad)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert cli_main(["solve", "--config", str(path)]) == 1
-        assert f"config error: family: {message}" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"discretization": {"h": 0.5, "L": 1e13, "scheme": "P1"}},
+         "k = 0: h = 0.5 and L = 10000000000000.0 give more than 67108864 grid cells"),
+        ({"family": {"kind": "traveling_ball", "params": {"ratio": 2.0}, "k_list": [1100]}},
+         "k = 1100: traveling_ball: the set at k = 1100 overflows"),
+        ({"family": {"kind": "traveling_ball", "params": {"offset0": 1, "ratio": 2},
+                     "k_list": [1100]}},
+         "k = 1100: traveling_ball: the set at k = 1100 overflows")],
+        ids=["grid-cells", "ratio-power", "int-ratio-power"])
+    def test_validate_error_is_config_error(self, tmp_path, capsys, overrides, message):
+        # a 291 TiB grid died in np.arange, and ratio^k in an OverflowError
+        cfg = ExperimentConfig.from_dict(base_config(**overrides))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            cfg.validate()
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg.raw))
+        assert cli_main(["solve", "--config", str(path)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad, where", [
         (1, "config"), ([], "config"), (base_config(order=5), "order"),

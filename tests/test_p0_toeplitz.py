@@ -65,10 +65,15 @@ def test_sequence_holds_every_exterior_column(case):
     system = make()
     assert system.path == "closed_form" and gemv(system).path == ""
     assert len(system.runs_E) == n_runs
-    for run in system.runs_E:
+    # the exterior slices tile 0..n_E in order, one per run of its length
+    at = 0
+    for run, e in system.runs_E:
+        assert (e.start, e.stop) == (at, at + run.stop - run.start)
+        at = e.stop
         win = np.lib.stride_tricks.sliding_window_view(
             system._window(run), run.stop - run.start)[::-1]
         assert np.array_equal(win, system.R_I[:, run])
+    assert at == np.count_nonzero(system.exterior_mask)
 
 
 @pytest.mark.parametrize("case", CASES)

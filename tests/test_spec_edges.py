@@ -46,7 +46,7 @@ def test_singular_exterior_block():
     sys = Dummy()
     sys.K_II = np.eye(2)
     sys.R_I = np.zeros((2, 3))            # K_IE: the run of column 2
-    sys.runs_E = (slice(2, 3),)
+    sys.runs_E = ((slice(2, 3), slice(0, 1)),)
     sys.K_EE = np.zeros((2, 1))           # band with a zero diagonal
     sys.M_II = band(np.eye(2))
     sys.dirichlet_row_sums = np.zeros(3)
