@@ -38,8 +38,8 @@ side and replaced by closed-form tail integrals on the Dirichlet side.
 
 One store (``_cached``) keeps the arrow pair or the mirrored T per mesh,
 K_II with its tails per (mesh, far-field labels, interior slice, path), the
-key stamped on the system, and the eigensolver's factors per that key, so
-the records of a sweep share them, read-only.
+key stamped on the system, and the eigensolver's factors and collar
+half-solves per that key, so the records of a sweep share them, read-only.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ INF = math.inf
 DOF_INTERIOR, DOF_NEUMANN, DOF_DIRICHLET = 0, 1, 2
 CELL_INTERIOR, CELL_NEUMANN, CELL_DIRICHLET = 0, 1, 2
 MAX_CELLS = 2 ** 26      # build_mesh's limit; h = 2^-18, L = 8, |Omega| = 2 has 4.7e6
+# a sweep's limit on its dense blocks, K_II and its factor, 2 n_I^2 doubles: n_I <= 16384
+MAX_DENSE_BYTES = 2 ** 32
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +815,18 @@ class StiffnessSystem:
         out[self.interior_mask] = K_u_I
         out[self.exterior_mask] = K_u_E
         return out
+
+
+def exterior_band(system: StiffnessSystem) -> np.ndarray:
+    """The exterior band of an arrow system's mesh over every grid node; read-only.
+
+    The cached base's Omega-weighted Gram band before any label cuts it
+    (cholesky_banded upper layout, zero on the Omega nodes): each record's
+    K_EE is its columns on the Neumann DOFs, couplings across a gap zeroed.
+    """
+    if system.path != "arrow":
+        raise BadParameters("only an arrow system has a cached exterior band")
+    return _base_arrow(*system.key[0])[1]
 
 
 def assembly_path(disc: Discretization) -> str:

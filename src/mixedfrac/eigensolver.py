@@ -3,30 +3,42 @@
 The stiffness arrives in arrow form: K_EE couples exterior DOFs only through
 the Omega-weighted Gram term, so it is a diagonal (P0) or tridiagonal (P1)
 band.  The Schur complement K_eff = K_II - K_IE K_EE^{-1} K_EI is
-K_eff = base + alpha X'X, with X of r rows, from one of two sets of
-operands:
+K_eff = base + alpha X'X, with X of r rows, from one of three sets of
+operands, named by ``SchurReduction.form``:
 
 - direct: base = K_II, alpha = -1 and X = U^{-T} K_EI, one banded
   triangular solve with K_EE = U'U (banded Cholesky on the band's true
   width), eliminating the Neumann DOFs N; K_EI is gathered once from its
   runs and solved in place;
-- Gram update, on P0 meshes, whose exterior block is diagonal, when the
-  grid has fewer Dirichlet cells D than Neumann ones: base = K_II - G_E
-  and alpha = +1 with X = X_D.  G_E = X_E'X_E, X_E = diag(mass_E)^{-1/2}
+- Gram update ("gram"), on P0 meshes, whose exterior block is diagonal,
+  when the grid has fewer Dirichlet cells D than Neumann ones: base = K_II
+  - G_E and alpha = +1 with X = X_D.  G_E = X_E'X_E, X_E = diag(mass_E)^{-1/2}
   R[:, E]' (R the Toeplitz Omega rows, mass_E the Omega mass), eliminates
   every exterior grid cell E = N + D; it is built with the base's factor,
   from R_I (every Omega row on a P0 mesh), by chunks of the left collar's
   columns (the right collar is its mirror image), and a record only puts
   its Dirichlet cells back.  The two cost the same near |D| = |N|, so a
-  Dirichlet-heavy P0 record keeps the direct form.
+  Dirichlet-heavy P0 record keeps the direct form;
+- collar forms, on P1 arrow meshes whose Neumann DOFs on each collar are
+  none, all, or one run from the grid end (a Neumann half-line).  The two
+  collars are decoupled, so K_EE is one tridiagonal block per collar.
+  Ordered from the grid end inward, such a run is the leading block of its
+  collar's, whose Cholesky factor is the leading block of the collar's
+  U_c; so the collar's half-solve X_c = U_c^{-T} K_{c,I}, solved once per
+  (``system.key``, collar) and kept in ``assembly``'s store, holds the
+  run's half-solve as its first n rows.  A record takes the form with
+  fewer rows: "collar_direct", base = K_II, alpha = -1, X = X_c[:n]; or
+  "collar_gram", base = K_II - sum G_c over its Neumann collars, G_c =
+  X_c'X_c, alpha = +1, X = X_c[n:].  No record mixes a collar's cached rows
+  with a solve of its own: any other run keeps the whole record direct.
 
 A sweep moves D and N over one mesh, so most records are a rank-r change of
 one base.  When 2r <= n_I the record is low-rank: it keeps (base, alpha, X)
 and never forms K_eff.  Its base and the upper Cholesky factor U of
 base + sigma M are kept in ``assembly``'s store under (``system.key``,
-form), the key that ``assemble`` cached K_II under and whether the base
-is the Gram one.  The direct form's base is a read-only view of K_II, which
-``assemble`` shares among the records of that key.  The Dirichlet baseline
+Gram terms), the key that ``assemble`` cached K_II under and what the
+base subtracts from K_II.  The direct forms' base is a read-only view of
+K_II, which ``assemble`` shares among the records of that key.  The Dirichlet baseline
 is the r = 0 record of the direct form, so on a Dirichlet-sea sweep it
 fills the factor that every record reuses.  Each record then pays rank-r
 work for its shifted solves (Sherman-Morrison-Woodbury): Y = U^{-T} X' by
@@ -66,7 +78,7 @@ from scipy.linalg import (LinAlgError, blas, cho_factor, cho_solve_banded, chole
                           lapack)
 
 from .assembly import (DOF_DIRICHLET, Discretization, StiffnessSystem, _cached, _omega_mass,
-                       assemble, band_matvec, build_mesh)
+                       assemble, band_matvec, build_mesh, exterior_band)
 from .errors import BadParameters, IndefinitePencil, SingularExteriorBlock
 from .fracops import FractionalOrder
 from .geometry import (
@@ -105,6 +117,7 @@ class SchurReduction:
     X: np.ndarray                 # (r, n_I)
     factor: BaseFactor | None     # None only when n_I = 0
     alpha: float = 0.0
+    form: str = "direct"          # "direct" | "gram" | "collar_direct" | "collar_gram"
 
     def back_map(self, u_interior: np.ndarray) -> np.ndarray:
         """Exterior Neumann values -K_EE^{-1} K_EI u_I (discrete reconstruction)."""
@@ -120,34 +133,54 @@ class SchurReduction:
 def schur_reduce(system: StiffnessSystem) -> SchurReduction:
     """K_eff = base + alpha X'X over interior DOFs, kept low-rank when 2r <= n_I.
 
-    See the module doc for the two forms and the dense records.
+    See the module doc for the forms and the dense records.
     """
     K_EE = system.K_EE
     if np.any(K_EE[1] <= 0.0):
         raise SingularExteriorBlock("exterior DOF with no interaction with Omega")
-    try:                          # on the band's true width: kd = 0 for P0
-        U = cholesky_banded(K_EE if np.any(K_EE[0]) else K_EE[1:])
-    except (LinAlgError, ValueError) as exc:
-        raise SingularExteriorBlock(
-            f"exterior Neumann block not positive definite: {exc}") from exc
+    U = _band_cholesky(K_EE, "exterior Neumann block")
     n_I = len(system.K_II)
     pieces = dict(_solve_EE=partial(cho_solve_banded, (U, False)),
                   _K_EI=system.K_EI_matvec)
     if not n_I:                   # smallest_eigenpair rejects the empty system
         return SchurReduction(X=np.empty((0, 0)), factor=None, **pieces)
     # BLAS/LAPACK with a zero dimension corrupt the heap: no exterior, no solve
-    gram, alpha, X = (_schur_operands(system, U) if K_EE.shape[1]
-                      else (False, -1.0, np.empty((0, n_I))))
+    form, grams, alpha, X = (_schur_operands(system, U) if K_EE.shape[1]
+                             else ("direct", (), -1.0, np.empty((0, n_I))))
+    pieces["form"] = form
     if 2 * len(X) <= n_I:
-        return SchurReduction(alpha=alpha, X=X, factor=_base_factor(system, gram), **pieces)
-    base = _base_factor(system, True).base if gram else system.K_II
+        return SchurReduction(alpha=alpha, X=X, factor=_base_factor(system, grams), **pieces)
+    base = _base_factor(system, grams).base if grams else system.K_II
     return SchurReduction(X=X[:0], factor=_factor(_syrk(alpha, X, base), system.M_II),
                           **pieces)
 
 
+def _band_cholesky(band: np.ndarray, what: str) -> np.ndarray:
+    """The upper banded Cholesky factor of a positive definite band, on its true width
+    (kd = 0 for P0's diagonal block)."""
+    try:
+        return cholesky_banded(band if np.any(band[0]) else band[1:])
+    except (LinAlgError, ValueError) as exc:
+        raise SingularExteriorBlock(f"{what} not positive definite: {exc}") from exc
+
+
+def _half_solve(U: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
+    """U^{-T} B by one dtbtrs, in place on B (Fortran order)."""
+    X, info = lapack.dtbtrs(U, B, trans="T", overwrite_b=True)
+    if info:
+        raise SingularExteriorBlock(f"{what} failed: dtbtrs info {info}")
+    return X
+
+
 def _syrk(alpha: float, X: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """base + alpha X'X by one dsyrk into a copy, its upper triangle mirrored."""
-    K = blas.dsyrk(alpha, X, beta=1.0, c=base, trans=1)
+    """base + alpha X'X by one dsyrk into a copy, its upper triangle mirrored.
+
+    X is read in place: as it is in Fortran order, as X' in C order.
+    """
+    if X.flags.f_contiguous:
+        K = blas.dsyrk(alpha, X, beta=1.0, c=base, trans=1)
+    else:
+        K = blas.dsyrk(alpha, X.T, beta=1.0, c=base, trans=0)
     np.copyto(K, K.T, where=np.tri(len(K), k=-1, dtype=bool))
     return K
 
@@ -156,11 +189,17 @@ _GRAM_CHUNK = 256                 # exterior columns per dsyrk of the G_E build
 
 
 def _schur_operands(system: StiffnessSystem, U: np.ndarray):
-    """(gram, alpha, X) of K_eff = base + alpha X'X: the Gram update or the direct form.
+    """(form, grams, alpha, X) of K_eff = base + alpha X'X, base = K_II less the Gram
+    terms named by ``grams``: a collar form, the Gram update or the direct form.
 
-    The Gram update needs a diagonal exterior block over every grid cell,
-    which P0 meshes have and P1 meshes never do.
+    A P1 arrow record whose collar runs start at the grid end takes a collar
+    form, Gram or direct; P0's Gram update needs a diagonal exterior block
+    over every grid cell, which only P0 meshes have.  Every other record is
+    direct.
     """
+    runs = _collar_runs(system)
+    if runs is not None:
+        return _collar_operands(system, runs)
     disc = system.disc
     D = np.flatnonzero(disc.dof_label == DOF_DIRICHLET)
     n_E = system.K_EE.shape[1]
@@ -169,32 +208,100 @@ def _schur_operands(system: StiffnessSystem, U: np.ndarray):
         X = np.empty((n_E, len(system.K_II)), order="F")
         for block, e in system.exterior_blocks():
             X[e] = block.T
-        X, info = lapack.dtbtrs(U, X, trans="T", overwrite_b=True)
-        if info:
-            raise SingularExteriorBlock(f"exterior Neumann solve failed: dtbtrs info {info}")
-        return False, -1.0, X
+        return "direct", (), -1.0, _half_solve(U, X, "exterior Neumann solve")
     # R_I is P0's Toeplitz Omega rows; X' in C order, so dsyrk reads X in place
     XT = np.divide(system.R_I[:, D], np.sqrt(_omega_mass(system.R_I, D)), order="C")
-    return True, 1.0, XT.T
+    return "gram", ("exterior",), 1.0, XT.T
 
 
-def _base_factor(system: StiffnessSystem, gram: bool) -> BaseFactor:
-    """The cached base and factor of the form, built by the first record of its key.
+_COLLARS = ("left", "right")
 
-    The Gram base K_II - G_E is taken as its transpose, the same matrix in
-    the Fortran order that dsymv reads, and G_E is kept nowhere.  K_II, M_II
-    and G_E are functions of ``system.key``, and the form says which base it
-    is; a system without a key gets a factor of its own.
+
+def _collar_runs(system: StiffnessSystem) -> dict | None:
+    """{collar: n} when the Neumann DOFs of an arrow system's collars are each none
+    or one run of n nodes from the grid end; else None.
+
+    The exterior Neumann DOFs of a P1 mesh lie off Omega, so each run lies in
+    one collar: nodes 0..n_collar-1 on the left, the last n_collar nodes on
+    the right.
+    """
+    if system.path != "arrow":
+        return None
+    disc = system.disc
+    n = dict.fromkeys(_COLLARS, 0)
+    for cols, _ in system.runs_E:
+        side = "left" if cols.stop <= disc.n_collar else "right"
+        if n[side] or (cols.start if side == "left" else disc.n_dofs - cols.stop):
+            return None           # a second run, or one that misses the grid end
+        n[side] = cols.stop - cols.start
+    return n
+
+
+def _collar_operands(system: StiffnessSystem, n: dict):
+    """The collar form of fewer rows: X_c[:n] of each Neumann collar (direct), or X_c[n:]
+    against K_II less their Gram terms G_c = X_c'X_c (Gram); ties go direct."""
+    X_c = {side: _collar_solve(system, side) for side in _COLLARS if n[side]}
+    if sum(n.values()) <= sum(len(X) - n[side] for side, X in X_c.items()):
+        return "collar_direct", (), -1.0, _stacked([X[:n[side]] for side, X in X_c.items()])
+    return "collar_gram", tuple(X_c), 1.0, _stacked([X[n[side]:] for side, X in X_c.items()])
+
+
+def _stacked(blocks: list) -> np.ndarray:
+    """The rows of the blocks in one C-order array: the one block as it is, else a copy."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _collar_solve(system: StiffnessSystem, side: str) -> np.ndarray:
+    """X_c = U_c^{-T} K_{c,I} over every node of the collar, ordered from the grid end
+    inward; C order, read-only, one per (``system.key``, collar) in the store.
+
+    K_cc, the collar's block of the label-independent exterior band
+    (``assembly.exterior_band``), is tridiagonal, and U_c'U_c = K_cc.  In
+    this order a run of n Neumann nodes from the grid end is the leading
+    n x n block of K_cc, whose factor is U_c's leading block, so X_c[:n] is
+    the run's half-solve.  One dtbtrs solves K_{c,I}, gathered in Fortran
+    order, in place.
+    """
+    def build():
+        n_c, m, R = system.disc.n_collar, system.disc.n_dofs, system.R_I
+        band = exterior_band(system)
+        if side == "left":
+            nodes = slice(0, n_c)
+            K_cc = band[:, nodes]
+        else:                     # descending: K_cc[k - 1, k] = band[0, node k - 1]
+            nodes = slice(m - 1, m - 1 - n_c, -1)
+            K_cc = np.stack([np.r_[0.0, band[0, nodes][:-1]], band[1, nodes]])
+        X = np.ascontiguousarray(_half_solve(_band_cholesky(K_cc, f"{side} collar block"),
+                                             np.array(R[:, nodes].T, order="F"),
+                                             f"{side} collar solve"))
+        X.setflags(write=False)
+        return X
+
+    return _cached("collar", (system.key, side), build)
+
+
+def _base_factor(system: StiffnessSystem, grams: tuple = ()) -> BaseFactor:
+    """The cached base and factor of K_II less ``grams``, built by the first record of its key.
+
+    ``grams`` names the Gram terms taken off K_II: ("exterior",), G_E of a
+    P0 mesh, kept nowhere, with the base taken as its transpose, the same
+    matrix in the Fortran order that dsymv reads; or collars, whose G_c =
+    X_c'X_c is one dsyrk on the cached ``_collar_solve`` each.  K_II, M_II
+    and the Gram terms are functions of ``system.key``; a system without a
+    key gets a factor of its own.
     """
     def build():
         base = system.K_II
-        if gram:
-            base = (base - _exterior_gram(system)).T
+        for term in grams:
+            if term == "exterior":
+                base = (base - _exterior_gram(system)).T
+            else:
+                base = _syrk(-1.0, _collar_solve(system, term), base)
         return _factor(base, system.M_II)
 
     if system.key is None:
         return build()
-    return _cached("factor", (system.key, gram), build)
+    return _cached("factor", (system.key, grams), build)
 
 
 def _factor(base: np.ndarray, M_band: np.ndarray) -> BaseFactor:
@@ -427,7 +534,8 @@ def solve_on_mesh(mesh: Discretization, order: FractionalOrder,
 
     Across a family sweep the label-independent stiffness pieces are cached
     by ``assemble``, whose path (``assembly.assembly_path``) the mesh alone
-    picks; ``diagnostics["assembly"]`` names it.
+    picks; ``diagnostics["assembly"]`` names it, and ``diagnostics["schur"]``
+    the form of the Schur step (``SchurReduction.form``).
     The eigenfunction is sign-fixed (nonnegative mean) and L^2(Omega)-
     normalized; its exterior Neumann values are the discrete kernel average
     of the interior values (one back-substitution).
@@ -444,7 +552,7 @@ def solve_on_mesh(mesh: Discretization, order: FractionalOrder,
     values = np.empty(system.n_free)
     values[system.interior_mask] = u_I
     values[system.exterior_mask] = red.back_map(u_I)
-    diagnostics = {"assembly": system.path}
+    diagnostics = {"assembly": system.path, "schur": red.form}
     if with_diagnostics:
         from .nonlocal_ops import gauss_residual
         diagnostics["gauss_residual"] = gauss_residual(system, values)

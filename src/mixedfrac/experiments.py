@@ -174,18 +174,27 @@ class ExperimentConfig:
         """Check every referenced parameter combination before any solve.
 
         Returns the mesh of each k of ``k_list``, in its order; a mesh
-        carries its partition.
+        carries its partition.  A mesh whose dense blocks, K_II and its
+        factor (2 n_I^2 doubles), exceed ``assembly.MAX_DENSE_BYTES`` is a
+        config error: nothing of that size is allocated.
         """
-        from .assembly import build_mesh
+        from .assembly import DOF_INTERIOR, MAX_DENSE_BYTES, build_mesh
         order = make_order(self.dimension, self.s)
         meshes = []
         for k in self.k_list:
             try:
                 part = generate(self.family, k)
-                meshes.append(build_mesh(self.omega, part, self.disc.h, self.disc.L,
-                                         self.disc.scheme, order=order))
+                mesh = build_mesh(self.omega, part, self.disc.h, self.disc.L,
+                                  self.disc.scheme, order=order)
             except MixedFracError as exc:
                 raise ConfigError(f"k = {k}: {exc}") from exc
+            n_I = int(np.count_nonzero(mesh.dof_label == DOF_INTERIOR))
+            if 2 * n_I * n_I * 8 > MAX_DENSE_BYTES:
+                raise ConfigError(
+                    f"k = {k}: h = {self.disc.h} gives n_I = {n_I} interior DOFs, whose dense"
+                    f" K_II and factor take {2 * n_I * n_I * 8 / 2 ** 30:.6g} GiB, more than"
+                    f" {MAX_DENSE_BYTES / 2 ** 30:g} GiB")
+            meshes.append(mesh)
         return meshes
 
 
@@ -214,6 +223,7 @@ class ExperimentRecord:
     normalization: float      # u'Mu (1 for a normalized eigenfunction)
     error: str | None = None
     assembly: str | None = None   # "closed_form" | "arrow" (JSON only)
+    schur: str | None = None      # "direct" | "gram" | "collar_direct" | "collar_gram" (JSON only)
 
 
 @dataclass(frozen=True)
@@ -249,7 +259,8 @@ def _record_from_result(cfg: ExperimentConfig, k: int, res: EigenResult,
         gauss_res=gauss, iters=res.iterations,
         h=cfg.disc.h, L=cfg.disc.L, ms=ms, converged=res.converged,
         flagged_zero=res.flagged_zero, rq_residual=res.rq_residual, temple=res.temple,
-        normalization=res.normalization, assembly=diag.get("assembly"))
+        normalization=res.normalization, assembly=diag.get("assembly"),
+        schur=diag.get("schur"))
 
 
 def _failed_record(cfg: ExperimentConfig, k: int, ms: float, err: str) -> ExperimentRecord:

@@ -376,6 +376,91 @@ class TestExteriorInPlace:
         assert cold < n_I * n_ext * 8
 
 
+INF = math.inf
+# Neumann half-lines on Omega = (-1, 1), P1, h = 1/40, L = 8: n_I = 79, 320 nodes a
+# collar; per collar form, a low-rank record (2r <= n_I) and a whole collar (r = 0)
+HALF_LINES = {
+    "right_direct": ([[8.2, INF]], "collar_direct", 32),
+    "right_gram": ([[1.2, INF]], "collar_gram", 8),
+    "left_direct": ([[-INF, -8.2]], "collar_direct", 32),
+    "left_gram": ([[-INF, -1.2]], "collar_gram", 8),
+    "both_direct": ([[-INF, -8.6], [8.6, INF]], "collar_direct", 32),
+    "both_gram": ([[-INF, -1.1], [1.2, INF]], "collar_gram", 12),
+    "whole_right": ([[1.0, INF]], "collar_gram", 0),
+    "whole_left": ([[-INF, -1.0]], "collar_gram", 0),
+}
+
+
+def _half_line(neumann, h=1 / 40):
+    order = make_order(1, 0.5)
+    part = explicit(OM, neumann=neumann, dirichlet="rest")
+    return assemble(build_mesh(OM, part, h, 8.0, "P1", order=order), order)
+
+
+class TestCollarForms:
+    """Records whose collar runs start at the grid end take their rows from a cached
+    collar half-solve; every other record keeps the per-record direct form."""
+
+    @pytest.mark.parametrize("name", list(HALF_LINES))
+    def test_matches_the_direct_form(self, cold_caches, name):
+        neumann, form, rows = HALF_LINES[name]
+        system = _half_line(neumann)
+        red = schur_reduce(system)
+        assert red.form == form and len(red.X) == rows and 2 * rows <= len(system.K_II)
+        K_eff, ref = red.dense(), _formed(system)
+        assert np.abs(K_eff - ref).max() <= 1e-12 * np.abs(ref).max()
+        lam = smallest_eigenpair(red, system.M_II, tol=1e-13, max_iter=800)
+        want = smallest_eigenpair(ref, system.M_II, tol=1e-13, max_iter=800)
+        assert lam.converged and want.converged
+        assert abs(lam.value - want.value) <= 1e-12 * want.value
+
+    def test_dense_record_matches_the_direct_form(self, cold_caches):
+        # N = (2, inf): 10 Gram rows against n_I = 19, so K_eff is formed
+        system = _half_line([[2.0, INF]], h=0.1)
+        red = schur_reduce(system)
+        assert red.form == "collar_gram" and not len(red.X)
+        ref = _formed(system)
+        assert np.abs(red.dense() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("make", [
+        _ball_in_sea,                                          # two runs on the right collar
+        lambda: _half_line([[1.5, 3.0]]),                      # a run that misses the grid end
+        lambda: _half_line([[-INF, -1.5], [1.5, 3.0]])],       # one anchored collar, one not
+        ids=["two_runs", "misses_the_end", "one_collar_anchored"])
+    def test_other_records_keep_the_direct_form_bitwise(self, cold_caches, make, monkeypatch):
+        system = make()
+        collars = _counted(monkeypatch, "_collar_solve")
+        red = schur_reduce(system)
+        assert red.form == "direct" and not collars
+        assert np.array_equal(red.dense(), _formed(system))
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_one_collar_solve_per_mesh_and_collar(self, cold_caches, jobs, monkeypatch):
+        # both half-lines move outward: every record is anchored on both collars;
+        # jobs = 3 runs every record at once, more threads than a 2-core machine
+        # has, switching threads every 10 us
+        cfg = _sweep_config("infinite_sector", {"R0": 2.0, "ratio": 2.0, "side": "both"},
+                            [0, 1, 2], 1 / 32, 8.0, "P1", 0.5, (-1.0, 1.0))
+        solves = []
+        dtbtrs = scipy.linalg.lapack.dtbtrs
+        monkeypatch.setattr(scipy.linalg.lapack, "dtbtrs",
+                            lambda *a, **kw: solves.append(a) or dtbtrs(*a, **kw))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            result = experiments.run(cfg, jobs=jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert result.n_failed == 0
+        # R = 2, 4: fewer Gram rows; R = 8: 32 nodes a side, fewer direct ones
+        assert [r.schur for r in result.records] == ["collar_gram"] * 2 + ["collar_direct"]
+        assert len(solves) == 2                  # one per collar of the one mesh
+        assert len(assembly._STORE["collar"]) == 2
+        mesh = cfg.validate()[0]
+        red = schur_reduce(assemble(mesh, make_order(1, 0.5)))
+        assert len(solves) == 2 and red.form == "collar_gram"    # a warm record solves nothing
+
+
 def _neumann_interval():
     """A P1 Neumann interval in a Dirichlet sea: a rank-9 change of K_II (40 DOFs)."""
     order = make_order(1, 0.5)
@@ -588,6 +673,19 @@ class TestLowRankPath:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4
+
+    @pytest.mark.parametrize("sweep,forms", [("collar_sector", {"collar_gram"}),
+                                             ("c7_dirichlet_ball", {"direct"})])
+    def test_records_report_their_schur_form(self, sweep, forms):
+        # collar_sector's Neumann half-lines take the cached collar rows; c7's
+        # right collar holds two runs around the Dirichlet ball
+        refs = json.loads((PERFBENCH / "references.json").read_text())
+        result = experiments.run(_benchmark_sweep(sweep))
+        assert result.n_failed == 0
+        assert {r.schur for r in result.records} == forms
+        for rec in result.records:
+            want = refs["sweeps"][sweep]["lambda1"][str(rec.k)]
+            assert abs(rec.lambda1 - want) <= refs["rtol"] * want, rec.k
 
     @pytest.mark.parametrize("sweep", ["c4_nested_s0.3", "c6_touching_p0"])
     def test_benchmark_references(self, sweep):

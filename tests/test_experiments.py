@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,8 +140,13 @@ class TestConfig:
          "k = 1100: traveling_ball: the set at k = 1100 overflows"),
         ({"family": {"kind": "traveling_ball", "params": {"offset0": 1, "ratio": 2},
                      "k_list": [1100]}},
-         "k = 1100: traveling_ball: the set at k = 1100 overflows")],
-        ids=["grid-cells", "ratio-power", "int-ratio-power"])
+         "k = 1100: traveling_ball: the set at k = 1100 overflows"),
+        ({"discretization": {"h": 2.0 ** -18, "L": 8.0, "scheme": "P1"}, "family": {
+            "kind": "explicit", "params": {"neumann": [[1.0, 2.0]], "dirichlet": "rest"},
+            "k_list": [0]}},
+         "k = 0: h = 3.814697265625e-06 gives n_I = 524288 interior DOFs, whose dense K_II"
+         " and factor take 4096 GiB, more than 4 GiB")],
+        ids=["grid-cells", "ratio-power", "int-ratio-power", "dense-blocks"])
     def test_validate_error_is_config_error(self, tmp_path, capsys, overrides, message):
         # a 291 TiB grid died in np.arange, and ratio^k in an OverflowError
         cfg = ExperimentConfig.from_dict(base_config(**overrides))
@@ -157,6 +163,31 @@ class TestConfig:
     def test_non_object_is_config_error(self, bad, where):
         with pytest.raises(ConfigError, match=f"{where} must be a JSON object"):
             ExperimentConfig.from_dict(bad)
+
+    @pytest.mark.parametrize("scheme, n_I", [("P0", 16384), ("P1", 16385)])
+    def test_dense_blocks_are_bounded(self, scheme, n_I):
+        # Omega = (0, 1) in a Neumann sea at h = 2^-14: P0 has 2^14 interior
+        # cells, whose K_II and factor fill MAX_DENSE_BYTES = 4 GiB exactly,
+        # and P1 one more node; validate() allocates neither
+        cfg = ExperimentConfig.from_dict(base_config(
+            order={"dimension": 1, "s": 0.25}, omega={"a": 0.0, "b": 1.0},
+            family={"kind": "explicit", "params": {"neumann": "rest", "dirichlet": []},
+                    "k_list": [0]},
+            discretization={"h": 2.0 ** -14, "L": 4.0, "scheme": scheme}))
+        tracemalloc.start()
+        try:
+            if scheme == "P0":
+                (mesh,) = cfg.validate()
+                assert np.count_nonzero(mesh.dof_label == 0) == n_I
+            else:
+                with pytest.raises(ConfigError, match=re.escape(
+                        f"k = 0: h = {2.0 ** -14} gives n_I = {n_I} interior DOFs, whose dense"
+                        " K_II and factor take 4.00049 GiB, more than 4 GiB")):
+                    cfg.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 24                   # under 16 MiB
 
     def test_validate_catches_mesh_violations(self):
         bad = base_config()
@@ -299,6 +330,7 @@ class TestEmit:
             # converged: below sqrt(tol) max(1, lambda), tol = 1e-12
             assert 0.0 <= rec["rq_residual"] <= 1e-6 * max(1.0, rec["lambda1"])
             assert abs(rec["normalization"] - 1.0) <= 1e-12
+            assert rec["schur"] == "direct"      # N = (1, 2) misses the grid end
         # JSON only: the CSV keeps its columns
         assert open(paths["csv"]).readline().strip() == experiments.CSV_HEADER
 
