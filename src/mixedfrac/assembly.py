@@ -60,7 +60,7 @@ INF = math.inf
 DOF_INTERIOR, DOF_NEUMANN, DOF_DIRICHLET = 0, 1, 2
 CELL_INTERIOR, CELL_NEUMANN, CELL_DIRICHLET = 0, 1, 2
 MAX_CELLS = 2 ** 26      # build_mesh's limit; h = 2^-18, L = 8, |Omega| = 2 has 4.7e6
-# a sweep's limit on its dense blocks, K_II and its factor, 2 n_I^2 doubles: n_I <= 16384
+# a sweep's limit on ``dense_bytes``; K_II and its factor alone allow n_I <= 16384
 MAX_DENSE_BYTES = 2 ** 32
 
 
@@ -820,13 +820,28 @@ class StiffnessSystem:
 def exterior_band(system: StiffnessSystem) -> np.ndarray:
     """The exterior band of an arrow system's mesh over every grid node; read-only.
 
-    The cached base's Omega-weighted Gram band before any label cuts it
-    (cholesky_banded upper layout, zero on the Omega nodes): each record's
-    K_EE is its columns on the Neumann DOFs, couplings across a gap zeroed.
+    The system must be on the arrow path.  The cached base's Omega-weighted
+    Gram band before any label cuts it (cholesky_banded upper layout, zero on
+    the Omega nodes): each record's K_EE is its columns on the Neumann DOFs,
+    couplings across a gap zeroed.
     """
-    if system.path != "arrow":
-        raise BadParameters("only an arrow system has a cached exterior band")
     return _base_arrow(*system.key[0])[1]
+
+
+def dense_bytes(disc: Discretization) -> int:
+    """Bytes of the largest dense arrays that the records of one mesh share.
+
+    K_II and its factor, 2 n_I^2 doubles; on the arrow path also the base's
+    Omega rows R, n_om x n_dofs, and the collar half-solves, n_collar x n_I
+    each, with a third copy while one is built.  A collar Gram base and its
+    factor, 2 n_I^2 more, and the work arrays of a dense record are not
+    counted: this is a floor on what a sweep holds, not its peak.
+    """
+    n_I = int(np.count_nonzero(disc.dof_label == DOF_INTERIOR))
+    doubles = 2 * n_I * n_I
+    if assembly_path(disc) == "arrow":
+        doubles += (disc.n_interior + 1) * disc.n_dofs + 3 * disc.n_collar * n_I
+    return 8 * doubles
 
 
 def assembly_path(disc: Discretization) -> str:

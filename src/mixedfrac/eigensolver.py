@@ -19,18 +19,18 @@ operands, named by ``SchurReduction.form``:
   columns (the right collar is its mirror image), and a record only puts
   its Dirichlet cells back.  The two cost the same near |D| = |N|, so a
   Dirichlet-heavy P0 record keeps the direct form;
-- collar forms, on P1 arrow meshes whose Neumann DOFs on each collar are
-  none, all, or one run from the grid end (a Neumann half-line).  The two
-  collars are decoupled, so K_EE is one tridiagonal block per collar.
+- collar Gram update ("collar_gram"), on P1 arrow meshes whose Neumann
+  DOFs on each collar are none, all, or one run from the grid end (a
+  Neumann half-line), when it has fewer rows than the direct form.  The
+  two collars are decoupled, so K_EE is one tridiagonal block per collar.
   Ordered from the grid end inward, such a run is the leading block of its
   collar's, whose Cholesky factor is the leading block of the collar's
   U_c; so the collar's half-solve X_c = U_c^{-T} K_{c,I}, solved once per
   (``system.key``, collar) and kept in ``assembly``'s store, holds the
-  run's half-solve as its first n rows.  A record takes the form with
-  fewer rows: "collar_direct", base = K_II, alpha = -1, X = X_c[:n]; or
-  "collar_gram", base = K_II - sum G_c over its Neumann collars, G_c =
-  X_c'X_c, alpha = +1, X = X_c[n:].  No record mixes a collar's cached rows
-  with a solve of its own: any other run keeps the whole record direct.
+  run's half-solve as its first n rows.  Then base = K_II - sum G_c over
+  the record's Neumann collars, G_c = X_c'X_c, alpha = +1 and X = X_c[n:].
+  Every other P1 record keeps the direct form: no record mixes a collar's
+  cached rows with a solve of its own.
 
 A sweep moves D and N over one mesh, so most records are a rank-r change of
 one base.  When 2r <= n_I the record is low-rank: it keeps (base, alpha, X)
@@ -117,7 +117,7 @@ class SchurReduction:
     X: np.ndarray                 # (r, n_I)
     factor: BaseFactor | None     # None only when n_I = 0
     alpha: float = 0.0
-    form: str = "direct"          # "direct" | "gram" | "collar_direct" | "collar_gram"
+    form: str = "direct"          # "direct" | "gram" | "collar_gram"
 
     def back_map(self, u_interior: np.ndarray) -> np.ndarray:
         """Exterior Neumann values -K_EE^{-1} K_EI u_I (discrete reconstruction)."""
@@ -190,16 +190,19 @@ _GRAM_CHUNK = 256                 # exterior columns per dsyrk of the G_E build
 
 def _schur_operands(system: StiffnessSystem, U: np.ndarray):
     """(form, grams, alpha, X) of K_eff = base + alpha X'X, base = K_II less the Gram
-    terms named by ``grams``: a collar form, the Gram update or the direct form.
+    terms named by ``grams``: one of the two Gram updates or the direct form.
 
-    A P1 arrow record whose collar runs start at the grid end takes a collar
-    form, Gram or direct; P0's Gram update needs a diagonal exterior block
-    over every grid cell, which only P0 meshes have.  Every other record is
-    direct.
+    A P1 arrow record whose collar runs start at the grid end takes the
+    collar Gram update when it has fewer rows; P0's Gram update needs a
+    diagonal exterior block over every grid cell, which only P0 meshes have.
+    Every other record is direct.
     """
     runs = _collar_runs(system)
     if runs is not None:
-        return _collar_operands(system, runs)
+        sides = tuple(side for side in _COLLARS if runs[side])
+        # X_c[n:], the rows of each Neumann collar's Dirichlet nodes, in C order
+        rows = [_collar_solve(system, side)[runs[side]:] for side in sides]
+        return "collar_gram", sides, 1.0, rows[0] if len(rows) == 1 else np.concatenate(rows)
     disc = system.disc
     D = np.flatnonzero(disc.dof_label == DOF_DIRICHLET)
     n_E = system.K_EE.shape[1]
@@ -219,7 +222,8 @@ _COLLARS = ("left", "right")
 
 def _collar_runs(system: StiffnessSystem) -> dict | None:
     """{collar: n} when the Neumann DOFs of an arrow system's collars are each none
-    or one run of n nodes from the grid end; else None.
+    or one run of n nodes from the grid end, and the Neumann collars have fewer
+    Dirichlet nodes than the runs have nodes; else None.
 
     The exterior Neumann DOFs of a P1 mesh lie off Omega, so each run lies in
     one collar: nodes 0..n_collar-1 on the left, the last n_collar nodes on
@@ -234,21 +238,8 @@ def _collar_runs(system: StiffnessSystem) -> dict | None:
         if n[side] or (cols.start if side == "left" else disc.n_dofs - cols.stop):
             return None           # a second run, or one that misses the grid end
         n[side] = cols.stop - cols.start
-    return n
-
-
-def _collar_operands(system: StiffnessSystem, n: dict):
-    """The collar form of fewer rows: X_c[:n] of each Neumann collar (direct), or X_c[n:]
-    against K_II less their Gram terms G_c = X_c'X_c (Gram); ties go direct."""
-    X_c = {side: _collar_solve(system, side) for side in _COLLARS if n[side]}
-    if sum(n.values()) <= sum(len(X) - n[side] for side, X in X_c.items()):
-        return "collar_direct", (), -1.0, _stacked([X[:n[side]] for side, X in X_c.items()])
-    return "collar_gram", tuple(X_c), 1.0, _stacked([X[n[side]:] for side, X in X_c.items()])
-
-
-def _stacked(blocks: list) -> np.ndarray:
-    """The rows of the blocks in one C-order array: the one block as it is, else a copy."""
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    gram_rows = sum(disc.n_collar - k for k in n.values() if k)
+    return n if gram_rows < sum(n.values()) else None    # ties go direct
 
 
 def _collar_solve(system: StiffnessSystem, side: str) -> np.ndarray:

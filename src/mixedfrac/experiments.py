@@ -174,11 +174,14 @@ class ExperimentConfig:
         """Check every referenced parameter combination before any solve.
 
         Returns the mesh of each k of ``k_list``, in its order; a mesh
-        carries its partition.  A mesh whose dense blocks, K_II and its
-        factor (2 n_I^2 doubles), exceed ``assembly.MAX_DENSE_BYTES`` is a
-        config error: nothing of that size is allocated.
+        carries its partition.  A mesh whose shared dense arrays
+        (``assembly.dense_bytes``: K_II, its factor and, on the arrow path,
+        the base's Omega rows and the collar half-solves) exceed
+        ``assembly.MAX_DENSE_BYTES`` is a config error, refused before any
+        of them is allocated.  The count is a floor, so a mesh that passes
+        may still not fit.
         """
-        from .assembly import DOF_INTERIOR, MAX_DENSE_BYTES, build_mesh
+        from .assembly import DOF_INTERIOR, MAX_DENSE_BYTES, build_mesh, dense_bytes
         order = make_order(self.dimension, self.s)
         meshes = []
         for k in self.k_list:
@@ -188,11 +191,12 @@ class ExperimentConfig:
                                   self.disc.scheme, order=order)
             except MixedFracError as exc:
                 raise ConfigError(f"k = {k}: {exc}") from exc
-            n_I = int(np.count_nonzero(mesh.dof_label == DOF_INTERIOR))
-            if 2 * n_I * n_I * 8 > MAX_DENSE_BYTES:
+            size = dense_bytes(mesh)
+            if size > MAX_DENSE_BYTES:
+                n_I = int(np.count_nonzero(mesh.dof_label == DOF_INTERIOR))
                 raise ConfigError(
                     f"k = {k}: h = {self.disc.h} gives n_I = {n_I} interior DOFs, whose dense"
-                    f" K_II and factor take {2 * n_I * n_I * 8 / 2 ** 30:.6g} GiB, more than"
+                    f" arrays take {size / 2 ** 30:.6g} GiB, more than"
                     f" {MAX_DENSE_BYTES / 2 ** 30:g} GiB")
             meshes.append(mesh)
         return meshes
@@ -223,7 +227,7 @@ class ExperimentRecord:
     normalization: float      # u'Mu (1 for a normalized eigenfunction)
     error: str | None = None
     assembly: str | None = None   # "closed_form" | "arrow" (JSON only)
-    schur: str | None = None      # "direct" | "gram" | "collar_direct" | "collar_gram" (JSON only)
+    schur: str | None = None      # "direct" | "gram" | "collar_gram" (JSON only)
 
 
 @dataclass(frozen=True)

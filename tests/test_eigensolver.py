@@ -378,16 +378,13 @@ class TestExteriorInPlace:
 
 INF = math.inf
 # Neumann half-lines on Omega = (-1, 1), P1, h = 1/40, L = 8: n_I = 79, 320 nodes a
-# collar; per collar form, a low-rank record (2r <= n_I) and a whole collar (r = 0)
+# collar; the low-rank records (2r <= n_I) and whole collars (r = 0), by Gram rows
 HALF_LINES = {
-    "right_direct": ([[8.2, INF]], "collar_direct", 32),
-    "right_gram": ([[1.2, INF]], "collar_gram", 8),
-    "left_direct": ([[-INF, -8.2]], "collar_direct", 32),
-    "left_gram": ([[-INF, -1.2]], "collar_gram", 8),
-    "both_direct": ([[-INF, -8.6], [8.6, INF]], "collar_direct", 32),
-    "both_gram": ([[-INF, -1.1], [1.2, INF]], "collar_gram", 12),
-    "whole_right": ([[1.0, INF]], "collar_gram", 0),
-    "whole_left": ([[-INF, -1.0]], "collar_gram", 0),
+    "right": ([[1.2, INF]], 8),
+    "left": ([[-INF, -1.2]], 8),
+    "both": ([[-INF, -1.1], [1.2, INF]], 12),
+    "whole_right": ([[1.0, INF]], 0),
+    "whole_left": ([[-INF, -1.0]], 0),
 }
 
 
@@ -398,15 +395,17 @@ def _half_line(neumann, h=1 / 40):
 
 
 class TestCollarForms:
-    """Records whose collar runs start at the grid end take their rows from a cached
-    collar half-solve; every other record keeps the per-record direct form."""
+    """Records whose collar runs start at the grid end, with fewer Dirichlet nodes on
+    their Neumann collars than Neumann ones, take their rows from a cached collar
+    half-solve; every other record keeps the per-record direct form."""
 
     @pytest.mark.parametrize("name", list(HALF_LINES))
     def test_matches_the_direct_form(self, cold_caches, name):
-        neumann, form, rows = HALF_LINES[name]
+        neumann, rows = HALF_LINES[name]
         system = _half_line(neumann)
         red = schur_reduce(system)
-        assert red.form == form and len(red.X) == rows and 2 * rows <= len(system.K_II)
+        assert red.form == "collar_gram" and len(red.X) == rows
+        assert 2 * rows <= len(system.K_II)
         K_eff, ref = red.dense(), _formed(system)
         assert np.abs(K_eff - ref).max() <= 1e-12 * np.abs(ref).max()
         lam = smallest_eigenpair(red, system.M_II, tol=1e-13, max_iter=800)
@@ -425,8 +424,14 @@ class TestCollarForms:
     @pytest.mark.parametrize("make", [
         _ball_in_sea,                                          # two runs on the right collar
         lambda: _half_line([[1.5, 3.0]]),                      # a run that misses the grid end
-        lambda: _half_line([[-INF, -1.5], [1.5, 3.0]])],       # one anchored collar, one not
-        ids=["two_runs", "misses_the_end", "one_collar_anchored"])
+        lambda: _half_line([[-INF, -1.5], [1.5, 3.0]]),        # one anchored collar, one not
+        # anchored, but 32 Neumann nodes a collar against 288 Dirichlet ones
+        lambda: _half_line([[8.2, INF]]),
+        lambda: _half_line([[-INF, -8.2]]),
+        lambda: _half_line([[-INF, -8.6], [8.6, INF]]),
+        lambda: _half_line([[-INF, -5.0], [5.0, INF]])],       # a tie: 160 rows either way
+        ids=["two_runs", "misses_the_end", "one_collar_anchored", "short_right",
+             "short_left", "short_both", "tie"])
     def test_other_records_keep_the_direct_form_bitwise(self, cold_caches, make, monkeypatch):
         system = make()
         collars = _counted(monkeypatch, "_collar_solve")
@@ -453,12 +458,12 @@ class TestCollarForms:
             sys.setswitchinterval(interval)
         assert result.n_failed == 0
         # R = 2, 4: fewer Gram rows; R = 8: 32 nodes a side, fewer direct ones
-        assert [r.schur for r in result.records] == ["collar_gram"] * 2 + ["collar_direct"]
-        assert len(solves) == 2                  # one per collar of the one mesh
+        assert [r.schur for r in result.records] == ["collar_gram"] * 2 + ["direct"]
+        assert len(solves) == 3                  # one per collar, one for R = 8
         assert len(assembly._STORE["collar"]) == 2
         mesh = cfg.validate()[0]
         red = schur_reduce(assemble(mesh, make_order(1, 0.5)))
-        assert len(solves) == 2 and red.form == "collar_gram"    # a warm record solves nothing
+        assert len(solves) == 3 and red.form == "collar_gram"    # a warm record solves nothing
 
 
 def _neumann_interval():
@@ -674,22 +679,14 @@ class TestLowRankPath:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4
 
-    @pytest.mark.parametrize("sweep,forms", [("collar_sector", {"collar_gram"}),
-                                             ("c7_dirichlet_ball", {"direct"})])
-    def test_records_report_their_schur_form(self, sweep, forms):
-        # collar_sector's Neumann half-lines take the cached collar rows; c7's
-        # right collar holds two runs around the Dirichlet ball
-        refs = json.loads((PERFBENCH / "references.json").read_text())
-        result = experiments.run(_benchmark_sweep(sweep))
-        assert result.n_failed == 0
-        assert {r.schur for r in result.records} == forms
-        for rec in result.records:
-            want = refs["sweeps"][sweep]["lambda1"][str(rec.k)]
-            assert abs(rec.lambda1 - want) <= refs["rtol"] * want, rec.k
-
-    @pytest.mark.parametrize("sweep", ["c4_nested_s0.3", "c6_touching_p0"])
-    def test_benchmark_references(self, sweep):
-        # the two benchmark sweeps whose records take the low-rank path
+    @pytest.mark.parametrize("sweep,forms", [
+        ("c4_nested_s0.3", None), ("c6_touching_p0", None),
+        # Neumann half-lines take the cached collar rows; c7's right collar holds
+        # two runs around the Dirichlet ball
+        ("collar_sector", {"collar_gram"}), ("c7_dirichlet_ball", {"direct"})],
+        ids=["c4_nested_s0.3", "c6_touching_p0", "collar_sector", "c7_dirichlet_ball"])
+    def test_benchmark_references(self, sweep, forms):
+        # c4 and c6 are the benchmark sweeps whose records take the low-rank path
         refs = json.loads((PERFBENCH / "references.json").read_text())
         ref = refs["sweeps"][sweep]
         cfg = _benchmark_sweep(sweep)
@@ -700,6 +697,8 @@ class TestLowRankPath:
         for rec in result.records:
             want = ref["lambda1"][str(rec.k)]
             assert abs(rec.lambda1 - want) <= refs["rtol"] * want, rec.k
+        if forms is not None:
+            assert {r.schur for r in result.records} == forms
 
 
 class TestSmallestEigenpair:

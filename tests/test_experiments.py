@@ -144,9 +144,16 @@ class TestConfig:
         ({"discretization": {"h": 2.0 ** -18, "L": 8.0, "scheme": "P1"}, "family": {
             "kind": "explicit", "params": {"neumann": [[1.0, 2.0]], "dirichlet": "rest"},
             "k_list": [0]}},
-         "k = 0: h = 3.814697265625e-06 gives n_I = 524288 interior DOFs, whose dense K_II"
-         " and factor take 4096 GiB, more than 4 GiB")],
-        ids=["grid-cells", "ratio-power", "int-ratio-power", "dense-blocks"])
+         "k = 0: h = 3.814697265625e-06 gives n_I = 524288 interior DOFs, whose dense"
+         " arrays take 47104 GiB, more than 4 GiB"),
+        # K_II and its factor take 3.9995 GiB; the arrow base's Omega rows, 18 GiB
+        ({"order": {"dimension": 1, "s": 0.25}, "omega": {"a": 0.0, "b": 1.0},
+          "discretization": {"h": 2.0 ** -14, "L": 4.0, "scheme": "P1"}, "family": {
+              "kind": "explicit", "params": {"neumann": "rest", "dirichlet": [
+                  [-2.0 ** -12, 0.0], [1.0, 1.0 + 2.0 ** -12]]}, "k_list": [0]}},
+         "k = 0: h = 6.103515625e-05 gives n_I = 16383 interior DOFs, whose dense"
+         " arrays take 45.9993 GiB, more than 4 GiB")],
+        ids=["grid-cells", "ratio-power", "int-ratio-power", "dense-blocks", "arrow-base"])
     def test_validate_error_is_config_error(self, tmp_path, capsys, overrides, message):
         # a 291 TiB grid died in np.arange, and ratio^k in an OverflowError
         cfg = ExperimentConfig.from_dict(base_config(**overrides))
@@ -167,8 +174,9 @@ class TestConfig:
     @pytest.mark.parametrize("scheme, n_I", [("P0", 16384), ("P1", 16385)])
     def test_dense_blocks_are_bounded(self, scheme, n_I):
         # Omega = (0, 1) in a Neumann sea at h = 2^-14: P0 has 2^14 interior
-        # cells, whose K_II and factor fill MAX_DENSE_BYTES = 4 GiB exactly,
-        # and P1 one more node; validate() allocates neither
+        # cells, whose K_II and factor fill MAX_DENSE_BYTES = 4 GiB exactly;
+        # P1 has one more node and takes the arrow base, whose Omega rows and
+        # collar half-solves come to 42 GiB more; validate() allocates none
         cfg = ExperimentConfig.from_dict(base_config(
             order={"dimension": 1, "s": 0.25}, omega={"a": 0.0, "b": 1.0},
             family={"kind": "explicit", "params": {"neumann": "rest", "dirichlet": []},
@@ -182,7 +190,7 @@ class TestConfig:
             else:
                 with pytest.raises(ConfigError, match=re.escape(
                         f"k = 0: h = {2.0 ** -14} gives n_I = {n_I} interior DOFs, whose dense"
-                        " K_II and factor take 4.00049 GiB, more than 4 GiB")):
+                        " arrays take 46.0032 GiB, more than 4 GiB")):
                     cfg.validate()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
