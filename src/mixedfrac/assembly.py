@@ -19,26 +19,29 @@ Couplings with the exterior beyond the collar are dropped on the Neumann
 side and replaced by closed-form tail integrals on the Dirichlet side.
 ``assembly_path`` picks where the Omega rows come from:
 
-- the closed form (every P0 mesh; P1 meshes whose far field is Dirichlet
-  on both sides and whose Omega and grid end nodes are Dirichlet): a
-  strided view of one mirrored Toeplitz line T, in O(m) memory.  P0's
-  T(d) = -a f(d), T(0) = 0; K_II's diagonal is the negated grid row sum,
-  and K_EE, an exterior cell's Omega mass, one reverse cumulative sum of
-  T.  P1's T(k) = -a h^(1-2s) delta^4 G(k), G'''' = |t|^(-1-2s), far tails
-  included, is exact to a few ulps of 50-digit mpmath
-  (``_unit_hat_sequence``); every free hat is whole, and K_EE is the
-  Omega-weighted Gram band of the Neumann hats;
-- the P1 arrow base, in O(n_int * m) memory: Omega rows Toeplitz off the
-  band, and a band whose entries add their terms in one fixed order, by
-  separation, so that it is bitwise reproducible: for the nodes outside
-  Omega, sequential sums over strided windows of one interleaved sequence
-  per side, a block of separations at a time; for the Omega entries, one
-  sequential sum per distinct start value over the separations where
-  every pair lies on the grid, and masked blocks over the rest.
+- the closed form (every P0 mesh; every P1 mesh whose two Omega end nodes
+  are Dirichlet): a strided view of one mirrored Toeplitz line T, in O(m)
+  memory.  P0's T(d) = -a f(d), T(0) = 0; K_II's diagonal is the negated
+  grid row sum, and K_EE, an exterior cell's Omega mass, one reverse
+  cumulative sum of T.  P1's T(k) = -a h^(1-2s) delta^4 G(k), G'''' =
+  |t|^(-1-2s), far tails included, is exact to a few ulps of 50-digit
+  mpmath (``_unit_hat_sequence``); every interior hat is whole, K_II
+  subtracts the Neumann far tails that the grid drops, a free grid-end
+  node's half hat has its own column, and K_EE is cut from the
+  Omega-weighted Gram band of each collar;
+- the P1 arrow base, for P1 meshes with a free Omega end node, in
+  O(n_int * m) memory: Omega rows Toeplitz off the band, and a band whose
+  entries add their terms in one fixed order, by separation, so that it
+  is bitwise reproducible: for the nodes outside Omega, sequential sums
+  over strided windows of one interleaved sequence per side, a block of
+  separations at a time; for the Omega entries, one sequential sum per
+  distinct start value over the separations where every pair lies on the
+  grid, and masked blocks over the rest.
 
 One store (``_cached``) keeps the arrow pair or the mirrored T per mesh,
-K_II with its tails per (mesh, far-field labels, interior slice, path), the
-key stamped on the system, and the eigensolver's factors and collar
+the closed form's collar bands and end columns per (mesh, collar), K_II
+with its tails per (mesh, far-field labels, interior slice, path), the key
+stamped on the system, and the eigensolver's factors and collar
 half-solves per that key, so the records of a sweep share them, read-only.
 """
 
@@ -52,7 +55,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .errors import BadParameters, IncompatibleScheme, MixedFarField
-from .fracops import FractionalOrder, interval_mass, pair_integral
+from .fracops import FractionalOrder, cell_moments, interval_mass, pair_integral
 from .geometry import Domain1D, ExteriorPartition
 
 INF = math.inf
@@ -97,11 +100,15 @@ class Discretization:
     def span(self) -> tuple[float, float]:
         return (self.omega.a - self.L, self.omega.b + self.L)
 
+    def far(self, label: str) -> list[tuple[float, float]]:
+        """The half-lines beyond the grid span labelled ``label`` ('D' or 'N')."""
+        lo, hi = self.span
+        return [iv for iv, lab in zip(((-INF, lo), (hi, INF)), self.far_label) if lab == label]
+
     @property
     def far_dirichlet(self) -> list[tuple[float, float]]:
         """The Dirichlet half-lines beyond the grid span."""
-        lo, hi = self.span
-        return [iv for iv, lab in zip(((-INF, lo), (hi, INF)), self.far_label) if lab == "D"]
+        return self.far("D")
 
     @property
     def interior_cells(self) -> tuple[int, int]:
@@ -472,7 +479,8 @@ def _build_base(a: float, b: float, h: float, L: float, scheme: str, s: float,
     exterior block (only the Omega-weighted Gram term) as a cholesky_banded
     upper band over the grid nodes, zero on Omega; both cached and read-only.
     Nothing past d_max = n_collar + n_int - 1, the widest pair that meets
-    Omega, is computed.  P0 meshes never come here: they take the line.
+    Omega, is computed.  P0 meshes and P1 meshes with Dirichlet Omega end
+    nodes never come here: they take the line.
     """
     n_collar = round(L / h)
     n_int = round((b - a) / h)
@@ -498,6 +506,10 @@ def _p1_arrow(n: int, c_lo: int, c_hi: int, s: float, h: float, a_ns: float):
     of pairs and tensor entry -- so K is reproduced bitwise, symmetric.  The
     same-cell and touching terms are slice adds here; ``_band_terms`` adds
     every separation d >= 2 in the same order.
+
+    Only P1 meshes with a free Omega end node build it (c7 and its kind),
+    because that node's hat straddles the boundary of Omega, and T counts
+    the exterior pairs of its outer half; every other mesh takes the line.
     """
     d_max = max(c_hi, n - 1 - c_lo)
     # order 28 on the nearest separations; tests check both against mpmath
@@ -645,25 +657,94 @@ def _line_rows(line: np.ndarray, first: int, n_rows: int) -> np.ndarray:
     return win[top - n_rows:top][::-1]
 
 
+_SIDES = ("left", "right")
+
+
+def _collar_nodes(disc: Discretization, side: str) -> slice:
+    """The P1 grid nodes of one collar, ascending: every node outside Omega on ``side``."""
+    first = 0 if side == "left" else disc.n_collar + disc.n_interior + 1
+    return slice(first, first + disc.n_collar)
+
+
 def _neumann_band(disc: Discretization, order: FractionalOrder, R: np.ndarray,
                   cols: np.ndarray) -> np.ndarray:
     """a_ns int phi_j phi_l tau_Omega over the exterior Neumann DOFs ``cols`` as a band.
 
-    P0: ``_omega_mass`` of the Toeplitz Omega rows R.  P1: tau_Omega, the
-    kernel mass of Omega, by one 20-point Gauss rule per cell: on a P1 mesh
-    that takes the closed form every Neumann cell lies at least 4h from
-    Omega.  cholesky_banded upper layout; couplings across a gap in
-    ``cols`` are zero.
+    P0: ``_omega_mass`` of the Toeplitz Omega rows R.  P1: the columns of
+    the collar bands (``_collar_band``) that hold ``cols``, built only for a
+    collar that holds one.  cholesky_banded upper layout; couplings across a
+    gap in ``cols`` are zero.
     """
-    if not len(cols):
-        return np.zeros((2, 0))
     if disc.scheme == "P0":
         return np.stack([np.zeros(len(cols)), _omega_mass(R, cols)])
-    omega = [(disc.omega.a, disc.omega.b)]
-    left, right = (_cell_gram(disc, order, first, omega, 20) for first in (cols - 1, cols))
-    band = np.stack([np.r_[0.0, right[:-1, 0, 1]], left[:, 1, 1] + right[:, 0, 0]])
+    band = np.empty((2, len(cols)))
+    for side in _SIDES:
+        nodes = _collar_nodes(disc, side)
+        on = (nodes.start <= cols) & (cols < nodes.stop)
+        if on.any():
+            band[:, on] = _collar_band(disc, order, side)[:, cols[on] - nodes.start]
     band[0] = np.where(np.diff(cols, prepend=-2) == 1, band[0], 0.0)
     return band
+
+
+def _collar_band(disc: Discretization, order: FractionalOrder, side: str) -> np.ndarray:
+    """a_ns int phi_j phi_l tau_Omega over the P1 nodes of one collar as a band; read-only,
+    one per (mesh, collar) in the store.
+
+    tau_Omega is the kernel mass of Omega.  Each cell of the collar takes
+    one 20-point Gauss rule (``_cell_gram``), and a node adds the term of
+    its left cell, then of its right one; the grid-end node, whose hat is
+    only its in-grid half, has one cell.  The rule is exact to a few ulps
+    on every cell at least one width from Omega.  On the cell that touches
+    Omega tau_Omega is singular at an end, so the node next to Omega is
+    exact only at s = 1/2; that node is never a Neumann DOF of a mesh with
+    Dirichlet Omega end nodes, and in a collar half-solve its row cancels.
+    cholesky_banded upper layout over the collar's nodes, ascending; the
+    first superdiagonal slot, a coupling across Omega's end node, is zero.
+    """
+    def build():
+        n_c = disc.n_collar
+        first = 0 if side == "left" else n_c + disc.n_interior
+        G = _cell_gram(disc, order, np.arange(first, first + n_c),
+                       [(disc.omega.a, disc.omega.b)], 20)
+        if side == "left":        # node j: cells j - 1 and j; node 0 has cell 0 alone
+            diag = np.r_[G[0, 0, 0], G[:-1, 1, 1] + G[1:, 0, 0]]
+            sup = np.r_[0.0, G[:-1, 0, 1]]
+        else:                     # node j: cells j and j + 1; the last node has cell j alone
+            diag = np.r_[G[:-1, 1, 1] + G[1:, 0, 0], G[-1, 1, 1]]
+            sup = np.r_[0.0, G[1:, 0, 1]]
+        band = np.stack([sup, diag])
+        band.setflags(write=False)
+        return band
+
+    return _cached("band", (_base_key(disc, order), side), build)
+
+
+def _end_column(disc: Discretization, order: FractionalOrder, side: str) -> np.ndarray:
+    """K's column of the grid-end node on ``side`` over the interior nodes of a P1
+    closed-form mesh (every Omega node but the two ends); read-only, one per
+    (mesh, collar) in the store.
+
+    The grid-end node's hat is only its in-grid half, so its column is the
+    full-line T(|q - p|) less the coupling -a_ns int phi_p(x) int phi_q k of
+    the half beyond the grid: T(|q - p|) + a_ns int phi_p(x) near(|x_q - x|)
+    dx, ``near`` the moment of the kernel over the cell beyond against that
+    half hat (``fracops.cell_moments``), by one 20-point Gauss rule on each
+    of phi_p's two cells.
+    """
+    def build():
+        n_c, n_int, h = disc.n_collar, disc.n_interior, disc.h
+        q = 0 if side == "left" else disc.n_dofs - 1
+        T = _line_rows(_full_line(*_base_key(disc, order)), n_c + 1, n_int - 1)[:, q]
+        X, W = quad.gauss_rule(20)
+        x = disc.nodes[n_c:n_c + n_int, None] + h * X      # the Omega cells' Gauss points
+        near = cell_moments(np.abs(disc.nodes[q] - x), h, order.s)[1]
+        # node n_c + 1 + i rises over Omega cell i and falls over cell i + 1
+        col = T + order.a_ns * h * (near[:-1] @ (W * X) + near[1:] @ (W * (1.0 - X)))
+        col.setflags(write=False)
+        return col
+
+    return _cached("end", (_base_key(disc, order), side), build)
 
 
 def _omega_mass(R: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -739,6 +820,11 @@ class StiffnessSystem:
     stays in cache.  The arrow rows are not Toeplitz at the Omega boundary
     rows, the grid-end columns and the band, so there, and on hand-made
     systems, it is one GEMV per run on R_I's columns.
+
+    A free grid-end node of a P1 closed-form mesh has half a hat, so its
+    column is not T's: ``end_columns`` carries it, (grid DOF, exterior
+    position, column over the interior DOFs) per such node, and every
+    reader of K_IE takes it from there, cutting the node off its run.
     """
 
     disc: Discretization
@@ -754,6 +840,8 @@ class StiffnessSystem:
     exterior_mask: np.ndarray     # within-free boolean (exterior Neumann)
     tail_corrections: np.ndarray  # per-free-DOF diagonal far-field-D addition
     dirichlet_row_sums: np.ndarray  # column sums of the constrained row block
+    end_columns: tuple = ()       # (grid DOF, exterior position, read-only column) per free
+                                  # grid-end node whose K_IE column R_I does not hold
     # (mesh, far-field labels, interior slice, path): the key that K_II and M_II
     # are functions of, set by ``assemble`` alone; ``dataclasses.replace`` and
     # hand-made systems get None
@@ -768,9 +856,37 @@ class StiffnessSystem:
     def n_free(self) -> int:
         return len(self.free_dofs)
 
+    def _runs(self) -> tuple[tuple[slice, slice], ...]:
+        """``runs_E`` with the grid-end nodes of ``end_columns`` cut off (an end node
+        is its run's first or last DOF), runs left empty dropped."""
+        if not self.end_columns:
+            return self.runs_E
+        out = []
+        for run, e in self.runs_E:
+            for q, _, _ in self.end_columns:
+                if q == run.start:
+                    run, e = slice(q + 1, run.stop), slice(e.start + 1, e.stop)
+                elif q == run.stop - 1:
+                    run, e = slice(run.start, q), slice(e.start, e.stop - 1)
+            if run.start < run.stop:
+                out.append((run, e))
+        return tuple(out)
+
     def exterior_blocks(self) -> list[tuple[np.ndarray, slice]]:
-        """(K_IE's columns of one run, as a view of R_I; its slice of the exterior DOFs)."""
-        return [(self.R_I[:, run], e) for run, e in self.runs_E]
+        """(K_IE's columns of one run, as a view of R_I, or one end column; their slice
+        of the exterior DOFs), each exterior DOF in exactly one."""
+        return [(self.R_I[:, run], e) for run, e in self._runs()] + [
+            (col[:, None], slice(e, e + 1)) for _, e, col in self.end_columns]
+
+    def columns(self, nodes: slice) -> np.ndarray:
+        """K_IE's columns of the grid DOFs ``nodes`` (any of them, free or not, as R_I
+        and ``end_columns`` hold them), as the rows of a Fortran-order copy."""
+        out = np.array(self.R_I[:, nodes].T, order="F")
+        index = range(self.R_I.shape[1])[nodes]
+        for q, _, col in self.end_columns:
+            if q in index:
+                out[index.index(q)] = col
+        return out
 
     def _window(self, run: slice) -> np.ndarray:
         """Toeplitz R_I[:, run] as one sequence: R_I[i, q] = w[q - run.start - i + n_I - 1]."""
@@ -785,19 +901,22 @@ class StiffnessSystem:
         return K_IE
 
     def K_EI_matvec(self, u_I: np.ndarray, absolute: bool = False) -> np.ndarray:
-        """K_EI u_I, or |K_EI| u_I: per run, a convolution with its window or a GEMV.
+        """K_EI u_I, or |K_EI| u_I: per run, a convolution with its window or a GEMV,
+        and one dot product per end column.
 
         Output q of a run is sum_i w[q - run.start - i + n_I - 1] u_I[i], the
         valid part of the convolution of the window w with u_I.
         """
         out = np.empty(np.count_nonzero(self.exterior_mask))
-        for run, e in self.runs_E:
+        for run, e in self._runs():
             if self.path == "closed_form":
                 win = self._window(run)
                 out[e] = np.convolve(np.abs(win) if absolute else win, u_I, "valid")
             else:
                 block = self.R_I[:, run]
                 out[e] = (np.abs(block) if absolute else block).T @ u_I
+        for _, e, col in self.end_columns:
+            out[e] = (np.abs(col) if absolute else col) @ u_I
         return out
 
     def matvec(self, u_free: np.ndarray) -> np.ndarray:
@@ -805,42 +924,53 @@ class StiffnessSystem:
         u_I, u_E = u_free[self.interior_mask], u_free[self.exterior_mask]
         K_u_I = self.K_II @ u_I
         K_u_E = band_matvec(self.K_EE, u_E) + self.K_EI_matvec(u_I)
-        for run, e in self.runs_E:
+        for run, e in self._runs():
             if self.path == "closed_form":
                 # row i is sum_q w[q - run.start - i + n_I - 1] u_E[q]: the correlation, reversed
                 K_u_I += np.correlate(self._window(run), u_E[e], "valid")[::-1]
             else:
                 K_u_I += self.R_I[:, run] @ u_E[e]
+        for _, e, col in self.end_columns:
+            K_u_I += col * u_E[e]
         out = np.empty(self.n_free)
         out[self.interior_mask] = K_u_I
         out[self.exterior_mask] = K_u_E
         return out
 
 
-def exterior_band(system: StiffnessSystem) -> np.ndarray:
-    """The exterior band of an arrow system's mesh over every grid node; read-only.
+def exterior_band(system: StiffnessSystem, side: str) -> np.ndarray:
+    """The Omega-weighted Gram band over every node of one collar of a P1 system's mesh,
+    ascending; read-only.
 
-    The system must be on the arrow path.  The cached base's Omega-weighted
-    Gram band before any label cuts it (cholesky_banded upper layout, zero on
-    the Omega nodes): each record's K_EE is its columns on the Neumann DOFs,
-    couplings across a gap zeroed.
+    Label-independent: the cached arrow base's band on the arrow path, the
+    cached ``_collar_band`` on the closed form.  cholesky_banded upper
+    layout, its first superdiagonal slot zero; a record's K_EE is its
+    columns on the Neumann DOFs, couplings across a gap zeroed.
     """
-    return _base_arrow(*system.key[0])[1]
+    disc = system.disc
+    if system.path == "arrow":
+        return _base_arrow(*system.key[0])[1][:, _collar_nodes(disc, side)]
+    return _collar_band(disc, system.order, side)
 
 
 def dense_bytes(disc: Discretization) -> int:
     """Bytes of the largest dense arrays that the records of one mesh share.
 
     K_II and its factor, 2 n_I^2 doubles; on the arrow path also the base's
-    Omega rows R, n_om x n_dofs, and the collar half-solves, n_collar x n_I
-    each, with a third copy while one is built.  A collar Gram base and its
-    factor, 2 n_I^2 more, and the work arrays of a dense record are not
-    counted: this is a floor on what a sweep holds, not its peak.
+    Omega rows R, n_om x n_dofs; and, on either P1 path, the half-solve of
+    each collar whose grid-end node is a free DOF (only there can a Neumann
+    run be anchored), n_collar x n_I each, with one more copy while one is
+    built.  A collar Gram base and its factor, 2 n_I^2 more, and the work
+    arrays of a dense record are not counted: this is a floor on what a
+    sweep holds, not its peak.
     """
     n_I = int(np.count_nonzero(disc.dof_label == DOF_INTERIOR))
     doubles = 2 * n_I * n_I
     if assembly_path(disc) == "arrow":
-        doubles += (disc.n_interior + 1) * disc.n_dofs + 3 * disc.n_collar * n_I
+        doubles += (disc.n_interior + 1) * disc.n_dofs
+    if disc.scheme == "P1":
+        collars = int(np.count_nonzero(disc.dof_label[[0, -1]] < DOF_DIRICHLET))
+        doubles += (collars + (collars > 0)) * disc.n_collar * n_I
     return 8 * doubles
 
 
@@ -848,31 +978,34 @@ def assembly_path(disc: Discretization) -> str:
     """Where ``assemble`` takes the Omega rows of K from: "closed_form" or "arrow".
 
     The closed form serves every P0 mesh, whose Omega rows are Toeplitz off
-    their diagonal, and P1 meshes whose far field is Dirichlet on both sides
-    and whose two Omega end nodes and two grid end nodes are Dirichlet DOFs:
-    there every free DOF has a whole hat, the interior ones inside Omega, so
-    each Omega row that is read is the full-line Toeplitz T, far Dirichlet
-    tails included, and K_EE is the Omega-weighted Gram band of the Neumann
-    hats.  Every other P1 mesh takes the arrow base.
+    their diagonal, and every P1 mesh whose two Omega end nodes are
+    Dirichlet DOFs, whatever its far labels and grid-end nodes.  There every
+    interior hat is whole inside Omega, so each Omega row that is read is
+    the full-line Toeplitz T (far tails of both labels included) less the
+    pairs that the grid drops: K_II subtracts the mass of the Neumann far
+    half-lines, a free grid-end node has an end column
+    (``StiffnessSystem.end_columns``), and K_EE is cut from the cached
+    Omega-weighted Gram band of each collar.  A P1 mesh with a free Omega
+    end node takes the arrow base: that node's hat straddles the boundary
+    of Omega, and T counts the exterior pairs of its outer half.
     """
-    ends = [0, disc.n_collar, disc.n_collar + disc.n_interior, disc.n_dofs - 1]
-    closed = disc.scheme == "P0" or (disc.far_label == ("D", "D")
-                                     and bool(np.all(disc.dof_label[ends] == DOF_DIRICHLET)))
+    ends = [disc.n_collar, disc.n_collar + disc.n_interior]
+    closed = disc.scheme == "P0" or bool(np.all(disc.dof_label[ends] == DOF_DIRICHLET))
     return "closed_form" if closed else "arrow"
 
 
-def _far_tails(disc: Discretization, order: FractionalOrder, n_om: int):
-    """Far-field Dirichlet tails a * int_Omega phi_i phi_j tau(x) dx, tau the kernel
-    mass of the far Dirichlet half-lines: (diagonal terms, superdiagonal).
+def _far_tails(disc: Discretization, order: FractionalOrder, n_om: int, label: str = "D"):
+    """Far-field tails a * int_Omega phi_i phi_j tau(x) dx, tau the kernel mass of the
+    half-lines beyond the grid labelled ``label``: (diagonal terms, superdiagonal).
 
     The diagonal terms are arrays over the Omega DOFs, added in list order;
     the superdiagonal holds the P1 coupling per Omega cell, None for P0 or
-    when no far side is Dirichlet.
+    when no far side has that label.
     """
-    if not disc.far_dirichlet:
+    if not disc.far(label):
         return [], None
     i0, i1 = disc.interior_cells
-    local = _cell_gram(disc, order, np.arange(i0, i1 + 1), disc.far_dirichlet, 8)
+    local = _cell_gram(disc, order, np.arange(i0, i1 + 1), disc.far(label), 8)
     if disc.scheme == "P0":
         return [local[:, 0, 0]], None
     # as cells ascend, a node gets the term of the cell on its left first:
@@ -892,9 +1025,11 @@ def _build_interior(disc: Discretization, order: FractionalOrder, R: np.ndarray,
     R holds the rows of the Omega DOFs.  K_II is R's block on the interior
     DOFs: P0's diagonal is the negated sum of its grid row, since T(0) = 0.
     The far-field Dirichlet tails are added to its three diagonals, except
-    on the P1 closed form, whose T holds them.  ``tails`` are the diagonal
-    tails of those DOFs.  ``tail_rows`` (closed form only, else None) are
-    the row sums of the tails among them.
+    on the P1 closed form, whose T holds them; that T holds the Neumann far
+    half-lines too, which the grid drops, so their tails are subtracted
+    there.  ``tails`` are the diagonal Dirichlet tails of those DOFs.
+    ``tail_rows`` (closed form only, else None) are the row sums of the
+    Dirichlet tails among them.
     """
     n_om = R.shape[0]
     I = slice(lo, lo + n_I)
@@ -903,25 +1038,30 @@ def _build_interior(disc: Discretization, order: FractionalOrder, R: np.ndarray,
     diag, sup, sub = flat[::n_I + 1], flat[1::n_I + 1], flat[n_I::n_I + 1]
     if disc.scheme == "P0":
         diag[:] = -R[I].sum(axis=1)
-    adds, sup_tails = _far_tails(disc, order, n_om)
-    sup_tails = None if sup_tails is None else sup_tails[lo:lo + n_I - 1]
+    def far_tails(label):
+        adds, sup = _far_tails(disc, order, n_om, label)
+        return adds, None if sup is None else sup[lo:lo + n_I - 1]
+
+    d_adds, d_sup = far_tails("D")
     tails_om = np.zeros(n_om)
-    for add in adds:
+    for add in d_adds:
         tails_om += add
     tails = tails_om[I]
     closed = assembly_path(disc) == "closed_form"
-    if not (closed and disc.scheme == "P1"):     # the P1 line holds its tails
-        for add in adds:
-            diag += add[I]
-        if sup_tails is not None:
-            sup += sup_tails
-            sub += sup_tails
+    # the P1 line holds every far tail, and the grid drops the Neumann ones
+    sign, (adds, sup_tails) = ((-1.0, far_tails("N")) if closed and disc.scheme == "P1"
+                               else (1.0, (d_adds, d_sup)))
+    for add in adds:
+        diag += sign * add[I]
+    if sup_tails is not None:
+        sup += sign * sup_tails
+        sub += sign * sup_tails
     tail_rows = None
     if closed:
         tail_rows = tails.copy()
-        if sup_tails is not None:                # P1 with Dirichlet far sides
-            tail_rows[1:] += sup_tails
-            tail_rows[:-1] += sup_tails
+        if d_sup is not None:                    # P1 with a Dirichlet far side
+            tail_rows[1:] += d_sup
+            tail_rows[:-1] += d_sup
         tail_rows.setflags(write=False)
     K_II.setflags(write=False)
     tails.setflags(write=False)
@@ -934,7 +1074,9 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     The Omega rows are a view of the Toeplitz T or of the cached arrow base,
     as ``assembly_path`` picks from the mesh.  K_II and the tails come from
     ``_build_interior``, built by the first record of their key and shared;
-    the system carries that key.
+    the system carries that key.  On the P1 closed form, K_EE comes from the
+    cached collar bands and the column of a free grid-end node from the
+    cached ``_end_column``.
     """
     if order.dimension != 1:
         raise BadParameters("assembly is 1D")
@@ -969,8 +1111,14 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     # N_s mass on the constrained DOFs, needed by the Gauss-identity
     # diagnostics; of the Omega DOFs only the (P1) end nodes can be Dirichlet
     row_sums = np.empty(len(free))
+    ends = ()
     if closed:
         K_EE = _neumann_band(disc, order, R, cols_E)
+        if disc.scheme == "P1":
+            last = len(cols_E) - 1
+            ends = tuple((q, e, _end_column(disc, order, side))
+                         for q, e, side in ((0, 0, "left"), (disc.n_dofs - 1, last, "right"))
+                         if len(cols_E) and cols_E[e] == q)
     else:
         K_EE = ext[:, cols_E]
         K_EE[0] = np.where(np.diff(cols_E, prepend=-2) == 1, K_EE[0], 0.0)
@@ -985,7 +1133,7 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     system = StiffnessSystem(
         disc=disc, order=order, K_II=K_II, R_I=R[I], runs_E=runs(cols_E), K_EE=K_EE,
         M_II=M_II, free_dofs=free, interior_mask=interior, exterior_mask=exterior,
-        tail_corrections=tails, dirichlet_row_sums=row_sums)
+        tail_corrections=tails, dirichlet_row_sums=row_sums, end_columns=ends)
     object.__setattr__(system, "key", key)       # before matvec, whose path it selects
     if closed:
         # the span-truncated stiffness annihilates constants, so a free row's

@@ -19,10 +19,12 @@ operands, named by ``SchurReduction.form``:
   columns (the right collar is its mirror image), and a record only puts
   its Dirichlet cells back.  The two cost the same near |D| = |N|, so a
   Dirichlet-heavy P0 record keeps the direct form;
-- collar Gram update ("collar_gram"), on P1 arrow meshes whose Neumann
-  DOFs on each collar are none, all, or one run from the grid end (a
-  Neumann half-line), when it has fewer rows than the direct form.  The
-  two collars are decoupled, so K_EE is one tridiagonal block per collar.
+- collar Gram update ("collar_gram"), on P1 meshes of either assembly
+  path whose Neumann DOFs on each collar are none, all, or one run from
+  the grid end (a Neumann half-line), when it has fewer rows than the
+  direct form.  The two collars are decoupled, so K_EE is one tridiagonal
+  block per collar, cut from the collar's label-independent band
+  (``assembly.exterior_band``).
   Ordered from the grid end inward, such a run is the leading block of its
   collar's, whose Cholesky factor is the leading block of the collar's
   U_c; so the collar's half-solve X_c = U_c^{-T} K_{c,I}, solved once per
@@ -54,9 +56,12 @@ base's upper triangle plus rank-r work.
 K_II, G_E and K_eff are dense n_int x n_int; K_IE is never copied: it is
 read by runs of columns (``runs_E``, each a pair of slices of R_I's
 columns and of the exterior DOFs) from a view of the Toeplitz line on the
-closed-form path (every P0 mesh, O(m) memory), whose products are
-convolutions (``StiffnessSystem.K_EI_matvec``), or from the cached P1
-arrow base rows (O(n_int * m) memory, shared by every record of a mesh).
+closed-form path (every P0 mesh and every P1 mesh with Dirichlet Omega
+end nodes, O(m) memory), whose products are convolutions
+(``StiffnessSystem.K_EI_matvec``), with a free grid-end node's column
+carried apart (``StiffnessSystem.end_columns``), or from the cached P1
+arrow base rows of a mesh with a free Omega end node (O(n_int * m)
+memory, shared by every record of a mesh).
 The exterior block K_EE and the Omega mass M are bands.  The reduced pencil
 (K_eff, M) is solved by shift-invert Lanczos on the factor of K_eff + sigma M,
 sigma tiny and fixed, from the all-ones start (the ground state is positive,
@@ -192,8 +197,8 @@ def _schur_operands(system: StiffnessSystem, U: np.ndarray):
     """(form, grams, alpha, X) of K_eff = base + alpha X'X, base = K_II less the Gram
     terms named by ``grams``: one of the two Gram updates or the direct form.
 
-    A P1 arrow record whose collar runs start at the grid end takes the
-    collar Gram update when it has fewer rows; P0's Gram update needs a
+    A P1 record whose collar runs start at the grid end takes the collar
+    Gram update when it has fewer rows; P0's Gram update needs a
     diagonal exterior block over every grid cell, which only P0 meshes have.
     Every other record is direct.
     """
@@ -221,17 +226,17 @@ _COLLARS = ("left", "right")
 
 
 def _collar_runs(system: StiffnessSystem) -> dict | None:
-    """{collar: n} when the Neumann DOFs of an arrow system's collars are each none
-    or one run of n nodes from the grid end, and the Neumann collars have fewer
+    """{collar: n} when the Neumann DOFs of an assembled P1 system's collars are each
+    none or one run of n nodes from the grid end, and the Neumann collars have fewer
     Dirichlet nodes than the runs have nodes; else None.
 
     The exterior Neumann DOFs of a P1 mesh lie off Omega, so each run lies in
     one collar: nodes 0..n_collar-1 on the left, the last n_collar nodes on
     the right.
     """
-    if system.path != "arrow":
-        return None
     disc = system.disc
+    if disc.scheme != "P1" or system.key is None:
+        return None
     n = dict.fromkeys(_COLLARS, 0)
     for cols, _ in system.runs_E:
         side = "left" if cols.stop <= disc.n_collar else "right"
@@ -246,25 +251,25 @@ def _collar_solve(system: StiffnessSystem, side: str) -> np.ndarray:
     """X_c = U_c^{-T} K_{c,I} over every node of the collar, ordered from the grid end
     inward; C order, read-only, one per (``system.key``, collar) in the store.
 
-    K_cc, the collar's block of the label-independent exterior band
+    K_cc, the collar's label-independent exterior band
     (``assembly.exterior_band``), is tridiagonal, and U_c'U_c = K_cc.  In
     this order a run of n Neumann nodes from the grid end is the leading
     n x n block of K_cc, whose factor is U_c's leading block, so X_c[:n] is
     the run's half-solve.  One dtbtrs solves K_{c,I}, gathered in Fortran
-    order, in place.
+    order (``StiffnessSystem.columns``, the grid-end node's column
+    included), in place.
     """
     def build():
-        n_c, m, R = system.disc.n_collar, system.disc.n_dofs, system.R_I
-        band = exterior_band(system)
+        n_c, m = system.disc.n_collar, system.disc.n_dofs
+        band = exterior_band(system, side)
         if side == "left":
             nodes = slice(0, n_c)
-            K_cc = band[:, nodes]
-        else:                     # descending: K_cc[k - 1, k] = band[0, node k - 1]
+            K_cc = band
+        else:                     # descending: the band read backwards
             nodes = slice(m - 1, m - 1 - n_c, -1)
-            K_cc = np.stack([np.r_[0.0, band[0, nodes][:-1]], band[1, nodes]])
+            K_cc = np.stack([np.r_[0.0, band[0, ::-1][:-1]], band[1, ::-1]])
         X = np.ascontiguousarray(_half_solve(_band_cholesky(K_cc, f"{side} collar block"),
-                                             np.array(R[:, nodes].T, order="F"),
-                                             f"{side} collar solve"))
+                                             system.columns(nodes), f"{side} collar solve"))
         X.setflags(write=False)
         return X
 
@@ -520,13 +525,15 @@ def solve_mixed(omega: Domain1D, partition: ExteriorPartition, order: Fractional
 
 def solve_on_mesh(mesh: Discretization, order: FractionalOrder,
                   solver: SolverParams = SolverParams(),
-                  with_diagnostics: bool = True) -> EigenResult:
+                  with_diagnostics: bool = True, condition_c: bool = True) -> EigenResult:
     """assemble -> schur_reduce -> smallest_eigenpair -> back_map on a built mesh.
 
     Across a family sweep the label-independent stiffness pieces are cached
     by ``assemble``, whose path (``assembly.assembly_path``) the mesh alone
     picks; ``diagnostics["assembly"]`` names it, and ``diagnostics["schur"]``
-    the form of the Schur step (``SchurReduction.form``).
+    the form of the Schur step (``SchurReduction.form``).  With diagnostics
+    on, ``condition_c`` False leaves out ``diagnostics["condition_C"]``, the
+    one diagnostic that integrates over the Dirichlet set.
     The eigenfunction is sign-fixed (nonnegative mean) and L^2(Omega)-
     normalized; its exterior Neumann values are the discrete kernel average
     of the interior values (one back-substitution).
@@ -550,9 +557,10 @@ def solve_on_mesh(mesh: Discretization, order: FractionalOrder,
         diagnostics["separation_D"] = (
             separation(partition.dirichlet, omega)
             if not partition.dirichlet.empty else math.inf)
-        diagnostics["condition_C"] = (
-            condition_C(partition.dirichlet, omega, order)
-            if not partition.dirichlet.empty else 0.0)
+        if condition_c:
+            diagnostics["condition_C"] = (
+                condition_C(partition.dirichlet, omega, order)
+                if not partition.dirichlet.empty else 0.0)
         for label, eset in (("N", partition.neumann), ("D", partition.dirichlet)):
             for mult in (2.0, 8.0):
                 R = mult * omega.length

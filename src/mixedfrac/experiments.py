@@ -175,11 +175,11 @@ class ExperimentConfig:
 
         Returns the mesh of each k of ``k_list``, in its order; a mesh
         carries its partition.  A mesh whose shared dense arrays
-        (``assembly.dense_bytes``: K_II, its factor and, on the arrow path,
-        the base's Omega rows and the collar half-solves) exceed
-        ``assembly.MAX_DENSE_BYTES`` is a config error, refused before any
-        of them is allocated.  The count is a floor, so a mesh that passes
-        may still not fit.
+        (``assembly.dense_bytes``: K_II, its factor, on the arrow path the
+        base's Omega rows, and the half-solves of the collars whose
+        grid-end node is free) exceed ``assembly.MAX_DENSE_BYTES`` is a
+        config error, refused before any of them is allocated.  The count
+        is a floor, so a mesh that passes may still not fit.
         """
         from .assembly import DOF_INTERIOR, MAX_DENSE_BYTES, build_mesh, dense_bytes
         order = make_order(self.dimension, self.s)
@@ -295,12 +295,13 @@ def run(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
     baseline = base_res.lambda1 if base_res.converged else math.nan
 
     want_farfield = cfg.verify.get("farfield", False)
+    want_condition_c = cfg.verify.get("conditionC", True)
     farfield_slopes = {}
 
     def solve_one(k: int, mesh) -> ExperimentRecord:
         t0 = time.perf_counter()
         try:
-            res = solve_on_mesh(mesh, order, cfg.solver)
+            res = solve_on_mesh(mesh, order, cfg.solver, condition_c=want_condition_c)
             if want_farfield:
                 rep = farfield_rate(res.u, np.logspace(1.0, 3.0, 9))
                 farfield_slopes[k] = rep.slope

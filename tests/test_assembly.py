@@ -118,6 +118,19 @@ def small_gap_p1():
 
 
 @pytest.fixture(scope="module")
+def small_half_line_p1():
+    # Dirichlet Omega end nodes, a Neumann far field on the right and free
+    # grid-end nodes on both sides: the closed form with its end columns
+    order = make_order(1, 0.5)
+    part = explicit(OM01, neumann=[[-4.0, -3.0], [2.0, math.inf]], dirichlet="rest")
+    mesh = build_mesh(OM01, part, 0.25, 4.0, "P1", order=order)
+    system = assemble(mesh, order)
+    assert system.path == "closed_form" and mesh.n_cells <= 40
+    assert mesh.far_label == ("D", "N") and len(system.end_columns) == 2
+    return system, order
+
+
+@pytest.fixture(scope="module")
 def small_mixed_p0():
     order = make_order(1, 0.25)
     part = explicit(OM01, neumann=[[1.0, 2.0]], dirichlet="rest")
@@ -325,7 +338,8 @@ class TestBruteForceOracle:
     """Q_Omega exclusion: the assembled quadratic form equals an independent
     double sum over cell pairs with the (Omega^c)^2 pairs explicitly skipped."""
 
-    @pytest.mark.parametrize("fixture", ["small_mixed_p1", "small_mixed_p0", "small_gap_p1"])
+    @pytest.mark.parametrize("fixture", ["small_mixed_p1", "small_mixed_p0", "small_gap_p1",
+                                         "small_half_line_p1"])
     def test_quadratic_form_matches(self, fixture, request):
         system, order = request.getfixturevalue(fixture)
         rng = np.random.default_rng(7)
@@ -340,6 +354,9 @@ class TestBruteForceOracle:
 
     def test_bilinear_form_matches_on_the_closed_form(self, small_gap_p1):
         self.check_bilinear_form(*small_gap_p1)
+
+    def test_bilinear_form_matches_on_a_half_line(self, small_half_line_p1):
+        self.check_bilinear_form(*small_half_line_p1)
 
     @staticmethod
     def check_bilinear_form(system, order):

@@ -145,14 +145,15 @@ class TestConfig:
             "kind": "explicit", "params": {"neumann": [[1.0, 2.0]], "dirichlet": "rest"},
             "k_list": [0]}},
          "k = 0: h = 3.814697265625e-06 gives n_I = 524288 interior DOFs, whose dense"
-         " arrays take 47104 GiB, more than 4 GiB"),
-        # K_II and its factor take 3.9995 GiB; the arrow base's Omega rows, 18 GiB
+         " arrays take 22528 GiB, more than 4 GiB"),
+        # Omega's right end node is free, so the mesh takes the arrow base: K_II and
+        # its factor take 4 GiB, the bound; the base's Omega rows, 18 GiB more
         ({"order": {"dimension": 1, "s": 0.25}, "omega": {"a": 0.0, "b": 1.0},
           "discretization": {"h": 2.0 ** -14, "L": 4.0, "scheme": "P1"}, "family": {
-              "kind": "explicit", "params": {"neumann": "rest", "dirichlet": [
-                  [-2.0 ** -12, 0.0], [1.0, 1.0 + 2.0 ** -12]]}, "k_list": [0]}},
-         "k = 0: h = 6.103515625e-05 gives n_I = 16383 interior DOFs, whose dense"
-         " arrays take 45.9993 GiB, more than 4 GiB")],
+              "kind": "explicit", "params": {"neumann": [[1.0, 2.0]], "dirichlet": "rest"},
+              "k_list": [0]}},
+         "k = 0: h = 6.103515625e-05 gives n_I = 16384 interior DOFs, whose dense"
+         " arrays take 22.0012 GiB, more than 4 GiB")],
         ids=["grid-cells", "ratio-power", "int-ratio-power", "dense-blocks", "arrow-base"])
     def test_validate_error_is_config_error(self, tmp_path, capsys, overrides, message):
         # a 291 TiB grid died in np.arange, and ratio^k in an OverflowError
@@ -269,6 +270,21 @@ class TestRun:
         threaded = experiments.run(cfg, jobs=3)
         for a, b in zip(result.records, threaded.records):
             assert a.lambda1 == b.lambda1
+
+    @pytest.mark.parametrize("want", [False, True])
+    def test_condition_c_only_when_reported(self, monkeypatch, want):
+        # condition_C integrates over D, so a sweep computes it only when its CSV
+        # reports it: once per record with D nonempty, never for the baseline
+        from mixedfrac import eigensolver
+        calls = []
+        inner = eigensolver.condition_C
+        monkeypatch.setattr(eigensolver, "condition_C", lambda *a: calls.append(a) or inner(*a))
+        cfg = base_config()
+        cfg["verify"]["conditionC"] = want
+        result = experiments.run(ExperimentConfig.from_dict(cfg))
+        assert result.n_failed == 0
+        assert len(calls) == (len(result.records) if want else 0)
+        assert all(math.isnan(r.condC) != want for r in result.records)
 
     @pytest.mark.parametrize("jobs", [0, -1, 1.5, True])
     def test_bad_jobs_rejected(self, fixed_interval_run, jobs):

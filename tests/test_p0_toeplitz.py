@@ -1,8 +1,8 @@
 """Closed-form exterior products by convolution of windows of R_I, against the GEMVs.
 
-Every P0 mesh and the Dirichlet-far P1 meshes take the closed form, whose
-Omega rows R_I are a Toeplitz view of one line; the P0 memory guard is here
-too.
+Every P0 mesh and the P1 meshes with Dirichlet Omega end nodes take the
+closed form, whose Omega rows R_I are a Toeplitz view of one line (a free
+grid-end node's column is carried apart); the P0 memory guard is here too.
 """
 
 import dataclasses
@@ -43,14 +43,26 @@ def nested_p1(k):
     return assemble(build_mesh(OM, part, 2.0 ** -6, 8.0, "P1", order=order), order)
 
 
+def half_line_p1():
+    """A closed-form P1 record with a Neumann far field and both grid-end nodes free."""
+    order = make_order(1, 0.5)
+    part = generate(PartitionFamily(kind="explicit", omega=OM, params={
+        "neumann": [[-9.0, -7.0], [2.0, np.inf]], "dirichlet": "rest"}), 0)
+    system = assemble(build_mesh(OM, part, 2.0 ** -4, 8.0, "P1", order=order), order)
+    assert system.path == "closed_form" and len(system.end_columns) == 2
+    return system
+
+
 # (system, runs of exterior Neumann DOFs): criterion 6, Neumann cells on both
-# sides of a Dirichlet gap, n_int = 1, and a closed-form P1 record
+# sides of a Dirichlet gap, n_int = 1, and closed-form P1 records, the last
+# with end columns
 CASES = {
     "c6": (lambda: p0_system(touching(1)), 2),
     "gap": (lambda: p0_system(explicit(dirichlet=[[2.0, 3.0]], neumann="rest"), 2.0 ** -6), 3),
     "n_int_1": (lambda: p0_system(explicit(dirichlet=[[-8.0, -4.0]], neumann="rest"), 1.0,
                                   12.0), 3),
     "p1_nested": (lambda: nested_p1(2), 1),
+    "p1_half_line": (half_line_p1, 2),
 }
 
 
@@ -132,8 +144,8 @@ def test_warm_products_allocate_o_m(product):
     assert peak < 32 * m * 8
 
 
-@pytest.mark.parametrize("make", [lambda: p0_system(touching(1)), lambda: nested_p1(3)],
-                         ids=["p0", "p1_closed_form"])
+@pytest.mark.parametrize("make", [lambda: p0_system(touching(1)), lambda: nested_p1(3),
+                                  half_line_p1], ids=["p0", "p1_closed_form", "p1_half_line"])
 def test_row_sums_are_the_products_of_the_assembled_system(make):
     # assemble stamps the path before it takes -K 1, so the row sums come
     # from the very products that the assembled system computes
