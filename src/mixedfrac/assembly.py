@@ -39,7 +39,8 @@ side and replaced by closed-form tail integrals on the Dirichlet side.
   grid, and masked blocks over the rest.
 
 One store (``_cached``) keeps the arrow pair or the mirrored T per mesh,
-the closed form's collar bands and end columns per (mesh, collar), K_II
+the closed form's collar Gram cells (grown out to the farthest Neumann
+node asked for) and end columns per (mesh, collar), K_II
 with its tails per (mesh, far-field labels, interior slice, path), the key
 stamped on the system, and the eigensolver's factors and collar
 half-solves per that key, so the records of a sweep share them, read-only.
@@ -55,7 +56,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .errors import BadParameters, IncompatibleScheme, MixedFarField
-from .fracops import FractionalOrder, cell_moments, interval_mass, pair_integral
+from .fracops import FractionalOrder, cell_moments, gauss_order, interval_mass, pair_integral
 from .geometry import Domain1D, ExteriorPartition
 
 INF = math.inf
@@ -65,6 +66,7 @@ CELL_INTERIOR, CELL_NEUMANN, CELL_DIRICHLET = 0, 1, 2
 MAX_CELLS = 2 ** 26      # build_mesh's limit; h = 2^-18, L = 8, |Omega| = 2 has 4.7e6
 # a sweep's limit on ``dense_bytes``; K_II and its factor alone allow n_I <= 16384
 MAX_DENSE_BYTES = 2 ** 32
+SOLVE_CHUNK = 32         # interior columns per dtbtrs of a collar half-solve (eigensolver)
 
 
 # ---------------------------------------------------------------------------
@@ -670,10 +672,9 @@ def _neumann_band(disc: Discretization, order: FractionalOrder, R: np.ndarray,
                   cols: np.ndarray) -> np.ndarray:
     """a_ns int phi_j phi_l tau_Omega over the exterior Neumann DOFs ``cols`` as a band.
 
-    P0: ``_omega_mass`` of the Toeplitz Omega rows R.  P1: the columns of
-    the collar bands (``_collar_band``) that hold ``cols``, built only for a
-    collar that holds one.  cholesky_banded upper layout; couplings across a
-    gap in ``cols`` are zero.
+    P0: ``_omega_mass`` of the Toeplitz Omega rows R.  P1: ``_collar_band``
+    of each collar that holds some of ``cols``.  cholesky_banded upper
+    layout; couplings across a gap in ``cols`` are zero.
     """
     if disc.scheme == "P0":
         return np.stack([np.zeros(len(cols)), _omega_mass(R, cols)])
@@ -682,42 +683,83 @@ def _neumann_band(disc: Discretization, order: FractionalOrder, R: np.ndarray,
         nodes = _collar_nodes(disc, side)
         on = (nodes.start <= cols) & (cols < nodes.stop)
         if on.any():
-            band[:, on] = _collar_band(disc, order, side)[:, cols[on] - nodes.start]
+            band[:, on] = _collar_band(disc, order, side, cols[on])
     band[0] = np.where(np.diff(cols, prepend=-2) == 1, band[0], 0.0)
     return band
 
 
-def _collar_band(disc: Discretization, order: FractionalOrder, side: str) -> np.ndarray:
-    """a_ns int phi_j phi_l tau_Omega over the P1 nodes of one collar as a band; read-only,
-    one per (mesh, collar) in the store.
+_BAND_CHUNK = 512                 # collar cells per step of a collar's Gram cells
 
-    tau_Omega is the kernel mass of Omega.  Each cell of the collar takes
-    one 20-point Gauss rule (``_cell_gram``), and a node adds the term of
-    its left cell, then of its right one; the grid-end node, whose hat is
-    only its in-grid half, has one cell.  The rule is exact to a few ulps
-    on every cell at least one width from Omega.  On the cell that touches
-    Omega tau_Omega is singular at an end, so the node next to Omega is
-    exact only at s = 1/2; that node is never a Neumann DOF of a mesh with
-    Dirichlet Omega end nodes, and in a collar half-solve its row cancels.
-    cholesky_banded upper layout over the collar's nodes, ascending; the
-    first superdiagonal slot, a coupling across Omega's end node, is zero.
+
+def _collar_band(disc: Discretization, order: FractionalOrder, side: str,
+                 cols: np.ndarray | None = None) -> np.ndarray:
+    """a_ns int phi_j phi_l tau_Omega over the P1 grid nodes ``cols`` of one collar,
+    ascending (every node of the collar when None), as a band.
+
+    tau_Omega is the kernel mass of Omega.  A node adds the terms of its
+    two cells in ``_collar_cells``, read only out to the farthest node
+    asked for; the grid-end node, whose hat is only its in-grid half, has
+    one cell.  cholesky_banded upper layout: each node's superdiagonal slot
+    is its coupling to the grid node before it, zero across Omega's end
+    node and beyond the grid end.
     """
-    def build():
-        n_c = disc.n_collar
-        first = 0 if side == "left" else n_c + disc.n_interior
-        G = _cell_gram(disc, order, np.arange(first, first + n_c),
-                       [(disc.omega.a, disc.omega.b)], 20)
-        if side == "left":        # node j: cells j - 1 and j; node 0 has cell 0 alone
-            diag = np.r_[G[0, 0, 0], G[:-1, 1, 1] + G[1:, 0, 0]]
-            sup = np.r_[0.0, G[:-1, 0, 1]]
-        else:                     # node j: cells j and j + 1; the last node has cell j alone
-            diag = np.r_[G[:-1, 1, 1] + G[1:, 0, 0], G[-1, 1, 1]]
-            sup = np.r_[0.0, G[1:, 0, 1]]
-        band = np.stack([sup, diag])
-        band.setflags(write=False)
-        return band
+    nodes = _collar_nodes(disc, side)
+    cols = np.arange(nodes.start, nodes.stop) if cols is None else cols
+    i = nodes.stop - 1 - cols if side == "left" else cols - nodes.start    # gaps to Omega
+    # node i lies between the cells at gaps i and i + 1
+    inner, outer, cross = _collar_cells(disc, order, side, int(i.max()) + 2)
+    return np.stack([cross[i + 1] if side == "left" else cross[i],
+                     outer[i] + inner[i + 1]])
 
-    return _cached("band", (_base_key(disc, order), side), build)
+
+def _collar_cells(disc: Discretization, order: FractionalOrder, side: str,
+                  reach: int) -> np.ndarray:
+    """a_ns int phi_a phi_b tau_Omega on the P1 cells of one collar by their gap to
+    Omega, the cell at gap c spanning c to c + 1 widths from Omega: (the inner hat
+    squared, the outer hat squared, their product), (3, cells), the inner hat
+    that of the cell's node nearer Omega; read-only, one per (mesh, collar) in
+    the store, out to at least ``reach`` cells.  The cell at gap n_collar,
+    beyond the grid end, is zero: the grid-end node's hat is its in-grid half.
+
+    Cells are built in fixed chunks of _BAND_CHUNK from Omega outward, each
+    chunk once, when a call reaches into it, so a sweep whose Neumann DOFs
+    lie near Omega builds only the cells out to its farthest one, and the
+    bits do not depend on the order of the calls.  Each cell takes one
+    Gauss rule of the order ``fracops.gauss_order`` gives its gap in cell
+    widths, 20 points within two widths and down to 4 far off; the rule is
+    exact to a few ulps on every cell at least one width from Omega.  On the
+    cell that touches Omega tau_Omega is singular at an end, so the node
+    next to Omega is exact only at s = 1/2; that node is never a Neumann DOF
+    of a mesh with Dirichlet Omega end nodes, and in a collar half-solve its
+    row cancels.  That cell's product, a coupling across Omega's end node,
+    is zero.
+    """
+    n_c, key = disc.n_collar, (_base_key(disc, order), side)
+    with _LOCK:
+        cells = _cached("band", key, lambda: np.zeros((3, 0)))
+        if cells.shape[1] >= min(reach, n_c + 1):
+            return cells
+        chunks = [cells]
+        for lo in range(cells.shape[1], min(reach, n_c + 1), _BAND_CHUNK):
+            gaps = np.arange(lo, min(lo + _BAND_CHUNK, n_c))
+            first = n_c - 1 - gaps if side == "left" else n_c + disc.n_interior + gaps
+            orders = gauss_order(gaps)
+            chunk = np.zeros((3, min(lo + _BAND_CHUNK, n_c + 1) - lo))
+            for g in np.unique(orders):
+                on = np.flatnonzero(orders == g)
+                X, W = quad.gauss_rule(int(g))
+                tau = interval_mass(disc.nodes[first[on], None] + disc.h * X,
+                                    [(disc.omega.a, disc.omega.b)], 2.0 * order.s)
+                inner = X if side == "left" else 1.0 - X      # the hat of the node nearer Omega
+                hats = np.stack([inner * inner, (1.0 - inner) ** 2, inner * (1.0 - inner)])
+                chunk[:, on] = (order.a_ns * disc.h) * (hats * W) @ tau.T
+            if lo == 0:
+                chunk[2, 0] = 0.0
+            chunks.append(chunk)
+        cells = np.concatenate(chunks, axis=1)
+        cells.setflags(write=False)
+        _STORE["band"][key] = cells                   # the grown entry in place of the old
+        return cells
 
 
 def _end_column(disc: Discretization, order: FractionalOrder, side: str) -> np.ndarray:
@@ -729,18 +771,26 @@ def _end_column(disc: Discretization, order: FractionalOrder, side: str) -> np.n
     full-line T(|q - p|) less the coupling -a_ns int phi_p(x) int phi_q k of
     the half beyond the grid: T(|q - p|) + a_ns int phi_p(x) near(|x_q - x|)
     dx, ``near`` the moment of the kernel over the cell beyond against that
-    half hat (``fracops.cell_moments``), by one 20-point Gauss rule on each
-    of phi_p's two cells.
+    half hat (``fracops.cell_moments``), by one Gauss rule on each of
+    phi_p's two cells, of the order ``fracops.gauss_order`` gives that
+    cell's distance to x_q in cell widths.
     """
     def build():
         n_c, n_int, h = disc.n_collar, disc.n_interior, disc.h
         q = 0 if side == "left" else disc.n_dofs - 1
         T = _line_rows(_full_line(*_base_key(disc, order)), n_c + 1, n_int - 1)[:, q]
-        X, W = quad.gauss_rule(20)
-        x = disc.nodes[n_c:n_c + n_int, None] + h * X      # the Omega cells' Gauss points
-        near = cell_moments(np.abs(disc.nodes[q] - x), h, order.s)[1]
+        # Omega cell i spans nodes n_c + i and n_c + i + 1
+        ends = np.abs(disc.nodes[n_c:n_c + n_int + 1] - disc.nodes[q]) / h
+        orders = gauss_order(np.minimum(ends[:-1], ends[1:]))
+        rise, fall = np.empty(n_int), np.empty(n_int)
+        for g in np.unique(orders):
+            on = np.flatnonzero(orders == g)
+            X, W = quad.gauss_rule(int(g))
+            x = disc.nodes[n_c + on, None] + h * X          # the cells' Gauss points
+            near = cell_moments(np.abs(disc.nodes[q] - x), h, order.s)[1]
+            rise[on], fall[on] = near @ (W * X), near @ (W * (1.0 - X))
         # node n_c + 1 + i rises over Omega cell i and falls over cell i + 1
-        col = T + order.a_ns * h * (near[:-1] @ (W * X) + near[1:] @ (W * (1.0 - X)))
+        col = T + order.a_ns * h * (rise[:-1] + fall[1:])
         col.setflags(write=False)
         return col
 
@@ -878,14 +928,15 @@ class StiffnessSystem:
         return [(self.R_I[:, run], e) for run, e in self._runs()] + [
             (col[:, None], slice(e, e + 1)) for _, e, col in self.end_columns]
 
-    def columns(self, nodes: slice) -> np.ndarray:
+    def columns(self, nodes: slice, rows: slice, out: np.ndarray) -> np.ndarray:
         """K_IE's columns of the grid DOFs ``nodes`` (any of them, free or not, as R_I
-        and ``end_columns`` hold them), as the rows of a Fortran-order copy."""
-        out = np.array(self.R_I[:, nodes].T, order="F")
+        and ``end_columns`` hold them) over the interior DOFs ``rows``, as the rows of
+        ``out``, which is returned."""
+        out[...] = self.R_I[rows, nodes].T
         index = range(self.R_I.shape[1])[nodes]
         for q, _, col in self.end_columns:
             if q in index:
-                out[index.index(q)] = col
+                out[index.index(q)] = col[rows]
         return out
 
     def _window(self, run: slice) -> np.ndarray:
@@ -942,15 +993,17 @@ def exterior_band(system: StiffnessSystem, side: str) -> np.ndarray:
     """The Omega-weighted Gram band over every node of one collar of a P1 system's mesh,
     ascending; read-only.
 
-    Label-independent: the cached arrow base's band on the arrow path, the
-    cached ``_collar_band`` on the closed form.  cholesky_banded upper
+    Label-independent: the cached arrow base's band on the arrow path,
+    ``_collar_band`` of the cached collar cells on the closed form.  cholesky_banded upper
     layout, its first superdiagonal slot zero; a record's K_EE is its
     columns on the Neumann DOFs, couplings across a gap zeroed.
     """
     disc = system.disc
     if system.path == "arrow":
         return _base_arrow(*system.key[0])[1][:, _collar_nodes(disc, side)]
-    return _collar_band(disc, system.order, side)
+    band = _collar_band(disc, system.order, side)
+    band.setflags(write=False)
+    return band
 
 
 def dense_bytes(disc: Discretization) -> int:
@@ -959,10 +1012,10 @@ def dense_bytes(disc: Discretization) -> int:
     K_II and its factor, 2 n_I^2 doubles; on the arrow path also the base's
     Omega rows R, n_om x n_dofs; and, on either P1 path, the half-solve of
     each collar whose grid-end node is a free DOF (only there can a Neumann
-    run be anchored), n_collar x n_I each, with one more copy while one is
-    built.  A collar Gram base and its factor, 2 n_I^2 more, and the work
-    arrays of a dense record are not counted: this is a floor on what a
-    sweep holds, not its peak.
+    run be anchored), n_collar x n_I each, and one n_collar x SOLVE_CHUNK
+    chunk of the one being built.  A collar Gram base and its factor, 2 n_I^2
+    more, and the work arrays of a dense record are not counted: this is a
+    floor on what a sweep holds, not its peak.
     """
     n_I = int(np.count_nonzero(disc.dof_label == DOF_INTERIOR))
     doubles = 2 * n_I * n_I
@@ -970,7 +1023,7 @@ def dense_bytes(disc: Discretization) -> int:
         doubles += (disc.n_interior + 1) * disc.n_dofs
     if disc.scheme == "P1":
         collars = int(np.count_nonzero(disc.dof_label[[0, -1]] < DOF_DIRICHLET))
-        doubles += (collars + (collars > 0)) * disc.n_collar * n_I
+        doubles += disc.n_collar * (collars * n_I + (collars > 0) * min(SOLVE_CHUNK, n_I))
     return 8 * doubles
 
 

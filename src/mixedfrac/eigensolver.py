@@ -9,7 +9,7 @@ operands, named by ``SchurReduction.form``:
 - direct: base = K_II, alpha = -1 and X = U^{-T} K_EI, one banded
   triangular solve with K_EE = U'U (banded Cholesky on the band's true
   width), eliminating the Neumann DOFs N; K_EI is gathered once from its
-  runs and solved in place;
+  runs and solved in place, on P1 division-free (``_half_solve``);
 - Gram update ("gram"), on P0 meshes, whose exterior block is diagonal,
   when the grid has fewer Dirichlet cells D than Neumann ones: base = K_II
   - G_E and alpha = +1 with X = X_D.  G_E = X_E'X_E, X_E = diag(mass_E)^{-1/2}
@@ -28,7 +28,8 @@ operands, named by ``SchurReduction.form``:
   Ordered from the grid end inward, such a run is the leading block of its
   collar's, whose Cholesky factor is the leading block of the collar's
   U_c; so the collar's half-solve X_c = U_c^{-T} K_{c,I}, solved once per
-  (``system.key``, collar) and kept in ``assembly``'s store, holds the
+  (``system.key``, collar), by chunks of columns, and kept in
+  ``assembly``'s store, holds the
   run's half-solve as its first n rows.  Then base = K_II - sum G_c over
   the record's Neumann collars, G_c = X_c'X_c, alpha = +1 and X = X_c[n:].
   Every other P1 record keeps the direct form: no record mixes a collar's
@@ -82,8 +83,8 @@ import numpy as np
 from scipy.linalg import (LinAlgError, blas, cho_factor, cho_solve_banded, cholesky_banded,
                           lapack)
 
-from .assembly import (DOF_DIRICHLET, Discretization, StiffnessSystem, _cached, _omega_mass,
-                       assemble, band_matvec, build_mesh, exterior_band)
+from .assembly import (DOF_DIRICHLET, SOLVE_CHUNK, Discretization, StiffnessSystem, _cached,
+                       _omega_mass, assemble, band_matvec, build_mesh, exterior_band)
 from .errors import BadParameters, IndefinitePencil, SingularExteriorBlock
 from .fracops import FractionalOrder
 from .geometry import (
@@ -170,11 +171,22 @@ def _band_cholesky(band: np.ndarray, what: str) -> np.ndarray:
 
 
 def _half_solve(U: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
-    """U^{-T} B by one dtbtrs, in place on B (Fortran order)."""
-    X, info = lapack.dtbtrs(U, B, trans="T", overwrite_b=True)
-    if info:
-        raise SingularExteriorBlock(f"{what} failed: dtbtrs info {info}")
-    return X
+    """U^{-T} B, in place on B (Fortran order), U a ``_band_cholesky`` factor.
+
+    U = diag(d) Ubar, Ubar unit upper banded.  A bidiagonal U (P1) has
+    l_j = Ubar[j-1, j] = U[j-1, j] / U[j-1, j-1]: one dtbtrs of
+    Ubar^T Y = B, each step of its recurrence one multiply-add with no
+    division.  A diagonal U (P0) has Ubar = I and Y = B.  Then X = Y / d,
+    row by row, off the recurrence: one division per element.
+    """
+    d = U[-1]
+    if len(U) > 1:
+        unit = np.stack([np.r_[0.0, U[0, 1:] / d[:-1]], d])     # its diagonal is not read
+        B, info = lapack.dtbtrs(unit, B, trans="T", diag="U", overwrite_b=True)
+        if info:
+            raise SingularExteriorBlock(f"{what} failed: dtbtrs info {info}")
+    B /= d[:, None]
+    return B
 
 
 def _syrk(alpha: float, X: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -255,9 +267,11 @@ def _collar_solve(system: StiffnessSystem, side: str) -> np.ndarray:
     (``assembly.exterior_band``), is tridiagonal, and U_c'U_c = K_cc.  In
     this order a run of n Neumann nodes from the grid end is the leading
     n x n block of K_cc, whose factor is U_c's leading block, so X_c[:n] is
-    the run's half-solve.  One dtbtrs solves K_{c,I}, gathered in Fortran
-    order (``StiffnessSystem.columns``, the grid-end node's column
-    included), in place.
+    the run's half-solve.  K_{c,I} (``StiffnessSystem.columns``, the
+    grid-end node's column included) is gathered SOLVE_CHUNK interior
+    columns at a time into one reused Fortran-order buffer, half-solved
+    there in place and copied into X_c: the build holds X_c and one chunk.
+    Each column is solved on its own, so the chunks do not change the bits.
     """
     def build():
         n_c, m = system.disc.n_collar, system.disc.n_dofs
@@ -268,8 +282,14 @@ def _collar_solve(system: StiffnessSystem, side: str) -> np.ndarray:
         else:                     # descending: the band read backwards
             nodes = slice(m - 1, m - 1 - n_c, -1)
             K_cc = np.stack([np.r_[0.0, band[0, ::-1][:-1]], band[1, ::-1]])
-        X = np.ascontiguousarray(_half_solve(_band_cholesky(K_cc, f"{side} collar block"),
-                                             system.columns(nodes), f"{side} collar solve"))
+        U_c = _band_cholesky(K_cc, f"{side} collar block")
+        n_I = len(system.K_II)
+        X = np.empty((n_c, n_I))
+        buf = np.empty((n_c, min(SOLVE_CHUNK, n_I)), order="F")
+        for lo in range(0, n_I, SOLVE_CHUNK):
+            rows = slice(lo, min(lo + SOLVE_CHUNK, n_I))
+            B = system.columns(nodes, rows, buf[:, :rows.stop - lo])
+            X[:, rows] = _half_solve(U_c, B, f"{side} collar solve")
         X.setflags(write=False)
         return X
 

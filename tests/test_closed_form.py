@@ -32,7 +32,9 @@ from mixedfrac import (
 from mixedfrac import assembly, experiments
 from mixedfrac.assembly import (
     DOF_NEUMANN,
+    _cell_gram,
     _collar_band,
+    _collar_cells,
     _neumann_band,
     _unit_hat_sequence,
     assembly_path,
@@ -117,6 +119,54 @@ def test_neumann_band_matches_mpmath(s):
         for got, ref in ((band[1, -1], gram(end, end, cell)),
                          (band[0, -1], gram(end - 1, end, cell))):
             assert abs((mp.mpf(got) - ref) / ref) <= 4e-15, ("grid end", got)
+
+
+# the collar_sector and c4_nested meshes: (Omega, h, L); their bands are label-independent
+COLLAR_MESHES = {"collar_sector": (Domain1D(-1.0, 1.0), 0.01, 36.0),
+                 "c4_nested": (Domain1D(-1.0, 1.0), 2.0 ** -8, 8.0)}
+
+
+@pytest.mark.parametrize("s", (0.01, 0.25, 0.5, 0.75, 0.99))
+@pytest.mark.parametrize("mesh", list(COLLAR_MESHES))
+def test_collar_cells_match_a_twenty_point_rule(cold_caches, mesh, s):
+    # each cell's Gauss order follows its gap to Omega; every cell stays within
+    # 1e-14 of the 20-point rule that every cell took before
+    om, h, L = COLLAR_MESHES[mesh]
+    order = make_order(1, s)
+    disc = build_mesh(om, full_dirichlet_partition(om), h, L, "P1", order=order)
+    n_c = disc.n_collar
+    gaps = np.arange(n_c)
+    for side, first, inner in (("left", n_c - 1 - gaps, 1),
+                               ("right", n_c + disc.n_interior + gaps, 0)):
+        got = _collar_cells(disc, order, side, n_c + 1)
+        assert got.shape == (3, n_c + 1) and not got[:, -1].any()    # the zero cell
+        G = _cell_gram(disc, order, first, [(om.a, om.b)], 20)
+        ref = np.stack([G[:, inner, inner], G[:, 1 - inner, 1 - inner], G[:, 0, 1]])
+        ref[2, 0] = 0.0                    # a coupling across Omega's end node
+        assert np.all(np.abs(got[:, :-1] - ref) <= 1e-14 * np.abs(ref)), side
+
+
+def test_collar_cells_grow_to_the_farthest_neumann_node(cold_caches):
+    # c4_nested's records read the first 192 of the right collar's 2048 cells:
+    # a sweep of them builds one chunk, and growing it later by a far record
+    # gives the bits of a collar built at once, so the order of records does not
+    # matter
+    om, h, L = COLLAR_MESHES["c4_nested"]
+    order = make_order(1, 0.3)
+    near = build_mesh(om, explicit(om, neumann=[[1.5, 1.75]], dirichlet="rest"), h, L, "P1",
+                      order=order)
+    far = build_mesh(om, explicit(om, neumann=[[7.0, 7.5]], dirichlet="rest"), h, L, "P1",
+                     order=order)
+    assemble(near, order)
+    (cells,) = assembly._STORE["band"].values()
+    assert cells.shape[1] == assembly._BAND_CHUNK < near.n_collar
+    assemble(far, order)
+    (cells,) = assembly._STORE["band"].values()
+    # its farthest node lies 1664 cells out: four chunks, short of the zero cell
+    assert cells.shape[1] == 4 * assembly._BAND_CHUNK == far.n_collar
+    grown = _collar_band(far, order, "right")
+    assembly._STORE.clear()
+    assert np.array_equal(grown, _collar_band(far, order, "right"))
 
 
 def explicit(omega, **kw):
@@ -302,13 +352,15 @@ def test_half_line_record_holds_no_omega_rows(cold_caches, monkeypatch):
     ([[1.0, INF]], "arrow", 1)])
 def test_dense_bytes_follow_the_path(neumann, path, collars):
     # R only on the arrow path; a collar's half-solve, n_collar x n_I, only
-    # where its grid-end node is free, with one more while one is built
+    # where its grid-end node is free, with one chunk of 32 of its n_I >= 63
+    # columns while one is built
     order = make_order(1, 0.4)
-    disc = build_mesh(OM, explicit(OM, neumann=neumann, dirichlet="rest"), 0.25, 8.0, "P1",
+    disc = build_mesh(OM, explicit(OM, neumann=neumann, dirichlet="rest"), 1 / 32, 8.0, "P1",
                       order=order)
     assert assembly_path(disc) == path
     n_I = int(np.count_nonzero(disc.dof_label == 0))
-    doubles = 2 * n_I * n_I + (collars + (collars > 0)) * disc.n_collar * n_I
+    assert n_I == 63 + (path == "arrow")           # a free Omega end node
+    doubles = 2 * n_I * n_I + (collars * n_I + (collars > 0) * 32) * disc.n_collar
     if path == "arrow":
         doubles += (disc.n_interior + 1) * disc.n_dofs
     assert dense_bytes(disc) == 8 * doubles

@@ -326,9 +326,9 @@ class TestExteriorInPlace:
         K_IE = np.take(system.R_I, system.free_dofs[system.exterior_mask], axis=1)
         assert np.array_equal(system.K_IE, K_IE)
         red = schur_reduce(system)
-        # the construction that copied K_IE: np.take, then dtbtrs on f2py's copy
-        U = scipy.linalg.cholesky_banded(system.K_EE)
-        X = scipy.linalg.lapack.dtbtrs(U, K_IE.T, trans="T")[0]
+        # the construction that copied K_IE: np.take, then the unit-diagonal
+        # half-solve on f2py's copy
+        X = _unit_half_solve(scipy.linalg.cholesky_banded(system.K_EE), K_IE.T)
         K_eff = scipy.linalg.blas.dsyrk(-1.0, X, beta=1.0, c=system.K_II, trans=1)
         np.copyto(K_eff, K_eff.T, where=np.tri(len(K_eff), k=-1, dtype=bool))
         assert np.array_equal(red.dense(), K_eff)
@@ -446,6 +446,7 @@ class TestCollarForms:
         # has, switching threads every 10 us
         cfg = _sweep_config("infinite_sector", {"R0": 2.0, "ratio": 2.0, "side": "both"},
                             [0, 1, 2], 1 / 32, 8.0, "P1", 0.5, (-1.0, 1.0))
+        mesh = cfg.validate()[0]
         solves = []
         dtbtrs = scipy.linalg.lapack.dtbtrs
         monkeypatch.setattr(scipy.linalg.lapack, "dtbtrs",
@@ -459,11 +460,62 @@ class TestCollarForms:
         assert result.n_failed == 0
         # R = 2, 4: fewer Gram rows; R = 8: 32 nodes a side, fewer direct ones
         assert [r.schur for r in result.records] == ["collar_gram"] * 2 + ["direct"]
-        assert len(solves) == 3                  # one per collar, one for R = 8
+        # one per chunk of interior columns of each collar, one for R = 8
+        chunks = -(-np.count_nonzero(mesh.dof_label == DOF_INTERIOR) // assembly.SOLVE_CHUNK)
+        assert chunks == 2 and len(solves) == 2 * chunks + 1
         assert len(assembly._STORE["collar"]) == 2
-        mesh = cfg.validate()[0]
         red = schur_reduce(assemble(mesh, make_order(1, 0.5)))
-        assert len(solves) == 3 and red.form == "collar_gram"    # a warm record solves nothing
+        assert len(solves) == 5 and red.form == "collar_gram"    # a warm record solves nothing
+
+
+def _collar_sector_record():
+    """The first record of perfbench's collar_sector sweep, assembled: N = (2, inf)."""
+    cfg = _benchmark_sweep("collar_sector")
+    return assemble(cfg.validate()[0], make_order(1, cfg.s))
+
+
+class TestHalfSolve:
+    """The division-free half-solve against plain dtbtrs on U, and the memory of a
+    cold collar half-solve, which solves its columns in chunks."""
+
+    def test_collar_matches_plain_dtbtrs(self, cold_caches):
+        system = _collar_sector_record()
+        disc = system.disc
+        n_c, m = disc.n_collar, disc.n_dofs
+        band = assembly.exterior_band(system, "right")
+        K_cc = np.stack([np.r_[0.0, band[0, ::-1][:-1]], band[1, ::-1]])
+        B = system.columns(slice(m - 1, m - 1 - n_c, -1), slice(None),
+                           np.empty((n_c, len(system.K_II)), order="F"))
+        ref = scipy.linalg.lapack.dtbtrs(scipy.linalg.cholesky_banded(K_cc), B, trans="T")[0]
+        X = eigensolver._collar_solve(system, "right")
+        assert X.shape == (3600, 199)                  # seven chunks
+        assert np.abs(X - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    def test_direct_record_matches_plain_dtbtrs(self):
+        cfg = _benchmark_sweep("c7_dirichlet_ball")
+        system = assemble(cfg.validate()[6], make_order(1, cfg.s))
+        U = eigensolver._band_cholesky(system.K_EE, "c7")
+        assert U.shape[0] == 2                         # bidiagonal: the unit form
+        B = np.asfortranarray(system.K_IE.T)
+        ref = scipy.linalg.lapack.dtbtrs(U, B, trans="T")[0]
+        X = eigensolver._half_solve(U, B, "c7")
+        assert np.abs(X - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    def test_cold_collar_solve_holds_one_chunk(self, cold_caches):
+        # the half-solve X_c is kept; a build holds it, one n_collar x 32 chunk
+        # and small bands, where a whole Fortran-order gather and a C-order
+        # copy of X_c came to 11.5 MB against the 5.7 MB kept
+        system = _collar_sector_record()
+        assembly.exterior_band(system, "right")        # the collar cells, built by assemble
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            X = eigensolver._collar_solve(system, "right")
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        chunk = system.disc.n_collar * assembly.SOLVE_CHUNK * 8
+        assert peak <= X.nbytes + chunk + 2 ** 20
 
 
 def _neumann_interval():
@@ -473,15 +525,27 @@ def _neumann_interval():
     return assemble(build_mesh(OM, part, 0.05, 8.0, "P1", order=order), order)
 
 
+def _unit_half_solve(U, B):
+    """U^{-T} B for a bidiagonal U = diag(d) Ubar, Ubar unit upper bidiagonal: dtbtrs
+    of Ubar^T Y = B, then the rows of Y over d."""
+    d = U[1]
+    unit = np.stack([np.r_[0.0, U[0, 1:] / d[:-1]], np.ones_like(d)])
+    Y = scipy.linalg.lapack.dtbtrs(unit, B, trans="T", diag="U")[0]
+    return Y / d[:, None]
+
+
 def _formed(system):
-    """K_eff as the dense path forms it: dtbtrs and a dsyrk on K_II (direct), or a
-    dsyrk of the Dirichlet cells on K_II - G_E (Gram update, P0), mirrored; P0's
-    Omega rows are R_I."""
+    """K_eff as the dense path forms it: a half-solve (unit-diagonal on P1, dtbtrs on
+    P0's diagonal) and a dsyrk on K_II (direct), or a dsyrk of the Dirichlet
+    cells on K_II - G_E (Gram update, P0), mirrored; P0's Omega rows are R_I."""
     disc = system.disc
     D = np.flatnonzero(disc.dof_label == DOF_DIRICHLET)
     if disc.scheme == "P1" or len(D) >= system.K_EE.shape[1]:
         U = scipy.linalg.cholesky_banded(system.K_EE)
-        X = scipy.linalg.lapack.dtbtrs(U, system.K_IE.T, trans="T")[0]
+        if disc.scheme == "P1":
+            X = _unit_half_solve(U, system.K_IE.T)
+        else:
+            X = scipy.linalg.lapack.dtbtrs(U, system.K_IE.T, trans="T")[0]
         alpha, base = -1.0, system.K_II
     else:
         R = system.R_I

@@ -177,7 +177,8 @@ class TestConfig:
         # Omega = (0, 1) in a Neumann sea at h = 2^-14: P0 has 2^14 interior
         # cells, whose K_II and factor fill MAX_DENSE_BYTES = 4 GiB exactly;
         # P1 has one more node and takes the arrow base, whose Omega rows and
-        # collar half-solves come to 42 GiB more; validate() allocates none
+        # collar half-solves, with one chunk of a half-solve being built, come to
+        # 34 GiB more; validate() allocates none
         cfg = ExperimentConfig.from_dict(base_config(
             order={"dimension": 1, "s": 0.25}, omega={"a": 0.0, "b": 1.0},
             family={"kind": "explicit", "params": {"neumann": "rest", "dirichlet": []},
@@ -191,7 +192,7 @@ class TestConfig:
             else:
                 with pytest.raises(ConfigError, match=re.escape(
                         f"k = 0: h = {2.0 ** -14} gives n_I = {n_I} interior DOFs, whose dense"
-                        " arrays take 46.0032 GiB, more than 4 GiB")):
+                        " arrays take 38.0183 GiB, more than 4 GiB")):
                     cfg.validate()
             peak = tracemalloc.get_traced_memory()[1]
         finally:

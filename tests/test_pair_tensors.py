@@ -29,7 +29,8 @@ import pytest
 from mixedfrac import assembly
 from mixedfrac import quadrature as quad
 from mixedfrac.assembly import _p0_pair_values, _p1_adjacent_local, _p1_far_tensors
-from mixedfrac.fracops import _complement, cell_moments, interval_mass, pair_integral
+from mixedfrac.fracops import (GAUSS_ORDERS, _complement, cell_moments, gauss_order,
+                               interval_mass, pair_integral)
 
 mp.mp.dps = 30
 SEPARATIONS = (1, 2, 10, 1000, 10000)
@@ -242,11 +243,31 @@ def mp_moments(t0, h, s):
 @pytest.mark.parametrize("s", S_ALL)
 def test_cell_moments_match_mpmath(s):
     h = 0.02
-    t0 = h * np.array([1e-10, 1e-4, 0.3, 1.0, 1.5, 1e3, 1e6])
+    # 3, 30, 3e3 and 3e5 widths off take 12, 8, 6 and 4 Gauss points
+    t0 = h * np.array([1e-10, 1e-4, 0.3, 1.0, 1.5, 3.0, 30.0, 1e3, 3e3, 3e5, 1e6])
     got = np.array(cell_moments(t0, h, s))
     _assert_close(got, np.transpose([mp_moments(t, h, s) for t in t0]))
     grid = np.array(cell_moments(t0.reshape(1, -1), np.full((2, 1), h), s))
     assert grid.shape == (3, 2, len(t0)) and np.array_equal(grid[:, 1], got)
+
+
+def test_gauss_order_follows_the_distance():
+    x = np.r_[0.0, np.linspace(0.5, 1.999, 7), np.geomspace(2.0, 1e8, 400), np.inf]
+    g = gauss_order(x)
+    assert set(g) <= set(GAUSS_ORDERS) and g.shape == x.shape
+    assert np.all(g[x < 2] == 20) and np.all(g[x >= 2] < 20)
+    assert np.all(np.diff(g) <= 0)
+    assert set(g) == set(GAUSS_ORDERS)           # every order is taken somewhere
+    # g - 2 nodes meet rho^(-2 (g - 2)) <= 1e-17, and the next smaller order's do not
+    far = (x >= 2) & np.isfinite(x)
+    a = 2 * x[far] + 1
+    log_rho = np.log(a + np.sqrt(a * a - 1))
+    assert np.all(-2 * (g[far] - 2) * log_rho <= math.log(1e-17))
+    table = np.array(GAUSS_ORDERS)
+    smaller = table[np.maximum(np.searchsorted(table, g[far]) - 1, 0)]
+    above = smaller < g[far]
+    assert np.all(-2 * (smaller[above] - 2) * log_rho[above] > math.log(1e-17))
+    assert gauss_order(5.0).ndim == 0 and gauss_order(5.0) == 12
 
 
 @pytest.mark.parametrize("s", S_ALL)
