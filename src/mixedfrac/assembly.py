@@ -39,8 +39,7 @@ side and replaced by closed-form tail integrals on the Dirichlet side.
   grid, and masked blocks over the rest.
 
 One store (``_cached``) keeps the arrow pair or the mirrored T per mesh,
-the closed form's collar Gram cells (grown out to the farthest Neumann
-node asked for) and end columns per (mesh, collar), K_II
+the closed form's exterior bands and end columns per (mesh, collar), K_II
 with its tails per (mesh, far-field labels, interior slice, path), the key
 stamped on the system, and the eigensolver's factors and collar
 half-solves per that key, so the records of a sweep share them, read-only.
@@ -659,107 +658,59 @@ def _line_rows(line: np.ndarray, first: int, n_rows: int) -> np.ndarray:
     return win[top - n_rows:top][::-1]
 
 
-_SIDES = ("left", "right")
-
-
 def _collar_nodes(disc: Discretization, side: str) -> slice:
-    """The P1 grid nodes of one collar, ascending: every node outside Omega on ``side``."""
-    first = 0 if side == "left" else disc.n_collar + disc.n_interior + 1
+    """The grid DOFs of one collar, ascending: every DOF outside Omega on ``side``."""
+    first = 0 if side == "left" else disc.n_dofs - disc.n_collar
     return slice(first, first + disc.n_collar)
 
 
-def _neumann_band(disc: Discretization, order: FractionalOrder, R: np.ndarray,
-                  cols: np.ndarray) -> np.ndarray:
-    """a_ns int phi_j phi_l tau_Omega over the exterior Neumann DOFs ``cols`` as a band.
+def exterior_band(disc: Discretization, order: FractionalOrder, side: str) -> np.ndarray:
+    """a_ns int phi_j phi_l tau_Omega over every DOF of one collar, ascending, as a band;
+    read-only.
 
-    P0: ``_omega_mass`` of the Toeplitz Omega rows R.  P1: ``_collar_band``
-    of each collar that holds some of ``cols``.  cholesky_banded upper
-    layout; couplings across a gap in ``cols`` are zero.
+    tau_Omega is the kernel mass of Omega.  The band depends only on the
+    mesh, so a record's K_EE is its columns on the Neumann DOFs, couplings
+    across a gap zeroed, and a collar half-solve factors it whole.  On the
+    arrow path it is a view of the arrow base's band.  On the closed form it
+    is one store entry per (mesh, collar), built whole: P0 by
+    ``_omega_mass`` of the Toeplitz Omega rows; P1 from the cells between
+    the collar's nodes, the grid-end node's hat being its in-grid half.
+    Each P1 cell takes ``_cell_gram`` at the order ``fracops.gauss_order``
+    gives its gap to Omega in cell widths, 20 points within two widths and
+    down to 4 far off; the rule is exact to a few ulps on every cell at
+    least one width from Omega.  On the cell that touches Omega tau_Omega
+    is singular at an end, so the node next to Omega is exact only at s =
+    1/2; that node is never a Neumann DOF of a mesh with Dirichlet Omega
+    end nodes, and in a collar half-solve its row cancels.
+    cholesky_banded upper layout: each DOF's superdiagonal slot is its
+    coupling to the grid DOF before it, zero across Omega's end node and
+    beyond the grid end.
     """
-    if disc.scheme == "P0":
-        return np.stack([np.zeros(len(cols)), _omega_mass(R, cols)])
-    band = np.empty((2, len(cols)))
-    for side in _SIDES:
-        nodes = _collar_nodes(disc, side)
-        on = (nodes.start <= cols) & (cols < nodes.stop)
-        if on.any():
-            band[:, on] = _collar_band(disc, order, side, cols[on])
-    band[0] = np.where(np.diff(cols, prepend=-2) == 1, band[0], 0.0)
-    return band
+    key, nodes = _base_key(disc, order), _collar_nodes(disc, side)
+    if assembly_path(disc) == "arrow":
+        return _base_arrow(*key)[1][:, nodes]
 
-
-_BAND_CHUNK = 512                 # collar cells per step of a collar's Gram cells
-
-
-def _collar_band(disc: Discretization, order: FractionalOrder, side: str,
-                 cols: np.ndarray | None = None) -> np.ndarray:
-    """a_ns int phi_j phi_l tau_Omega over the P1 grid nodes ``cols`` of one collar,
-    ascending (every node of the collar when None), as a band.
-
-    tau_Omega is the kernel mass of Omega.  A node adds the terms of its
-    two cells in ``_collar_cells``, read only out to the farthest node
-    asked for; the grid-end node, whose hat is only its in-grid half, has
-    one cell.  cholesky_banded upper layout: each node's superdiagonal slot
-    is its coupling to the grid node before it, zero across Omega's end
-    node and beyond the grid end.
-    """
-    nodes = _collar_nodes(disc, side)
-    cols = np.arange(nodes.start, nodes.stop) if cols is None else cols
-    i = nodes.stop - 1 - cols if side == "left" else cols - nodes.start    # gaps to Omega
-    # node i lies between the cells at gaps i and i + 1
-    inner, outer, cross = _collar_cells(disc, order, side, int(i.max()) + 2)
-    return np.stack([cross[i + 1] if side == "left" else cross[i],
-                     outer[i] + inner[i + 1]])
-
-
-def _collar_cells(disc: Discretization, order: FractionalOrder, side: str,
-                  reach: int) -> np.ndarray:
-    """a_ns int phi_a phi_b tau_Omega on the P1 cells of one collar by their gap to
-    Omega, the cell at gap c spanning c to c + 1 widths from Omega: (the inner hat
-    squared, the outer hat squared, their product), (3, cells), the inner hat
-    that of the cell's node nearer Omega; read-only, one per (mesh, collar) in
-    the store, out to at least ``reach`` cells.  The cell at gap n_collar,
-    beyond the grid end, is zero: the grid-end node's hat is its in-grid half.
-
-    Cells are built in fixed chunks of _BAND_CHUNK from Omega outward, each
-    chunk once, when a call reaches into it, so a sweep whose Neumann DOFs
-    lie near Omega builds only the cells out to its farthest one, and the
-    bits do not depend on the order of the calls.  Each cell takes one
-    Gauss rule of the order ``fracops.gauss_order`` gives its gap in cell
-    widths, 20 points within two widths and down to 4 far off; the rule is
-    exact to a few ulps on every cell at least one width from Omega.  On the
-    cell that touches Omega tau_Omega is singular at an end, so the node
-    next to Omega is exact only at s = 1/2; that node is never a Neumann DOF
-    of a mesh with Dirichlet Omega end nodes, and in a collar half-solve its
-    row cancels.  That cell's product, a coupling across Omega's end node,
-    is zero.
-    """
-    n_c, key = disc.n_collar, (_base_key(disc, order), side)
-    with _LOCK:
-        cells = _cached("band", key, lambda: np.zeros((3, 0)))
-        if cells.shape[1] >= min(reach, n_c + 1):
-            return cells
-        chunks = [cells]
-        for lo in range(cells.shape[1], min(reach, n_c + 1), _BAND_CHUNK):
-            gaps = np.arange(lo, min(lo + _BAND_CHUNK, n_c))
-            first = n_c - 1 - gaps if side == "left" else n_c + disc.n_interior + gaps
+    def build():
+        n_c = disc.n_collar
+        if disc.scheme == "P0":
+            R = _line_rows(_full_line(*key), n_c, disc.n_interior)
+            band = np.stack([np.zeros(n_c), _omega_mass(R, np.arange(nodes.start, nodes.stop))])
+        else:
+            gaps = np.arange(n_c)            # the cell at gap c spans c to c + 1 widths from Omega
+            cells = n_c - 1 - gaps if side == "left" else n_c + disc.n_interior + gaps
             orders = gauss_order(gaps)
-            chunk = np.zeros((3, min(lo + _BAND_CHUNK, n_c + 1) - lo))
+            G = np.zeros((n_c + 1, 2, 2))    # by gap; the cell beyond the grid end is zero
             for g in np.unique(orders):
                 on = np.flatnonzero(orders == g)
-                X, W = quad.gauss_rule(int(g))
-                tau = interval_mass(disc.nodes[first[on], None] + disc.h * X,
-                                    [(disc.omega.a, disc.omega.b)], 2.0 * order.s)
-                inner = X if side == "left" else 1.0 - X      # the hat of the node nearer Omega
-                hats = np.stack([inner * inner, (1.0 - inner) ** 2, inner * (1.0 - inner)])
-                chunk[:, on] = (order.a_ns * disc.h) * (hats * W) @ tau.T
-            if lo == 0:
-                chunk[2, 0] = 0.0
-            chunks.append(chunk)
-        cells = np.concatenate(chunks, axis=1)
-        cells.setflags(write=False)
-        _STORE["band"][key] = cells                   # the grown entry in place of the old
-        return cells
+                G[on] = _cell_gram(disc, order, cells[on], [(disc.omega.a, disc.omega.b)], int(g))
+            G[0, 0, 1] = 0.0                 # a coupling across Omega's end node
+            # by position: the cell left of each node, then the last node's right cell
+            G = G[::-1] if side == "left" else G
+            band = np.stack([G[:-1, 0, 1], G[1:, 0, 0] + G[:-1, 1, 1]])
+        band.setflags(write=False)
+        return band
+
+    return _cached("band", (key, side), build)
 
 
 def _end_column(disc: Discretization, order: FractionalOrder, side: str) -> np.ndarray:
@@ -822,7 +773,9 @@ def _cell_gram(disc: Discretization, order: FractionalOrder, first: np.ndarray, 
     kernel mass of ``sets``, by one g-point Gauss rule per cell.
 
     (cells, 2, 2) over the two hats of a P1 cell, (cells, 1, 1) over the
-    constant of a P0 cell.
+    constant of a P0 cell.  It serves the far tails (``_far_tails``, tau of
+    the far half-lines) and the P1 collar cells of ``exterior_band`` (tau
+    of Omega).
     """
     X, W = quad.gauss_rule(g)
     wtau = W * interval_mass(disc.nodes[first, None] + disc.h * X, sets, 2.0 * order.s)
@@ -922,12 +875,6 @@ class StiffnessSystem:
                 out.append((run, e))
         return tuple(out)
 
-    def exterior_blocks(self) -> list[tuple[np.ndarray, slice]]:
-        """(K_IE's columns of one run, as a view of R_I, or one end column; their slice
-        of the exterior DOFs), each exterior DOF in exactly one."""
-        return [(self.R_I[:, run], e) for run, e in self._runs()] + [
-            (col[:, None], slice(e, e + 1)) for _, e, col in self.end_columns]
-
     def columns(self, nodes: slice, rows: slice, out: np.ndarray) -> np.ndarray:
         """K_IE's columns of the grid DOFs ``nodes`` (any of them, free or not, as R_I
         and ``end_columns`` hold them) over the interior DOFs ``rows``, as the rows of
@@ -947,8 +894,8 @@ class StiffnessSystem:
     def K_IE(self) -> np.ndarray:
         """The interior x exterior Neumann block, copied on demand (tests only)."""
         K_IE = np.empty((len(self.R_I), np.count_nonzero(self.exterior_mask)))
-        for block, e in self.exterior_blocks():
-            K_IE[:, e] = block
+        for run, e in self.runs_E:
+            self.columns(run, slice(None), K_IE[:, e].T)
         return K_IE
 
     def K_EI_matvec(self, u_I: np.ndarray, absolute: bool = False) -> np.ndarray:
@@ -987,23 +934,6 @@ class StiffnessSystem:
         out[self.interior_mask] = K_u_I
         out[self.exterior_mask] = K_u_E
         return out
-
-
-def exterior_band(system: StiffnessSystem, side: str) -> np.ndarray:
-    """The Omega-weighted Gram band over every node of one collar of a P1 system's mesh,
-    ascending; read-only.
-
-    Label-independent: the cached arrow base's band on the arrow path,
-    ``_collar_band`` of the cached collar cells on the closed form.  cholesky_banded upper
-    layout, its first superdiagonal slot zero; a record's K_EE is its
-    columns on the Neumann DOFs, couplings across a gap zeroed.
-    """
-    disc = system.disc
-    if system.path == "arrow":
-        return _base_arrow(*system.key[0])[1][:, _collar_nodes(disc, side)]
-    band = _collar_band(disc, system.order, side)
-    band.setflags(write=False)
-    return band
 
 
 def dense_bytes(disc: Discretization) -> int:
@@ -1127,9 +1057,9 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     The Omega rows are a view of the Toeplitz T or of the cached arrow base,
     as ``assembly_path`` picks from the mesh.  K_II and the tails come from
     ``_build_interior``, built by the first record of their key and shared;
-    the system carries that key.  On the P1 closed form, K_EE comes from the
-    cached collar bands and the column of a free grid-end node from the
-    cached ``_end_column``.
+    the system carries that key.  On every path K_EE is cut from each
+    collar's ``exterior_band``; on the P1 closed form the column of a free
+    grid-end node comes from the cached ``_end_column``.
     """
     if order.dimension != 1:
         raise BadParameters("assembly is 1D")
@@ -1165,16 +1095,21 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     # diagnostics; of the Omega DOFs only the (P1) end nodes can be Dirichlet
     row_sums = np.empty(len(free))
     ends = ()
+    # K_EE: each collar's exterior band on its Neumann DOFs, which ascend
+    K_EE = np.empty((2, len(cols_E)))
+    split = int(np.searchsorted(cols_E, disc.n_collar))
+    for side, e in (("left", slice(0, split)), ("right", slice(split, len(cols_E)))):
+        if e.start < e.stop:
+            band = exterior_band(disc, order, side)
+            K_EE[:, e] = band[:, cols_E[e] - _collar_nodes(disc, side).start]
+    K_EE[0, np.diff(cols_E, prepend=-2) != 1] = 0.0     # no coupling across a gap
     if closed:
-        K_EE = _neumann_band(disc, order, R, cols_E)
         if disc.scheme == "P1":
             last = len(cols_E) - 1
             ends = tuple((q, e, _end_column(disc, order, side))
                          for q, e, side in ((0, 0, "left"), (disc.n_dofs - 1, last, "right"))
                          if len(cols_E) and cols_E[e] == q)
     else:
-        K_EE = ext[:, cols_E]
-        K_EE[0] = np.where(np.diff(cols_E, prepend=-2) == 1, K_EE[0], 0.0)
         dirichlet = disc.dof_label == DOF_DIRICHLET
         x = dirichlet.astype(float)
         Kx = band_matvec(ext, x) + R[dirichlet[omega_dofs]].sum(axis=0)

@@ -9,7 +9,8 @@ operands, named by ``SchurReduction.form``:
 - direct: base = K_II, alpha = -1 and X = U^{-T} K_EI, one banded
   triangular solve with K_EE = U'U (banded Cholesky on the band's true
   width), eliminating the Neumann DOFs N; K_EI is gathered once from its
-  runs and solved in place, on P1 division-free (``_half_solve``);
+  runs (``StiffnessSystem.columns``) and solved in place, on P1
+  division-free (``_half_solve``);
 - Gram update ("gram"), on P0 meshes, whose exterior block is diagonal,
   when the grid has fewer Dirichlet cells D than Neumann ones: base = K_II
   - G_E and alpha = +1 with X = X_D.  G_E = X_E'X_E, X_E = diag(mass_E)^{-1/2}
@@ -24,7 +25,8 @@ operands, named by ``SchurReduction.form``:
   the grid end (a Neumann half-line), when it has fewer rows than the
   direct form.  The two collars are decoupled, so K_EE is one tridiagonal
   block per collar, cut from the collar's label-independent band
-  (``assembly.exterior_band``).
+  (``assembly.exterior_band``), the band that ``assemble`` cuts every
+  record's K_EE from; the form has no branch of its own for either path.
   Ordered from the grid end inward, such a run is the leading block of its
   collar's, whose Cholesky factor is the leading block of the collar's
   U_c; so the collar's half-solve X_c = U_c^{-T} K_{c,I}, solved once per
@@ -226,8 +228,8 @@ def _schur_operands(system: StiffnessSystem, U: np.ndarray):
     if disc.scheme == "P1" or len(D) >= n_E:
         # K_EI gathered once, in the Fortran order that dtbtrs solves in place
         X = np.empty((n_E, len(system.K_II)), order="F")
-        for block, e in system.exterior_blocks():
-            X[e] = block.T
+        for run, e in system.runs_E:
+            system.columns(run, slice(None), X[e])
         return "direct", (), -1.0, _half_solve(U, X, "exterior Neumann solve")
     # R_I is P0's Toeplitz Omega rows; X' in C order, so dsyrk reads X in place
     XT = np.divide(system.R_I[:, D], np.sqrt(_omega_mass(system.R_I, D)), order="C")
@@ -263,8 +265,9 @@ def _collar_solve(system: StiffnessSystem, side: str) -> np.ndarray:
     """X_c = U_c^{-T} K_{c,I} over every node of the collar, ordered from the grid end
     inward; C order, read-only, one per (``system.key``, collar) in the store.
 
-    K_cc, the collar's label-independent exterior band
-    (``assembly.exterior_band``), is tridiagonal, and U_c'U_c = K_cc.  In
+    K_cc is the collar's label-independent exterior band
+    (``assembly.exterior_band``, which ``assemble`` cuts K_EE from on
+    either path), tridiagonal, and U_c'U_c = K_cc.  In
     this order a run of n Neumann nodes from the grid end is the leading
     n x n block of K_cc, whose factor is U_c's leading block, so X_c[:n] is
     the run's half-solve.  K_{c,I} (``StiffnessSystem.columns``, the
@@ -275,7 +278,7 @@ def _collar_solve(system: StiffnessSystem, side: str) -> np.ndarray:
     """
     def build():
         n_c, m = system.disc.n_collar, system.disc.n_dofs
-        band = exterior_band(system, side)
+        band = exterior_band(system.disc, system.order, side)
         if side == "left":
             nodes = slice(0, n_c)
             K_cc = band

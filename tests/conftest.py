@@ -38,9 +38,9 @@ def dense(system):
     iE = np.where(system.exterior_mask)[0]
     K = np.zeros((system.n_free, system.n_free))
     K[np.ix_(iI, iI)] = system.K_II
-    for block, e in system.exterior_blocks():
-        K[np.ix_(iI, iE[e])] = block
-        K[np.ix_(iE[e], iI)] = block.T
+    K_IE = system.K_IE
+    K[np.ix_(iI, iE)] = K_IE
+    K[np.ix_(iE, iI)] = K_IE.T
     K[np.ix_(iE, iE)] = unband(system.K_EE)
     M = np.zeros_like(K)
     M[np.ix_(iI, iI)] = unband(system.M_II)

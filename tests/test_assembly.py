@@ -1,9 +1,11 @@
+import ast
 import dataclasses
 import math
 import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +253,40 @@ def test_concurrent_first_assembles_build_the_base_once(cold_caches, monkeypatch
         systems = list(pool.map(lambda _: assemble(mesh, order), range(2)))
     assert len(builds) == 1
     assert np.array_equal(systems[0].K_II, systems[1].K_II)
+
+
+_STORE_MUTATORS = {"setdefault", "pop", "popitem", "clear", "update", "__setitem__",
+                   "__delitem__"}
+
+
+def _store_writers(tree: ast.AST) -> set:
+    """Names of the functions whose bodies assign into, delete from or mutate ``_STORE``
+    (an entry of it included, as ``_STORE[kind][key] = ...``)."""
+    def on_store(node):
+        while isinstance(node, (ast.Subscript, ast.Attribute)):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id == "_STORE"
+
+    writers = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete)) else
+                       [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+            if any(isinstance(t, ast.Subscript) and on_store(t) for t in targets) or (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _STORE_MUTATORS and on_store(node.func.value)):
+                writers.add(func.name)
+    return writers
+
+
+def test_only_the_store_function_writes_the_store():
+    # every shared piece goes through _cached, under its lock and slot count
+    package = Path(assembly.__file__).parent
+    writers = {(path.name, name) for path in sorted(package.glob("*.py"))
+               for name in _store_writers(ast.parse(path.read_text(encoding="utf-8")))}
+    assert writers == {("assembly.py", "_cached")}, writers
 
 
 class TestSharedInteriorBlock:

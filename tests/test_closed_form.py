@@ -33,12 +33,10 @@ from mixedfrac import assembly, experiments
 from mixedfrac.assembly import (
     DOF_NEUMANN,
     _cell_gram,
-    _collar_band,
-    _collar_cells,
-    _neumann_band,
     _unit_hat_sequence,
     assembly_path,
     dense_bytes,
+    exterior_band,
 )
 
 SEPARATIONS = list(range(81)) + [100, 511, 2047, 4096, 5000]
@@ -87,11 +85,11 @@ def test_neumann_band_matches_mpmath(s):
     part = explicit(om, neumann=[[1.25, 1.75], [63.5, 64.0]], dirichlet="rest")
     disc = build_mesh(om, part, h, 64.0, "P1", order=order)
     assert assembly_path(disc) == "closed_form"
-    band = _collar_band(disc, order, "right")
+    band = exterior_band(disc, order, "right")
     first = disc.n_collar + disc.n_interior + 1           # the collar's first node
     cols = np.flatnonzero(disc.dof_label == DOF_NEUMANN)
     # a record's K_EE is the band's columns on its Neumann DOFs, gaps cut
-    K_EE = _neumann_band(disc, order, None, cols)       # P1 reads no Omega rows
+    K_EE = assemble(disc, order).K_EE
     assert np.array_equal(K_EE[1], band[1, cols - first])
     assert np.array_equal(K_EE[0], np.where(np.diff(cols, prepend=-2) == 1,
                                             band[0, cols - first], 0.0))
@@ -129,44 +127,26 @@ COLLAR_MESHES = {"collar_sector": (Domain1D(-1.0, 1.0), 0.01, 36.0),
 @pytest.mark.parametrize("s", (0.01, 0.25, 0.5, 0.75, 0.99))
 @pytest.mark.parametrize("mesh", list(COLLAR_MESHES))
 def test_collar_cells_match_a_twenty_point_rule(cold_caches, mesh, s):
-    # each cell's Gauss order follows its gap to Omega; every cell stays within
-    # 1e-14 of the 20-point rule that every cell took before
+    # each cell's Gauss order follows its gap to Omega; every entry of each
+    # collar's band stays within 1e-14 of the 20-point rule on every cell
     om, h, L = COLLAR_MESHES[mesh]
     order = make_order(1, s)
     disc = build_mesh(om, full_dirichlet_partition(om), h, L, "P1", order=order)
     n_c = disc.n_collar
-    gaps = np.arange(n_c)
-    for side, first, inner in (("left", n_c - 1 - gaps, 1),
-                               ("right", n_c + disc.n_interior + gaps, 0)):
-        got = _collar_cells(disc, order, side, n_c + 1)
-        assert got.shape == (3, n_c + 1) and not got[:, -1].any()    # the zero cell
-        G = _cell_gram(disc, order, first, [(om.a, om.b)], 20)
-        ref = np.stack([G[:, inner, inner], G[:, 1 - inner, 1 - inner], G[:, 0, 1]])
-        ref[2, 0] = 0.0                    # a coupling across Omega's end node
-        assert np.all(np.abs(got[:, :-1] - ref) <= 1e-14 * np.abs(ref)), side
-
-
-def test_collar_cells_grow_to_the_farthest_neumann_node(cold_caches):
-    # c4_nested's records read the first 192 of the right collar's 2048 cells:
-    # a sweep of them builds one chunk, and growing it later by a far record
-    # gives the bits of a collar built at once, so the order of records does not
-    # matter
-    om, h, L = COLLAR_MESHES["c4_nested"]
-    order = make_order(1, 0.3)
-    near = build_mesh(om, explicit(om, neumann=[[1.5, 1.75]], dirichlet="rest"), h, L, "P1",
-                      order=order)
-    far = build_mesh(om, explicit(om, neumann=[[7.0, 7.5]], dirichlet="rest"), h, L, "P1",
-                     order=order)
-    assemble(near, order)
-    (cells,) = assembly._STORE["band"].values()
-    assert cells.shape[1] == assembly._BAND_CHUNK < near.n_collar
-    assemble(far, order)
-    (cells,) = assembly._STORE["band"].values()
-    # its farthest node lies 1664 cells out: four chunks, short of the zero cell
-    assert cells.shape[1] == 4 * assembly._BAND_CHUNK == far.n_collar
-    grown = _collar_band(far, order, "right")
-    assembly._STORE.clear()
-    assert np.array_equal(grown, _collar_band(far, order, "right"))
+    for side, first in (("left", 0), ("right", n_c + disc.n_interior)):
+        got = exterior_band(disc, order, side)
+        G = _cell_gram(disc, order, first + np.arange(n_c), [(om.a, om.b)], 20)
+        ref = np.zeros((2, n_c))
+        if side == "left":        # node j lies between cells j - 1 and j; node 0 is the grid end
+            ref[1] = G[:, 0, 0]
+            ref[1, 1:] += G[:-1, 1, 1]
+            ref[0, 1:] = G[:-1, 0, 1]
+        else:                     # node j between cells j and j + 1; the last is the grid end
+            ref[1] = G[:, 1, 1]
+            ref[1, :-1] += G[1:, 0, 0]
+            ref[0, 1:] = G[1:, 0, 1]          # node 0's coupling across Omega's end node is 0
+        assert got.shape == (2, n_c) and not got[0, 0] and not got.flags.writeable
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), side
 
 
 def explicit(omega, **kw):

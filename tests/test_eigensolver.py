@@ -482,7 +482,7 @@ class TestHalfSolve:
         system = _collar_sector_record()
         disc = system.disc
         n_c, m = disc.n_collar, disc.n_dofs
-        band = assembly.exterior_band(system, "right")
+        band = assembly.exterior_band(disc, system.order, "right")
         K_cc = np.stack([np.r_[0.0, band[0, ::-1][:-1]], band[1, ::-1]])
         B = system.columns(slice(m - 1, m - 1 - n_c, -1), slice(None),
                            np.empty((n_c, len(system.K_II)), order="F"))
@@ -506,7 +506,7 @@ class TestHalfSolve:
         # and small bands, where a whole Fortran-order gather and a C-order
         # copy of X_c came to 11.5 MB against the 5.7 MB kept
         system = _collar_sector_record()
-        assembly.exterior_band(system, "right")        # the collar cells, built by assemble
+        assembly.exterior_band(system.disc, system.order, "right")    # built by assemble
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
@@ -516,6 +516,58 @@ class TestHalfSolve:
             tracemalloc.stop()
         chunk = system.disc.n_collar * assembly.SOLVE_CHUNK * 8
         assert peak <= X.nbytes + chunk + 2 ** 20
+
+
+def _cut_bands(system):
+    """Each collar's ``exterior_band`` on the system's Neumann DOFs, couplings across a
+    gap zeroed: the bands laid out over every grid DOF, then cut."""
+    disc = system.disc
+    bands = [assembly.exterior_band(disc, system.order, side) for side in ("left", "right")]
+    omega = np.zeros((2, disc.n_dofs - 2 * disc.n_collar))
+    cols = system.free_dofs[system.exterior_mask]
+    K_EE = np.concatenate([bands[0], omega, bands[1]], axis=1)[:, cols]
+    K_EE[0] = np.where(np.diff(cols, prepend=-2) == 1, K_EE[0], 0.0)
+    return K_EE
+
+
+class TestSharedExteriorCut:
+    """Every path cuts K_EE, and a collar half-solve K_cc, from one band per collar."""
+
+    @pytest.mark.parametrize("name,k", [("c7_dirichlet_ball", 0), ("c7_dirichlet_ball", 6),
+                                        ("collar_sector", 0), ("c6_touching_p0", 1)])
+    def test_K_EE_is_the_cut_of_the_collar_bands(self, cold_caches, name, k):
+        cfg = _benchmark_sweep(name)
+        mesh = cfg.validate()[cfg.k_list.index(k)]
+        system = assemble(mesh, make_order(1, cfg.s))
+        assert np.array_equal(system.K_EE, _cut_bands(system))
+        cols = system.free_dofs[system.exterior_mask]
+        if name == "c7_dirichlet_ball":
+            # a gap around the Dirichlet ball, and the arrow base's own cut
+            assert system.path == "arrow" and np.any(np.diff(cols) > 1)
+            ref = _base_arrow(*system.key[0])[1][:, cols]
+            ref[0] = np.where(np.diff(cols, prepend=-2) == 1, ref[0], 0.0)
+            assert np.array_equal(system.K_EE, ref)
+        elif name == "collar_sector":
+            assert system.path == "closed_form" and cols[-1] == mesh.n_dofs - 1
+        else:
+            assert mesh.scheme == "P0" and system.path == "closed_form"
+
+    def test_arrow_path_collar_gram_cuts_K_cc_from_the_arrow_band(self, cold_caches,
+                                                                   monkeypatch):
+        # a free left Omega end node takes the arrow base; both Neumann collars
+        # are runs from the grid end
+        order = make_order(1, 0.5)
+        part = explicit(OM, dirichlet=[[1.0, 3.0]], neumann="rest")
+        system = assemble(build_mesh(OM, part, 0.05, 8.0, "P1", order=order), order)
+        assert system.path == "arrow"
+        bands = []
+        band = eigensolver.exterior_band
+        monkeypatch.setattr(eigensolver, "exterior_band",
+                            lambda *a: bands.append(band(*a)) or bands[-1])
+        assert schur_reduce(system).form == "collar_gram"
+        ext = _base_arrow(*system.key[0])[1]
+        assert len(bands) == 2 and all(np.shares_memory(b, ext) for b in bands)
+        assert "band" not in assembly._STORE
 
 
 def _neumann_interval():
