@@ -22,13 +22,14 @@ side and replaced by closed-form tail integrals on the Dirichlet side.
 - the closed form (every P0 mesh; every P1 mesh whose two Omega end nodes
   are Dirichlet): a strided view of one mirrored Toeplitz line T, in O(m)
   memory.  P0's T(d) = -a f(d), T(0) = 0; K_II's diagonal is the negated
-  grid row sum, and K_EE, an exterior cell's Omega mass, one reverse
-  cumulative sum of T.  P1's T(k) = -a h^(1-2s) delta^4 G(k), G'''' =
-  |t|^(-1-2s), far tails included, is exact to a few ulps of 50-digit
-  mpmath (``_unit_hat_sequence``); every interior hat is whole, K_II
-  subtracts the Neumann far tails that the grid drops, a free grid-end
-  node's half hat has its own column, and K_EE is cut from the
-  Omega-weighted Gram band of each collar;
+  grid row sum, and K_EE, an exterior cell's Omega mass, and the
+  Dirichlet row sums are differences of one reverse cumulative sum of T.
+  P1's T(k) = -a h^(1-2s) delta^4 G(k), G'''' = |t|^(-1-2s), far tails
+  included, is exact to a few ulps of 50-digit mpmath
+  (``_unit_hat_sequence``); every interior hat is whole, K_II subtracts
+  the Neumann far tails that the grid drops, a free grid-end node's half
+  hat has its own column, and K_EE is cut from the Omega-weighted Gram
+  band of each collar;
 - the P1 arrow base, for P1 meshes with a free Omega end node, in
   O(n_int * m) memory: Omega rows Toeplitz off the band, and a band whose
   entries add their terms in one fixed order, by separation, so that it
@@ -748,23 +749,57 @@ def _end_column(disc: Discretization, order: FractionalOrder, side: str) -> np.n
     return _cached("end", (_base_key(disc, order), side), build)
 
 
-def _omega_mass(R: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Omega mass -(T(g) + ... + T(g + n_int - 1)) of the P0 exterior ``cells``, g
-    their gap to Omega: minus their column sums in R, the Toeplitz Omega rows.
+def _tail_sums(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with T(d) + ... + T(d_max) = hi[d] + lo[d], d = 0..d_max + 1, from the
+    P0 Toeplitz Omega rows R.
 
     One reverse cumulative sum of R's row 0 from its diagonal, T(0..d_max),
-    serves every gap, mirror-exact; its rounding errors, exact by TwoSum,
-    are summed alongside, so a difference of two tails (which cancels up to
-    g / (2s)-fold) stays within an ulp or two of the exact sum.
+    serves every d, mirror-exact; its rounding errors, exact by TwoSum, are
+    summed alongside, so a difference of two tails (which cancels up to
+    d / (2s)-fold) stays within an ulp or two of the exact window sum.
     """
-    n_int, n_collar = len(R), (R.shape[1] - len(R)) // 2
+    n_collar = (R.shape[1] - len(R)) // 2
     x = R[0, n_collar:][::-1]                            # T(d_max), ..., T(0)
     c = np.cumsum(x)
     b = c[1:] - c[:-1]
     err = np.cumsum(np.r_[0.0, (c[:-1] - (c[1:] - b)) + (x[1:] - b)])
-    hi, lo = (np.r_[v[::-1], 0.0] for v in (c, err))    # T(d) + ... + T(d_max) = hi[d] + lo[d]
+    return tuple(np.r_[v[::-1], 0.0] for v in (c, err))
+
+
+def _line_sums(tails, first, stop) -> np.ndarray:
+    """T(first) + ... + T(stop - 1) from ``_tail_sums``, elementwise over the index arrays."""
+    hi, lo = tails
+    return (hi[first] - hi[stop]) + (lo[first] - lo[stop])
+
+
+def _omega_mass(R: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Omega mass -(T(g) + ... + T(g + n_int - 1)) of the P0 exterior ``cells``, g
+    their gap to Omega: minus their column sums in R, the Toeplitz Omega rows;
+    a difference of two ``_tail_sums``.
+    """
+    n_int, n_collar = len(R), (R.shape[1] - len(R)) // 2
     gaps = np.where(cells < n_collar, n_collar - cells, cells - n_collar - n_int + 1)
-    return (hi[gaps + n_int] - hi[gaps]) + (lo[gaps + n_int] - lo[gaps])
+    return -_line_sums(_tail_sums(R), gaps, gaps + n_int)
+
+
+def _dirichlet_rows(R: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """sum_{q in cells} R[i, q] for every Omega row i of the P0 Toeplitz Omega rows R,
+    ``cells`` exterior and ascending.
+
+    A run of cells is a window of T in each row: on the left, cell q is
+    n_collar + i - q from row i; on the right, q - n_collar - i.  So each
+    run adds one difference of two ``_tail_sums`` per row, the runs in
+    ascending order.
+    """
+    n_int, n_collar = len(R), (R.shape[1] - len(R)) // 2
+    tails, i = _tail_sums(R), np.arange(n_int)
+    out = np.zeros(n_int)
+    for run, _ in runs(cells):
+        if run.stop <= n_collar:
+            out += _line_sums(tails, n_collar - run.stop + 1 + i, n_collar - run.start + 1 + i)
+        else:
+            out += _line_sums(tails, run.start - n_collar - i, run.stop - n_collar - i)
+    return out
 
 
 def _cell_gram(disc: Discretization, order: FractionalOrder, first: np.ndarray, sets,
@@ -842,7 +877,8 @@ class StiffnessSystem:
     interior_mask: np.ndarray     # within-free boolean
     exterior_mask: np.ndarray     # within-free boolean (exterior Neumann)
     tail_corrections: np.ndarray  # per-free-DOF diagonal far-field-D addition
-    dirichlet_row_sums: np.ndarray  # column sums of the constrained row block
+    dirichlet_row_sums: np.ndarray  # column sums of the constrained row block: K 1_D over
+                                    # the free DOFs, far tails left out; P0's by definition
     end_columns: tuple = ()       # (grid DOF, exterior position, read-only column) per free
                                   # grid-end node whose K_IE column R_I does not hold
     # (mesh, far-field labels, interior slice, path): the key that K_II and M_II
@@ -1011,7 +1047,7 @@ def _build_interior(disc: Discretization, order: FractionalOrder, R: np.ndarray,
     on the P1 closed form, whose T holds them; that T holds the Neumann far
     half-lines too, which the grid drops, so their tails are subtracted
     there.  ``tails`` are the diagonal Dirichlet tails of those DOFs.
-    ``tail_rows`` (closed form only, else None) are the row sums of the
+    ``tail_rows`` (P1 closed form only, else None) are the row sums of the
     Dirichlet tails among them.
     """
     n_om = R.shape[0]
@@ -1030,19 +1066,18 @@ def _build_interior(disc: Discretization, order: FractionalOrder, R: np.ndarray,
     for add in d_adds:
         tails_om += add
     tails = tails_om[I]
-    closed = assembly_path(disc) == "closed_form"
+    line = disc.scheme == "P1" and assembly_path(disc) == "closed_form"
     # the P1 line holds every far tail, and the grid drops the Neumann ones
-    sign, (adds, sup_tails) = ((-1.0, far_tails("N")) if closed and disc.scheme == "P1"
-                               else (1.0, (d_adds, d_sup)))
+    sign, (adds, sup_tails) = (-1.0, far_tails("N")) if line else (1.0, (d_adds, d_sup))
     for add in adds:
         diag += sign * add[I]
     if sup_tails is not None:
         sup += sign * sup_tails
         sub += sign * sup_tails
     tail_rows = None
-    if closed:
+    if line:
         tail_rows = tails.copy()
-        if d_sup is not None:                    # P1 with a Dirichlet far side
+        if d_sup is not None:                    # a Dirichlet far side
             tail_rows[1:] += d_sup
             tail_rows[:-1] += d_sup
         tail_rows.setflags(write=False)
@@ -1059,7 +1094,9 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     ``_build_interior``, built by the first record of their key and shared;
     the system carries that key.  On every path K_EE is cut from each
     collar's ``exterior_band``; on the P1 closed form the column of a free
-    grid-end node comes from the cached ``_end_column``.
+    grid-end node comes from the cached ``_end_column``.  The Dirichlet row
+    sums are a GEMV on the arrow path, ``_dirichlet_rows`` on P0, and -K 1
+    plus the tail rows on the P1 closed form.
     """
     if order.dimension != 1:
         raise BadParameters("assembly is 1D")
@@ -1093,7 +1130,7 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
     # column sums of the Dirichlet-row block, K 1_D by symmetry: the discrete
     # N_s mass on the constrained DOFs, needed by the Gauss-identity
     # diagnostics; of the Omega DOFs only the (P1) end nodes can be Dirichlet
-    row_sums = np.empty(len(free))
+    row_sums = np.zeros(len(free))
     ends = ()
     # K_EE: each collar's exterior band on its Neumann DOFs, which ascend
     K_EE = np.empty((2, len(cols_E)))
@@ -1103,12 +1140,15 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
             band = exterior_band(disc, order, side)
             K_EE[:, e] = band[:, cols_E[e] - _collar_nodes(disc, side).start]
     K_EE[0, np.diff(cols_E, prepend=-2) != 1] = 0.0     # no coupling across a gap
-    if closed:
-        if disc.scheme == "P1":
-            last = len(cols_E) - 1
-            ends = tuple((q, e, _end_column(disc, order, side))
-                         for q, e, side in ((0, 0, "left"), (disc.n_dofs - 1, last, "right"))
-                         if len(cols_E) and cols_E[e] == q)
+    if disc.scheme == "P0":       # always the closed form
+        # by definition, the Dirichlet columns of each interior row; exterior
+        # pairs carry no energy and K_EE is diagonal, so exterior rows are 0
+        row_sums[interior] = _dirichlet_rows(R, np.flatnonzero(disc.dof_label == DOF_DIRICHLET))
+    elif closed:
+        last = len(cols_E) - 1
+        ends = tuple((q, e, _end_column(disc, order, side))
+                     for q, e, side in ((0, 0, "left"), (disc.n_dofs - 1, last, "right"))
+                     if len(cols_E) and cols_E[e] == q)
     else:
         dirichlet = disc.dof_label == DOF_DIRICHLET
         x = dirichlet.astype(float)
@@ -1123,7 +1163,7 @@ def assemble(disc: Discretization, order: FractionalOrder) -> StiffnessSystem:
         M_II=M_II, free_dofs=free, interior_mask=interior, exterior_mask=exterior,
         tail_corrections=tails, dirichlet_row_sums=row_sums, end_columns=ends)
     object.__setattr__(system, "key", key)       # before matvec, whose path it selects
-    if closed:
+    if closed and disc.scheme == "P1":
         # the span-truncated stiffness annihilates constants, so a free row's
         # Dirichlet columns sum to minus its free ones, less the far tails
         # among the interior DOFs, which K holds and the grid does not

@@ -16,10 +16,13 @@ operands, named by ``SchurReduction.form``:
   - G_E and alpha = +1 with X = X_D.  G_E = X_E'X_E, X_E = diag(mass_E)^{-1/2}
   R[:, E]' (R the Toeplitz Omega rows, mass_E the Omega mass), eliminates
   every exterior grid cell E = N + D; it is built with the base's factor,
-  from R_I (every Omega row on a P0 mesh), by chunks of the left collar's
-  columns (the right collar is its mirror image), and a record only puts
-  its Dirichlet cells back.  The two cost the same near |D| = |N|, so a
-  Dirichlet-heavy P0 record keeps the direct form;
+  from R_I (every Omega row on a P0 mesh), whose columns are slices of the
+  line (``_exterior_columns``): by chunks of the left collar's cells, each
+  column and its mirror image split into an even and an odd part, each
+  summed over half the interior rows (``_exterior_gram``).  A record only
+  puts its Dirichlet cells back: X_D's rows are its runs' columns, scaled
+  by the collars' cached bands.  The two cost the same near |D| = |N|, so
+  a Dirichlet-heavy P0 record keeps the direct form;
 - collar Gram update ("collar_gram"), on P1 meshes of either assembly
   path whose Neumann DOFs on each collar are none, all, or one run from
   the grid end (a Neumann half-line), when it has fewer rows than the
@@ -86,7 +89,7 @@ from scipy.linalg import (LinAlgError, blas, cho_factor, cho_solve_banded, chole
                           lapack)
 
 from .assembly import (DOF_DIRICHLET, SOLVE_CHUNK, Discretization, StiffnessSystem, _cached,
-                       _omega_mass, assemble, band_matvec, build_mesh, exterior_band)
+                       assemble, band_matvec, build_mesh, exterior_band, runs)
 from .errors import BadParameters, IndefinitePencil, SingularExteriorBlock
 from .fracops import FractionalOrder
 from .geometry import (
@@ -216,11 +219,11 @@ def _schur_operands(system: StiffnessSystem, U: np.ndarray):
     diagonal exterior block over every grid cell, which only P0 meshes have.
     Every other record is direct.
     """
-    runs = _collar_runs(system)
-    if runs is not None:
-        sides = tuple(side for side in _COLLARS if runs[side])
+    anchored = _collar_runs(system)
+    if anchored is not None:
+        sides = tuple(side for side in _COLLARS if anchored[side])
         # X_c[n:], the rows of each Neumann collar's Dirichlet nodes, in C order
-        rows = [_collar_solve(system, side)[runs[side]:] for side in sides]
+        rows = [_collar_solve(system, side)[anchored[side]:] for side in sides]
         return "collar_gram", sides, 1.0, rows[0] if len(rows) == 1 else np.concatenate(rows)
     disc = system.disc
     D = np.flatnonzero(disc.dof_label == DOF_DIRICHLET)
@@ -231,9 +234,15 @@ def _schur_operands(system: StiffnessSystem, U: np.ndarray):
         for run, e in system.runs_E:
             system.columns(run, slice(None), X[e])
         return "direct", (), -1.0, _half_solve(U, X, "exterior Neumann solve")
-    # R_I is P0's Toeplitz Omega rows; X' in C order, so dsyrk reads X in place
-    XT = np.divide(system.R_I[:, D], np.sqrt(_omega_mass(system.R_I, D)), order="C")
-    return "gram", ("exterior",), 1.0, XT.T
+    # X_D row by row, each a column of R_I over the root of its cell's Omega
+    # mass; C order, so X' is the Fortran-order operand of dtrsm
+    X = np.empty((len(D), len(system.K_II)))
+    for run, e in runs(D):
+        side = "left" if run.stop <= disc.n_collar else "right"
+        first = 0 if side == "left" else disc.n_dofs - disc.n_collar
+        mass = exterior_band(disc, system.order, side)[1][run.start - first:run.stop - first]
+        np.divide(_exterior_columns(system, run), np.sqrt(mass)[:, None], out=X[e])
+    return "gram", ("exterior",), 1.0, X
 
 
 _COLLARS = ("left", "right")
@@ -332,29 +341,73 @@ def _factor(base: np.ndarray, M_band: np.ndarray) -> BaseFactor:
     return BaseFactor(base=base, U=U, sigma=sigma)
 
 
+def _exterior_columns(system: StiffnessSystem, run: slice) -> np.ndarray:
+    """R_I[:, run]' for a run of exterior cells in one collar of a P0 system, as a
+    read-only view of the line.
+
+    Every Omega cell of a P0 mesh is interior, so R_I holds the Toeplitz
+    Omega rows, whose first and last rows are ascending slices of the
+    mirrored line T(|k|).  Column q of R_I is T(n_collar + i - q) over the
+    rows i on the left, an ascending slice of row 0 from its entry 2 n_collar -
+    q; on the right it is T(q - n_collar - i), one of the last row from its
+    entry 2 n_collar + n_I - 1 - q.
+    """
+    n_c, n_I = system.disc.n_collar, len(system.R_I)
+    row, end = ((system.R_I[0], 2 * n_c) if run.stop <= n_c
+                else (system.R_I[-1], 2 * n_c + n_I - 1))
+    win = np.lib.stride_tricks.sliding_window_view(row, n_I)
+    return win[end - run.stop + 1:end - run.start + 1][::-1]
+
+
 def _exterior_gram(system: StiffnessSystem) -> np.ndarray:
     """G_E = X_E'X_E over every exterior grid cell E of a P0 system; read-only.
 
-    Every Omega cell of a P0 mesh is interior, so R = R_I holds the Toeplitz
-    Omega rows.  R and the Omega mass are mirror images of themselves:
-    n_collar exterior cells on each side, R[n_I-1-i, m-1-q] = R[i, q], one
-    mass per gap.  So the right collar's Gram is J G_L J, J the
-    reversal of the interior index, and G_E = G_L + J G_L J, summed over the
-    left collar alone, is symmetric and persymmetric bitwise.  One dsyrk per
-    chunk of _GRAM_CHUNK consecutive cells adds its X_c'X_c (beta = 1), with
-    X_c' scaled into one reused buffer: R's columns are never copied whole.
+    R_I and the Omega mass are mirror images of themselves: n_collar
+    exterior cells on each side, R_I[n_I-1-i, m-1-q] = R_I[i, q], one mass
+    per gap.  So with x = X_E's row of a left cell and J the reversal of the
+    interior index, the right collar adds Jx, and the pair adds xx' + Jxx'J
+    = (ee' + oo') / 2, e = x + Jx even and o = x - Jx odd.  Each is fixed by
+    its first half: e by its first ceil(n_I/2) entries (an odd n_I's middle
+    one is 2x there), o by its first floor(n_I/2).  With S and P the sums of
+    their half outer products over the left collar, scaled by 1/2,
+
+        G_E = [[S + P,     (S - P) J],      (the middle row and column
+               [J (S - P),  J (S + P) J]]    of an odd n_I from S alone)
+
+    Each chunk of _GRAM_CHUNK left cells reads x and Jx, the columns of its
+    cells and of their mirror images, as views of the line
+    (``_exterior_columns``); its halves of e and o, scaled by 1/sqrt(2 mass)
+    (the left collar's ``exterior_band``, the Omega mass), go into two reused
+    buffers, and one half-width dsyrk each adds them to the upper triangles
+    of S and P (beta = 1).  G_E is laid out from their mirrored triangles,
+    its last rows the reversed first ones (C order, so that the two do not
+    overlap and the copy needs no temporary): it is symmetric and
+    persymmetric bitwise.
     """
-    R, n_collar = system.R_I, system.disc.n_collar
-    n_I = len(R)
-    G_L = np.zeros((n_I, n_I), order="F")
-    buf = np.empty(n_I * _GRAM_CHUNK)
-    root = np.sqrt(_omega_mass(R, np.arange(n_collar)))
-    for lo in range(0, n_collar, _GRAM_CHUNK):
-        hi = min(lo + _GRAM_CHUNK, n_collar)
-        XT = np.divide(R[:, lo:hi], root[lo:hi], out=buf[:n_I * (hi - lo)].reshape(n_I, -1))
-        G_L = blas.dsyrk(1.0, XT.T, beta=1.0, c=G_L, trans=1, overwrite_c=True)
-    np.copyto(G_L, G_L.T, where=np.tri(n_I, k=-1, dtype=bool))
-    G_E = np.add(G_L, G_L[::-1, ::-1], out=np.empty_like(G_L, order="F"))
+    n_c, n_I, m = system.disc.n_collar, len(system.R_I), system.R_I.shape[1]
+    h, hc = n_I // 2, (n_I + 1) // 2
+    scale = 1.0 / np.sqrt(2.0 * exterior_band(system.disc, system.order, "left")[1])
+    S, P = np.zeros((hc, hc), order="F"), np.zeros((h, h), order="F")
+    even, odd = np.empty((_GRAM_CHUNK, hc)), np.empty((_GRAM_CHUNK, h))
+    for lo in range(0, n_c, _GRAM_CHUNK):
+        hi = min(lo + _GRAM_CHUNK, n_c)
+        x = _exterior_columns(system, slice(lo, hi))
+        Jx = _exterior_columns(system, slice(m - hi, m - lo))[::-1]
+        w, e, o = scale[lo:hi, None], even[:hi - lo], odd[:hi - lo]
+        np.multiply(np.add(x[:, :hc], Jx[:, :hc], out=e), w, out=e)
+        S = blas.dsyrk(1.0, e.T, beta=1.0, c=S, overwrite_c=True)
+        if h:                     # BLAS with a zero dimension corrupts the heap
+            np.multiply(np.subtract(x[:, :h], Jx[:, :h], out=o), w, out=o)
+            P = blas.dsyrk(1.0, o.T, beta=1.0, c=P, overwrite_c=True)
+    G_E = np.empty((n_I, n_I))
+    top, P_full = G_E[:hc, :hc], G_E[hc:, :h]          # the last rows hold P till the end
+    for full, half in ((top, S), (P_full, P)):         # the lower triangles are 0
+        np.fill_diagonal(np.add(half, half.T, out=full), half.diagonal())
+    np.subtract(top[:h, :h], P_full, out=G_E[:h, hc:][:, ::-1])
+    top[:h, :h] += P_full
+    if hc > h:                    # an odd n_I's middle row, its right half mirrored
+        G_E[h, hc:] = top[h, :h][::-1]
+    G_E[hc:] = G_E[:h][::-1, ::-1]
     G_E.setflags(write=False)
     return G_E
 

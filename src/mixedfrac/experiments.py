@@ -16,7 +16,7 @@ import numbers
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy
@@ -407,12 +407,16 @@ def emit(result: RunResult, cfg: ExperimentConfig, out_dir=None) -> dict:
                      for k, v in result.fits.items()},
             "farfield_slopes": {str(k): v
                                 for k, v in result.farfield_slopes.items()},
-            "records": [asdict(r) for r in result.records],
+            # the fields are scalars: no asdict, which deep-copies each
+            "records": [{f.name: getattr(r, f.name) for f in fields(r)}
+                        for r in result.records],
             "environment": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
-                "platform": platform.platform(),
+                # uname alone: platform.platform() also runs `uname -p` and
+                # scans the interpreter binary for its libc
+                "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             },
         }

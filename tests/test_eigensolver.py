@@ -170,6 +170,20 @@ class TestGramUpdate:
         assert np.array_equal(K_eff, K_eff.T)
         assert np.abs(K_eff - K_direct).max() <= 1e-13 * np.abs(K_direct).max()
 
+    def test_dirichlet_rows_are_the_scaled_columns(self):
+        # X_D by runs, views of the line over the cached bands, is the former
+        # gather R_I[:, D] / sqrt(mass) bitwise, in the order that dtrsm reads
+        order = make_order(1, 0.25)
+        part = explicit(OM01, dirichlet=[[-3.0, -2.875], [-0.125, 0.0], [2.0, 2.125]],
+                        neumann="rest")
+        system = assemble(build_mesh(OM01, part, 2.0 ** -6, 4.0, "P0", order=order), order)
+        D = np.flatnonzero(system.disc.dof_label == DOF_DIRICHLET)
+        assert len(assembly.runs(D)) == 3
+        red = schur_reduce(system)
+        assert red.form == "gram"
+        X = (system.R_I[:, D] / np.sqrt(_omega_mass(system.R_I, D))).T
+        assert np.array_equal(red.X, X) and red.X.T.flags.f_contiguous
+
     def test_p1_never_takes_the_update(self, monkeypatch):
         # isolated Neumann nodes: the trimmed K_EE is diagonal and |D| < |N|,
         # yet the P1 base band couples the exterior, so the direct path runs
@@ -247,8 +261,10 @@ class TestStore:
 
     def test_nested_builds_from_two_threads_finish(self):
         # a cold Gram factor builds G_E under the store's lock, from the
-        # system's own rows: one build, and no other kind stored; in a process
-        # of its own, so that a deadlock fails this test alone
+        # system's own rows and the left collar's band, which the record's
+        # Dirichlet rows stored first with the line it is built from: one
+        # build, and no kind stored but those; in a process of its own, so
+        # that a deadlock fails this test alone
         code = textwrap.dedent("""
             from concurrent.futures import ThreadPoolExecutor
             from mixedfrac import (Domain1D, PartitionFamily, assemble, assembly, build_mesh,
@@ -262,7 +278,8 @@ class TestStore:
             eigensolver._exterior_gram = lambda system: builds.append(1) or gram(system)
             with ThreadPoolExecutor(max_workers=2) as pool:
                 a, b = pool.map(lambda _: schur_reduce(system).factor, range(2))
-            assert a is b and len(builds) == 1 and set(assembly._STORE) == {"factor"}
+            assert a is b and len(builds) == 1
+            assert set(assembly._STORE) == {"band", "factor", "line"}
         """)
         src = str(Path(assembly.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
@@ -289,9 +306,12 @@ def _p0_full_dirichlet(h, L):
 class TestExteriorGram:
     """G_E from the left collar and its mirror image, against the two-sided sum."""
 
-    # criterion 6 (n_int = 512, 2048 cells a side), n_int = 1, and odd L / h
-    @pytest.mark.parametrize("h,L", [(2.0 ** -9, 4.0), (1.0, 4.0), (1 / 16, 65 / 16)],
-                             ids=["c6", "n_int_1", "odd_collar"])
+    # criterion 6 (n_int = 512, 2048 cells a side), n_int = 1, odd L / h, and odd
+    # n_int > 1, whose middle row is its own mirror image: 5, and 257 with a
+    # partial last chunk of 1028 cells a side
+    @pytest.mark.parametrize("h,L", [(2.0 ** -9, 4.0), (1.0, 4.0), (1 / 16, 65 / 16),
+                                     (1 / 5, 4.0), (1 / 257, 4.0)],
+                             ids=["c6", "n_int_1", "odd_collar", "odd_n_int", "odd_chunks"])
     def test_matches_the_two_sided_sum(self, h, L):
         disc, order = _p0_full_dirichlet(h, L)
         system = assemble(disc, order)
@@ -306,6 +326,16 @@ class TestExteriorGram:
         assert np.array_equal(G_E, G_E.T)
         assert np.array_equal(G_E, G_E[::-1, ::-1])
         assert not G_E.flags.writeable
+
+    @pytest.mark.parametrize("h,L", [(2.0 ** -6, 4.0), (1 / 5, 4.0), (1.0, 4.0)])
+    def test_columns_are_views_of_the_line(self, h, L):
+        disc, order = _p0_full_dirichlet(h, L)
+        system = assemble(disc, order)
+        n_c, m = disc.n_collar, disc.n_cells
+        for run in (slice(0, n_c), slice(1, 3), slice(m - n_c, m), slice(m - 3, m - 1)):
+            cols = eigensolver._exterior_columns(system, run)
+            assert np.array_equal(cols, system.R_I[:, run].T)
+            assert not cols.flags.writeable
 
 
 def _ball_in_sea():
@@ -358,7 +388,6 @@ class TestExteriorInPlace:
     def test_memory_on_criterion_6(self):
         # numpy reports its buffers to tracemalloc; the line is cached first
         system = _touching(1)
-        n_ext = system.disc.n_cells - system.disc.n_interior
         n_I, n_E = system.K_II.shape[0], np.count_nonzero(system.exterior_mask)
         tracemalloc.start()
         try:
@@ -372,8 +401,10 @@ class TestExteriorInPlace:
             tracemalloc.stop()
         # a warm assemble copies no K_IE (|I| |E| doubles, 15 MiB here)
         assert warm < n_I * n_E * 8 / 4
-        # a cold G_E build never holds all |I| x |ext| scaled exterior columns
-        assert cold < n_I * n_ext * 8
+        # a cold G_E build holds G_E, the two half Grams and one chunk of each
+        # half, never the |I| x |ext| scaled exterior columns (16 MiB here)
+        h, hc, chunk = n_I // 2, (n_I + 1) // 2, eigensolver._GRAM_CHUNK
+        assert cold < 8 * (n_I * n_I + hc * hc + h * h + chunk * (hc + h)) + 2 ** 20
 
 
 INF = math.inf

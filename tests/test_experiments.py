@@ -11,6 +11,7 @@ import pytest
 from mixedfrac import BadParameters, ConfigError, DegenerateData, ExperimentConfig, fit_rate
 from mixedfrac import experiments
 from mixedfrac.cli import main as cli_main
+from mixedfrac.errors import SingularExteriorBlock
 
 
 def base_config(**overrides):
@@ -409,6 +410,46 @@ class TestEmit:
         for rec in json.load(open(paths["json"]))["records"]:
             assert type(rec["converged"]) is bool and type(rec["iters"]) is int
             assert 0.0 <= rec["temple"] <= 1e-12 * rec["lambda1"]
+
+    def test_json_records_match_asdict_with_a_failed_record(self, fixed_interval_run,
+                                                           monkeypatch, tmp_path):
+        # the records are written field by field, byte-identical to the former
+        # dataclasses.asdict payload, a failed record's NaNs and error included
+        _, cfg0 = fixed_interval_run
+        real = experiments.solve_on_mesh
+        calls = {"n": 0}
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise SingularExteriorBlock("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve_on_mesh", flaky)
+        result = experiments.run(cfg0)
+        assert result.n_failed == 1
+        cfg = ExperimentConfig.from_dict(base_config(outputs={"json": "f.json"}))
+        path = experiments.emit(result, cfg, out_dir=str(tmp_path))["json"]
+        text = open(path, encoding="utf-8").read()
+        payload = json.loads(text)
+        payload["records"] = [dataclasses.asdict(r) for r in result.records]
+        assert json.dumps(payload, indent=2) + "\n" == text
+        assert sum(rec["error"] is not None for rec in payload["records"]) == 1
+
+    def test_environment_stamp_needs_no_platform_scan(self, fixed_interval_run,
+                                                      monkeypatch, tmp_path):
+        # platform.platform() runs `uname -p` in a child and reads the
+        # interpreter binary; the stamp is built from uname alone
+        def scan():
+            raise AssertionError("platform.platform() called")
+
+        monkeypatch.setattr(experiments.platform, "platform", scan)
+        result, _ = fixed_interval_run
+        cfg = ExperimentConfig.from_dict(base_config(outputs={"json": "p.json"}))
+        paths = experiments.emit(result, cfg, out_dir=str(tmp_path))
+        stamp = json.load(open(paths["json"]))["environment"]["platform"]
+        uname = os.uname()
+        assert stamp == f"{uname.sysname}-{uname.release}-{uname.machine}"
 
     def test_empty_records_header_only(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(outputs={"csv": "e.csv",

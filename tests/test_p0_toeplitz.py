@@ -6,6 +6,7 @@ grid-end node's column is carried apart); the P0 memory guard is here too.
 """
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 
 from mixedfrac import (Domain1D, PartitionFamily, assemble, build_mesh, gauss_residual,
                        generate, make_order, neumann_cell_residuals, schur_reduce)
-from mixedfrac.assembly import _base_key, _build_interior, _full_line, _line_rows
+from mixedfrac.assembly import (DOF_DIRICHLET, _base_key, _build_interior, _full_line,
+                                _line_rows)
 
 OM01 = Domain1D(0.0, 1.0)
 OM = Domain1D(-1.0, 1.0)
@@ -144,10 +146,10 @@ def test_warm_products_allocate_o_m(product):
     assert peak < 32 * m * 8
 
 
-@pytest.mark.parametrize("make", [lambda: p0_system(touching(1)), lambda: nested_p1(3),
-                                  half_line_p1], ids=["p0", "p1_closed_form", "p1_half_line"])
+@pytest.mark.parametrize("make", [lambda: nested_p1(3), half_line_p1],
+                         ids=["p1_closed_form", "p1_half_line"])
 def test_row_sums_are_the_products_of_the_assembled_system(make):
-    # assemble stamps the path before it takes -K 1, so the row sums come
+    # assemble stamps the path before it takes -K 1, so P1's row sums come
     # from the very products that the assembled system computes
     system = make()
     disc, order, n_I = system.disc, system.order, len(system.K_II)
@@ -158,6 +160,29 @@ def test_row_sums_are_the_products_of_the_assembled_system(make):
     rows = -system.matvec(np.ones(system.n_free))
     rows[system.interior_mask] += tail_rows
     assert np.array_equal(rows, system.dirichlet_row_sums)
+
+
+def both_collars_far_d():
+    """Dirichlet cells in both collars, the right far side Dirichlet, Neumann the rest."""
+    return explicit(dirichlet=[[-3.0, -2.5], [2.0, 2.25], [4.5, np.inf]], neumann="rest")
+
+
+@pytest.mark.parametrize("part", [lambda: touching(1), lambda: touching(7), both_collars_far_d],
+                         ids=["touching_1", "touching_7", "both_collars_far_d"])
+def test_p0_row_sums_are_the_dirichlet_columns(part):
+    # by definition: each interior row sums R_I over the Dirichlet cells (the
+    # far tails are not grid columns), and exterior pairs carry no energy
+    system = p0_system(part())
+    disc = system.disc
+    D = np.flatnonzero(disc.dof_label == DOF_DIRICHLET)
+    if part is both_collars_far_d:
+        assert disc.far_label == ("N", "D")
+        assert D[0] < disc.n_collar < disc.n_collar + disc.n_interior <= D[-1]
+    ref = np.array([math.fsum(row) for row in system.R_I[:, D]])
+    rows = system.dirichlet_row_sums
+    assert np.all(ref < 0)
+    assert np.all(np.abs(rows[system.interior_mask] - ref) <= 1e-15 * np.abs(ref))
+    assert np.all(rows[system.exterior_mask] == 0.0)
 
 
 def test_cold_p0_assemble_memory(cold_caches):
