@@ -66,7 +66,6 @@ CELL_INTERIOR, CELL_NEUMANN, CELL_DIRICHLET = 0, 1, 2
 MAX_CELLS = 2 ** 26      # build_mesh's limit; h = 2^-18, L = 8, |Omega| = 2 has 4.7e6
 # a sweep's limit on ``dense_bytes``; K_II and its factor alone allow n_I <= 16384
 MAX_DENSE_BYTES = 2 ** 32
-SOLVE_CHUNK = 32         # interior columns per dtbtrs of a collar half-solve (eigensolver)
 
 
 # ---------------------------------------------------------------------------
@@ -849,20 +848,22 @@ class StiffnessSystem:
     K_EE is diagonal (P0) or tridiagonal (P1) and M_II is diagonal (P0) or
     tridiagonal (P1), so both are stored as bands.  K_IE is never copied:
     its columns are the runs ``runs_E`` of consecutive exterior Neumann grid
-    DOFs, each cut once into its slices of R_I's columns and of the exterior
-    DOFs, and read in place from ``R_I``: on the closed-form path a strided
-    view of the Toeplitz T (its rows run backwards through one mirrored
-    sequence), else the interior rows of the cached P1 arrow base.  On the
-    closed-form path an exterior product is one convolution per run with a
-    window of R_I (its reversed first column, then row 0 past it), which
-    stays in cache.  The arrow rows are not Toeplitz at the Omega boundary
-    rows, the grid-end columns and the band, so there, and on hand-made
-    systems, it is one GEMV per run on R_I's columns.
+    DOFs, each a slice of R_I's columns and of the exterior DOFs, read whole
+    and in place from ``R_I``: on the closed-form path a strided view of the
+    Toeplitz T (its rows run backwards through one mirrored sequence), else
+    the interior rows of the cached P1 arrow base.  On the closed-form path
+    an exterior product is one convolution per run with a window of R_I
+    (its reversed first column, then row 0 past it), which stays in cache.
+    The arrow rows are not Toeplitz at the Omega boundary rows, the
+    grid-end columns and the band, so there, and on hand-made systems, it
+    is one GEMV per run on R_I's columns.  R_I's layout is known here
+    alone: the Schur step reads it through ``columns`` and ``column_view``.
 
     A free grid-end node of a P1 closed-form mesh has half a hat, so its
     column is not T's: ``end_columns`` carries it, (grid DOF, exterior
-    position, column over the interior DOFs) per such node, and every
-    reader of K_IE takes it from there, cutting the node off its run.
+    position, column over the interior DOFs) per such node.  Its run is
+    still read whole; the end column then overwrites the node's product
+    (``K_EI_matvec``) or stands in for the node's term (``matvec``).
     """
 
     disc: Discretization
@@ -895,32 +896,33 @@ class StiffnessSystem:
     def n_free(self) -> int:
         return len(self.free_dofs)
 
-    def _runs(self) -> tuple[tuple[slice, slice], ...]:
-        """``runs_E`` with the grid-end nodes of ``end_columns`` cut off (an end node
-        is its run's first or last DOF), runs left empty dropped."""
-        if not self.end_columns:
-            return self.runs_E
-        out = []
-        for run, e in self.runs_E:
-            for q, _, _ in self.end_columns:
-                if q == run.start:
-                    run, e = slice(q + 1, run.stop), slice(e.start + 1, e.stop)
-                elif q == run.stop - 1:
-                    run, e = slice(run.start, q), slice(e.start, e.stop - 1)
-            if run.start < run.stop:
-                out.append((run, e))
-        return tuple(out)
-
-    def columns(self, nodes: slice, rows: slice, out: np.ndarray) -> np.ndarray:
+    def columns(self, nodes: slice, out: np.ndarray) -> np.ndarray:
         """K_IE's columns of the grid DOFs ``nodes`` (any of them, free or not, as R_I
-        and ``end_columns`` hold them) over the interior DOFs ``rows``, as the rows of
-        ``out``, which is returned."""
-        out[...] = self.R_I[rows, nodes].T
+        and ``end_columns`` hold them) over the interior DOFs, as the rows of ``out``,
+        which is returned."""
+        out[...] = self.R_I[:, nodes].T
         index = range(self.R_I.shape[1])[nodes]
         for q, _, col in self.end_columns:
             if q in index:
-                out[index.index(q)] = col[rows]
+                out[index.index(q)] = col
         return out
+
+    def column_view(self, run: slice) -> np.ndarray:
+        """R_I[:, run]' for a run of exterior cells in one collar of a P0 system, as a
+        read-only view of the line.
+
+        Every Omega cell of a P0 mesh is interior, so R_I holds the Toeplitz
+        Omega rows, whose first and last rows are ascending slices of the
+        mirrored line T(|k|).  Column q of R_I is T(n_collar + i - q) over the
+        rows i on the left, an ascending slice of row 0 from its entry 2 n_collar -
+        q; on the right it is T(q - n_collar - i), one of the last row from its
+        entry 2 n_collar + n_I - 1 - q.
+        """
+        n_c, n_I = self.disc.n_collar, len(self.R_I)
+        row, end = ((self.R_I[0], 2 * n_c) if run.stop <= n_c
+                    else (self.R_I[-1], 2 * n_c + n_I - 1))
+        win = np.lib.stride_tricks.sliding_window_view(row, n_I)
+        return win[end - run.stop + 1:end - run.start + 1][::-1]
 
     def _window(self, run: slice) -> np.ndarray:
         """Toeplitz R_I[:, run] as one sequence: R_I[i, q] = w[q - run.start - i + n_I - 1]."""
@@ -931,18 +933,18 @@ class StiffnessSystem:
         """The interior x exterior Neumann block, copied on demand (tests only)."""
         K_IE = np.empty((len(self.R_I), np.count_nonzero(self.exterior_mask)))
         for run, e in self.runs_E:
-            self.columns(run, slice(None), K_IE[:, e].T)
+            self.columns(run, K_IE[:, e].T)
         return K_IE
 
     def K_EI_matvec(self, u_I: np.ndarray, absolute: bool = False) -> np.ndarray:
-        """K_EI u_I, or |K_EI| u_I: per run, a convolution with its window or a GEMV,
-        and one dot product per end column.
+        """K_EI u_I, or |K_EI| u_I: per run, a convolution with its window or a GEMV;
+        then one dot product per end column, which overwrites its node's output.
 
         Output q of a run is sum_i w[q - run.start - i + n_I - 1] u_I[i], the
         valid part of the convolution of the window w with u_I.
         """
         out = np.empty(np.count_nonzero(self.exterior_mask))
-        for run, e in self._runs():
+        for run, e in self.runs_E:
             if self.path == "closed_form":
                 win = self._window(run)
                 out[e] = np.convolve(np.abs(win) if absolute else win, u_I, "valid")
@@ -954,18 +956,25 @@ class StiffnessSystem:
         return out
 
     def matvec(self, u_free: np.ndarray) -> np.ndarray:
-        """K u over the free DOFs."""
+        """K u over the free DOFs.
+
+        An end column's node has an R_I column that is not K's: its entry is
+        zeroed before its run's product, and col u_q is added after the runs.
+        """
         u_I, u_E = u_free[self.interior_mask], u_free[self.exterior_mask]
         K_u_I = self.K_II @ u_I
         K_u_E = band_matvec(self.K_EE, u_E) + self.K_EI_matvec(u_I)
-        for run, e in self._runs():
+        ends = [(col, u_E[e]) for _, e, col in self.end_columns]
+        for _, e, _ in self.end_columns:
+            u_E[e] = 0.0
+        for run, e in self.runs_E:
             if self.path == "closed_form":
                 # row i is sum_q w[q - run.start - i + n_I - 1] u_E[q]: the correlation, reversed
                 K_u_I += np.correlate(self._window(run), u_E[e], "valid")[::-1]
             else:
                 K_u_I += self.R_I[:, run] @ u_E[e]
-        for _, e, col in self.end_columns:
-            K_u_I += col * u_E[e]
+        for col, u_q in ends:
+            K_u_I += col * u_q
         out = np.empty(self.n_free)
         out[self.interior_mask] = K_u_I
         out[self.exterior_mask] = K_u_E
@@ -978,10 +987,9 @@ def dense_bytes(disc: Discretization) -> int:
     K_II and its factor, 2 n_I^2 doubles; on the arrow path also the base's
     Omega rows R, n_om x n_dofs; and, on either P1 path, the half-solve of
     each collar whose grid-end node is a free DOF (only there can a Neumann
-    run be anchored), n_collar x n_I each, and one n_collar x SOLVE_CHUNK
-    chunk of the one being built.  A collar Gram base and its factor, 2 n_I^2
-    more, and the work arrays of a dense record are not counted: this is a
-    floor on what a sweep holds, not its peak.
+    run be anchored), n_collar x n_I each.  A collar Gram base and its
+    factor, 2 n_I^2 more, and the work arrays of a dense record are not
+    counted: this is a floor on what a sweep holds, not its peak.
     """
     n_I = int(np.count_nonzero(disc.dof_label == DOF_INTERIOR))
     doubles = 2 * n_I * n_I
@@ -989,7 +997,7 @@ def dense_bytes(disc: Discretization) -> int:
         doubles += (disc.n_interior + 1) * disc.n_dofs
     if disc.scheme == "P1":
         collars = int(np.count_nonzero(disc.dof_label[[0, -1]] < DOF_DIRICHLET))
-        doubles += disc.n_collar * (collars * n_I + (collars > 0) * min(SOLVE_CHUNK, n_I))
+        doubles += disc.n_collar * collars * n_I
     return 8 * doubles
 
 

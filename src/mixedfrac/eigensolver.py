@@ -16,12 +16,13 @@ operands, named by ``SchurReduction.form``:
   - G_E and alpha = +1 with X = X_D.  G_E = X_E'X_E, X_E = diag(mass_E)^{-1/2}
   R[:, E]' (R the Toeplitz Omega rows, mass_E the Omega mass), eliminates
   every exterior grid cell E = N + D; it is built with the base's factor,
-  from R_I (every Omega row on a P0 mesh), whose columns are slices of the
-  line (``_exterior_columns``): by chunks of the left collar's cells, each
-  column and its mirror image split into an even and an odd part, each
-  summed over half the interior rows (``_exterior_gram``).  A record only
-  puts its Dirichlet cells back: X_D's rows are its runs' columns, scaled
-  by the collars' cached bands.  The two cost the same near |D| = |N|, so
+  from the Omega rows (every Omega cell of a P0 mesh is interior), whose
+  columns are views of the line (``StiffnessSystem.column_view``): by
+  chunks of the left collar's cells, each column and its mirror image
+  split into an even and an odd part, each summed over half the interior
+  rows (``_exterior_gram``).  A record only puts its Dirichlet cells back:
+  X_D's rows are its runs' column views, scaled by the collars' cached
+  bands.  The two cost the same near |D| = |N|, so
   a Dirichlet-heavy P0 record keeps the direct form;
 - collar Gram update ("collar_gram"), on P1 meshes of either assembly
   path whose Neumann DOFs on each collar are none, all, or one run from
@@ -32,11 +33,11 @@ operands, named by ``SchurReduction.form``:
   record's K_EE from; the form has no branch of its own for either path.
   Ordered from the grid end inward, such a run is the leading block of its
   collar's, whose Cholesky factor is the leading block of the collar's
-  U_c; so the collar's half-solve X_c = U_c^{-T} K_{c,I}, solved once per
-  (``system.key``, collar), by chunks of columns, and kept in
-  ``assembly``'s store, holds the
-  run's half-solve as its first n rows.  Then base = K_II - sum G_c over
-  the record's Neumann collars, G_c = X_c'X_c, alpha = +1 and X = X_c[n:].
+  U_c; so the collar's half-solve X_c = U_c^{-T} K_{c,I}, gathered whole
+  and solved in place once per (``system.key``, collar), and kept in
+  ``assembly``'s store, holds the run's half-solve as its first n rows.
+  Then base = K_II - sum G_c over the record's Neumann collars, G_c =
+  X_c'X_c, alpha = +1 and X = X_c[n:], copied into C order.
   Every other P1 record keeps the direct form: no record mixes a collar's
   cached rows with a solve of its own.
 
@@ -59,15 +60,15 @@ with X empty.  So one solve path (``_woodbury``) serves every record and
 every matrix handed to ``smallest_eigenpair``; K_eff u is one dsymv on the
 base's upper triangle plus rank-r work.
 
-K_II, G_E and K_eff are dense n_int x n_int; K_IE is never copied: it is
-read by runs of columns (``runs_E``, each a pair of slices of R_I's
-columns and of the exterior DOFs) from a view of the Toeplitz line on the
-closed-form path (every P0 mesh and every P1 mesh with Dirichlet Omega
-end nodes, O(m) memory), whose products are convolutions
+K_II, G_E and K_eff are dense n_int x n_int; K_IE is never copied: the
+system reads it whole, by runs of columns, from a view of the Toeplitz
+line on the closed-form path (every P0 mesh and every P1 mesh with
+Dirichlet Omega end nodes, O(m) memory), whose products are convolutions
 (``StiffnessSystem.K_EI_matvec``), with a free grid-end node's column
 carried apart (``StiffnessSystem.end_columns``), or from the cached P1
 arrow base rows of a mesh with a free Omega end node (O(n_int * m)
-memory, shared by every record of a mesh).
+memory, shared by every record of a mesh).  This module gathers it only
+through ``StiffnessSystem.columns`` and ``column_view``.
 The exterior block K_EE and the Omega mass M are bands.  The reduced pencil
 (K_eff, M) is solved by shift-invert Lanczos on the factor of K_eff + sigma M,
 sigma tiny and fixed, from the all-ones start (the ground state is positive,
@@ -88,8 +89,8 @@ import numpy as np
 from scipy.linalg import (LinAlgError, blas, cho_factor, cho_solve_banded, cholesky_banded,
                           lapack)
 
-from .assembly import (DOF_DIRICHLET, SOLVE_CHUNK, Discretization, StiffnessSystem, _cached,
-                       assemble, band_matvec, build_mesh, exterior_band, runs)
+from .assembly import (DOF_DIRICHLET, Discretization, StiffnessSystem, _cached, assemble,
+                       band_matvec, build_mesh, exterior_band, runs)
 from .errors import BadParameters, IndefinitePencil, SingularExteriorBlock
 from .fracops import FractionalOrder
 from .geometry import (
@@ -222,9 +223,10 @@ def _schur_operands(system: StiffnessSystem, U: np.ndarray):
     anchored = _collar_runs(system)
     if anchored is not None:
         sides = tuple(side for side in _COLLARS if anchored[side])
-        # X_c[n:], the rows of each Neumann collar's Dirichlet nodes, in C order
+        # X_c[n:], the rows of each Neumann collar's Dirichlet nodes, copied in C order
         rows = [_collar_solve(system, side)[anchored[side]:] for side in sides]
-        return "collar_gram", sides, 1.0, rows[0] if len(rows) == 1 else np.concatenate(rows)
+        X = np.empty((sum(map(len, rows)), len(system.K_II)))
+        return "collar_gram", sides, 1.0, np.concatenate(rows, out=X)
     disc = system.disc
     D = np.flatnonzero(disc.dof_label == DOF_DIRICHLET)
     n_E = system.K_EE.shape[1]
@@ -232,16 +234,16 @@ def _schur_operands(system: StiffnessSystem, U: np.ndarray):
         # K_EI gathered once, in the Fortran order that dtbtrs solves in place
         X = np.empty((n_E, len(system.K_II)), order="F")
         for run, e in system.runs_E:
-            system.columns(run, slice(None), X[e])
+            system.columns(run, X[e])
         return "direct", (), -1.0, _half_solve(U, X, "exterior Neumann solve")
-    # X_D row by row, each a column of R_I over the root of its cell's Omega
+    # X_D row by row, each an exterior column over the root of its cell's Omega
     # mass; C order, so X' is the Fortran-order operand of dtrsm
     X = np.empty((len(D), len(system.K_II)))
     for run, e in runs(D):
         side = "left" if run.stop <= disc.n_collar else "right"
         first = 0 if side == "left" else disc.n_dofs - disc.n_collar
         mass = exterior_band(disc, system.order, side)[1][run.start - first:run.stop - first]
-        np.divide(_exterior_columns(system, run), np.sqrt(mass)[:, None], out=X[e])
+        np.divide(system.column_view(run), np.sqrt(mass)[:, None], out=X[e])
     return "gram", ("exterior",), 1.0, X
 
 
@@ -272,18 +274,17 @@ def _collar_runs(system: StiffnessSystem) -> dict | None:
 
 def _collar_solve(system: StiffnessSystem, side: str) -> np.ndarray:
     """X_c = U_c^{-T} K_{c,I} over every node of the collar, ordered from the grid end
-    inward; C order, read-only, one per (``system.key``, collar) in the store.
+    inward; Fortran order, read-only, one per (``system.key``, collar) in the store.
 
     K_cc is the collar's label-independent exterior band
     (``assembly.exterior_band``, which ``assemble`` cuts K_EE from on
-    either path), tridiagonal, and U_c'U_c = K_cc.  In
-    this order a run of n Neumann nodes from the grid end is the leading
-    n x n block of K_cc, whose factor is U_c's leading block, so X_c[:n] is
-    the run's half-solve.  K_{c,I} (``StiffnessSystem.columns``, the
-    grid-end node's column included) is gathered SOLVE_CHUNK interior
-    columns at a time into one reused Fortran-order buffer, half-solved
-    there in place and copied into X_c: the build holds X_c and one chunk.
-    Each column is solved on its own, so the chunks do not change the bits.
+    either path), tridiagonal, and U_c'U_c = K_cc.  In this order a run of
+    n Neumann nodes from the grid end is the leading n x n block of K_cc,
+    whose factor is U_c's leading block, so X_c[:n] is the run's
+    half-solve.  K_{c,I} (``StiffnessSystem.columns``, the grid-end node's
+    column included) is gathered whole into X_c's own Fortran-order array
+    and half-solved there in place, as the direct form does its K_EI: the
+    build holds X_c and small bands.
     """
     def build():
         n_c, m = system.disc.n_collar, system.disc.n_dofs
@@ -295,13 +296,8 @@ def _collar_solve(system: StiffnessSystem, side: str) -> np.ndarray:
             nodes = slice(m - 1, m - 1 - n_c, -1)
             K_cc = np.stack([np.r_[0.0, band[0, ::-1][:-1]], band[1, ::-1]])
         U_c = _band_cholesky(K_cc, f"{side} collar block")
-        n_I = len(system.K_II)
-        X = np.empty((n_c, n_I))
-        buf = np.empty((n_c, min(SOLVE_CHUNK, n_I)), order="F")
-        for lo in range(0, n_I, SOLVE_CHUNK):
-            rows = slice(lo, min(lo + SOLVE_CHUNK, n_I))
-            B = system.columns(nodes, rows, buf[:, :rows.stop - lo])
-            X[:, rows] = _half_solve(U_c, B, f"{side} collar solve")
+        X = system.columns(nodes, np.empty((n_c, len(system.K_II)), order="F"))
+        X = _half_solve(U_c, X, f"{side} collar solve")
         X.setflags(write=False)
         return X
 
@@ -341,30 +337,12 @@ def _factor(base: np.ndarray, M_band: np.ndarray) -> BaseFactor:
     return BaseFactor(base=base, U=U, sigma=sigma)
 
 
-def _exterior_columns(system: StiffnessSystem, run: slice) -> np.ndarray:
-    """R_I[:, run]' for a run of exterior cells in one collar of a P0 system, as a
-    read-only view of the line.
-
-    Every Omega cell of a P0 mesh is interior, so R_I holds the Toeplitz
-    Omega rows, whose first and last rows are ascending slices of the
-    mirrored line T(|k|).  Column q of R_I is T(n_collar + i - q) over the
-    rows i on the left, an ascending slice of row 0 from its entry 2 n_collar -
-    q; on the right it is T(q - n_collar - i), one of the last row from its
-    entry 2 n_collar + n_I - 1 - q.
-    """
-    n_c, n_I = system.disc.n_collar, len(system.R_I)
-    row, end = ((system.R_I[0], 2 * n_c) if run.stop <= n_c
-                else (system.R_I[-1], 2 * n_c + n_I - 1))
-    win = np.lib.stride_tricks.sliding_window_view(row, n_I)
-    return win[end - run.stop + 1:end - run.start + 1][::-1]
-
-
 def _exterior_gram(system: StiffnessSystem) -> np.ndarray:
     """G_E = X_E'X_E over every exterior grid cell E of a P0 system; read-only.
 
-    R_I and the Omega mass are mirror images of themselves: n_collar
-    exterior cells on each side, R_I[n_I-1-i, m-1-q] = R_I[i, q], one mass
-    per gap.  So with x = X_E's row of a left cell and J the reversal of the
+    The Omega rows R and the Omega mass are mirror images of themselves:
+    n_collar exterior cells on each side, R[n_I-1-i, m-1-q] = R[i, q], one
+    mass per gap.  So with x = X_E's row of a left cell and J the reversal of the
     interior index, the right collar adds Jx, and the pair adds xx' + Jxx'J
     = (ee' + oo') / 2, e = x + Jx even and o = x - Jx odd.  Each is fixed by
     its first half: e by its first ceil(n_I/2) entries (an odd n_I's middle
@@ -376,7 +354,7 @@ def _exterior_gram(system: StiffnessSystem) -> np.ndarray:
 
     Each chunk of _GRAM_CHUNK left cells reads x and Jx, the columns of its
     cells and of their mirror images, as views of the line
-    (``_exterior_columns``); its halves of e and o, scaled by 1/sqrt(2 mass)
+    (``StiffnessSystem.column_view``); its halves of e and o, scaled by 1/sqrt(2 mass)
     (the left collar's ``exterior_band``, the Omega mass), go into two reused
     buffers, and one half-width dsyrk each adds them to the upper triangles
     of S and P (beta = 1).  G_E is laid out from their mirrored triangles,
@@ -384,15 +362,15 @@ def _exterior_gram(system: StiffnessSystem) -> np.ndarray:
     overlap and the copy needs no temporary): it is symmetric and
     persymmetric bitwise.
     """
-    n_c, n_I, m = system.disc.n_collar, len(system.R_I), system.R_I.shape[1]
+    n_c, n_I, m = system.disc.n_collar, len(system.K_II), system.disc.n_dofs
     h, hc = n_I // 2, (n_I + 1) // 2
     scale = 1.0 / np.sqrt(2.0 * exterior_band(system.disc, system.order, "left")[1])
     S, P = np.zeros((hc, hc), order="F"), np.zeros((h, h), order="F")
     even, odd = np.empty((_GRAM_CHUNK, hc)), np.empty((_GRAM_CHUNK, h))
     for lo in range(0, n_c, _GRAM_CHUNK):
         hi = min(lo + _GRAM_CHUNK, n_c)
-        x = _exterior_columns(system, slice(lo, hi))
-        Jx = _exterior_columns(system, slice(m - hi, m - lo))[::-1]
+        x = system.column_view(slice(lo, hi))
+        Jx = system.column_view(slice(m - hi, m - lo))[::-1]
         w, e, o = scale[lo:hi, None], even[:hi - lo], odd[:hi - lo]
         np.multiply(np.add(x[:, :hc], Jx[:, :hc], out=e), w, out=e)
         S = blas.dsyrk(1.0, e.T, beta=1.0, c=S, overwrite_c=True)

@@ -387,11 +387,9 @@ def emit(result: RunResult, cfg: ExperimentConfig, out_dir=None) -> dict:
 
     if "csv" in out:
         path = resolve(out["csv"])
+        names = CSV_HEADER.split(",")          # each an ExperimentRecord field
         lines = [CSV_HEADER]
-        for r in result.records:
-            lines.append(",".join(_fmt(v) for v in (
-                r.k, r.param, r.lambda1, r.baseline, r.gap, r.measN_R, r.measD_R,
-                r.condC, r.sep, r.gauss_res, r.iters, r.h, r.L, r.ms)))
+        lines += [",".join(_fmt(getattr(r, f)) for f in names) for r in result.records]
         with open(path, "w", encoding="utf-8") as f:
             f.write("\n".join(lines) + "\n")
         paths["csv"] = path

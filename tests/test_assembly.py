@@ -73,6 +73,21 @@ class TestBuildMesh:
             build_mesh(OM01, full_dirichlet_partition(OM01), 0.1, 4.0, "P0",
                        order=make_order(1, 0.6))
 
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(BadParameters, match="unknown scheme 'P2'"):
+            build_mesh(OM01, full_dirichlet_partition(OM01), 0.1, 4.0, "P2")
+
+    def test_assemble_refuses_another_dimension(self):
+        mesh = build_mesh(OM01, full_dirichlet_partition(OM01), 0.25, 4.0, "P1")
+        with pytest.raises(BadParameters, match="assembly is 1D"):
+            assemble(mesh, make_order(2, 0.5))
+
+    def test_assemble_refuses_p0_at_s_one_half(self):
+        # build_mesh checks the scheme only when it is given the order
+        mesh = build_mesh(OM01, full_dirichlet_partition(OM01), 0.25, 4.0, "P0")
+        with pytest.raises(IncompatibleScheme):
+            assemble(mesh, make_order(1, 0.5))
+
     def test_unresolved_feature_rejected(self):
         part = explicit(OM01, neumann=[[2.0, 2.2]], dirichlet="rest")
         with pytest.raises(BadParameters):
@@ -287,6 +302,16 @@ def test_only_the_store_function_writes_the_store():
     writers = {(path.name, name) for path in sorted(package.glob("*.py"))
                for name in _store_writers(ast.parse(path.read_text(encoding="utf-8")))}
     assert writers == {("assembly.py", "_cached")}, writers
+
+
+def test_only_assembly_reads_the_omega_rows():
+    # R_I's layout (a view of the line or of the arrow base) is known to
+    # StiffnessSystem alone; every other module reads K_IE through its methods
+    package = Path(assembly.__file__).parent
+    readers = {path.name for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "R_I"}
+    assert readers == {"assembly.py"}, readers
 
 
 class TestSharedInteriorBlock:

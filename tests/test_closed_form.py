@@ -332,15 +332,14 @@ def test_half_line_record_holds_no_omega_rows(cold_caches, monkeypatch):
     ([[1.0, INF]], "arrow", 1)])
 def test_dense_bytes_follow_the_path(neumann, path, collars):
     # R only on the arrow path; a collar's half-solve, n_collar x n_I, only
-    # where its grid-end node is free, with one chunk of 32 of its n_I >= 63
-    # columns while one is built
+    # where its grid-end node is free
     order = make_order(1, 0.4)
     disc = build_mesh(OM, explicit(OM, neumann=neumann, dirichlet="rest"), 1 / 32, 8.0, "P1",
                       order=order)
     assert assembly_path(disc) == path
     n_I = int(np.count_nonzero(disc.dof_label == 0))
     assert n_I == 63 + (path == "arrow")           # a free Omega end node
-    doubles = 2 * n_I * n_I + (collars * n_I + (collars > 0) * 32) * disc.n_collar
+    doubles = 2 * n_I * n_I + collars * n_I * disc.n_collar
     if path == "arrow":
         doubles += (disc.n_interior + 1) * disc.n_dofs
     assert dense_bytes(disc) == 8 * doubles

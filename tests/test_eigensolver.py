@@ -333,7 +333,7 @@ class TestExteriorGram:
         system = assemble(disc, order)
         n_c, m = disc.n_collar, disc.n_cells
         for run in (slice(0, n_c), slice(1, 3), slice(m - n_c, m), slice(m - 3, m - 1)):
-            cols = eigensolver._exterior_columns(system, run)
+            cols = system.column_view(run)
             assert np.array_equal(cols, system.R_I[:, run].T)
             assert not cols.flags.writeable
 
@@ -491,12 +491,11 @@ class TestCollarForms:
         assert result.n_failed == 0
         # R = 2, 4: fewer Gram rows; R = 8: 32 nodes a side, fewer direct ones
         assert [r.schur for r in result.records] == ["collar_gram"] * 2 + ["direct"]
-        # one per chunk of interior columns of each collar, one for R = 8
-        chunks = -(-np.count_nonzero(mesh.dof_label == DOF_INTERIOR) // assembly.SOLVE_CHUNK)
-        assert chunks == 2 and len(solves) == 2 * chunks + 1
+        # one per collar, one for R = 8
+        assert len(solves) == 3
         assert len(assembly._STORE["collar"]) == 2
         red = schur_reduce(assemble(mesh, make_order(1, 0.5)))
-        assert len(solves) == 5 and red.form == "collar_gram"    # a warm record solves nothing
+        assert len(solves) == 3 and red.form == "collar_gram"    # a warm record solves nothing
 
 
 def _collar_sector_record():
@@ -507,7 +506,7 @@ def _collar_sector_record():
 
 class TestHalfSolve:
     """The division-free half-solve against plain dtbtrs on U, and the memory of a
-    cold collar half-solve, which solves its columns in chunks."""
+    cold collar half-solve, which solves its columns in place."""
 
     def test_collar_matches_plain_dtbtrs(self, cold_caches):
         system = _collar_sector_record()
@@ -515,11 +514,11 @@ class TestHalfSolve:
         n_c, m = disc.n_collar, disc.n_dofs
         band = assembly.exterior_band(disc, system.order, "right")
         K_cc = np.stack([np.r_[0.0, band[0, ::-1][:-1]], band[1, ::-1]])
-        B = system.columns(slice(m - 1, m - 1 - n_c, -1), slice(None),
+        B = system.columns(slice(m - 1, m - 1 - n_c, -1),
                            np.empty((n_c, len(system.K_II)), order="F"))
         ref = scipy.linalg.lapack.dtbtrs(scipy.linalg.cholesky_banded(K_cc), B, trans="T")[0]
         X = eigensolver._collar_solve(system, "right")
-        assert X.shape == (3600, 199)                  # seven chunks
+        assert X.shape == (3600, 199) and X.flags.f_contiguous
         assert np.abs(X - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_direct_record_matches_plain_dtbtrs(self):
@@ -532,10 +531,9 @@ class TestHalfSolve:
         X = eigensolver._half_solve(U, B, "c7")
         assert np.abs(X - ref).max() <= 1e-15 * np.abs(ref).max()
 
-    def test_cold_collar_solve_holds_one_chunk(self, cold_caches):
-        # the half-solve X_c is kept; a build holds it, one n_collar x 32 chunk
-        # and small bands, where a whole Fortran-order gather and a C-order
-        # copy of X_c came to 11.5 MB against the 5.7 MB kept
+    def test_cold_collar_solve_holds_only_its_result(self, cold_caches):
+        # the half-solve X_c is kept; a build gathers and solves in X_c itself,
+        # so it holds X_c (5.7 MB) and small bands, never a second copy
         system = _collar_sector_record()
         assembly.exterior_band(system.disc, system.order, "right")    # built by assemble
         tracemalloc.start()
@@ -545,8 +543,57 @@ class TestHalfSolve:
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        chunk = system.disc.n_collar * assembly.SOLVE_CHUNK * 8
-        assert peak <= X.nbytes + chunk + 2 ** 20
+        assert peak <= X.nbytes + 2 ** 20
+
+
+class TestMirrorSides:
+    """A family placed on the left of Omega = (-1, 1) is the mirror image of the same
+    family on the right: one path, one Schur form, one lambda."""
+
+    # (kind, scheme, s, path, Schur forms at k = 0 and 2, relative bound); the
+    # bounds are ~4x the measured differences: 2.4e-13 on the arrow path at
+    # s = 3/4, at most 1.8e-15 elsewhere
+    CASES = {
+        "ball": ("traveling_ball", "P1", 0.3, "closed_form", ("direct", "direct"), 1e-14),
+        "dirichlet_ball": ("traveling_dirichlet", "P1", 0.75, "arrow", ("direct", "direct"),
+                           1e-12),
+        "sector": ("infinite_sector", "P1", 0.5, "closed_form", ("collar_gram", "direct"),
+                   1e-14),
+        "touching_p0": ("shrinking_dirichlet_touching", "P0", 0.25, "closed_form",
+                        ("gram", "gram"), 1e-14),
+        "touching_p1": ("shrinking_dirichlet_touching", "P1", 0.25, "arrow",
+                        ("collar_gram", "collar_gram"), 1e-14),
+    }
+
+    @staticmethod
+    def _solve(kind, scheme, s, side, k):
+        part = generate(PartitionFamily(kind=kind, omega=OM, params={"side": side}), k)
+        return solve_mixed(OM, part, make_order(1, s), DiscParams(h=0.05, L=8.0, scheme=scheme),
+                           SolverParams(tol=1e-13, max_iter=800), with_diagnostics=False)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_left_matches_right(self, case, k):
+        kind, scheme, s, path, forms, bound = self.CASES[case]
+        left, right = (self._solve(kind, scheme, s, side, k) for side in ("left", "right"))
+        for res in (left, right):
+            assert res.converged
+            assert res.diagnostics == {"assembly": path, "schur": forms[k > 0]}
+        assert abs(left.lambda1 - right.lambda1) <= bound * right.lambda1
+
+    def test_left_collar_half_solve_mirrors_the_right(self, cold_caches):
+        # N = (-inf, -2) and (2, inf); each X_c runs from its grid end inward,
+        # so the interior columns are reversed
+        order = make_order(1, 0.5)
+        X = {}
+        for side in ("left", "right"):
+            part = generate(PartitionFamily(kind="infinite_sector", omega=OM,
+                                            params={"side": side}), 0)
+            system = assemble(build_mesh(OM, part, 0.05, 8.0, "P1", order=order), order)
+            X[side] = eigensolver._collar_solve(system, side)
+        assert X["left"].shape == (160, 39)
+        ref = X["right"][:, ::-1]
+        assert np.abs(X["left"] - ref).max() <= 4e-15 * np.abs(ref).max()
 
 
 def _cut_bands(system):
@@ -1061,6 +1108,10 @@ class TestRichardson:
     def test_requires_constant_ratio(self):
         with pytest.raises(BadParameters):
             richardson_extrapolate([0.04, 0.02, 0.015], [1.0, 1.1, 1.2])
+
+    def test_mixed_signs_give_the_last_value_and_no_rate(self):
+        limit, rate = richardson_extrapolate([0.04, 0.02, 0.01], [1.0, 1.1, 1.05])
+        assert limit == 1.05 and math.isnan(rate)
 
     def test_rejects_a_ratio_of_one(self):
         with pytest.raises(BadParameters, match="other than 1"):

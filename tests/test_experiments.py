@@ -41,6 +41,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(base_config(extra=1))
 
+    @pytest.mark.parametrize("section,key", [(None, "omega"), ("family", "k_list")])
+    def test_missing_keys_named(self, section, key):
+        cfg = base_config()
+        del (cfg[section] if section else cfg)[key]
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"missing keys ['{key}'] in {section or 'config'}")):
+            ExperimentConfig.from_dict(cfg)
+
+    def test_explicit_set_that_is_a_number_rejected(self):
+        cfg = base_config()
+        cfg["family"]["params"]["dirichlet"] = 3
+        with pytest.raises(ConfigError, match=r'family\.params\.dirichlet: expected "rest"'):
+            ExperimentConfig.from_dict(cfg)
+
     def test_unknown_nested_key_rejected(self):
         bad = base_config()
         bad["discretization"]["compression"] = "low-rank"
@@ -178,8 +192,7 @@ class TestConfig:
         # Omega = (0, 1) in a Neumann sea at h = 2^-14: P0 has 2^14 interior
         # cells, whose K_II and factor fill MAX_DENSE_BYTES = 4 GiB exactly;
         # P1 has one more node and takes the arrow base, whose Omega rows and
-        # collar half-solves, with one chunk of a half-solve being built, come to
-        # 34 GiB more; validate() allocates none
+        # collar half-solves come to 34 GiB more; validate() allocates none
         cfg = ExperimentConfig.from_dict(base_config(
             order={"dimension": 1, "s": 0.25}, omega={"a": 0.0, "b": 1.0},
             family={"kind": "explicit", "params": {"neumann": "rest", "dirichlet": []},
@@ -193,7 +206,7 @@ class TestConfig:
             else:
                 with pytest.raises(ConfigError, match=re.escape(
                         f"k = 0: h = {2.0 ** -14} gives n_I = {n_I} interior DOFs, whose dense"
-                        " arrays take 38.0183 GiB, more than 4 GiB")):
+                        " arrays take 38.0027 GiB, more than 4 GiB")):
                     cfg.validate()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -344,6 +357,17 @@ class TestEmit:
         assert "farfield_slopes" in payload
         dat = open(paths["plotdata"]).read().splitlines()
         assert dat[0].startswith("#")
+
+    def test_csv_columns_are_record_fields(self, fixed_interval_run, tmp_path):
+        # the header is the one schema: each row reads the record's fields by name
+        names = experiments.CSV_HEADER.split(",")
+        assert len(names) == 14
+        assert set(names) <= {f.name for f in dataclasses.fields(experiments.ExperimentRecord)}
+        result, _ = fixed_interval_run
+        cfg = ExperimentConfig.from_dict(base_config(outputs={"csv": "c.csv"}))
+        rows = open(experiments.emit(result, cfg, out_dir=str(tmp_path))["csv"]).read()
+        r = result.records[0]
+        assert rows.splitlines()[1].split(",")[:3] == [str(r.k), repr(r.param), repr(r.lambda1)]
 
     def test_json_carries_residual_and_normalization(self, fixed_interval_run, tmp_path):
         result, _ = fixed_interval_run

@@ -117,6 +117,20 @@ class TestGenerate:
         assert p.neumann.intervals == ((1.0, 2.0),)
         assert p.dirichlet.intervals == ((-math.inf, -1.0), (2.0, math.inf))
 
+    def test_explicit_family_with_both_lists_is_verbatim(self):
+        fam = PartitionFamily(kind="explicit", omega=OM, params={
+            "dirichlet": [[-math.inf, -1.0], [3.0, math.inf]], "neumann": [[1.0, 3.0]]})
+        p = generate(fam, 0)
+        assert p.dirichlet.intervals == ((-math.inf, -1.0), (3.0, math.inf))
+        assert p.neumann.intervals == ((1.0, 3.0),)
+        assert p.moving_label is None
+
+    def test_explicit_family_with_a_gap_rejected(self):
+        fam = PartitionFamily(kind="explicit", omega=OM, params={
+            "dirichlet": [[-math.inf, -1.0], [3.0, math.inf]], "neumann": [[1.5, 3.0]]})
+        with pytest.raises(BadParameters, match=r"uncovered gap \(1.0, 1.5\)"):
+            generate(fam, 0)
+
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(["traveling_ball", "traveling_ring", "traveling_strip",
                             "shrinking_dirichlet_touching", "nested_neumann",
